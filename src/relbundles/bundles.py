@@ -75,12 +75,6 @@ class XiDecomposition:
     unstabilized: tuple[Word, ...]
     bundle: CGRBundleTrunc
 
-    def class_by_signature(self, signature: tuple[int, ...]) -> XiClass | None:
-        for c in self.classes:
-            if c.signature == signature:
-                return c
-        return None
-
 
 @dataclass(frozen=True)
 class SectorTrunc:

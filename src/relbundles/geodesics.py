@@ -11,6 +11,7 @@ controls how much deeper the target sits than the cut.
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import cached_property
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import (
@@ -42,21 +43,23 @@ class GeodesicDAG:
     def vertices(self) -> set[Word]:
         return {w for layer in self.layers for w in layer}
 
-    def layer_index(self, v: Word) -> int | None:
-        for k, layer in enumerate(self.layers):
-            if v in layer:
-                return k
-        return None
+    @cached_property
+    def _adjacency(self) -> dict[Word, tuple[list[Word], list[Word]]]:
+        """(successors, predecessors) of every vertex, each in layer order,
+        built once from `edges` on first use; layers are disjoint, so a
+        vertex alone names its place."""
+        rank = {v: i for layer in self.layers for i, v in enumerate(layer)}
+        adj: dict[Word, tuple[list[Word], list[Word]]] = {v: ([], []) for v in rank}
+        for a, b in sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
+            adj[a][0].append(b)
+            adj[b][1].append(a)
+        return adj
 
     def successors(self, v: Word, k: int) -> list[Word]:
-        if k + 1 >= len(self.layers):
-            return []
-        return [w for w in self.layers[k + 1] if (v, w) in self.edges]
+        return self._adjacency[v][0] if k < self.length else []
 
     def predecessors(self, v: Word, k: int) -> list[Word]:
-        if k == 0:
-            return []
-        return [w for w in self.layers[k - 1] if (w, v) in self.edges]
+        return self._adjacency[v][1] if k > 0 else []
 
 
 @dataclass(frozen=True)

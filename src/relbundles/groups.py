@@ -235,12 +235,6 @@ class Group:
     def format(self, word: Word) -> str:
         return word_to_str(word, self.gen_names)
 
-    def validate_word(self, word: Word) -> None:
-        n = len(self.gen_names)
-        for letter in word:
-            if letter == 0 or abs(letter) > n:
-                raise SpecError(f"letter {letter} out of range for {n} generators")
-
 
 class FreeGroup(Group):
     def __init__(self, spec: GroupSpec):
@@ -645,9 +639,6 @@ class FreeProductGroup(Group):
         if syls and syls[-1][0] == slot:
             syls = syls[:-1]
         return self._assemble(syls)
-
-    def same_coset(self, g: Word, h: Word, slot: int) -> bool:
-        return self.coset_rep(g, slot) == self.coset_rep(h, slot)
 
 
 @dataclass(frozen=True)

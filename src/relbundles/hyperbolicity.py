@@ -6,7 +6,7 @@ sides, and the reported constant is the worst defect over a triangle
 family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
-needed.  Defects are measured independently in both metrics.
+needed.  Both metrics are scored in one pass over the same side DAGs.
 """
 
 from __future__ import annotations
@@ -16,7 +16,7 @@ from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import ABSOLUTE, RELATIVE, DistanceOracle, RelativeGraph
+from .relgraph import ABSOLUTE, METRICS, RELATIVE, DistanceOracle, RelativeGraph
 from .geodesics import GeodesicDAG, geodesic_dag
 
 
@@ -93,64 +93,67 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
     return val[dag.source]
 
 
-def _is_chain(dag: GeodesicDAG) -> bool:
-    return all(len(layer) == 1 for layer in dag.layers)
+@dataclass(frozen=True)
+class _Side:
+    """A side DAG in local coordinates (source e) and where it is placed."""
+
+    dag: GeodesicDAG
+    chain: bool
+    placed: dict[Word, Word]  # local vertex x ↦ u·x
 
 
 class _TriangleProbe:
-    """Defect evaluation for corner triples with DAG and distance caching.
+    """Defects of corner triples in both metrics, one pass per triangle.
 
-    DAGs are cached per difference word and translated to the queried pair,
-    which keeps the exhaustive sweep affordable.
+    The geodesic DAG from u to v is the DAG from e to w = u⁻¹v moved by u,
+    so it is built once per difference word and kept with source e; a
+    queried pair only translates its vertices.  The bottleneck DP runs over
+    the local layers with costs measured at the translated vertices.
     """
 
     def __init__(self, graph: RelativeGraph, oracle: DistanceOracle):
         self.graph = graph
         self.oracle = oracle
-        self._dags: dict[Word, GeodesicDAG] = {}
+        self._dags: dict[Word, tuple[GeodesicDAG, bool]] = {}
 
-    def pair_dag(self, u: Word, v: Word) -> GeodesicDAG:
+    def _side(self, u: Word, v: Word) -> _Side:
         g = self.graph.group
         w = g.multiply(g.inverse(u), v)
-        dag = self._dags.get(w)
-        if dag is None:
+        hit = self._dags.get(w)
+        if hit is None:
             dag = geodesic_dag(self.graph, self.oracle, (), w)
-            self._dags[w] = dag
-        if u == ():
-            return dag
-        layers = tuple(tuple(sorted((g.multiply(u, x) for x in layer),
-                                    key=shortlex_key))
-                       for layer in dag.layers)
-        edges = {(g.multiply(u, a), g.multiply(u, b)): labels
-                 for (a, b), labels in dag.edges.items()}
-        return GeodesicDAG(u, g.multiply(u, w), dag.length, layers, edges,
-                           dag.metric)
+            hit = self._dags[w] = (dag, all(len(l) == 1 for l in dag.layers))
+        dag, chain = hit
+        placed = {x: g.multiply(u, x) if u else x
+                  for layer in dag.layers for x in layer}
+        return _Side(dag, chain, placed)
 
-    def defect(self, a: Word, b: Word, c: Word, metric: str) -> tuple[int, Word]:
-        """Worst defect over rotations and side choices; returns (value, probe)."""
-        dags = (self.pair_dag(a, b), self.pair_dag(b, c), self.pair_dag(c, a))
-        verts = [dag.vertices() for dag in dags]
-        chains = [_is_chain(dag) for dag in dags]
+    def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
+        """Per metric, the worst defect over rotations and side choices and
+        the first probe vertex attaining it."""
+        sides = (self._side(a, b), self._side(b, c), self._side(c, a))
+        verts = [set(s.placed.values()) for s in sides]
         dist = self.oracle.distance
-        worst, who = 0, a
+        worst = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):
             qi, ri = (i + 1) % 3, (i + 2) % 3
-            if chains[qi] and chains[ri]:
+            q, r = sides[qi], sides[ri]
+            if q.chain and r.chain:
                 union = verts[qi] | verts[ri]
-                probes = verts[i] - union
-                for u in probes:
-                    d = min(dist(u, v, metric) for v in union)
-                    if d > worst:
-                        worst, who = d, u
+                for u in verts[i] - union:
+                    for m in METRICS:
+                        d = min(dist(u, v, m) for v in union)
+                        if d > worst[m][0]:
+                            worst[m] = (d, u)
             else:
                 for u in verts[i]:
-                    cost_q = {v: dist(u, v, metric) for v in verts[qi]}
-                    cost_r = {v: dist(u, v, metric) for v in verts[ri]}
-                    d = min(_bottleneck(dags[qi], cost_q),
-                            _bottleneck(dags[ri], cost_r))
-                    if d > worst:
-                        worst, who = d, u
-        return worst, who
+                    for m in METRICS:
+                        d = min(_bottleneck(s.dag, {x: dist(u, y, m)
+                                                    for x, y in s.placed.items()})
+                                for s in (q, r))
+                        if d > worst[m][0]:
+                            worst[m] = (d, u)
+        return worst
 
 
 def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
@@ -176,8 +179,8 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
     def consider(a: Word, b: Word, c: Word, stage: dict[str, int] | None) -> None:
         nonlocal count
         count += 1
-        d_rel, who_rel = probe.defect(a, b, c, RELATIVE)
-        d_abs, who_abs = probe.defect(a, b, c, ABSOLUTE)
+        found = probe.defects(a, b, c)
+        (d_rel, who_rel), (d_abs, who_abs) = found[RELATIVE], found[ABSOLUTE]
         if stage is not None:
             stage[RELATIVE] = max(stage[RELATIVE], d_rel)
             stage[ABSOLUTE] = max(stage[ABSOLUTE], d_abs)

@@ -124,6 +124,7 @@ class RelativeGraph:
         self._par_moves: list[tuple[EdgeLabel, Word]] | None = None
         self.approximate = False
         self._alphabets: dict[str, list[tuple[Word, tuple[EdgeLabel, ...]]]] = {}
+        self._moves: dict[str, tuple[tuple[EdgeLabel, Word], ...]] = {}
         self._label_words: dict[EdgeLabel, Word] = dict(
             (label, w) for label, w in self._abs_moves)
 
@@ -150,14 +151,19 @@ class RelativeGraph:
         self._par_moves = moves
         return moves
 
-    def moves(self, metric: str = RELATIVE) -> list[tuple[EdgeLabel, Word]]:
+    def moves(self, metric: str = RELATIVE) -> tuple[tuple[EdgeLabel, Word], ...]:
+        """Every (label, element) move, sorted by label once per metric."""
+        cached = self._moves.get(metric)
+        if cached is not None:
+            return cached
         if metric not in METRICS:
             raise SpecError(f"unknown metric {metric!r}")
         out = list(self._abs_moves)
         if metric == RELATIVE:
             out.extend(self._parabolic_moves())
         out.sort(key=lambda mv: label_key(mv[0]))
-        return out
+        self._moves[metric] = tuple(out)
+        return self._moves[metric]
 
     def alphabet(self, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
         """Distinct move elements with all their labels.
@@ -224,30 +230,10 @@ class RelativeGraph:
         """Exact BFS ball; raises ResourceLimitError past the vertex cap."""
         if radius < 0:
             raise SpecError("radius must be nonnegative")
-        steps = self.step_words(metric)
-        entries = {center: 0}
-        frontiers: list[tuple[Word, ...]] = [(center,)]
-        frontier = [center]
-        for r in range(1, radius + 1):
-            nxt = []
-            for v in frontier:
-                for w in steps:
-                    u = self.group.multiply(v, w)
-                    if u not in entries:
-                        entries[u] = r
-                        nxt.append(u)
-            if len(entries) > self.vertex_cap:
-                raise ResourceLimitError(
-                    f"ball({radius}) exceeds vertex cap {self.vertex_cap}")
-            frontier = sorted(nxt, key=shortlex_key)
-            frontiers.append(tuple(frontier))
-            if not frontier:
-                break
-        while len(frontiers) < radius + 1:
-            frontiers.append(())
-        return BallTable(center, radius, metric, entries, tuple(frontiers),
-                         approximate=self._metric_approximate(metric),
-                         spec_digest=self.spec_digest)
+        start = BallTable(center, 0, metric, {center: 0}, ((center,),),
+                          approximate=self._metric_approximate(metric),
+                          spec_digest=self.spec_digest)
+        return self.grow_ball(start, radius)
 
     def grow_ball(self, table: BallTable, radius: int) -> BallTable:
         """Extend a ball outward, reusing everything already computed."""

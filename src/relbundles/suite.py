@@ -35,6 +35,7 @@ from .geodesics import (
     enumerate_geodesics,
     geodesic_dag,
     layer_profile,
+    validate_direction,
 )
 from .bundles import DirectionPipeline, StabilizationError, symdiff_scan
 from .coding import (
@@ -552,6 +553,13 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     group = build_group(spec)
     graph = RelativeGraph(group)
     oracle = DistanceOracle(graph)
+
+    # Bad bases and directions fail here, before the slimness sweep.
+    for base_text in cfg.bases:
+        group.parse(base_text)
+    for dir_text in cfg.directions:
+        validate_direction(graph, oracle, direction_from_text(graph, dir_text),
+                           cfg.depth)
 
     slim, nu = _check_slimness(graph, oracle, cfg)
     b_cap = bound_B(graph, nu)

@@ -7,6 +7,7 @@ import os
 
 import pytest
 
+from relbundles import suite
 from relbundles.cli import main
 
 F2_SPEC = {"family": "free", "generators": ["a", "b"]}
@@ -187,6 +188,16 @@ class TestVerify:
         h1 = json.loads((r1 / "report.json").read_text())["config_hash"]
         h2 = json.loads((r2 / "report.json").read_text())["config_hash"]
         assert h1 != h2
+
+    def test_non_geodesic_direction_exits_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = self._config(tmp_path, directions=["a", "a:a'"])
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert "not geodesic" in capsys.readouterr().err
 
     def test_missing_spec_is_an_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))

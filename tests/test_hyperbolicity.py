@@ -2,17 +2,28 @@
 
 from __future__ import annotations
 
+import itertools
+import os
+
 import pytest
 
-from relbundles.groups import SpecError, build_group, spec_from_dict
-from relbundles.relgraph import DistanceOracle, RelativeGraph
+from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
+from relbundles.relgraph import (
+    METRICS,
+    RELATIVE,
+    DistanceOracle,
+    RelativeGraph,
+)
 from relbundles.geodesics import enumerate_geodesics, geodesic_dag
 from relbundles.hyperbolicity import (
+    _TriangleProbe,
     bound_B,
     bound_K,
     estimate_nu,
     triangle_defect,
 )
+
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 def _cyclic_table(n: int, gen: str) -> dict:
@@ -48,6 +59,9 @@ GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 GR_GENUS2 = RelativeGraph(GENUS2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
+Z6 = build_group(load_spec(os.path.join(SPECS, "z6_table.json")))
+GR_Z6 = RelativeGraph(Z6)
+OR_Z6 = DistanceOracle(GR_Z6)
 
 
 # ---------------------------------------------------------------------------
@@ -83,6 +97,47 @@ def test_triangle_sides_must_be_geodesic():
 def test_empty_side_rejected():
     with pytest.raises(SpecError):
         triangle_defect(OR_F2, (), ((), ()), ((), ()))
+
+
+# ---------------------------------------------------------------------------
+# adversarial defect vs explicit side choices
+
+def _referee_defect(graph, oracle, a, b, c, metric):
+    """Max of triangle_defect over every choice of one geodesic per side."""
+    choices = []
+    for u, v in ((a, b), (b, c), (c, a)):
+        paths, truncated = enumerate_geodesics(
+            graph, geodesic_dag(graph, oracle, u, v))
+        assert not truncated
+        choices.append([p.vertices for p in paths])
+    return max(triangle_defect(oracle, p, q, r, metric=metric)
+               for p, q, r in itertools.product(*choices))
+
+
+@pytest.mark.parametrize("graph, oracle, radius", [
+    (GR_Z6, OR_Z6, 3),      # 6-cycle bigons: the non-chain bottleneck branch
+    (GR_F2X, OR_F2X, 1),    # adjoined generator: one edge spans two letters
+    (GR_Z3Z2, OR_Z3Z2, 2),  # parabolic edges
+], ids=["z6_table", "F2X", "Z3Z2"])
+def test_probe_matches_side_choice_referee(graph, oracle, radius):
+    probe = _TriangleProbe(graph, oracle)
+    corners = sorted(graph.ball((), radius, RELATIVE).entries)
+    for a, b, c in itertools.product(corners, repeat=3):
+        got = probe.defects(a, b, c)
+        for metric in METRICS:
+            assert got[metric][0] == _referee_defect(
+                graph, oracle, a, b, c, metric), (a, b, c, metric)
+
+
+def test_cyclic_group_sweep_is_pinned():
+    report = estimate_nu(GR_Z6, OR_Z6, exhaustive_radius=3, ball_radius=3,
+                         triangle_budget=50, seed=1)
+    assert (report.nu_rel, report.nu_abs) == (1, 1)
+    assert report.triangles_checked == 106  # C(6+2, 3) = 56 plus 50 sampled
+    assert len(report.witnesses) == 1
+    witness = report.witnesses[0]
+    assert witness.corners == ((), (), (1, 1, 1))
+    assert (witness.defect_rel, witness.defect_abs) == (1, 1)
 
 
 # ---------------------------------------------------------------------------

@@ -6,9 +6,15 @@ import json
 
 import pytest
 
+from relbundles import suite
 from relbundles.groups import SpecError, build_group, spec_from_dict
 from relbundles.relgraph import DistanceOracle, RelativeGraph
-from relbundles.geodesics import direction_from_text, enumerate_geodesics, geodesic_dag
+from relbundles.geodesics import (
+    DirectionError,
+    direction_from_text,
+    enumerate_geodesics,
+    geodesic_dag,
+)
 from relbundles.suite import (
     CheckResult,
     RunConfig,
@@ -129,6 +135,18 @@ class TestRunSuite:
         assert "slimness" in ids
         assert "scan[a|e|b]" in ids
         assert "arithmetic" in ids
+
+    @pytest.mark.parametrize("bad, error", [
+        ({"directions": ("a", "a:a'")}, DirectionError),
+        ({"bases": ("e", "b z")}, SpecError),
+        ({"directions": ("a", "c")}, SpecError),
+    ])
+    def test_bad_input_fails_before_the_sweep(self, monkeypatch, bad, error):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        with pytest.raises(error):
+            run_suite(RunConfig(**dict(TINY, **bad)))
 
     def test_byte_identical_across_jobs(self):
         one = run_suite(RunConfig(**TINY, jobs=1))
