@@ -74,6 +74,7 @@ class XiDecomposition:
     classes: tuple[XiClass, ...]
     unstabilized: tuple[Word, ...]
     bundle: CGRBundleTrunc
+    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -85,6 +86,7 @@ class SectorTrunc:
     depth: int
     layers: tuple[tuple[Word, ...], ...]
     empty: bool
+    flags: tuple[str, ...]
 
     def vertices(self) -> frozenset[Word]:
         return frozenset(w for layer in self.layers for w in layer)
@@ -95,6 +97,7 @@ class SpecialVertexReport:
     special: tuple[tuple[Word, int], ...]  # (vertex, class id)
     ambiguous: tuple[Word, ...]
     decomposition: XiDecomposition
+    flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
@@ -114,18 +117,31 @@ class SymDiffScan:
     flags: tuple[str, ...]
 
 
+# Widening steps one decomposition may take past the pipeline's radius;
+# the cap keeps runs finite on adversarial input.
+WIDEN_LIMIT = 3
+
+
+def _unique(flags: list[str]) -> tuple[str, ...]:
+    """Flags gathered from several results, first occurrence kept."""
+    return tuple(dict.fromkeys(flags))
+
+
 class DirectionPipeline:
     """Cached class/sector/special/Geo₁ computations for one direction.
 
-    The window radius may grow during a run: if two stabilized rays agree
-    on the window but split one radius further out, every signature is
-    recomputed at the wider window and the event is recorded in `flags`.
+    Every cached result is a pure function of its key and the constructor
+    arguments, so call order never changes what a query returns and one
+    pipeline can serve every check on its direction.  The pipeline radius
+    is fixed; a decomposition whose classes split one radius further out
+    widens its own window, and each result carries the flags raised while
+    computing it and the results it read.
     """
 
     def __init__(self, graph: RelativeGraph, oracle: DistanceOracle,
                  direction: DirectionSpec, *, nu: int = 0,
                  margin: int | None = None, window_radius: int | None = None,
-                 anchor: Word = (), widen_limit: int = 3):
+                 anchor: Word = ()):
         self.graph = graph
         self.oracle = oracle
         self.direction = direction
@@ -133,18 +149,13 @@ class DirectionPipeline:
         self.margin = margin if margin is not None else 3 * nu + 1
         self.window_radius = (window_radius if window_radius is not None
                               else 3 * nu + 2)
-        self.widen_limit = widen_limit
-        self._base_window_radius = self.window_radius
-        self.flags: list[str] = []  # ambiguity/truncation; drives verdicts
         self.notes: list[str] = []  # informational only
         self._windows: dict[int, tuple[Word, ...]] = {}
-        self._reset_caches()
-
-    def _reset_caches(self) -> None:
         self._tables: dict[tuple[Word, int], HorofunctionTable] = {}
         self._bundles: dict[tuple[Word, int], CGRBundleTrunc] = {}
         self._classes: dict[tuple[Word, int], XiDecomposition] = {}
-        self._sectors: dict[tuple[Word, tuple[int, ...], int], SectorTrunc] = {}
+        self._sectors: dict[tuple[Word, tuple[int, ...], int, int],
+                            SectorTrunc] = {}
         self._specials: dict[tuple[Word, int], SpecialVertexReport] = {}
         self._geo1: dict[tuple[Word, int], Geo1Trunc] = {}
 
@@ -232,6 +243,7 @@ class DirectionPipeline:
                     f"decomposition from {self.graph.group.format(base)}")
             if note not in self.notes:
                 self.notes.append(note)
+        flags: list[str] = []
         while True:
             grouped: dict[tuple[int, ...], dict[int, set[Word]]] = {}
             unstable: set[Word] = set()
@@ -253,15 +265,17 @@ class DirectionPipeline:
                     f"larger depth")
             if radius < self.window_radius:
                 break  # clipped windows never drive widening
-            if not self._collides(grouped, depth):
+            if (radius - self.window_radius >= WIDEN_LIMIT
+                    or not self._splits(grouped, depth, radius)):
                 break
-            widened = min(self.window_radius, reach)
-            if widened == radius:
-                self.flags.append(
+            if radius >= reach:
+                flags.append(
                     f"collision at radius {radius} cannot widen past the "
                     f"ray anchors; keeping radius {radius}")
                 break
-            radius = widened
+            flags.append(f"window collision at radius {radius}; "
+                         f"widened to {radius + 1}")
+            radius += 1
         classes = []
         for i, sig in enumerate(sorted(grouped)):
             reps = tuple((d, tuple(sorted(vs, key=shortlex_key)))
@@ -269,28 +283,13 @@ class DirectionPipeline:
             classes.append(XiClass(i, sig, self.window(radius), radius, reps))
         return XiDecomposition(base, depth, radius, tuple(classes),
                                tuple(sorted(unstable, key=shortlex_key)),
-                               self.bundle(base, depth))
+                               self.bundle(base, depth), tuple(flags))
 
-    def _collides(self, grouped: dict, depth: int) -> bool:
-        """Widen the window when a class splits one radius further out.
-
-        Returns True when the caller must recompute; the guard keeps runs
-        finite on adversarial input.
-        """
-        if self.window_radius - self._base_window_radius >= self.widen_limit:
-            return False
-        for sig, slots in grouped.items():
-            terminals = slots[depth]
-            wider = {self.signature(w, self.window_radius + 1)
-                     for w in terminals}
-            if len(wider) > 1:
-                self.window_radius += 1
-                self.flags.append(
-                    f"window collision at radius {self.window_radius - 1}; "
-                    f"widened to {self.window_radius}")
-                self._reset_caches()
-                return True
-        return False
+    def _splits(self, grouped: dict, depth: int, radius: int) -> bool:
+        """Does some class's terminals disagree one radius further out?"""
+        return any(len({self.signature(w, radius + 1)
+                        for w in slots[depth]}) > 1
+                   for slots in grouped.values())
 
     # -- sectors -------------------------------------------------------------
 
@@ -311,13 +310,14 @@ class DirectionPipeline:
                    if self.signatures_match(signature, radius,
                                             c.signature, c.window_radius)]
         if not matched:
-            return SectorTrunc(base, signature, depth, ((),) * (depth + 1), True)
+            return SectorTrunc(base, signature, depth, ((),) * (depth + 1),
+                               True, deco.flags)
+        flags = list(deco.flags)
         if len(matched) > 1:
-            note = (f"signature matches {len(matched)} classes from "
-                    f"{self.graph.group.format(base)} at depth {depth} after "
-                    f"window restriction; their sectors were merged")
-            if note not in self.flags:
-                self.flags.append(note)
+            flags.append(f"signature matches {len(matched)} classes from "
+                         f"{self.graph.group.format(base)} at depth {depth} "
+                         f"after window restriction; their sectors were "
+                         f"merged")
         layers: list[set[Word]] = [set() for _ in range(depth + 1)]
         for cls in matched:
             for t in cls.terminals(depth):
@@ -326,7 +326,7 @@ class DirectionPipeline:
                     layers[k].update(layer)
         return SectorTrunc(base, signature, depth,
                            tuple(tuple(sorted(l, key=shortlex_key))
-                                 for l in layers), False)
+                                 for l in layers), False, _unique(flags))
 
     # -- special vertices ------------------------------------------------------
 
@@ -342,11 +342,20 @@ class DirectionPipeline:
         deco = self.classes_from(base, depth)
         special: list[tuple[Word, int]] = []
         ambiguous: list[Word] = []
+        flags = list(deco.flags)
         dag = deco.bundle.dag
         for k in range(0, depth - 1):
             remaining = depth - k
             for v in dag.layers[k]:
-                verdict = self._classify_vertex(deco, v, remaining)
+                try:
+                    sectors = [self.sector(v, c.signature, remaining,
+                                           c.window_radius)
+                               for c in deco.classes]
+                except StabilizationError:
+                    ambiguous.append(v)
+                    continue
+                flags.extend(f for sec in sectors for f in sec.flags)
+                verdict = self._classify_vertex(deco, v, remaining, sectors)
                 if verdict is None:
                     continue
                 if verdict < 0:
@@ -356,16 +365,11 @@ class DirectionPipeline:
         special.sort(key=lambda item: (shortlex_key(item[0]), item[1]))
         return SpecialVertexReport(tuple(special),
                                    tuple(sorted(ambiguous, key=shortlex_key)),
-                                   deco)
+                                   deco, _unique(flags))
 
-    def _classify_vertex(self, deco: XiDecomposition, v: Word,
-                         remaining: int) -> int | None:
+    def _classify_vertex(self, deco: XiDecomposition, v: Word, remaining: int,
+                         sectors: list[SectorTrunc]) -> int | None:
         """None: not special.  ≥0: special with that class id.  −1: tie."""
-        try:
-            sectors = [self.sector(v, c.signature, remaining, c.window_radius)
-                       for c in deco.classes]
-        except StabilizationError:
-            return -1
         if any(s.empty for s in sectors):
             return None
         common = sectors[0].vertices()
@@ -410,7 +414,7 @@ class DirectionPipeline:
     def _compute_geo1(self, base: Word, depth: int) -> Geo1Trunc:
         report = self.special_vertices(base, depth)
         deco = report.decomposition
-        flags = list(self.flags)
+        flags = list(report.flags)
         if report.ambiguous:
             flags.append(
                 f"{len(report.ambiguous)} bundle vertices had ambiguous "
@@ -437,69 +441,32 @@ class DirectionPipeline:
             for y in y_set:
                 sec = self.sector(y, cls.signature, depth - least,
                                   cls.window_radius)
+                flags.extend(sec.flags)
                 vertices.update(sec.vertices())
         return Geo1Trunc(base, depth, frozenset(vertices), tuple(chosen),
-                         tuple(skipped), tuple(flags))
+                         tuple(skipped), _unique(flags))
 
 
 # ---------------------------------------------------------------------------
-# one-shot wrappers
-
-def xi_classes(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
-               direction: DirectionSpec, depth: int, *, nu: int = 0,
-               window_radius: int | None = None,
-               margin: int | None = None) -> XiDecomposition:
-    pipe = DirectionPipeline(graph, oracle, direction, nu=nu,
-                             window_radius=window_radius, margin=margin)
-    return pipe.classes_from(x, depth)
+# symmetric-difference scans
 
 
-def sector_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
-                 xi: XiClass, direction: DirectionSpec, depth: int, *,
-                 nu: int = 0, margin: int | None = None) -> SectorTrunc:
-    pipe = DirectionPipeline(graph, oracle, direction, nu=nu,
-                             window_radius=xi.window_radius, margin=margin)
-    return pipe.sector(x, xi.signature, depth, xi.window_radius)
-
-
-def special_vertices(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
-                     direction: DirectionSpec, depth: int, *, nu: int = 0,
-                     margin: int | None = None) -> SpecialVertexReport:
-    pipe = DirectionPipeline(graph, oracle, direction, nu=nu, margin=margin)
-    return pipe.special_vertices(x, depth)
-
-
-def geo1_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
-               direction: DirectionSpec, depth: int, *, nu: int = 0,
-               margin: int | None = None) -> Geo1Trunc:
-    pipe = DirectionPipeline(graph, oracle, direction, nu=nu, margin=margin)
-    return pipe.geo1(x, depth)
-
-
-def symdiff_scan(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
-                 y: Word, direction: DirectionSpec, depths: list[int], *,
-                 nu: int = 0, margin: int | None = None,
-                 window_radius: int | None = None,
-                 pipeline: DirectionPipeline | None = None) -> SymDiffScan:
+def symdiff_scan(pipeline: DirectionPipeline, x: Word, y: Word,
+                 depths: list[int]) -> SymDiffScan:
     """|Geo₁(x) Δ Geo₁(y)| per depth, on the common well-defined window.
 
     A vertex only counts when both truncations can see it — when it is
     within depth − margin of both bases — so horizon artifacts at the cut
     are never reported as differences.
     """
-    pipe = pipeline or DirectionPipeline(graph, oracle, direction, nu=nu,
-                                         margin=margin,
-                                         window_radius=window_radius)
-    dist = oracle.distance
+    dist = pipeline.oracle.distance
     rows = []
     flags: list[str] = []
     for depth in depths:
-        gx = pipe.geo1(x, depth)
-        gy = pipe.geo1(y, depth)
-        for f in (*gx.flags, *gy.flags):
-            if f not in flags:
-                flags.append(f)
-        horizon = depth - pipe.margin
+        gx = pipeline.geo1(x, depth)
+        gy = pipeline.geo1(y, depth)
+        flags += gx.flags + gy.flags
+        horizon = depth - pipeline.margin
 
         def visible(v: Word) -> bool:
             return (dist(x, v, RELATIVE) <= horizon
@@ -512,4 +479,4 @@ def symdiff_scan(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
                   and rows[-1][1] == rows[-2][1] == rows[-3][1])
     return SymDiffScan(tuple(rows),
                        "stabilized" if stabilized else "unstabilized",
-                       tuple(flags))
+                       _unique(flags))

@@ -3,7 +3,7 @@
 Exit codes follow the verification contract: 0 all pass, 1 hard failure
 (including usage and spec errors), 2 flagged-or-approximate findings only.
 Every artifact is written deterministically — same spec, config and seed
-give byte-identical files regardless of --jobs.
+give byte-identical files.
 """
 
 from __future__ import annotations
@@ -67,7 +67,6 @@ def _build_parser() -> argparse.ArgumentParser:
                           help="suite configuration JSON")
     p_verify.add_argument("--spec", help="group spec JSON (overrides config)")
     p_verify.add_argument("--seed", type=int, help="override config seed")
-    p_verify.add_argument("--jobs", type=int, help="worker threads")
     p_verify.add_argument("--radius", type=int,
                           help="override truncation depth R")
     p_verify.add_argument("--window", type=int,
@@ -136,7 +135,7 @@ def load_config(config_path: str, spec_path: str | None = None,
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.spec, seed=args.seed, jobs=args.jobs,
+    cfg = load_config(args.config, args.spec, seed=args.seed,
                       depth=args.radius, window_radius=args.window)
     report = run_suite(cfg)
 

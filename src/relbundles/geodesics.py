@@ -257,7 +257,6 @@ class CGRBundleTrunc:
 
 def cgr_bundle_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
                      direction: DirectionSpec, depth: int, margin: int,
-                     validate_to: int | None = None,
                      anchor: Word = ()) -> CGRBundleTrunc:
     """Bundle of all geodesics from x toward the direction, cut at `depth`.
 
@@ -270,8 +269,7 @@ def cgr_bundle_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
     k = depth + margin + oracle.distance(anchor, x, RELATIVE)
-    validate_direction(graph, oracle, direction,
-                       validate_to if validate_to is not None else k)
+    validate_direction(graph, oracle, direction, k)
     t = ray_vertex(graph, direction, k, base=anchor)
     full = geodesic_dag(graph, oracle, x, t)
     length = min(depth, full.length)

@@ -1,12 +1,13 @@
 """Named verification checks over one group spec, reported deterministically.
 
 A run builds the graph, measures slimness, derives the layer and
-class-size budgets, and then fans independent checks over the configured
+class-size budgets, and then runs independent checks over the configured
 direction/base matrix: bundle layer bounds, Δ-stabilization scans,
 coding-window coherence, H_n window matching, the label order property,
-and cross-validation of the geodesic and arithmetic oracles.  Every check
-is a pure function of (spec, config, seed), so reports are byte-identical
-across runs and worker counts.
+and cross-validation of the geodesic and arithmetic oracles.  All checks
+on one direction share one `DirectionPipeline` per anchor; its results do
+not depend on call order, so every check is a pure function of (spec,
+config, seed) and reports are byte-identical regardless of check order.
 """
 
 from __future__ import annotations
@@ -15,11 +16,12 @@ import hashlib
 import itertools
 import json
 import random
-from concurrent.futures import ThreadPoolExecutor
+from collections.abc import Callable
 from dataclasses import dataclass, field
 
 from . import __version__
 from .groups import (
+    DehnReductionError,
     Group,
     SpecError,
     Word,
@@ -28,7 +30,12 @@ from .groups import (
     spec_from_dict,
     spec_hash,
 )
-from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
+from .relgraph import (
+    RELATIVE,
+    DistanceOracle,
+    RelativeGraph,
+    ResourceLimitError,
+)
 from .geodesics import (
     DirectionSpec,
     direction_from_text,
@@ -39,6 +46,7 @@ from .geodesics import (
 )
 from .bundles import DirectionPipeline, StabilizationError, symdiff_scan
 from .coding import (
+    HnWindow,
     RestrictedLabel,
     c_eta_window,
     check_lemma418,
@@ -79,7 +87,6 @@ class RunConfig:
     arithmetic_length: int = 5
     continuation_cap: int = 256
     seed: int = 0
-    jobs: int = 1
 
     def __post_init__(self):
         for name in ("depth", "exhaustive_radius", "ball_radius"):
@@ -93,8 +100,6 @@ class RunConfig:
             raise SpecError("window radius must be nonnegative")
         if self.n_max < 1:
             raise SpecError("n_max must be at least 1")
-        if self.jobs < 1:
-            raise SpecError("jobs must be at least 1")
 
     @classmethod
     def from_dict(cls, data: dict) -> "RunConfig":
@@ -112,8 +117,7 @@ class RunConfig:
 
     def digest(self) -> str:
         payload = {name: getattr(self, name)
-                   for name in self.__dataclass_fields__
-                   if name != "jobs"}  # worker count must not change bytes
+                   for name in self.__dataclass_fields__}
         blob = json.dumps(payload, sort_keys=True, separators=(",", ":"),
                           default=list)
         return hashlib.sha256(blob.encode()).hexdigest()
@@ -213,63 +217,43 @@ def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
     return result, nu
 
 
-def _check_layer_bound(graph: RelativeGraph, oracle: DistanceOracle,
+def _check_layer_bound(check_id: str, pipe: DirectionPipeline,
                        cfg: RunConfig, base_text: str, dir_text: str,
-                       nu: int, cap: int) -> CheckResult:
-    group = graph.group
-    base = group.parse(base_text)
-    direction = direction_from_text(graph, dir_text)
-    pipe = _pipeline(graph, oracle, direction, cfg, nu)
-    bundle = pipe.bundle(base, cfg.depth)
+                       cap: int) -> CheckResult:
+    bundle = pipe.bundle(pipe.graph.group.parse(base_text), cfg.depth)
     profile = layer_profile(bundle)
     worst = max(profile)
     return CheckResult(
-        f"layer-bound[{dir_text}|{base_text}]",
-        PASS if worst <= cap else FAIL,
+        check_id, PASS if worst <= cap else FAIL,
         f"max layer {worst} vs bound {cap}",
         {"direction": dir_text, "base": base_text, "profile": profile,
          "bound": cap})
 
 
-def _check_classes(graph: RelativeGraph, oracle: DistanceOracle,
-                   cfg: RunConfig, base_text: str, dir_text: str,
-                   nu: int, cap: int) -> CheckResult:
-    group = graph.group
-    base = group.parse(base_text)
-    direction = direction_from_text(graph, dir_text)
-    pipe = _pipeline(graph, oracle, direction, cfg, nu)
-    try:
-        deco = pipe.classes_from(base, cfg.depth)
-    except StabilizationError as err:
-        return CheckResult(
-            f"class-count[{dir_text}|{base_text}]", FLAGGED, str(err),
-            {"direction": dir_text, "base": base_text})
+def _check_classes(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
+                   base_text: str, dir_text: str, cap: int) -> CheckResult:
+    deco = pipe.classes_from(pipe.graph.group.parse(base_text), cfg.depth)
     count = len(deco.classes)
-    flags = list(pipe.flags)
+    flags = list(deco.flags)
     if deco.unstabilized:
         flags.append(f"{len(deco.unstabilized)} unstabilized rays")
     return CheckResult(
-        f"class-count[{dir_text}|{base_text}]",
-        _status_from(int(count > cap), len(flags)),
+        check_id, _status_from(int(count > cap), len(flags)),
         f"{count} classes vs bound {cap}",
         {"direction": dir_text, "base": base_text, "classes": count,
          "bound": cap, "unstabilized": len(deco.unstabilized),
          "flags": sorted(flags)})
 
 
-def _check_scan(graph: RelativeGraph, oracle: DistanceOracle, cfg: RunConfig,
-                x_text: str, y_text: str, dir_text: str,
-                nu: int) -> CheckResult:
-    group = graph.group
-    direction = direction_from_text(graph, dir_text)
-    pipe = _pipeline(graph, oracle, direction, cfg, nu)
-    scan = symdiff_scan(graph, oracle, group.parse(x_text),
-                        group.parse(y_text), direction,
-                        list(cfg.scan_depths), pipeline=pipe)
-    flags = sorted(set(scan.flags))
+def _check_scan(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
+                x_text: str, y_text: str, dir_text: str) -> CheckResult:
+    group = pipe.graph.group
+    scan = symdiff_scan(pipe, group.parse(x_text), group.parse(y_text),
+                        list(cfg.scan_depths))
+    flags = sorted(scan.flags)
     status = PASS if scan.verdict == "stabilized" and not flags else FLAGGED
     return CheckResult(
-        f"scan[{dir_text}|{x_text}|{y_text}]", status,
+        check_id, status,
         f"{scan.verdict}; deltas {[n for _, n in scan.rows]}",
         {"direction": dir_text, "x": x_text, "y": y_text,
          "rows": [list(r) for r in scan.rows], "verdict": scan.verdict,
@@ -282,14 +266,13 @@ def coding_depth(direction: DirectionSpec, n: int, margin: int) -> int:
     return 3 * (n + margin + len(direction.period) + 1)
 
 
-def _check_coding(graph: RelativeGraph, oracle: DistanceOracle,
-                  cfg: RunConfig, dir_text: str, nu: int) -> CheckResult:
-    direction = direction_from_text(graph, dir_text)
-    pipe = _pipeline(graph, oracle, direction, cfg, nu)
+def _check_coding(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
+                  dir_text: str) -> CheckResult:
+    oracle = pipe.oracle
     # One depth for the whole ladder: nesting only makes sense with all
     # windows cut at the same horizon, and the depth chosen for n_max
     # leaves a full period beyond the threshold for every smaller n too.
-    depth = coding_depth(direction, cfg.n_max, pipe.margin)
+    depth = coding_depth(pipe.direction, cfg.n_max, pipe.margin)
     half, two_thirds = depth // 2, 2 * depth // 3
     flags: list[str] = []
     violations = 0
@@ -312,7 +295,7 @@ def _check_coding(graph: RelativeGraph, oracle: DistanceOracle,
             flags.append(f"n={n}: minimal label is threshold-sensitive")
         if not pigeonhole_witness(window, two_thirds):
             flags.append(f"n={n}: no label recurs beyond {two_thirds}")
-        t_n, g_n = t_n_and_g_n(graph, oracle, window, s_n)
+        t_n, g_n = t_n_and_g_n(pipe.graph, oracle, window, s_n)
         if prev_s is not None:
             if s_n.restrict(n - 1) != prev_s:
                 violations += 1
@@ -321,35 +304,28 @@ def _check_coding(graph: RelativeGraph, oracle: DistanceOracle,
         trend.append([n, oracle.distance((), g_n, RELATIVE), len(t_n)])
         prev_s, prev_t = s_n, t_n
     return CheckResult(
-        f"coding[{dir_text}]",
-        _status_from(violations, len(flags)),
+        check_id, _status_from(violations, len(flags)),
         f"{violations} coherence violations through n={cfg.n_max} "
         f"at depth {depth}",
         {"direction": dir_text, "depth": depth, "k_n_trend": trend,
          "violations": violations, "flags": sorted(flags)})
 
 
-def _check_lemma418_pair(graph: RelativeGraph, oracle: DistanceOracle,
-                         cfg: RunConfig, eta_text: str, theta_text: str,
-                         n: int, nu: int) -> CheckResult:
+def _h_window(pipe: DirectionPipeline, cfg: RunConfig, n: int) -> HnWindow:
+    depth = coding_depth(pipe.direction, n, pipe.margin)
+    win = c_eta_window(pipe, depth, n, continuation_cap=cfg.continuation_cap)
+    s_n = s_n_eta(win, depth // 2)
+    t_n, g_n = t_n_and_g_n(pipe.graph, pipe.oracle, win, s_n)
+    return h_n_window(pipe.graph.group, pipe.oracle, win, t_n, g_n)
+
+
+def _check_lemma418_pair(check_id: str, eta: DirectionPipeline,
+                         theta: DirectionPipeline, cfg: RunConfig,
+                         eta_text: str, theta_text: str, n: int,
+                         nu: int) -> CheckResult:
+    graph, oracle = eta.graph, eta.oracle
     group = graph.group
-
-    def window(dir_text: str):
-        direction = direction_from_text(graph, dir_text)
-        pipe = _pipeline(graph, oracle, direction, cfg, nu)
-        depth = coding_depth(direction, n, pipe.margin)
-        win = c_eta_window(pipe, depth, n,
-                           continuation_cap=cfg.continuation_cap)
-        s_n = s_n_eta(win, depth // 2)
-        t_n, g_n = t_n_and_g_n(graph, oracle, win, s_n)
-        return h_n_window(group, oracle, win, t_n, g_n)
-
-    check_id = f"lemma418[{eta_text}|{theta_text}|n={n}]"
-    try:
-        wa, wb = window(eta_text), window(theta_text)
-    except StabilizationError as err:
-        return CheckResult(check_id, FLAGGED, str(err),
-                           {"eta": eta_text, "theta": theta_text, "n": n})
+    wa, wb = _h_window(eta, cfg, n), _h_window(theta, cfg, n)
     report = check_lemma418(graph, oracle, wa, wb, nu)
     bad = len(report.distance_violations)
     over = int(len(report.matches) > report.count_bound)
@@ -357,8 +333,7 @@ def _check_lemma418_pair(graph: RelativeGraph, oracle: DistanceOracle,
     flags = ([f"search radius {report.search_radius} cannot certify the "
               f"distance bound {report.distance_bound}"] if shallow else [])
     return CheckResult(
-        check_id,
-        _status_from(bad + over, len(flags)),
+        check_id, _status_from(bad + over, len(flags)),
         f"{len(report.matches)} matches, bound {report.count_bound}, "
         f"{bad} distance violations",
         {"eta": eta_text, "theta": theta_text, "n": n,
@@ -399,9 +374,9 @@ def _random_label(rng: random.Random, n: int) -> RestrictedLabel:
                  for _ in range(n)))
 
 
-def _check_order_property(cfg: RunConfig) -> CheckResult:
+def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:
     bad = order_property_violations(cfg.order_samples, cfg.seed)
-    return CheckResult("order-property", PASS if bad == 0 else FAIL,
+    return CheckResult(check_id, PASS if bad == 0 else FAIL,
                        f"{bad} violations over exhaustive n=1 plus "
                        f"{cfg.order_samples} samples",
                        {"violations": bad, "samples": cfg.order_samples})
@@ -449,12 +424,13 @@ def oracle_equivalence_violations(graph: RelativeGraph,
     return bad
 
 
-def _check_oracle_equivalence(graph: RelativeGraph, oracle: DistanceOracle,
+def _check_oracle_equivalence(check_id: str, graph: RelativeGraph,
+                              oracle: DistanceOracle,
                               cfg: RunConfig) -> CheckResult:
     bad = oracle_equivalence_violations(graph, oracle, cfg.oracle_samples,
                                         cfg.oracle_max_distance, cfg.seed)
     return CheckResult(
-        "oracle-equivalence", PASS if bad == 0 else FAIL,
+        check_id, PASS if bad == 0 else FAIL,
         f"{bad} mismatches over {cfg.oracle_samples} sampled pairs",
         {"samples": cfg.oracle_samples, "mismatches": bad,
          "max_distance": cfg.oracle_max_distance})
@@ -505,18 +481,26 @@ def arithmetic_violations(group: Group, max_len: int) -> int:
     return bad
 
 
-def _check_arithmetic(group: Group, cfg: RunConfig) -> CheckResult:
+def _check_arithmetic(check_id: str, group: Group,
+                      cfg: RunConfig) -> CheckResult:
     bad = arithmetic_violations(group, cfg.arithmetic_length)
     return CheckResult(
-        "arithmetic", PASS if bad == 0 else FAIL,
+        check_id, PASS if bad == 0 else FAIL,
         f"{bad} mismatches on words up to length {cfg.arithmetic_length}",
         {"max_length": cfg.arithmetic_length, "mismatches": bad})
 
 
-def _check_equivariance(graph: RelativeGraph, oracle: DistanceOracle,
-                        cfg: RunConfig, dir_text: str, nu: int) -> CheckResult:
-    group = graph.group
-    direction = direction_from_text(graph, dir_text)
+def _check_equivariance(check_id: str,
+                        pipeline: Callable[..., DirectionPipeline],
+                        cfg: RunConfig,
+                        dir_text: str) -> CheckResult:
+    """Geo₁ from a moved anchor is the translate of Geo₁ from e.
+
+    `pipeline(dir_text, anchor)` is the run's shared pipeline lookup.
+    """
+    plain = pipeline(dir_text)
+    graph, group = plain.graph, plain.graph.group
+    want_e = plain.geo1((), cfg.depth).vertices
     rng = random.Random(cfg.seed)
     pool = sorted(graph.ball((), 2, RELATIVE).entries, key=shortlex_key)
     bad = 0
@@ -524,28 +508,29 @@ def _check_equivariance(graph: RelativeGraph, oracle: DistanceOracle,
     for _ in range(3):
         g = rng.choice(pool)
         tried.append(group.format(g))
-        plain = _pipeline(graph, oracle, direction, cfg, nu)
-        moved = _pipeline(graph, oracle, direction, cfg, nu, anchor=g)
-        want = frozenset(group.multiply(g, v)
-                         for v in plain.geo1((), cfg.depth).vertices)
-        if moved.geo1(g, cfg.depth).vertices != want:
+        want = frozenset(group.multiply(g, v) for v in want_e)
+        if pipeline(dir_text, g).geo1(g, cfg.depth).vertices != want:
             bad += 1
     return CheckResult(
-        f"equivariance[{dir_text}]", PASS if bad == 0 else FAIL,
+        check_id, PASS if bad == 0 else FAIL,
         f"{bad} translation mismatches",
         {"direction": dir_text, "translations": tried, "mismatches": bad})
 
 
-def _pipeline(graph: RelativeGraph, oracle: DistanceOracle,
-              direction: DirectionSpec, cfg: RunConfig, nu: int,
-              anchor: Word = ()) -> DirectionPipeline:
-    return DirectionPipeline(graph, oracle, direction, nu=nu,
-                             margin=cfg.margin,
-                             window_radius=cfg.window_radius, anchor=anchor)
-
-
 # ---------------------------------------------------------------------------
 # the runner
+
+# Errors a check can hit on a finite truncation of an infinite object.
+# Each one becomes that check's verdict instead of ending the run.
+CHECK_ERRORS = (StabilizationError, ResourceLimitError, DehnReductionError)
+
+
+def _run_check(check_id: str, check, *args) -> CheckResult:
+    try:
+        return check(check_id, *args)
+    except CHECK_ERRORS as err:
+        return CheckResult(check_id, FLAGGED, str(err),
+                           {"error": type(err).__name__})
 
 
 def run_suite(cfg: RunConfig) -> SuiteReport:
@@ -557,45 +542,58 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     # Bad bases and directions fail here, before the slimness sweep.
     for base_text in cfg.bases:
         group.parse(base_text)
-    for dir_text in cfg.directions:
-        validate_direction(graph, oracle, direction_from_text(graph, dir_text),
-                           cfg.depth)
+    directions = {d: direction_from_text(graph, d) for d in cfg.directions}
+    for direction in directions.values():
+        validate_direction(graph, oracle, direction, cfg.depth)
 
     slim, nu = _check_slimness(graph, oracle, cfg)
     b_cap = bound_B(graph, nu)
     k_cap = bound_K(nu, b_cap)
 
-    tasks = []
-    for dir_text in cfg.directions:
-        for base_text in cfg.bases:
-            tasks.append(lambda d=dir_text, b=base_text: _check_layer_bound(
-                graph, oracle, cfg, b, d, nu, b_cap))
-            tasks.append(lambda d=dir_text, b=base_text: _check_classes(
-                graph, oracle, cfg, b, d, nu, b_cap))
-        for x_text, y_text in itertools.combinations(cfg.bases, 2):
-            tasks.append(lambda d=dir_text, x=x_text, y=y_text: _check_scan(
-                graph, oracle, cfg, x, y, d, nu))
-        tasks.append(lambda d=dir_text: _check_coding(
-            graph, oracle, cfg, d, nu))
-        tasks.append(lambda d=dir_text: _check_equivariance(
-            graph, oracle, cfg, d, nu))
+    # One pipeline per (direction, anchor), shared by every check.
+    pipelines: dict[tuple[str, Word], DirectionPipeline] = {}
+
+    def pipeline(dir_text: str, anchor: Word = ()) -> DirectionPipeline:
+        got = pipelines.get((dir_text, anchor))
+        if got is None:
+            got = DirectionPipeline(graph, oracle, directions[dir_text],
+                                    nu=nu, margin=cfg.margin,
+                                    window_radius=cfg.window_radius,
+                                    anchor=anchor)
+            pipelines[(dir_text, anchor)] = got
+        return got
+
+    results = [slim]
+    for d in cfg.directions:
+        pipe = pipeline(d)
+        for b in cfg.bases:
+            results.append(_run_check(f"layer-bound[{d}|{b}]",
+                                      _check_layer_bound, pipe, cfg, b, d,
+                                      b_cap))
+            results.append(_run_check(f"class-count[{d}|{b}]",
+                                      _check_classes, pipe, cfg, b, d, b_cap))
+        for x, y in itertools.combinations(cfg.bases, 2):
+            results.append(_run_check(f"scan[{d}|{x}|{y}]", _check_scan,
+                                      pipe, cfg, x, y, d))
+        results.append(_run_check(f"coding[{d}]", _check_coding, pipe, cfg,
+                                  d))
+        results.append(_run_check(f"equivariance[{d}]", _check_equivariance,
+                                  pipeline, cfg, d))
     dirs = list(cfg.directions)
     for i, eta in enumerate(dirs):
         theta = dirs[(i + 1) % len(dirs)]
         for n in range(1, cfg.n_max + 1):
-            tasks.append(lambda e=eta, t=theta, m=n: _check_lemma418_pair(
-                graph, oracle, cfg, e, t, m, nu))
-    tasks.append(lambda: _check_order_property(cfg))
-    tasks.append(lambda: _check_oracle_equivalence(graph, oracle, cfg))
+            results.append(_run_check(
+                f"lemma418[{eta}|{theta}|n={n}]", _check_lemma418_pair,
+                pipeline(eta), pipeline(theta), cfg, eta, theta, n, nu))
+    results.append(_run_check("order-property", _check_order_property, cfg))
+    results.append(_run_check("oracle-equivalence", _check_oracle_equivalence,
+                              graph, oracle, cfg))
     if group.spec.family in ("free", "finite-table"):
-        tasks.append(lambda: _check_arithmetic(group, cfg))
+        results.append(_run_check("arithmetic", _check_arithmetic, group,
+                                  cfg))
 
-    if cfg.jobs > 1:
-        with ThreadPoolExecutor(max_workers=cfg.jobs) as pool:
-            results = list(pool.map(lambda task: task(), tasks))
-    else:
-        results = [task() for task in tasks]
-    checks = tuple(sorted([slim, *results], key=lambda c: c.id))
+    checks = tuple(sorted(results, key=lambda c: c.id))
     constants = {
         "nu": nu,
         "nu_rel": slim.details["nu_rel"],

@@ -107,13 +107,12 @@ def test_criterion_1_tree_suite_is_exact(tree_run):
 
     # |Geo₁(e) Δ Geo₁(b)| along (a)^∞ equals d(e,b) = 1 at every depth
     direction = direction_from_text(graph, "a")
-    scan = symdiff_scan(graph, oracle, (), group.parse("b"), direction,
-                        list(range(2, 11)))
+    pipe = DirectionPipeline(graph, oracle, direction, nu=0)
+    scan = symdiff_scan(pipe, (), group.parse("b"), list(range(2, 11)))
     if [delta for _, delta in scan.rows] != [1] * 9:
         problems.append(f"symdiff rows {scan.rows}")
 
     # windows along (a)^∞ from e: zero matrices, powers of a, g_n = e
-    pipe = DirectionPipeline(graph, oracle, direction, nu=0)
     depth = coding_depth(direction, 4, pipe.margin)
     for n in range(1, 5):
         window = c_eta_window(pipe, depth, n)
@@ -378,13 +377,35 @@ def test_criterion_7_independent_referees_agree():
 
 
 # ---------------------------------------------------------------------------
-# 8. reports are byte-identical across worker counts
+# 8. verdicts do not depend on the order the checks run in
 
 
 def test_criterion_8_reports_deterministic(bounds_runs):
     cfg, report, _ = bounds_runs["z3z2_bounds.json"]
-    rerun = run_suite(replace(cfg, jobs=4))
-    same = report.to_json() == rerun.to_json()
-    _verdict("criterion 8 (determinism)", same and cfg.jobs != 4,
-             "byte-identical reports at 1 and 4 workers" if same
-             else "reports differ across worker counts")
+    rerun = run_suite(replace(cfg, bases=cfg.bases[::-1]))
+    theirs = {c.id: c for c in rerun.checks}
+    problems = []
+    if rerun.constants != report.constants:
+        problems.append("constants differ")
+    if len(rerun.checks) != len(report.checks):
+        problems.append(f"{len(rerun.checks)} checks, "
+                        f"expected {len(report.checks)}")
+    same = twins = 0
+    for check in report.checks:
+        if check.id in theirs:
+            same += 1
+            if theirs[check.id] != check:
+                problems.append(f"{check.id} differs")
+            continue
+        d, x, y = (check.details[k] for k in ("direction", "x", "y"))
+        twin = theirs.get(f"scan[{d}|{y}|{x}]")
+        twins += 1
+        if twin is None or (twin.status, twin.summary, twin.details) != (
+                check.status, check.summary, dict(check.details, x=y, y=x)):
+            problems.append(f"{check.id} has no matching swapped twin")
+    if not twins:
+        problems.append("reversing the bases moved no scan")
+    _verdict("criterion 8 (determinism)", not problems,
+             "; ".join(problems) or
+             f"bases reversed: {same} checks identical, {twins} scans "
+             f"match their swapped twins")

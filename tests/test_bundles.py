@@ -11,12 +11,8 @@ from relbundles.geodesics import direction_from_text, enumerate_geodesics
 from relbundles.bundles import (
     DirectionPipeline,
     StabilizationError,
-    geo1_trunc,
     horofunction_table,
-    sector_trunc,
-    special_vertices,
     symdiff_scan,
-    xi_classes,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -46,12 +42,25 @@ Z3Z2 = build_group(spec_from_dict({
     "parabolics": [0, 1],
 }))
 
+# Z10 x Z10: element (i, j) is index 10*(i mod 10) + (j mod 10).
+Z10Z10 = build_group(spec_from_dict({
+    "family": "finite-table",
+    "table": {
+        "size": 100,
+        "mul": [[10 * ((i // 10 + j // 10) % 10) + (i + j) % 10
+                 for j in range(100)] for i in range(100)],
+        "generators": {"x": 10, "y": 1},
+    },
+}))
+
 GR_F2 = RelativeGraph(F2)
 OR_F2 = DistanceOracle(GR_F2)
 GR_F2X = RelativeGraph(F2X)
 OR_F2X = DistanceOracle(GR_F2X)
 GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
+GR_Z10Z10 = RelativeGraph(Z10Z10)
+OR_Z10Z10 = DistanceOracle(GR_Z10Z10)
 
 DIR_A = direction_from_text(GR_F2, "a")
 DIR_AB = direction_from_text(GR_Z3Z2, "a b")
@@ -110,19 +119,21 @@ class TestXiClasses:
     def test_tree_single_class_many_directions(self):
         for text in ["a", "b", "a b", "b' a"]:
             d = direction_from_text(GR_F2, text)
-            deco = xi_classes(GR_F2, OR_F2, (), d, 8)
+            deco = DirectionPipeline(GR_F2, OR_F2, d, nu=0).classes_from((), 8)
             assert len(deco.classes) == 1
             assert deco.unstabilized == ()
 
     def test_z3z2_depth12_pinned(self):
-        deco = xi_classes(GR_Z3Z2, OR_Z3Z2, (), DIR_AB, 12)
+        deco = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
+                                 nu=0).classes_from((), 12)
         assert len(deco.classes) == 1
         assert deco.unstabilized == ()
         assert deco.window_radius == 2
         assert deco.classes[0].signature == (0, -1, 0, 1, -2, 1, 2, 2)
 
     def test_signature_window_is_distance_layered(self):
-        deco = xi_classes(GR_Z3Z2, OR_Z3Z2, (), DIR_AB, 12)
+        deco = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
+                                 nu=0).classes_from((), 12)
         window = deco.classes[0].window
         dists = [OR_Z3Z2.distance((), w, RELATIVE) for w in window]
         assert dists == sorted(dists)
@@ -136,7 +147,8 @@ class TestXiClasses:
         ]:
             for text in texts:
                 d = direction_from_text(graph, text)
-                deco = xi_classes(graph, oracle, (), d, 8)
+                deco = DirectionPipeline(graph, oracle, d,
+                                         nu=0).classes_from((), 8)
                 assert len(deco.classes) <= 1
 
     def test_shallow_base_clips_window(self):
@@ -144,7 +156,7 @@ class TestXiClasses:
         deco = pipe.classes_from(F2.parse("b"), 4)
         assert deco.window_radius == 1
         assert any("clipped" in note for note in pipe.notes)
-        assert pipe.flags == []
+        assert deco.flags == ()
 
     def test_depth_below_two_rejected(self):
         pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
@@ -167,8 +179,9 @@ class TestXiClasses:
 
 class TestSectors:
     def test_tree_sector_is_the_ray(self):
-        deco = xi_classes(GR_F2, OR_F2, (), DIR_A, 8)
-        sec = sector_trunc(GR_F2, OR_F2, (), deco.classes[0], DIR_A, 8)
+        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        cls = pipe.classes_from((), 8).classes[0]
+        sec = pipe.sector((), cls.signature, 8, cls.window_radius)
         assert sec.vertices() == frozenset(
             tuple([1] * k) for k in range(9))
         assert [len(layer) for layer in sec.layers] == [1] * 9
@@ -213,14 +226,16 @@ class TestSectors:
 
 class TestSpecialVertices:
     def test_tree_everything_classifiable_is_special(self):
-        report = special_vertices(GR_F2, OR_F2, (), DIR_A, 6)
+        report = DirectionPipeline(GR_F2, OR_F2, DIR_A,
+                                   nu=0).special_vertices((), 6)
         assert report.ambiguous == ()
         assert {v for v, _ in report.special} == {
             tuple([1] * k) for k in range(5)}
         assert {c for _, c in report.special} == {0}
 
     def test_special_set_inside_bundle(self):
-        report = special_vertices(GR_Z3Z2, OR_Z3Z2, (), DIR_AB, 8)
+        report = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
+                                   nu=0).special_vertices((), 8)
         bundle = report.decomposition.bundle.dag.vertices()
         for v, _ in report.special:
             assert v in bundle
@@ -247,13 +262,13 @@ class TestSpecialVertices:
 
 class TestGeo1:
     def test_tree_geo1_is_the_ray(self):
-        g1 = geo1_trunc(GR_F2, OR_F2, (), DIR_A, 8)
+        g1 = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0).geo1((), 8)
         assert g1.vertices == frozenset(tuple([1] * k) for k in range(9))
         assert g1.chosen == ((0, ((),)),)
         assert g1.skipped_classes == ()
 
     def test_base_is_its_own_nearest_special(self):
-        g1 = geo1_trunc(GR_Z3Z2, OR_Z3Z2, (), DIR_AB, 8)
+        g1 = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0).geo1((), 8)
         assert g1.chosen[0][1] == ((),)
 
     def test_geo1_equals_union_of_chosen_sectors(self):
@@ -310,30 +325,65 @@ class TestGeo1:
 
 
 # ---------------------------------------------------------------------------
+# order independence
+
+
+class TestOrderIndependence:
+    """A pipeline is a pure cache: no call order changes a result."""
+
+    def _pipe(self):
+        direction = direction_from_text(GR_Z10Z10, "x")
+        return DirectionPipeline(GR_Z10Z10, OR_Z10Z10, direction, nu=0,
+                                 window_radius=0)
+
+    def test_geo1_does_not_depend_on_call_order(self):
+        # On the flat torus the classes from y collide at radius 0 and
+        # cannot widen, while those from e widen to radius 1: both raise
+        # flags that must stay with their own results.
+        y = Z10Z10.parse("y")
+        calls = [(y, 3), ((), 4)]
+        fresh = {call: self._pipe().geo1(*call) for call in calls}
+        for order in (calls, calls[::-1]):
+            pipe = self._pipe()
+            got = {call: pipe.geo1(*call) for call in order}
+            assert got == fresh
+            assert pipe.window_radius == 0
+        assert any("cannot widen" in f for f in fresh[(y, 3)].flags)
+        assert not any("cannot widen" in f for f in fresh[((), 4)].flags)
+
+    def test_widening_stays_with_the_decomposition(self):
+        pipe = self._pipe()
+        deco = pipe.classes_from((), 4)
+        assert deco.window_radius == 1
+        assert deco.flags == ("window collision at radius 0; widened to 1",)
+        assert pipe.window_radius == 0
+        assert len(pipe.window()) == 1
+
+
+# ---------------------------------------------------------------------------
 # symmetric-difference scans
 
 
 class TestSymDiffScan:
     def test_tree_median_row_pinned(self):
-        scan = symdiff_scan(GR_F2, OR_F2, (), F2.parse("b"), DIR_A,
-                            [2, 3, 4, 6, 8])
+        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+                            (), F2.parse("b"), [2, 3, 4, 6, 8])
         assert scan.rows == ((2, 1), (3, 1), (4, 1), (6, 1), (8, 1))
         assert scan.verdict == "stabilized"
 
     def test_same_base_is_zero(self):
         x = F2.parse("b a")
-        scan = symdiff_scan(GR_F2, OR_F2, x, x, DIR_A, [4, 6, 8])
+        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+                            x, x, [4, 6, 8])
         assert scan.rows == ((4, 0), (6, 0), (8, 0))
         assert scan.verdict == "stabilized"
 
     def test_z3z2_scans_pinned(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
-        ab = symdiff_scan(GR_Z3Z2, OR_Z3Z2, (), Z3Z2.parse("a b"), DIR_AB,
-                          [8, 10, 12], pipeline=pipe)
+        ab = symdiff_scan(pipe, (), Z3Z2.parse("a b"), [8, 10, 12])
         assert ab.rows == ((8, 2), (10, 2), (12, 2))
         assert ab.verdict == "stabilized"
-        b = symdiff_scan(GR_Z3Z2, OR_Z3Z2, (), Z3Z2.parse("b"), DIR_AB,
-                         [8, 10, 12], pipeline=pipe)
+        b = symdiff_scan(pipe, (), Z3Z2.parse("b"), [8, 10, 12])
         assert b.rows == ((8, 1), (10, 1), (12, 1))
 
     def test_z3z2_difference_sits_below_layer_one(self):
@@ -348,7 +398,8 @@ class TestSymDiffScan:
         assert vis == {Z3Z2.parse("b")}
 
     def test_short_scan_never_reports_stabilized(self):
-        scan = symdiff_scan(GR_F2, OR_F2, (), F2.parse("b"), DIR_A, [4, 6])
+        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+                            (), F2.parse("b"), [4, 6])
         assert scan.verdict == "unstabilized"
 
     @PROPERTY_SETTINGS
@@ -359,6 +410,7 @@ class TestSymDiffScan:
                  + OR_F2.distance(x, far, RELATIVE)
                  - OR_F2.distance(y, far, RELATIVE)) // 2
         med_y = OR_F2.distance(x, y, RELATIVE) - med_x
-        scan = symdiff_scan(GR_F2, OR_F2, x, y, DIR_A, [6, 7, 8])
+        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+                            x, y, [6, 7, 8])
         assert scan.verdict == "stabilized"
         assert [n for _, n in scan.rows] == [med_x + med_y] * 3

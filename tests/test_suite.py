@@ -7,8 +7,18 @@ import json
 import pytest
 
 from relbundles import suite
-from relbundles.groups import SpecError, build_group, spec_from_dict
-from relbundles.relgraph import DistanceOracle, RelativeGraph
+from relbundles.bundles import DirectionPipeline, StabilizationError
+from relbundles.groups import (
+    DehnReductionError,
+    SpecError,
+    build_group,
+    spec_from_dict,
+)
+from relbundles.relgraph import (
+    DistanceOracle,
+    RelativeGraph,
+    ResourceLimitError,
+)
 from relbundles.geodesics import (
     DirectionError,
     direction_from_text,
@@ -53,6 +63,26 @@ TINY = dict(
 )
 
 
+def _same_checks(one: SuiteReport, two: SuiteReport) -> int:
+    """Assert that two reports agree check by check; return how many.
+
+    Checks with the same id must match exactly, and a scan must match its
+    twin with the base pair swapped (Δ is symmetric).
+    """
+    assert one.constants == two.constants
+    theirs = {c.id: c for c in two.checks}
+    for c in one.checks:
+        if c.id in theirs:
+            assert theirs[c.id] == c
+            continue
+        d, x, y = c.details["direction"], c.details["x"], c.details["y"]
+        twin = theirs[f"scan[{d}|{y}|{x}]"]
+        assert twin.status == c.status and twin.summary == c.summary
+        assert twin.details == dict(c.details, x=y, y=x)
+    assert len(one.checks) == len(two.checks)
+    return len(one.checks)
+
+
 class TestRunConfig:
     def test_from_dict_coerces_sequences(self):
         cfg = RunConfig.from_dict({
@@ -78,17 +108,14 @@ class TestRunConfig:
         {"margin": 0},
         {"window_radius": -2},
         {"n_max": 0},
-        {"jobs": 0},
     ])
     def test_invalid_numbers_rejected(self, bad):
         with pytest.raises(SpecError):
             RunConfig(spec=F2_SPEC, **bad)
 
-    def test_digest_ignores_worker_count(self):
-        one = RunConfig(spec=F2_SPEC, jobs=1)
-        four = RunConfig(spec=F2_SPEC, jobs=4)
-        assert one.digest() == four.digest()
-        assert one.digest() != RunConfig(spec=F2_SPEC, seed=1).digest()
+    def test_jobs_key_is_unknown(self):
+        with pytest.raises(SpecError, match="unknown config keys.*jobs"):
+            RunConfig.from_dict({"spec": F2_SPEC, "jobs": 2})
 
 
 class TestReportShape:
@@ -148,10 +175,28 @@ class TestRunSuite:
         with pytest.raises(error):
             run_suite(RunConfig(**dict(TINY, **bad)))
 
-    def test_byte_identical_across_jobs(self):
-        one = run_suite(RunConfig(**TINY, jobs=1))
-        two = run_suite(RunConfig(**TINY, jobs=3))
-        assert one.to_json() == two.to_json()
+    def test_check_order_does_not_change_results(self):
+        one = run_suite(RunConfig(**TINY))
+        two = run_suite(RunConfig(**dict(TINY, bases=TINY["bases"][::-1])))
+        assert _same_checks(one, two) == 20
+
+    @pytest.mark.parametrize("error", [
+        StabilizationError, ResourceLimitError, DehnReductionError])
+    def test_check_errors_become_flagged_verdicts(self, monkeypatch, error):
+        def broken(self, base, depth):
+            raise error("no stable ray here")
+        monkeypatch.setattr(DirectionPipeline, "_compute_classes", broken)
+        report = run_suite(RunConfig(**TINY))
+        assert report.exit_code() == 2
+        hit = [c for c in report.checks
+               if c.id.startswith(("scan[", "class-count["))]
+        assert len(hit) == 6
+        for check in hit:
+            assert check.status == "flagged"
+            assert check.summary == "no stable ray here"
+            assert check.details == {"error": error.__name__}
+        assert all(c.status == "pass" for c in report.checks
+                   if c.id.startswith("layer-bound["))
 
     def test_scan_rows_cover_each_depth_and_pair(self):
         report = run_suite(RunConfig(**TINY))
