@@ -16,6 +16,7 @@ import statistics
 import sys
 
 from .groups import (
+    DehnReductionError,
     SpecError,
     build_group,
     shortlex_key,
@@ -27,6 +28,7 @@ from .relgraph import (
     RELATIVE,
     DistanceOracle,
     RelativeGraph,
+    ResourceLimitError,
     ball_cached,
     export_ball_dot,
 )
@@ -48,10 +50,8 @@ def main(argv: list[str] | None = None) -> int:
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecError, DirectionError) as err:
-        print(f"error: {err}", file=sys.stderr)
-        return 1
-    except OSError as err:
+    except (SpecError, DirectionError, ResourceLimitError,
+            DehnReductionError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 

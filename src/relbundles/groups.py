@@ -414,24 +414,29 @@ class SmallCancellationGroup(Group):
             if L % 2 == 0:
                 k = L // 2
                 self._half_swaps.append((rot[:k], invert_free(rot[k:])))
-        # longest candidates first so one scan finds the longest match
+        # longest candidates first; the first pair per prefix wins a tie
         self._majority.sort(key=lambda pr: (-len(pr[0]), shortlex_key(pr[0])))
+        self._majority_index: dict[Word, Word] = {}
+        for prefix, repl in self._majority:
+            self._majority_index.setdefault(prefix, repl)
+        self._majority_lengths = sorted(
+            {len(prefix) for prefix, _ in self._majority}, reverse=True)
+        self._swap_lengths = sorted({len(prefix) for prefix, _ in self._half_swaps})
         self._nf_cache: dict[Word, Word] = {}
 
     # -- Dehn reduction ----------------------------------------------------
 
     def _find_majority(self, word: Word) -> tuple[int, Word, Word] | None:
-        best: tuple[int, Word, Word] | None = None
-        for prefix, repl in self._majority:
-            k = len(prefix)
-            if k > len(word):
-                continue
-            for i in range(len(word) - k + 1):
-                if word[i:i + k] == prefix:
-                    if best is None or i < best[0] or (i == best[0] and k > len(best[1])):
-                        best = (i, prefix, repl)
-                    break  # leftmost occurrence of this prefix
-        return best
+        """The leftmost majority prefix in `word`, longest at that position."""
+        n = len(word)
+        index = self._majority_index
+        for i in range(n):
+            for k in self._majority_lengths:
+                if i + k <= n:
+                    repl = index.get(word[i:i + k])
+                    if repl is not None:
+                        return i, word[i:i + k], repl
+        return None
 
     def dehn_reduce(self, word: Iterable[int]) -> Word:
         w = free_reduce(word)
@@ -462,30 +467,29 @@ class SmallCancellationGroup(Group):
         """Shortlex-least word reachable by half-relator swaps (bounded BFS)."""
         seen = {start}
         frontier = [start]
-        best = start
         for _ in range(self.search_depth):
             nxt = []
             for w in frontier:
+                # positions of each k-gram, ascending, so the visiting order
+                # (swap by swap, then left to right) is that of a plain scan
+                grams: dict[Word, list[int]] = {}
+                for k in self._swap_lengths:
+                    for i in range(len(w) - k + 1):
+                        grams.setdefault(w[i:i + k], []).append(i)
                 for prefix, repl in self._half_swaps:
                     k = len(prefix)
-                    if k > len(w):
-                        continue
-                    for i in range(len(w) - k + 1):
-                        if w[i:i + k] == prefix:
-                            z = free_reduce(w[:i] + repl + w[i + k:])
-                            if len(z) < len(w):
-                                # a swap exposed a shorter word; it dominates
-                                return self._canonical_search(self.dehn_reduce(z))
-                            if z not in seen:
-                                seen.add(z)
-                                nxt.append(z)
+                    for i in grams.get(prefix, ()):
+                        z = free_reduce(w[:i] + repl + w[i + k:])
+                        if len(z) < len(w):
+                            # a swap exposed a shorter word; it dominates
+                            return self._canonical_search(self.dehn_reduce(z))
+                        if z not in seen:
+                            seen.add(z)
+                            nxt.append(z)
             frontier = nxt
             if not frontier:
                 break
-        for w in seen:
-            if shortlex_key(w) < shortlex_key(best):
-                best = w
-        return best
+        return min(seen, key=shortlex_key)
 
     def multiply(self, u: Word, v: Word) -> Word:
         return self.reduce(u + v)

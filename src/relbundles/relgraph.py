@@ -7,9 +7,12 @@ element; the absolute metric uses generator edges only.  Cone points are
 implicit — the two half-edges through a coset's cone vertex collapse to a
 single parabolic edge between group elements, keeping distances integral.
 
-Distance queries dispatch to closed forms where the family admits one and
-fall back to bidirectional BFS with a meet certificate otherwise; every
-fast path is cross-checked against plain BFS balls in the test suite.
+Distance queries dispatch to closed forms where the family admits one.
+Otherwise the oracle keeps one ball around e per metric, valid for every
+query because the metric is left-invariant: a query inside it is a lookup,
+and one outside meets it in a bidirectional search with a meet certificate,
+growing the ball as it goes.  Every oracle mode is cross-checked against
+the plain bidirectional BFS `RelativeGraph.distance_bfs` in the test suite.
 """
 
 from __future__ import annotations
@@ -315,16 +318,20 @@ class DistanceOracle:
     tables use canonical-word length; free products charge 1 per parabolic
     syllable and the factor length otherwise.  A free group with adjoined
     generators uses a parse DP, valid because the alphabet passes the
-    junction check below; anything else falls back to bidirectional BFS.
-    On graphs with truncated parabolics the oracle reports the true metric,
-    which can undercut truncated-BFS values — such runs are flagged
-    approximate throughout.
+    junction check below.  Anything else uses one ball around e per metric:
+    d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
+    a bidirectional search whose fixed side is the ball.  The ball is never
+    invalidated, only grown, and the sizes of its outer sphere and of the
+    search frontier decide how far.  On graphs with truncated parabolics
+    the oracle reports the true metric, which can undercut truncated-BFS
+    values — such runs are flagged approximate throughout.
     """
 
     def __init__(self, graph: RelativeGraph):
         self.graph = graph
         self.group = graph.group
         self._memo: dict[tuple[str, Word], int] = {}
+        self._balls: dict[str, BallTable] = {}
         g = self.group
         plain = not g.spec.redundant_generators
         if isinstance(g, FreeGroup) and plain:
@@ -397,10 +404,62 @@ class DistanceOracle:
         if mode == "parse":
             d = self._parse_dp(w)
         else:
-            d = self.graph.distance_bfs((), w, metric)
+            d = self._ball_search(w, metric)
         self._memo[key] = d
         self._memo[(metric, self.group.inverse(w))] = d
         return d
+
+    def _ball_search(self, w: Word, metric: str, max_radius: int = 64) -> int:
+        """|w| by a lookup in the ball around e, or a search from w to it.
+
+        The ball is the fixed side of a bidirectional search: it grows by
+        one sphere when its outer sphere is no larger than the frontier from
+        w, and otherwise the search from w expands.  A meet found either
+        way bounds |w|; once the best one is at most the two radii summed,
+        every shorter path would have met too, so it is exact.
+        """
+        graph = self.graph
+        ball = self._balls.get(metric)
+        if ball is None:
+            ball = self._balls[metric] = graph.ball((), 0, metric)
+        hit = ball.entries.get(w)
+        if hit is not None:
+            return hit
+        steps = graph.step_words(metric)
+        seen = {w: 0}
+        frontier = [w]
+        k = 0
+        best: int | None = None
+        while best is None or best > k + ball.radius:
+            sphere = ball.sphere(ball.radius)
+            if not frontier and not sphere:
+                raise ResourceLimitError(
+                    f"no path within {ball.radius}+{k} steps; "
+                    "graph may be truncated")
+            if k + ball.radius >= max_radius:
+                raise ResourceLimitError(f"distance search exceeded {max_radius}")
+            if not frontier or 0 < len(sphere) <= len(frontier):
+                ball = self._balls[metric] = graph.grow_ball(ball, ball.radius + 1)
+                for y in ball.sphere(ball.radius):
+                    d = seen.get(y)
+                    if d is not None and (best is None or ball.radius + d < best):
+                        best = ball.radius + d
+            else:
+                k += 1
+                nxt = []
+                for x in frontier:
+                    for step in steps:
+                        y = self.group.multiply(x, step)
+                        if y not in seen:
+                            seen[y] = k
+                            nxt.append(y)
+                            d = ball.entries.get(y)
+                            if d is not None and (best is None or k + d < best):
+                                best = k + d
+                frontier = nxt
+            if len(seen) + len(ball.entries) > graph.vertex_cap:
+                raise ResourceLimitError("distance search exceeds vertex cap")
+        return best
 
 
 # ---------------------------------------------------------------------------

@@ -9,6 +9,8 @@ import pytest
 
 from relbundles import suite
 from relbundles.cli import main
+from relbundles.groups import DehnReductionError
+from relbundles.relgraph import DistanceOracle, ResourceLimitError
 
 F2_SPEC = {"family": "free", "generators": ["a", "b"]}
 Z3Z2_SPEC = {
@@ -22,6 +24,11 @@ Z3Z2_SPEC = {
                    "generators": {"b": 1}}},
     ],
     "parabolics": [0, 1],
+}
+GENUS2_SPEC = {
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d"],
+    "relators": ["a b a' b' c d c' d'"],
 }
 TINY_CONFIG = {
     "suite": "tiny",
@@ -140,6 +147,17 @@ class TestExplore:
                      "--out", str(tmp_path)]) == 1
         assert "CENTER and RADIUS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("error", [ResourceLimitError, DehnReductionError])
+    def test_search_errors_exit_one(self, tmp_path, capsys, monkeypatch,
+                                    error):
+        def search(*args, **kwargs):
+            raise error("search gave up")
+        monkeypatch.setattr(DistanceOracle, "_ball_search", search)
+        spec = _write(tmp_path / "genus2.json", GENUS2_SPEC)
+        assert main(["explore", "dag", "e", "a b a' b'", "--spec", spec,
+                     "--out", str(tmp_path / "art")]) == 1
+        assert capsys.readouterr().err == "error: search gave up\n"
+
 
 class TestVerify:
     def _config(self, tmp_path, **overrides):
@@ -196,6 +214,16 @@ class TestVerify:
         assert main(["verify", "--config", cfg,
                      "--out", str(tmp_path / "run")]) == 1
         assert "not geodesic" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("error", [ResourceLimitError, DehnReductionError])
+    def test_sweep_errors_exit_one(self, tmp_path, capsys, monkeypatch, error):
+        def sweep(*args, **kwargs):
+            raise error("sweep gave up")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = self._config(tmp_path)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == "error: sweep gave up\n"
 
     def test_missing_spec_is_an_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))

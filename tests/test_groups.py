@@ -2,6 +2,10 @@
 
 from __future__ import annotations
 
+import hashlib
+import itertools
+import json
+import random
 from fractions import Fraction
 
 import pytest
@@ -19,6 +23,7 @@ from relbundles.groups import (
     spec_hash,
     validate_presentation,
 )
+from relbundles.relgraph import RELATIVE, RelativeGraph
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -129,6 +134,25 @@ def _exponent_vector(word, n_gens: int):
     for letter in word:
         v[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(v)
+
+
+def _scan_majority(group, word):
+    """Dehn's majority match by a linear scan of every prefix (reference).
+
+    Each prefix, longest first, is matched at its leftmost position; the
+    smallest position wins, then the longest prefix there.
+    """
+    best = None
+    for prefix, repl in group._majority:
+        k = len(prefix)
+        if k > len(word):
+            continue
+        for i in range(len(word) - k + 1):
+            if word[i:i + k] == prefix:
+                if best is None or i < best[0] or (i == best[0] and k > len(best[1])):
+                    best = (i, prefix, repl)
+                break  # leftmost occurrence of this prefix
+    return best
 
 
 def _all_words(n_letters: int, alphabet) -> list:
@@ -244,6 +268,59 @@ def test_dehn_reduce_handles_conjugated_relators():
         w = conj + rel + invert_free(conj)
         assert GENUS2.is_identity(w)
         assert GENUS2.reduce(w + (1,)) == (1,)
+
+
+def _rotation_words(group, rng, count):
+    """Words spliced from relator-rotation slices and random letters."""
+    letters = _letters(group)
+    for _ in range(count):
+        word = []
+        for _ in range(rng.randint(1, 3)):
+            word += rng.choices(letters, k=rng.randint(0, 3))
+            rot = rng.choice(group._rotations)
+            word += rot[:rng.randint(len(rot) // 2, len(rot))]
+        yield tuple(word + rng.choices(letters, k=rng.randint(0, 3)))
+
+
+def test_indexed_majority_matches_linear_scan():
+    rng = random.Random(7)
+    letters = _letters(GENUS2)
+    randoms = (tuple(rng.choices(letters, k=rng.randint(0, 16)))
+               for _ in range(3000))
+    for w in itertools.chain(randoms, _rotation_words(GENUS2, rng, 3000)):
+        assert GENUS2._find_majority(w) == _scan_majority(GENUS2, w)
+
+
+def _sorted_ball(radius):
+    ball = RelativeGraph(GENUS2).ball((), radius, RELATIVE)
+    return sorted([list(w), d] for w, d in ball.entries.items())
+
+
+def test_genus2_ball_normal_forms_pinned():
+    """Every normal form in the radius-5 ball, pinned by digest."""
+    pairs = _sorted_ball(5)
+    assert len(pairs) == 22289
+    blob = json.dumps(pairs, separators=(",", ":")).encode()
+    assert hashlib.sha256(blob).hexdigest() == (
+        "7b4ba9f31e50232e615e7e3998d84e26eb754b6f3399951ac431d3720f3368aa")
+
+
+def test_genus2_normal_forms_are_unique():
+    """No two normal forms in the radius-4 ball name the same element.
+
+    Ball BFS takes tuple equality for group equality, but `reduce` ends in
+    a bounded search.  Equal elements have equal distance from e and equal
+    exponent vectors, so exact Dehn equality is tried within those buckets.
+    """
+    buckets: dict[tuple, list] = {}
+    for w, d in _sorted_ball(4):
+        buckets.setdefault((d, _exponent_vector(w, 4)), []).append(tuple(w))
+    pairs = 0
+    for words in buckets.values():
+        for u, v in itertools.combinations(words, 2):
+            assert not GENUS2.equal(u, v), (u, v)
+            pairs += 1
+    assert pairs == 23345
 
 
 # ---------------------------------------------------------------------------

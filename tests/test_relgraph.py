@@ -202,6 +202,21 @@ def test_distance_bfs_max_radius():
         GR_F2.distance_bfs((), far, RELATIVE, max_radius=2)
 
 
+@pytest.mark.parametrize("text", ["a b a' b'", "a b c d a", "a c' b d' a d c"])
+def test_ball_search_max_radius(text):
+    """The search from w stops at the first radius sum that certifies |w|.
+
+    Fresh oracles grow the ball and the search from w in step, so the meet
+    comes when the search expands at an even |w| and when the ball grows
+    at an odd one; max_radius = |w| fails if either meet is missed.
+    """
+    w = GENUS2.parse(text)
+    d = GR_GENUS2.distance_bfs((), w, RELATIVE)
+    assert DistanceOracle(GR_GENUS2)._ball_search(w, RELATIVE, max_radius=d) == d
+    with pytest.raises(ResourceLimitError):
+        DistanceOracle(GR_GENUS2)._ball_search(w, RELATIVE, max_radius=d - 1)
+
+
 class TestOracleAgainstSearch:
     """The closed-form oracle must agree with plain bidirectional BFS."""
 
@@ -221,6 +236,14 @@ class TestOracleAgainstSearch:
     def test_free_product(self, u, v):
         for metric in (RELATIVE, ABSOLUTE):
             assert OR_Z3Z2.distance(u, v, metric) == GR_Z3Z2.distance_bfs(u, v, metric)
+
+    @PROPERTY_SETTINGS
+    @given(u=words_of(GENUS2, 4), v=words_of(GENUS2, 4))
+    def test_small_cancellation(self, u, v):
+        # OR_GENUS2 keeps its ball across examples, so this also checks
+        # that answers do not depend on the order of the queries
+        for metric in (RELATIVE, ABSOLUTE):
+            assert OR_GENUS2.distance(u, v, metric) == GR_GENUS2.distance_bfs(u, v, metric)
 
 
 class TestMetricProperties:
