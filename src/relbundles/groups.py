@@ -22,6 +22,7 @@ import json
 import hashlib
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import groupby
 from typing import Iterable, Sequence
 
 Word = tuple[int, ...]
@@ -499,7 +500,13 @@ class SmallCancellationGroup(Group):
 
 
 class FreeProductGroup(Group):
-    """Free product of factor groups; canonical form is alternating syllables."""
+    """Free product of factor groups; canonical form is alternating syllables.
+
+    A syllable is a maximal run of letters owned by one factor.  Letter
+    tables built once map each signed letter to its factor and to its letter
+    in the factor's own numbering, and back.  Arithmetic scans runs and hands
+    a factor only the syllables that meet at a junction.
+    """
 
     def __init__(self, spec: GroupSpec):
         if len(spec.factors) < 2:
@@ -507,23 +514,29 @@ class FreeProductGroup(Group):
         self.spec = spec
         self.factors: list[Group] = []
         names: list[str] = []
-        self._offsets: list[int] = []
-        off = 0
-        for fs in spec.factors:
+        # signed letter -> factor, signed letter -> factor-local letter, and
+        # per factor the local -> global inverse of the latter
+        self._owner: dict[int, int] = {}
+        self._local: dict[int, int] = {}
+        self._global: list[dict[int, int]] = []
+        for f, fs in enumerate(spec.factors):
             if fs.family == "free-product":
                 raise SpecError("nested free products are unsupported; flatten factors")
             if fs.parabolics:
                 raise SpecError("factors must not declare their own parabolics")
             g = build_group(fs)
+            glob: dict[int, int] = {}
+            for i in range(1, len(g.gen_names) + 1):
+                for sign in (1, -1):
+                    letter = sign * (len(names) + i)
+                    self._owner[letter] = f
+                    self._local[letter] = sign * i
+                    glob[sign * i] = letter
             self.factors.append(g)
-            self._offsets.append(off)
+            self._global.append(glob)
             names.extend(g.gen_names)
-            off += len(g.gen_names)
         _check_names(tuple(names))
         self.gen_names = tuple(names)
-        self._owner: list[int] = []
-        for f, g in enumerate(self.factors):
-            self._owner.extend([f] * len(g.gen_names))
         for p in spec.parabolics:
             if not 0 <= p < len(self.factors):
                 raise SpecError(f"parabolic factor index {p} out of range")
@@ -532,77 +545,94 @@ class FreeProductGroup(Group):
 
     # -- syllable plumbing --------------------------------------------------
 
-    def owner(self, letter: int) -> int:
-        return self._owner[abs(letter) - 1]
-
-    def _to_local(self, factor: int, letter: int) -> int:
-        off = self._offsets[factor]
-        return letter - off if letter > 0 else letter + off
-
-    def _to_global(self, factor: int, word: Word) -> Word:
-        off = self._offsets[factor]
-        return tuple(l + off if l > 0 else l - off for l in word)
-
     def syllables(self, word: Word) -> list[tuple[int, Word]]:
         """Split a canonical word into (factor index, local canonical word)."""
-        out: list[tuple[int, Word]] = []
-        run: list[int] = []
-        cur = -1
-        for letter in word:
-            f = self.owner(letter)
-            if f != cur and run:
-                out.append((cur, tuple(run)))
-                run = []
-            cur = f
-            run.append(self._to_local(f, letter))
-        if run:
-            out.append((cur, tuple(run)))
-        return out
-
-    def _assemble(self, syls: list[tuple[int, Word]]) -> Word:
-        word: list[int] = []
-        for f, local in syls:
-            word.extend(self._to_global(f, local))
-        return tuple(word)
+        local = self._local.__getitem__
+        return [(f, tuple(map(local, run)))
+                for f, run in groupby(word, self._owner.__getitem__)]
 
     def reduce(self, word: Iterable[int]) -> Word:
-        # syllable stack; adjacent entries always come from different factors
-        syls: list[tuple[int, Word]] = []
+        out: Word = ()
         for letter in word:
-            f = self.owner(letter)
-            local = (self._to_local(f, letter),)
-            if syls and syls[-1][0] == f:
-                merged = self.factors[f].multiply(syls[-1][1], local)
-                syls.pop()
-                if merged:
-                    syls.append((f, merged))
-            else:
-                canon = self.factors[f].reduce(local)
-                if canon:
-                    syls.append((f, canon))
-        return self._assemble(syls)
+            f = self._owner[letter]
+            canon = self.factors[f].reduce((self._local[letter],))
+            out = self.multiply(out, tuple(map(self._global[f].__getitem__, canon)))
+        return out
 
     def multiply(self, u: Word, v: Word) -> Word:
-        if not u:
-            return v
-        if not v:
-            return u
-        left = self.syllables(u)
-        right = self.syllables(v)
-        while left and right and left[-1][0] == right[0][0]:
-            f = left[-1][0]
-            merged = self.factors[f].multiply(left[-1][1], right[0][1])
-            left.pop()
-            right.pop(0)
-            if merged != ():
-                left.append((f, merged))
+        # only the last syllable of u and the first of v can change; merge
+        # them, and the next pair too while a merge is the identity
+        owner = self._owner
+        while u and v:
+            f = owner[u[-1]]
+            if owner[v[0]] != f:
                 break
-        return self._assemble(left + right)
+            s = len(u) - 1
+            while s and owner[u[s - 1]] == f:
+                s -= 1
+            t = 1
+            while t < len(v) and owner[v[t]] == f:
+                t += 1
+            local = self._local.__getitem__
+            merged = self.factors[f].multiply(tuple(map(local, u[s:])),
+                                              tuple(map(local, v[:t])))
+            if merged:
+                return u[:s] + tuple(map(self._global[f].__getitem__, merged)) + v[t:]
+            u, v = u[:s], v[t:]
+        return u + v
 
     def inverse(self, u: Word) -> Word:
-        syls = self.syllables(u)
-        out = [(f, self.factors[f].inverse(local)) for f, local in reversed(syls)]
-        return self._assemble(out)
+        local = self._local.__getitem__
+        out: list[int] = []
+        for f, run in groupby(reversed(u), self._owner.__getitem__):
+            inv = self.factors[f].inverse(tuple(map(local, run))[::-1])
+            out.extend(map(self._global[f].__getitem__, inv))
+        return tuple(out)
+
+    def syllable_distance(self, u: Word, v: Word, coned: frozenset[int]) -> int:
+        """Length of u⁻¹v, where a syllable from a `coned` factor counts 1.
+
+        The syllables u and v share cancel; the first ones that differ merge
+        when they lie in one factor; the rest of u (inverted) and of v
+        counts run by run.  Neither u⁻¹ nor u⁻¹v is built.
+        """
+        owner = self._owner
+        m = min(len(u), len(v))
+        i = 0
+        while i < m and u[i] == v[i]:
+            i += 1
+        if i:
+            # a shared letter whose syllable goes on in u or v is not in a
+            # shared syllable: back up to where that syllable starts
+            f = owner[u[i - 1]]
+            if (i < len(u) and owner[u[i]] == f) or (i < len(v) and owner[v[i]] == f):
+                while i and owner[u[i - 1]] == f:
+                    i -= 1
+        j = i
+        total = 0
+        local = self._local.__getitem__
+        # as in multiply, a merge that is the identity lets the next pair meet
+        while i < len(u) and j < len(v) and owner[u[i]] == owner[v[j]]:
+            f = owner[u[i]]
+            s, t = i, j
+            while i < len(u) and owner[u[i]] == f:
+                i += 1
+            while j < len(v) and owner[v[j]] == f:
+                j += 1
+            factor = self.factors[f]
+            merged = factor.multiply(factor.inverse(tuple(map(local, u[s:i]))),
+                                     tuple(map(local, v[t:j])))
+            if merged:
+                total += 1 if f in coned else len(merged)
+                break
+        for f, run in groupby(u[i:], owner.__getitem__):
+            if f in coned:
+                total += 1
+            else:
+                total += len(self.factors[f].inverse(tuple(map(local, run))))
+        for f, run in groupby(v[j:], owner.__getitem__):
+            total += 1 if f in coned else len(tuple(run))
+        return total
 
     # -- parabolic structure --------------------------------------------
 
@@ -634,15 +664,16 @@ class FreeProductGroup(Group):
                 raise SpecError(
                     "infinite parabolic subgroup requires a truncation radius")
             local = [w for w in factor.elements_within(truncation_radius) if w]
-        return [self._to_global(slot, w) for w in local]
+        glob = self._global[slot].__getitem__
+        return [tuple(map(glob, w)) for w in local]
 
     def coset_rep(self, g: Word, slot: int) -> Word:
         """Canonical representative of the left coset g H_slot."""
         self._parabolic_factor(slot)
-        syls = self.syllables(g)
-        if syls and syls[-1][0] == slot:
-            syls = syls[:-1]
-        return self._assemble(syls)
+        s = len(g)
+        while s and self._owner[g[s - 1]] == slot:
+            s -= 1
+        return g[:s]
 
 
 @dataclass(frozen=True)

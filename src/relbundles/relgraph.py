@@ -22,6 +22,7 @@ import json
 import os
 import tempfile
 from dataclasses import dataclass
+from typing import Callable
 
 from .groups import (
     FreeGroup,
@@ -314,11 +315,14 @@ class RelativeGraph:
 class DistanceOracle:
     """Exact distance queries, specialized per group family.
 
-    Free groups over their primitive generators use reduced length; finite
-    tables use canonical-word length; free products charge 1 per parabolic
-    syllable and the factor length otherwise.  A free group with adjoined
-    generators uses a parse DP, valid because the alphabet passes the
-    junction check below.  Anything else uses one ball around e per metric:
+    Free groups over their primitive generators use |u| + |v| minus twice
+    their common prefix; finite tables use the canonical length of u⁻¹v;
+    free products charge 1 per parabolic syllable of u⁻¹v and the factor
+    length otherwise, read off where the syllables of u and v part, without
+    building u⁻¹v.  Absolute free-product distances are canonical lengths
+    of u⁻¹v.  A free group with adjoined generators uses a parse DP, valid
+    because the alphabet passes the junction check below.  Anything else
+    uses one ball around e per metric:
     d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
     a bidirectional search whose fixed side is the ball.  The ball is never
     invalidated, only grown, and the sizes of its outer sphere and of the
@@ -334,18 +338,22 @@ class DistanceOracle:
         self._balls: dict[str, BallTable] = {}
         g = self.group
         plain = not g.spec.redundant_generators
+        # One d(u, v) per metric, picked here so that a query pays no
+        # dispatch.  The functions are stored unbound: bound methods would
+        # tie the oracle, its memo and its balls into a reference cycle.
+        cls = DistanceOracle
+        self._pair: dict[str, Callable[[DistanceOracle, Word, Word, str], int]]
         if isinstance(g, FreeGroup) and plain:
-            self._mode = {RELATIVE: "freelen", ABSOLUTE: "freelen"}
+            self._pair = dict.fromkeys(METRICS, cls._free_distance)
         elif isinstance(g, TableGroup) and plain:
-            self._mode = {RELATIVE: "wordlen", ABSOLUTE: "wordlen"}
+            self._pair = dict.fromkeys(METRICS, cls._word_distance)
         elif isinstance(g, FreeProductGroup) and plain:
-            self._mode = {RELATIVE: "syllable", ABSOLUTE: "wordlen"}
-        elif isinstance(g, FreeGroup) and self._junction_check():
-            self._mode = {RELATIVE: "parse", ABSOLUTE: "parse"}
+            self._coned = frozenset(g.parabolic_slots)
+            self._pair = {RELATIVE: cls._syllable_distance,
+                          ABSOLUTE: cls._word_distance}
         else:
-            self._mode = {RELATIVE: "bfs", ABSOLUTE: "bfs"}
-        if isinstance(g, FreeProductGroup):
-            self._parabolic = set(g.parabolic_slots)
+            self._parse = isinstance(g, FreeGroup) and self._junction_check()
+            self._pair = dict.fromkeys(METRICS, cls._searched_distance)
         words = [w for w, _ in self.graph.alphabet(ABSOLUTE)]
         self._t_words = set(words)
         self._t_maxlen = max((len(w) for w in words), default=0)
@@ -382,29 +390,31 @@ class DistanceOracle:
     def distance(self, u: Word, v: Word, metric: str = RELATIVE) -> int:
         if u == v:
             return 0
-        w = self.group.multiply(self.group.inverse(u), v)
-        return self.distance_from_origin(w, metric)
+        return self._pair[metric](self, u, v, metric)
 
-    def distance_from_origin(self, w: Word, metric: str = RELATIVE) -> int:
-        if w == ():
-            return 0
-        mode = self._mode[metric]
-        if mode == "freelen" or mode == "wordlen":
-            return len(w)
-        if mode == "syllable":
-            total = 0
-            g = self.group
-            for slot, local in g.syllables(w):
-                total += 1 if slot in self._parabolic else len(local)
-            return total
+    def _free_distance(self, u: Word, v: Word, metric: str) -> int:
+        # the common prefix of reduced words is what cancels in u⁻¹v
+        k = 0
+        for a, b in zip(u, v):
+            if a != b:
+                break
+            k += 1
+        return len(u) + len(v) - 2 * k
+
+    def _word_distance(self, u: Word, v: Word, metric: str) -> int:
+        return len(self.group.multiply(self.group.inverse(u), v))
+
+    def _syllable_distance(self, u: Word, v: Word, metric: str) -> int:
+        return self.group.syllable_distance(u, v, self._coned)
+
+    def _searched_distance(self, u: Word, v: Word, metric: str) -> int:
+        """Parse DP or ball search on u⁻¹v, memoized with its inverse."""
+        w = self.group.multiply(self.group.inverse(u), v)
         key = (metric, w)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        if mode == "parse":
-            d = self._parse_dp(w)
-        else:
-            d = self._ball_search(w, metric)
+        d = self._parse_dp(w) if self._parse else self._ball_search(w, metric)
         self._memo[key] = d
         self._memo[(metric, self.group.inverse(w))] = d
         return d

@@ -5,6 +5,7 @@ from __future__ import annotations
 import hashlib
 import itertools
 import json
+import os
 import random
 from fractions import Fraction
 
@@ -85,7 +86,21 @@ ZFREE_Z2 = build_group(spec_from_dict({
     "parabolics": [0],
 }))
 
+# S3 * Z: a non-abelian, non-parabolic finite factor with syllables of
+# length up to 3, beside an infinite parabolic one
+S3_Z = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [{"family": "finite-table", "table": _s3_table()},
+                {"family": "free", "generators": ["t"]}],
+    "parabolics": [1],
+}))
+
 ALL_GROUPS = [F2, Z3, Z6, S3, GENUS2, Z3Z2, ZFREE_Z2]
+FREE_PRODUCTS = [Z3Z2, ZFREE_Z2, S3_Z]
+over_free_products = pytest.mark.parametrize(
+    "group", FREE_PRODUCTS, ids=["Z3Z2", "ZxZ2", "S3xZ"])
+
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 
 def _letters(group) -> list[int]:
@@ -134,6 +149,42 @@ def _exponent_vector(word, n_gens: int):
     for letter in word:
         v[abs(letter) - 1] += 1 if letter > 0 else -1
     return tuple(v)
+
+
+def _factor_starts(group) -> list[int]:
+    """Factor f owns the global letters starts[f] + 1 .. starts[f + 1]."""
+    return list(itertools.accumulate(
+        [0] + [len(f.gen_names) for f in group.factors]))
+
+
+def _free_product_fold(group, word) -> list[tuple[int, tuple[int, ...]]]:
+    """Syllables of a letter sequence's normal form, from the factors alone.
+
+    Letters are numbered factor by factor in declaration order.  Each one
+    joins the top syllable of a stack when it comes from the same factor,
+    and that factor's `reduce` re-canonicalizes the syllable; one that
+    reduces to the identity is popped.  The free product's own `multiply`,
+    `inverse`, `syllables` and letter tables are never used.
+    """
+    starts = _factor_starts(group)
+    stack: list[tuple[int, tuple[int, ...]]] = []
+    for letter in word:
+        f = next(i for i in range(len(group.factors))
+                 if starts[i] < abs(letter) <= starts[i + 1])
+        local = letter - starts[f] if letter > 0 else letter + starts[f]
+        if stack and stack[-1][0] == f:
+            syl = group.factors[f].reduce(stack.pop()[1] + (local,))
+        else:
+            syl = group.factors[f].reduce((local,))
+        if syl:
+            stack.append((f, syl))
+    return stack
+
+
+def _join_syllables(group, syls) -> tuple[int, ...]:
+    starts = _factor_starts(group)
+    return tuple(l + starts[f] if l > 0 else l - starts[f]
+                 for f, syl in syls for l in syl)
 
 
 def _scan_majority(group, word):
@@ -211,6 +262,77 @@ def test_free_product_syllables_alternate():
     owners = [f for f, _ in syls]
     assert owners == [0, 1, 0, 1]  # "a b a' b": a·a = a² = a'
     assert Z3Z2.format(w) == "a b a' b"
+
+
+class TestFreeProductReferee:
+    """Free-product arithmetic against the syllable-stack fold."""
+
+    @PROPERTY_SETTINGS
+    @over_free_products
+    @given(data=st.data())
+    def test_reduce_and_syllables(self, group, data):
+        w = data.draw(_word_strategy(group, 16))
+        syls = _free_product_fold(group, w)
+        assert group.reduce(w) == _join_syllables(group, syls)
+        assert group.syllables(_join_syllables(group, syls)) == syls
+
+    @PROPERTY_SETTINGS
+    @over_free_products
+    @given(data=st.data())
+    def test_multiply(self, group, data):
+        x = data.draw(_word_strategy(group, 14))
+        y = data.draw(_word_strategy(group, 14))
+        u = _join_syllables(group, _free_product_fold(group, x))
+        v = _join_syllables(group, _free_product_fold(group, y))
+        assert group.multiply(u, v) == _join_syllables(
+            group, _free_product_fold(group, x + y))
+
+    @PROPERTY_SETTINGS
+    @over_free_products
+    @given(data=st.data())
+    def test_inverse(self, group, data):
+        x = data.draw(_word_strategy(group, 14))
+        u = _join_syllables(group, _free_product_fold(group, x))
+        assert group.inverse(u) == _join_syllables(
+            group, _free_product_fold(group, invert_free(x)))
+
+    @PROPERTY_SETTINGS
+    @over_free_products
+    @given(data=st.data())
+    def test_coset_rep(self, group, data):
+        syls = _free_product_fold(group, data.draw(_word_strategy(group, 14)))
+        slot = data.draw(st.sampled_from(group.parabolic_slots))
+        if syls and syls[-1][0] == slot:
+            want = _join_syllables(group, syls[:-1])
+        else:
+            want = _join_syllables(group, syls)
+        assert group.coset_rep(_join_syllables(group, syls), slot) == want
+
+
+def _arithmetic_digest(group, seed: int = 2026, count: int = 3000) -> str:
+    rng = random.Random(seed)
+    letters = _letters(group)
+    rows = []
+    for _ in range(count):
+        u, v = (group.reduce(tuple(rng.choice(letters)
+                                   for _ in range(rng.randint(0, 14))))
+                for _ in range(2))
+        rows.append([u, v, group.multiply(u, v), group.inverse(u),
+                     group.syllables(u)])
+    blob = json.dumps(rows, separators=(",", ":")).encode()
+    return hashlib.sha256(blob).hexdigest()
+
+
+@pytest.mark.parametrize("name, digest", [
+    ("z3z2_rel_factors.json",
+     "b752788c948563c31b2193208bff6ce5ca15e903a9cb0fd348332b365b7b1473"),
+    ("f2_z_parabolic.json",
+     "e9d032c2140609ba1d7107d379cac80a5b26d86330483829a20ae07879b8c422"),
+])
+def test_free_product_arithmetic_pinned(name, digest):
+    """Seeded multiply, inverse and syllables results, pinned by digest."""
+    group = build_group(load_spec(os.path.join(SPECS, name)))
+    assert _arithmetic_digest(group) == digest
 
 
 # ---------------------------------------------------------------------------

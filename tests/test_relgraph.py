@@ -8,7 +8,7 @@ import os
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relbundles.groups import build_group, spec_from_dict, SpecError
+from relbundles.groups import build_group, load_spec, spec_from_dict, SpecError
 from relbundles.relgraph import (
     ABSOLUTE,
     RELATIVE,
@@ -57,21 +57,33 @@ ZxZ2 = build_group(spec_from_dict({
                 {"family": "finite-table", "table": _cyclic_table(2, "b")}],
     "parabolics": [0],
 }))
-GENUS2 = build_group(spec_from_dict({
+GENUS2_SPEC = {
     "family": "small-cancellation",
     "generators": ["a", "b", "c", "d"],
     "relators": ["a b a' b' c d c' d'"],
+}
+GENUS2 = build_group(spec_from_dict(GENUS2_SPEC))
+# Z * Z3 with the Z3 slot parabolic: the non-parabolic factor is free
+ZxZ3 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [{"family": "free", "generators": ["a"]},
+                {"family": "finite-table", "table": _cyclic_table(3, "b")}],
+    "parabolics": [1],
 }))
+
+SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 
 GR_F2 = RelativeGraph(F2)
 GR_F2X = RelativeGraph(F2X)
 GR_Z3Z2 = RelativeGraph(Z3Z2)
 GR_GENUS2 = RelativeGraph(GENUS2)
+GR_ZxZ3 = RelativeGraph(ZxZ3)
 
 OR_F2 = DistanceOracle(GR_F2)
 OR_F2X = DistanceOracle(GR_F2X)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
+OR_ZxZ3 = DistanceOracle(GR_ZxZ3)
 
 GRAPHS = [(GR_F2, OR_F2), (GR_F2X, OR_F2X), (GR_Z3Z2, OR_Z3Z2),
           (GR_GENUS2, OR_GENUS2)]
@@ -238,12 +250,52 @@ class TestOracleAgainstSearch:
             assert OR_Z3Z2.distance(u, v, metric) == GR_Z3Z2.distance_bfs(u, v, metric)
 
     @PROPERTY_SETTINGS
+    @given(u=words_of(ZxZ3, 6), v=words_of(ZxZ3, 6))
+    def test_free_product_with_free_factor(self, u, v):
+        for metric in (RELATIVE, ABSOLUTE):
+            assert OR_ZxZ3.distance(u, v, metric) == GR_ZxZ3.distance_bfs(u, v, metric)
+
+    @PROPERTY_SETTINGS
     @given(u=words_of(GENUS2, 4), v=words_of(GENUS2, 4))
     def test_small_cancellation(self, u, v):
         # OR_GENUS2 keeps its ball across examples, so this also checks
         # that answers do not depend on the order of the queries
         for metric in (RELATIVE, ABSOLUTE):
             assert OR_GENUS2.distance(u, v, metric) == GR_GENUS2.distance_bfs(u, v, metric)
+
+
+# genus-2 surface group * Z2, the Z2 slot parabolic: a non-parabolic
+# small-cancellation factor
+GENUS2_Z2 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [GENUS2_SPEC,
+                {"family": "finite-table", "table": _cyclic_table(2, "t")}],
+    "parabolics": [1],
+}))
+SYLLABLE_ORACLES = {
+    name: DistanceOracle(RelativeGraph(group)) for name, group in [
+        ("z3z2_rel_factors",
+         build_group(load_spec(os.path.join(SPECS, "z3z2_rel_factors.json")))),
+        ("f2_z_parabolic",
+         build_group(load_spec(os.path.join(SPECS, "f2_z_parabolic.json")))),
+        ("genus2_z2", GENUS2_Z2),
+    ]}
+
+
+@pytest.mark.parametrize("name", sorted(SYLLABLE_ORACLES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_syllable_distance_matches_difference_word(name, data):
+    """The closed form counts the syllables of the canonical word u⁻¹v:
+    1 for each parabolic one, its letters for any other."""
+    oracle = SYLLABLE_ORACLES[name]
+    group = oracle.group
+    u = data.draw(words_of(group, 8))
+    v = data.draw(words_of(group, 8))
+    parabolic = set(group.parabolic_slots)
+    want = sum(1 if f in parabolic else len(local)
+               for f, local in group.syllables(group.multiply(group.inverse(u), v)))
+    assert oracle.distance(u, v, RELATIVE) == want
 
 
 class TestMetricProperties:
