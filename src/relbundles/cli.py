@@ -29,7 +29,6 @@ from .relgraph import (
     DistanceOracle,
     RelativeGraph,
     ResourceLimitError,
-    ball_cached,
     export_ball_dot,
 )
 from .geodesics import (
@@ -41,8 +40,6 @@ from .geodesics import (
 )
 from .bundles import DirectionPipeline
 from .suite import RunConfig, run_suite
-
-CACHE_ENV = "RELBUNDLES_CACHE_DIR"
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -56,8 +53,16 @@ def main(argv: list[str] | None = None) -> int:
         return 1
 
 
+class _Parser(argparse.ArgumentParser):
+    """Usage errors exit 1: exit code 2 means flagged or approximate."""
+
+    def error(self, message: str):
+        self.print_usage(sys.stderr)
+        self.exit(1, f"{self.prog}: error: {message}\n")
+
+
 def _build_parser() -> argparse.ArgumentParser:
-    parser = argparse.ArgumentParser(
+    parser = _Parser(
         prog="relbundles",
         description="Geodesic ray bundle toolkit for relative Cayley graphs.")
     sub = parser.add_subparsers(dest="command", required=True)
@@ -86,8 +91,6 @@ def _build_parser() -> argparse.ArgumentParser:
                            default="json", help="extra emission format")
     p_explore.add_argument("--window", type=int,
                            help="horofunction window radius for geo1")
-    p_explore.add_argument("--cache-dir",
-                           help=f"ball cache directory (or ${CACHE_ENV})")
     p_explore.add_argument("--out", default=".", help="output directory")
     p_explore.set_defaults(handler=_cmd_explore)
 
@@ -188,18 +191,14 @@ def _explore_ball(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
         raise SpecError("explore ball needs CENTER and RADIUS")
     center = graph.group.parse(args.args[0])
     radius = int(args.args[1])
-    cache_dir = args.cache_dir or os.environ.get(CACHE_ENV)
-    if cache_dir:
-        table = ball_cached(graph, center, radius, RELATIVE, cache_dir)
-    else:
-        table = graph.ball(center, radius, RELATIVE)
+    table = graph.ball(center, radius, RELATIVE)
     fmt = graph.group.format
     stem = os.path.join(args.out, f"ball_r{radius}")
     written = [_out_json(stem + ".json", {
         "center": fmt(center),
         "radius": radius,
         "metric": RELATIVE,
-        "approximate": table.approximate,
+        "approximate": graph.is_approximate(RELATIVE),
         "vertex_count": len(table.entries),
         "vertices": sorted([fmt(v), d] for v, d in table.entries.items()),
     })]

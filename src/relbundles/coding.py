@@ -45,7 +45,7 @@ class LabelCodec:
         self.graph = graph
         self.metric = metric
         self.symbols: tuple[Word, ...] = tuple(graph.step_words(metric))
-        self.approximate = graph.ball((), 0, metric).approximate
+        self.approximate = graph.is_approximate(metric)
         self._codes = {w: _bits(i) for i, w in enumerate(self.symbols)}
 
     def code(self, element: Word) -> tuple[int, ...]:

@@ -17,10 +17,6 @@ the plain bidirectional BFS `RelativeGraph.distance_bfs` in the test suite.
 
 from __future__ import annotations
 
-import hashlib
-import json
-import os
-import tempfile
 from dataclasses import dataclass
 from typing import Callable
 
@@ -33,7 +29,6 @@ from .groups import (
     Word,
     free_reduce,
     shortlex_key,
-    spec_hash,
 )
 
 RELATIVE = "relative"
@@ -41,15 +36,10 @@ ABSOLUTE = "absolute"
 METRICS = (RELATIVE, ABSOLUTE)
 
 DEFAULT_VERTEX_CAP = 5_000_000
-CACHE_FORMAT_VERSION = 1
 
 
 class ResourceLimitError(RuntimeError):
     """A search would materialize more vertices than the configured cap."""
-
-
-class ChecksumError(RuntimeError):
-    pass
 
 
 @dataclass(frozen=True)
@@ -88,11 +78,6 @@ class BallTable:
     metric: str
     entries: dict[Word, int]
     frontiers: tuple[tuple[Word, ...], ...]
-    approximate: bool
-    spec_digest: str
-
-    def __contains__(self, v: Word) -> bool:
-        return v in self.entries
 
     def sphere(self, r: int) -> tuple[Word, ...]:
         return self.frontiers[r] if r < len(self.frontiers) else ()
@@ -105,7 +90,6 @@ class RelativeGraph:
                  vertex_cap: int = DEFAULT_VERTEX_CAP):
         self.group = group
         self.spec = group.spec
-        self.spec_digest = spec_hash(group.spec)
         self.truncation_radius = truncation_radius
         self.vertex_cap = vertex_cap
 
@@ -126,7 +110,6 @@ class RelativeGraph:
             self._abs_moves.append((EdgeLabel("abs", k, -1), group.inverse(w)))
 
         self._par_moves: list[tuple[EdgeLabel, Word]] | None = None
-        self.approximate = False
         self._alphabets: dict[str, list[tuple[Word, tuple[EdgeLabel, ...]]]] = {}
         self._moves: dict[str, tuple[tuple[EdgeLabel, Word], ...]] = {}
         self._label_words: dict[EdgeLabel, Word] = dict(
@@ -149,7 +132,6 @@ class RelativeGraph:
                             "infinite parabolic subgroup: construct the graph "
                             "with a truncation_radius to enable truncated mode")
                     elements = g.parabolic_elements(slot, self.truncation_radius)
-                    self.approximate = True
                 for h in elements:
                     moves.append((EdgeLabel("par", slot, 0, h), h))
         self._par_moves = moves
@@ -168,6 +150,19 @@ class RelativeGraph:
         out.sort(key=lambda mv: label_key(mv[0]))
         self._moves[metric] = tuple(out)
         return self._moves[metric]
+
+    def is_approximate(self, metric: str = RELATIVE) -> bool:
+        """True when the moves of `metric` truncate an infinite parabolic.
+
+        Only the relative metric can be approximate.  Like `moves`, this
+        raises SpecError for an infinite parabolic on a graph built
+        without a truncation radius.
+        """
+        self.moves(metric)
+        g = self.group
+        return (metric == RELATIVE and isinstance(g, FreeProductGroup)
+                and not all(g.parabolic_is_finite(slot)
+                            for slot in g.parabolic_slots))
 
     def alphabet(self, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
         """Distinct move elements with all their labels.
@@ -214,9 +209,6 @@ class RelativeGraph:
         out.sort(key=lambda item: label_key(item[1][0]))
         return out
 
-    def degree(self, v: Word, metric: str = RELATIVE) -> int:
-        return len(self.neighbor_edges(v, metric))
-
     def format_label(self, label: EdgeLabel) -> str:
         if label.kind == "abs":
             return self._x_names[label.index] + ("" if label.sign > 0 else "'")
@@ -234,9 +226,7 @@ class RelativeGraph:
         """Exact BFS ball; raises ResourceLimitError past the vertex cap."""
         if radius < 0:
             raise SpecError("radius must be nonnegative")
-        start = BallTable(center, 0, metric, {center: 0}, ((center,),),
-                          approximate=self._metric_approximate(metric),
-                          spec_digest=self.spec_digest)
+        start = BallTable(center, 0, metric, {center: 0}, ((center,),))
         return self.grow_ball(start, radius)
 
     def grow_ball(self, table: BallTable, radius: int) -> BallTable:
@@ -265,13 +255,7 @@ class RelativeGraph:
         while len(frontiers) < radius + 1:
             frontiers.append(())
         return BallTable(table.center, radius, table.metric, entries,
-                         tuple(frontiers), table.approximate, table.spec_digest)
-
-    def _metric_approximate(self, metric: str) -> bool:
-        if metric == ABSOLUTE:
-            return False
-        self._parabolic_moves()
-        return self.approximate
+                         tuple(frontiers))
 
     def distance_bfs(self, u: Word, v: Word, metric: str = RELATIVE,
                      max_radius: int = 64) -> int:
@@ -470,92 +454,6 @@ class DistanceOracle:
             if len(seen) + len(ball.entries) > graph.vertex_cap:
                 raise ResourceLimitError("distance search exceeds vertex cap")
         return best
-
-
-# ---------------------------------------------------------------------------
-# on-disk ball cache
-
-def _cache_name(spec_digest: str, center: Word, radius: int, metric: str,
-                truncation_radius: int | None) -> str:
-    blob = json.dumps(
-        [spec_digest, list(center), radius, metric, truncation_radius],
-        separators=(",", ":"))
-    return hashlib.sha256(blob.encode()).hexdigest()[:24] + ".json"
-
-
-def _body_checksum(body: dict) -> str:
-    payload = json.dumps(body, sort_keys=True, separators=(",", ":"))
-    return hashlib.sha256(payload.encode()).hexdigest()
-
-
-def cache_store(table: BallTable, cache_dir: str,
-                truncation_radius: int | None = None) -> str:
-    body = {
-        "entries": sorted([list(w), d] for w, d in table.entries.items()),
-        "frontiers": [[list(w) for w in layer] for layer in table.frontiers],
-    }
-    doc = {
-        "format_version": CACHE_FORMAT_VERSION,
-        "spec_hash": table.spec_digest,
-        "center": list(table.center),
-        "radius": table.radius,
-        "metric": table.metric,
-        "approximate": table.approximate,
-        "truncation_radius": truncation_radius,
-        "checksum": _body_checksum(body),
-        "body": body,
-    }
-    os.makedirs(cache_dir, exist_ok=True)
-    path = os.path.join(cache_dir, _cache_name(
-        table.spec_digest, table.center, table.radius, table.metric,
-        truncation_radius))
-    fd, tmp = tempfile.mkstemp(dir=cache_dir, suffix=".tmp")
-    try:
-        with os.fdopen(fd, "w", encoding="utf-8") as fh:
-            json.dump(doc, fh, sort_keys=True)
-        os.replace(tmp, path)  # atomic publish for concurrent readers
-    except BaseException:
-        if os.path.exists(tmp):
-            os.unlink(tmp)
-        raise
-    return path
-
-
-def cache_load(cache_dir: str, spec_digest: str, center: Word, radius: int,
-               metric: str, truncation_radius: int | None = None) -> BallTable | None:
-    path = os.path.join(cache_dir, _cache_name(
-        spec_digest, center, radius, metric, truncation_radius))
-    if not os.path.exists(path):
-        return None
-    with open(path, "r", encoding="utf-8") as fh:
-        doc = json.load(fh)
-    if doc.get("format_version") != CACHE_FORMAT_VERSION:
-        return None
-    if doc.get("spec_hash") != spec_digest:
-        return None
-    body = doc.get("body", {})
-    if _body_checksum(body) != doc.get("checksum"):
-        raise ChecksumError(f"corrupt ball cache file {path}")
-    entries = {tuple(w): d for w, d in body["entries"]}
-    frontiers = tuple(tuple(tuple(w) for w in layer) for layer in body["frontiers"])
-    return BallTable(tuple(doc["center"]), doc["radius"], doc["metric"],
-                     entries, frontiers, bool(doc["approximate"]),
-                     doc["spec_hash"])
-
-
-def ball_cached(graph: RelativeGraph, center: Word, radius: int,
-                metric: str, cache_dir: str) -> BallTable:
-    """Load-or-compute; a corrupt file is recomputed and rewritten."""
-    try:
-        hit = cache_load(cache_dir, graph.spec_digest, center, radius, metric,
-                         graph.truncation_radius)
-    except ChecksumError:
-        hit = None
-    if hit is not None:
-        return hit
-    table = graph.ball(center, radius, metric)
-    cache_store(table, cache_dir, graph.truncation_radius)
-    return table
 
 
 # ---------------------------------------------------------------------------

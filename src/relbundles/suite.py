@@ -89,11 +89,19 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
-        for name in ("depth", "exhaustive_radius", "ball_radius"):
+        # class-count and every scan depth build a ξ-class decomposition,
+        # which needs depth >= 2; failing here saves the slimness sweep.
+        if self.depth < 2:
+            raise SpecError("depth must be at least 2")
+        if any(r < 2 for r in self.scan_depths):
+            raise SpecError("scan depths must be at least 2")
+        for name in ("exhaustive_radius", "ball_radius", "triangle_budget",
+                     "order_samples", "oracle_samples", "oracle_max_distance",
+                     "arithmetic_length"):
             if getattr(self, name) < 0:
                 raise SpecError(f"{name} must be nonnegative")
-        if any(r <= 0 for r in self.scan_depths):
-            raise SpecError("scan depths must be positive")
+        if self.continuation_cap < 1:
+            raise SpecError("continuation_cap must be at least 1")
         if self.margin is not None and self.margin < 1:
             raise SpecError("margin must be at least 1")
         if self.window_radius is not None and self.window_radius < 0:
@@ -199,7 +207,7 @@ def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
                          ball_radius=cfg.ball_radius,
                          triangle_budget=cfg.triangle_budget, seed=cfg.seed)
     nu = max(report.nu_rel, report.nu_abs)
-    approx = graph.ball((), 0, RELATIVE).approximate
+    approx = graph.is_approximate(RELATIVE)
     result = CheckResult(
         "slimness",
         APPROXIMATE if approx else PASS,

@@ -2,16 +2,19 @@
 
 from __future__ import annotations
 
+import argparse
 import json
-import os
+import re
+from pathlib import Path
 
 import pytest
 
 from relbundles import suite
-from relbundles.cli import main
+from relbundles.cli import _build_parser, main
 from relbundles.groups import DehnReductionError
 from relbundles.relgraph import DistanceOracle, ResourceLimitError
 
+ROOT = Path(__file__).resolve().parent.parent
 F2_SPEC = {"family": "free", "generators": ["a", "b"]}
 Z3Z2_SPEC = {
     "family": "free-product",
@@ -100,16 +103,13 @@ class TestExplore:
         assert csv_lines[0] == "vertex,distance"
         assert len(csv_lines) == 54
 
-    def test_ball_cache_round_trip(self, f2_spec_file, tmp_path):
-        out, cache = tmp_path / "a1", tmp_path / "cache"
-        args = ["explore", "ball", "e", "2", "--spec", f2_spec_file,
-                "--cache-dir", str(cache)]
-        assert main(args + ["--out", str(out)]) == 0
-        assert len(os.listdir(cache)) == 1
-        out2 = tmp_path / "a2"
+    def test_ball_reruns_identical(self, f2_spec_file, tmp_path):
+        out1, out2 = tmp_path / "a1", tmp_path / "a2"
+        args = ["explore", "ball", "e", "2", "--spec", f2_spec_file]
+        assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        assert (out / "ball_r2.json").read_text() == \
-            (out2 / "ball_r2.json").read_text()
+        for name in ("ball_r2.json", "ball_r2.dot"):
+            assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_dag_layered_dot(self, z3z2_spec_file, tmp_path):
         out = tmp_path / "art"
@@ -225,6 +225,19 @@ class TestVerify:
                      "--out", str(tmp_path / "run")]) == 1
         assert capsys.readouterr().err == "error: sweep gave up\n"
 
+    @pytest.mark.parametrize("bad", [{"depth": 1},
+                                     {"arithmetic_length": -1}])
+    def test_bad_numbers_exit_before_the_sweep(self, tmp_path, capsys,
+                                               monkeypatch, bad):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = self._config(tmp_path, **bad)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert next(iter(bad)) in capsys.readouterr().err
+        assert not (tmp_path / "run").exists()
+
     def test_missing_spec_is_an_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))
         assert main(["verify", "--config", cfg,
@@ -268,3 +281,56 @@ class TestReport:
         assert main(["report", str(tmp_path / "nowhere")]) == 1
         err = capsys.readouterr().err
         assert "report.json" in err and "nowhere" in err
+
+
+class TestUsage:
+    """Parser errors exit 1: exit code 2 means flagged or approximate."""
+
+    def _exit_code(self, argv) -> int:
+        with pytest.raises(SystemExit) as stop:
+            main(argv)
+        return stop.value.code
+
+    def test_missing_required_option(self, capsys):
+        assert self._exit_code(["verify"]) == 1
+        assert "--config" in capsys.readouterr().err
+
+    def test_removed_cache_dir_option(self, f2_spec_file, tmp_path, capsys):
+        assert self._exit_code(["explore", "ball", "e", "2",
+                                "--spec", f2_spec_file,
+                                "--out", str(tmp_path),
+                                "--cache-dir", str(tmp_path / "c")]) == 1
+        assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
+    def test_help_exits_zero(self, capsys):
+        assert self._exit_code(["--help"]) == 0
+        assert self._exit_code(["verify", "--help"]) == 0
+        assert "--config" in capsys.readouterr().out
+
+
+def _parser_options() -> set[str]:
+    parsers = [_build_parser()]
+    options = set()
+    while parsers:
+        parser = parsers.pop()
+        for action in parser._actions:
+            options.update(action.option_strings)
+            if isinstance(action, argparse._SubParsersAction):
+                parsers.extend(action.choices.values())
+    return options
+
+
+def test_readme_options_exist():
+    """Every --option in a README code span or relbundles command line
+    is an option of the parser or of one of its subcommands."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    commands = [line for block in blocks for line in block.splitlines()
+                if line.startswith("relbundles ")]
+    spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text,
+                                              flags=re.S | re.M))
+    shown = set()
+    for snippet in commands + spans:
+        shown.update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", snippet))
+    assert shown, "no options found in README.md"
+    assert shown <= _parser_options(), sorted(shown - _parser_options())

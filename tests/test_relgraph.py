@@ -1,8 +1,7 @@
-"""Adjacency, balls, exact distances, and the on-disk ball cache."""
+"""Adjacency, balls and exact distances."""
 
 from __future__ import annotations
 
-import json
 import os
 
 import pytest
@@ -13,14 +12,10 @@ from relbundles.relgraph import (
     ABSOLUTE,
     RELATIVE,
     BallTable,
-    ChecksumError,
     DistanceOracle,
     EdgeLabel,
     RelativeGraph,
     ResourceLimitError,
-    ball_cached,
-    cache_load,
-    cache_store,
     export_ball_dot,
     label_key,
 )
@@ -105,7 +100,7 @@ def test_free_group_neighbor_order():
 
 
 def test_free_product_neighbor_edges():
-    """The b edge carries both signs plus the parabolic label; degree is 3."""
+    """The b edge carries both signs plus the parabolic label."""
     got = [(w, tuple(GR_Z3Z2.format_label(l) for l in labels))
            for w, labels in GR_Z3Z2.neighbor_edges(())]
     assert got == [
@@ -113,7 +108,6 @@ def test_free_product_neighbor_edges():
         ((-1,), ("a'", "H0:a'")),
         ((2,), ("b", "b'", "H1:b")),
     ]
-    assert GR_Z3Z2.degree(()) == 3
 
 
 def test_alphabet_matches_identity_neighbors():
@@ -330,13 +324,26 @@ def test_infinite_parabolic_needs_truncation():
     graph = RelativeGraph(ZxZ2)
     with pytest.raises(SpecError):
         graph.moves(RELATIVE)
+    with pytest.raises(SpecError):
+        graph.is_approximate(RELATIVE)
+    assert not graph.is_approximate(ABSOLUTE)
 
 
 def test_truncated_graph_is_flagged_approximate():
     graph = RelativeGraph(ZxZ2, truncation_radius=3)
-    table = graph.ball((), 2, RELATIVE)
-    assert table.approximate
-    assert not graph.ball((), 2, ABSOLUTE).approximate
+    # read before any move is built: the answer does not wait for a search
+    assert graph.is_approximate(RELATIVE)
+    assert not graph.is_approximate(ABSOLUTE)
+    graph.ball((), 2, RELATIVE)
+    assert graph.is_approximate(RELATIVE)
+    assert not graph.is_approximate(ABSOLUTE)
+
+
+def test_exact_graphs_are_not_approximate():
+    # ℤ∗ℤ₃ cones off only ℤ₃, so its infinite factor truncates nothing
+    for graph in [g for g, _ in GRAPHS] + [GR_ZxZ3]:
+        assert not graph.is_approximate(RELATIVE)
+        assert not graph.is_approximate(ABSOLUTE)
 
 
 def test_oracle_reports_true_metric_on_truncated_graph():
@@ -347,57 +354,6 @@ def test_oracle_reports_true_metric_on_truncated_graph():
     w = ZxZ2.parse("a a a a a")
     assert oracle.distance((), w, RELATIVE) == 1
     assert graph.distance_bfs((), w, RELATIVE) == 2
-
-
-# ---------------------------------------------------------------------------
-# ball cache
-
-def test_cache_round_trip(tmp_path):
-    table = GR_Z3Z2.ball((), 3)
-    cache_store(table, str(tmp_path))
-    loaded = cache_load(str(tmp_path), GR_Z3Z2.spec_digest, (), 3, RELATIVE)
-    assert loaded is not None
-    assert loaded.entries == table.entries
-    assert loaded.frontiers == table.frontiers
-    assert loaded.metric == RELATIVE and not loaded.approximate
-
-
-def test_cache_miss_on_other_spec(tmp_path):
-    cache_store(GR_F2.ball((), 2), str(tmp_path))
-    assert cache_load(str(tmp_path), GR_F2X.spec_digest, (), 2, RELATIVE) is None
-
-
-def test_cache_miss_on_absent_file(tmp_path):
-    assert cache_load(str(tmp_path), GR_F2.spec_digest, (), 5, RELATIVE) is None
-
-
-def test_corrupt_cache_detected_and_recovered(tmp_path):
-    table = GR_F2.ball((), 2)
-    path = cache_store(table, str(tmp_path))
-    doc = json.loads(open(path).read())
-    doc["body"]["entries"][0][1] = 99
-    with open(path, "w") as fh:
-        json.dump(doc, fh)
-    with pytest.raises(ChecksumError):
-        cache_load(str(tmp_path), GR_F2.spec_digest, (), 2, RELATIVE)
-    # the cached entry point falls back to recomputing and rewriting
-    again = ball_cached(GR_F2, (), 2, RELATIVE, str(tmp_path))
-    assert again.entries == table.entries
-    assert cache_load(str(tmp_path), GR_F2.spec_digest, (), 2, RELATIVE) is not None
-
-
-def test_ball_cached_serves_stored_copy(tmp_path):
-    first = ball_cached(GR_Z3Z2, (), 2, RELATIVE, str(tmp_path))
-    names = os.listdir(tmp_path)
-    second = ball_cached(GR_Z3Z2, (), 2, RELATIVE, str(tmp_path))
-    assert os.listdir(tmp_path) == names
-    assert first.entries == second.entries
-
-
-def test_cache_file_is_deterministic(tmp_path):
-    a = cache_store(GR_F2.ball((), 2), str(tmp_path / "one"))
-    b = cache_store(GR_F2.ball((), 2), str(tmp_path / "two"))
-    assert open(a, "rb").read() == open(b, "rb").read()
 
 
 # ---------------------------------------------------------------------------

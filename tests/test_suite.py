@@ -104,10 +104,19 @@ class TestRunConfig:
 
     @pytest.mark.parametrize("bad", [
         {"depth": -1},
+        {"depth": 0},
+        {"depth": 1},
         {"scan_depths": (0,)},
+        {"scan_depths": (4, 1)},
         {"margin": 0},
         {"window_radius": -2},
         {"n_max": 0},
+        {"triangle_budget": -1},
+        {"order_samples": -1},
+        {"oracle_samples": -1},
+        {"oracle_max_distance": -1},
+        {"arithmetic_length": -1},
+        {"continuation_cap": 0},
     ])
     def test_invalid_numbers_rejected(self, bad):
         with pytest.raises(SpecError):
