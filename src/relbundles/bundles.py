@@ -18,8 +18,8 @@ from dataclasses import dataclass
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
 from .geodesics import (
-    CGRBundleTrunc,
     DirectionSpec,
+    GeodesicDAG,
     cgr_bundle_trunc,
     geodesic_dag,
 )
@@ -29,51 +29,34 @@ class StabilizationError(RuntimeError):
     """No geodesic ray produced a stable signature at the working depth."""
 
 
-@dataclass(frozen=True)
-class HorofunctionTable:
-    """Window values of g ↦ d(g,z) − d(base,z) for one anchor z."""
-
-    anchor: Word
-    base: Word
-    window: tuple[Word, ...]
-    values: tuple[int, ...]
-
-    def value(self, g: Word) -> int:
-        return self.values[self.window.index(g)]
-
-
-def horofunction_table(oracle: DistanceOracle, z: Word,
-                       window: tuple[Word, ...], base: Word = ()) -> HorofunctionTable:
+def horofunction(oracle: DistanceOracle, z: Word, window: tuple[Word, ...],
+                 base: Word = ()) -> tuple[int, ...]:
+    """Values of g ↦ d(g,z) − d(base,z) over the window, in window order."""
     ref = oracle.distance(base, z, RELATIVE)
-    values = tuple(oracle.distance(g, z, RELATIVE) - ref for g in window)
-    return HorofunctionTable(z, base, window, values)
+    return tuple(oracle.distance(g, z, RELATIVE) - ref for g in window)
+
+
+def _prefixes_agree(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
+    """Do two signatures agree on the window the shorter one covers?"""
+    n = min(len(a), len(b))
+    return a[:n] == b[:n]
 
 
 @dataclass(frozen=True)
 class XiClass:
-    """One stabilized signature with its witnesses per depth."""
+    """One stabilized signature with the bundle vertices at the cut that
+    end a ray realizing it."""
 
     id: int
     signature: tuple[int, ...]
-    window: tuple[Word, ...]
-    window_radius: int
-    reps: tuple[tuple[int, tuple[Word, ...]], ...]  # (depth, vertices)
-
-    def terminals(self, depth: int) -> tuple[Word, ...]:
-        for d, vs in self.reps:
-            if d == depth:
-                return vs
-        return ()
+    terminals: tuple[Word, ...]
 
 
 @dataclass(frozen=True)
 class XiDecomposition:
-    base: Word
-    depth: int
     window_radius: int
     classes: tuple[XiClass, ...]
     unstabilized: tuple[Word, ...]
-    bundle: CGRBundleTrunc
     flags: tuple[str, ...]
 
 
@@ -81,9 +64,6 @@ class XiDecomposition:
 class SectorTrunc:
     """Union of geodesic DAGs from the base to one class's terminals."""
 
-    base: Word
-    signature: tuple[int, ...]
-    depth: int
     layers: tuple[tuple[Word, ...], ...]
     empty: bool
     flags: tuple[str, ...]
@@ -96,14 +76,11 @@ class SectorTrunc:
 class SpecialVertexReport:
     special: tuple[tuple[Word, int], ...]  # (vertex, class id)
     ambiguous: tuple[Word, ...]
-    decomposition: XiDecomposition
     flags: tuple[str, ...]
 
 
 @dataclass(frozen=True)
 class Geo1Trunc:
-    base: Word
-    depth: int
     vertices: frozenset[Word]
     chosen: tuple[tuple[int, tuple[Word, ...]], ...]  # (class id, Y set)
     skipped_classes: tuple[int, ...]
@@ -128,7 +105,8 @@ def _unique(flags: list[str]) -> tuple[str, ...]:
 
 
 class DirectionPipeline:
-    """Cached class/sector/special/Geo₁ computations for one direction.
+    """Cached window/signature/bundle/class/sector/Geo₁ computations for
+    one direction.
 
     Every cached result is a pure function of its key and the constructor
     arguments, so call order never changes what a query returns and one
@@ -151,12 +129,10 @@ class DirectionPipeline:
                               else 3 * nu + 2)
         self.notes: list[str] = []  # informational only
         self._windows: dict[int, tuple[Word, ...]] = {}
-        self._tables: dict[tuple[Word, int], HorofunctionTable] = {}
-        self._bundles: dict[tuple[Word, int], CGRBundleTrunc] = {}
+        self._signatures: dict[tuple[Word, int], tuple[int, ...]] = {}
+        self._bundles: dict[tuple[Word, int], GeodesicDAG] = {}
         self._classes: dict[tuple[Word, int], XiDecomposition] = {}
-        self._sectors: dict[tuple[Word, tuple[int, ...], int, int],
-                            SectorTrunc] = {}
-        self._specials: dict[tuple[Word, int], SpecialVertexReport] = {}
+        self._sectors: dict[tuple[Word, tuple[int, ...], int], SectorTrunc] = {}
         self._geo1: dict[tuple[Word, int], Geo1Trunc] = {}
 
     # -- primitives --------------------------------------------------------
@@ -165,8 +141,8 @@ class DirectionPipeline:
         """Window vertices ordered by (distance from anchor, shortlex).
 
         The layered order makes a smaller window a prefix of any larger
-        one, so signatures taken at different radii stay comparable on
-        their common part.
+        one, so signatures taken at different radii compare on the
+        shorter one's length.
         """
         r = self.window_radius if radius is None else radius
         got = self._windows.get(r)
@@ -176,31 +152,17 @@ class DirectionPipeline:
             self._windows[r] = got
         return got
 
-    def table(self, z: Word, radius: int | None = None) -> HorofunctionTable:
+    def signature(self, z: Word, radius: int | None = None) -> tuple[int, ...]:
+        """Horofunction of z on the window, normalized at the anchor."""
         r = self.window_radius if radius is None else radius
         key = (z, r)
-        got = self._tables.get(key)
+        got = self._signatures.get(key)
         if got is None:
-            got = horofunction_table(self.oracle, z, self.window(r), self.anchor)
-            self._tables[key] = got
+            got = horofunction(self.oracle, z, self.window(r), self.anchor)
+            self._signatures[key] = got
         return got
 
-    def signature(self, z: Word, radius: int | None = None) -> tuple[int, ...]:
-        return self.table(z, radius).values
-
-    def restrict_signature(self, signature: tuple[int, ...], from_radius: int,
-                           to_radius: int) -> tuple[int, ...]:
-        if to_radius >= from_radius:
-            return signature
-        return signature[:len(self.window(to_radius))]
-
-    def signatures_match(self, a: tuple[int, ...], ra: int,
-                         b: tuple[int, ...], rb: int) -> bool:
-        r = min(ra, rb)
-        return (self.restrict_signature(a, ra, r)
-                == self.restrict_signature(b, rb, r))
-
-    def bundle(self, base: Word, depth: int) -> CGRBundleTrunc:
+    def bundle(self, base: Word, depth: int) -> GeodesicDAG:
         key = (base, depth)
         got = self._bundles.get(key)
         if got is None:
@@ -222,7 +184,7 @@ class DirectionPipeline:
 
     def _stab_triples(self, base: Word, depth: int):
         """Terminal (u,v,w) vertex triples of depth-reaching bundle rays."""
-        dag = self.bundle(base, depth).dag
+        dag = self.bundle(base, depth)
         for u in dag.layers[depth - 2]:
             for v in dag.successors(u, depth - 2):
                 for w in dag.successors(v, depth - 1):
@@ -245,17 +207,12 @@ class DirectionPipeline:
                 self.notes.append(note)
         flags: list[str] = []
         while True:
-            grouped: dict[tuple[int, ...], dict[int, set[Word]]] = {}
+            grouped: dict[tuple[int, ...], set[Word]] = {}
             unstable: set[Word] = set()
             for u, v, w in triples:
                 su = self.signature(u, radius)
                 if su == self.signature(v, radius) and su == self.signature(w, radius):
-                    slots = grouped.setdefault(su, {depth - 2: set(),
-                                                    depth - 1: set(),
-                                                    depth: set()})
-                    slots[depth - 2].add(u)
-                    slots[depth - 1].add(v)
-                    slots[depth].add(w)
+                    grouped.setdefault(su, set()).add(w)
                 else:
                     unstable.add(w)
             if not grouped:
@@ -266,7 +223,7 @@ class DirectionPipeline:
             if radius < self.window_radius:
                 break  # clipped windows never drive widening
             if (radius - self.window_radius >= WIDEN_LIMIT
-                    or not self._splits(grouped, depth, radius)):
+                    or not self._splits(grouped, radius)):
                 break
             if radius >= reach:
                 flags.append(
@@ -276,42 +233,36 @@ class DirectionPipeline:
             flags.append(f"window collision at radius {radius}; "
                          f"widened to {radius + 1}")
             radius += 1
-        classes = []
-        for i, sig in enumerate(sorted(grouped)):
-            reps = tuple((d, tuple(sorted(vs, key=shortlex_key)))
-                         for d, vs in sorted(grouped[sig].items()))
-            classes.append(XiClass(i, sig, self.window(radius), radius, reps))
-        return XiDecomposition(base, depth, radius, tuple(classes),
+        classes = tuple(
+            XiClass(i, sig, tuple(sorted(grouped[sig], key=shortlex_key)))
+            for i, sig in enumerate(sorted(grouped)))
+        return XiDecomposition(radius, classes,
                                tuple(sorted(unstable, key=shortlex_key)),
-                               self.bundle(base, depth), tuple(flags))
+                               tuple(flags))
 
-    def _splits(self, grouped: dict, depth: int, radius: int) -> bool:
+    def _splits(self, grouped: dict, radius: int) -> bool:
         """Does some class's terminals disagree one radius further out?"""
-        return any(len({self.signature(w, radius + 1)
-                        for w in slots[depth]}) > 1
-                   for slots in grouped.values())
+        return any(len({self.signature(w, radius + 1) for w in terminals}) > 1
+                   for terminals in grouped.values())
 
     # -- sectors -------------------------------------------------------------
 
     def sector(self, base: Word, signature: tuple[int, ...],
-               depth: int, radius: int | None = None) -> SectorTrunc:
-        r = self.window_radius if radius is None else radius
-        key = (base, signature, depth, r)
+               depth: int) -> SectorTrunc:
+        key = (base, signature, depth)
         got = self._sectors.get(key)
         if got is None:
-            got = self._compute_sector(base, signature, depth, r)
+            got = self._compute_sector(base, signature, depth)
             self._sectors[key] = got
         return got
 
     def _compute_sector(self, base: Word, signature: tuple[int, ...],
-                        depth: int, radius: int) -> SectorTrunc:
+                        depth: int) -> SectorTrunc:
         deco = self.classes_from(base, depth)
         matched = [c for c in deco.classes
-                   if self.signatures_match(signature, radius,
-                                            c.signature, c.window_radius)]
+                   if _prefixes_agree(signature, c.signature)]
         if not matched:
-            return SectorTrunc(base, signature, depth, ((),) * (depth + 1),
-                               True, deco.flags)
+            return SectorTrunc(((),) * (depth + 1), True, deco.flags)
         flags = list(deco.flags)
         if len(matched) > 1:
             flags.append(f"signature matches {len(matched)} classes from "
@@ -320,36 +271,30 @@ class DirectionPipeline:
                          f"merged")
         layers: list[set[Word]] = [set() for _ in range(depth + 1)]
         for cls in matched:
-            for t in cls.terminals(depth):
+            for t in cls.terminals:
                 dag = geodesic_dag(self.graph, self.oracle, base, t)
                 for k, layer in enumerate(dag.layers):
                     layers[k].update(layer)
-        return SectorTrunc(base, signature, depth,
-                           tuple(tuple(sorted(l, key=shortlex_key))
+        return SectorTrunc(tuple(tuple(sorted(l, key=shortlex_key))
                                  for l in layers), False, _unique(flags))
 
     # -- special vertices ------------------------------------------------------
 
     def special_vertices(self, base: Word, depth: int) -> SpecialVertexReport:
-        key = (base, depth)
-        got = self._specials.get(key)
-        if got is None:
-            got = self._compute_specials(base, depth)
-            self._specials[key] = got
-        return got
+        """Bundle vertices whose class sectors single out one class.
 
-    def _compute_specials(self, base: Word, depth: int) -> SpecialVertexReport:
+        Not cached: `geo1`, its only caller, is cached on the same key.
+        """
         deco = self.classes_from(base, depth)
         special: list[tuple[Word, int]] = []
         ambiguous: list[Word] = []
         flags = list(deco.flags)
-        dag = deco.bundle.dag
+        dag = self.bundle(base, depth)
         for k in range(0, depth - 1):
             remaining = depth - k
             for v in dag.layers[k]:
                 try:
-                    sectors = [self.sector(v, c.signature, remaining,
-                                           c.window_radius)
+                    sectors = [self.sector(v, c.signature, remaining)
                                for c in deco.classes]
                 except StabilizationError:
                     ambiguous.append(v)
@@ -365,7 +310,7 @@ class DirectionPipeline:
         special.sort(key=lambda item: (shortlex_key(item[0]), item[1]))
         return SpecialVertexReport(tuple(special),
                                    tuple(sorted(ambiguous, key=shortlex_key)),
-                                   deco, _unique(flags))
+                                   _unique(flags))
 
     def _classify_vertex(self, deco: XiDecomposition, v: Word, remaining: int,
                          sectors: list[SectorTrunc]) -> int | None:
@@ -413,7 +358,7 @@ class DirectionPipeline:
 
     def _compute_geo1(self, base: Word, depth: int) -> Geo1Trunc:
         report = self.special_vertices(base, depth)
-        deco = report.decomposition
+        deco = self.classes_from(base, depth)
         flags = list(report.flags)
         if report.ambiguous:
             flags.append(
@@ -439,11 +384,10 @@ class DirectionPipeline:
                                  key=shortlex_key))
             chosen.append((cls.id, y_set))
             for y in y_set:
-                sec = self.sector(y, cls.signature, depth - least,
-                                  cls.window_radius)
+                sec = self.sector(y, cls.signature, depth - least)
                 flags.extend(sec.flags)
                 vertices.update(sec.vertices())
-        return Geo1Trunc(base, depth, frozenset(vertices), tuple(chosen),
+        return Geo1Trunc(frozenset(vertices), tuple(chosen),
                          tuple(skipped), _unique(flags))
 
 

@@ -186,11 +186,18 @@ def _out_json(path: str, payload: dict) -> str:
     return path
 
 
+def _int_arg(name: str, text: str) -> int:
+    try:
+        return int(text)
+    except ValueError:
+        raise SpecError(f"{name} must be an integer, got {text!r}") from None
+
+
 def _explore_ball(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
     if len(args.args) != 2:
         raise SpecError("explore ball needs CENTER and RADIUS")
     center = graph.group.parse(args.args[0])
-    radius = int(args.args[1])
+    radius = _int_arg("RADIUS", args.args[1])
     table = graph.ball(center, radius, RELATIVE)
     fmt = graph.group.format
     stem = os.path.join(args.out, f"ball_r{radius}")
@@ -266,7 +273,7 @@ def _direction_args(args: argparse.Namespace, graph: RelativeGraph):
         raise SpecError(f"explore {args.object} needs BASE DIRECTION DEPTH")
     base = graph.group.parse(args.args[0])
     direction = direction_from_text(graph, args.args[1])
-    depth = int(args.args[2])
+    depth = _int_arg("DEPTH", args.args[2])
     return base, direction, depth
 
 
@@ -282,7 +289,7 @@ def _explore_bundle(args: argparse.Namespace,
         "direction": direction.display(),
         "depth": depth,
         "layer_profile": layer_profile(bundle),
-        "layers": [[fmt(v) for v in sorted(bundle.layer(k), key=shortlex_key)]
+        "layers": [[fmt(v) for v in sorted(bundle.layers[k], key=shortlex_key)]
                    for k in range(depth + 1)],
     }
     return [_out_json(os.path.join(args.out, "bundle.json"), payload)]

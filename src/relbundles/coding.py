@@ -167,8 +167,7 @@ def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
     entries: list[tuple[Word, RestrictedLabel, int]] = []
     capped: list[Word] = []
     for g in hosts:
-        words, hit = _continuations(pipeline.bundle(g, n).dag,
-                                    continuation_cap)
+        words, hit = _continuations(pipeline.bundle(g, n), continuation_cap)
         if hit:
             capped.append(g)
         seen: set[RestrictedLabel] = set()

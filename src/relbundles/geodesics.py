@@ -3,9 +3,9 @@ geodesic-ray bundles toward eventually periodic directions.
 
 A DAG between u and v holds exactly the vertices w with
 d(u,w) + d(w,v) = d(u,v), arranged in layers by d(u,·), with edges only
-between consecutive layers.  Bundles toward a direction are DAGs to a deep
-vertex on the direction's ray, cut off at the requested depth; a margin
-controls how much deeper the target sits than the cut.
+between consecutive layers.  A bundle toward a direction is the DAG to a
+deep vertex on the direction's ray, grown only to the requested depth; a
+margin controls how much deeper the target sits than the cut.
 """
 
 from __future__ import annotations
@@ -71,17 +71,21 @@ class LabeledPath:
 
 
 def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
-                 v: Word, metric: str = RELATIVE) -> GeodesicDAG:
-    """Every vertex and edge on a geodesic from u to v.
+                 v: Word, metric: str = RELATIVE,
+                 depth: int | None = None) -> GeodesicDAG:
+    """Every vertex and edge on a geodesic from u to v, up to layer `depth`.
 
     Grown outward from u: a neighbor w of layer k−1 belongs to layer k iff
     d(w,v) = L−k (which forces d(u,w) = k, since d(u,w) ≤ k and anything
-    smaller would shortcut u→v).
+    smaller would shortcut u→v).  Layer k depends only on layer k−1, so
+    growth stopped after layer min(depth, L) keeps exactly the first
+    layers and edges of the full DAG; `length` is the last layer kept.
     """
     length = oracle.distance(u, v, metric)
+    stop = length if depth is None else min(depth, length)
     layers: list[tuple[Word, ...]] = [(u,)]
     edges: dict[tuple[Word, Word], tuple[EdgeLabel, ...]] = {}
-    for k in range(1, length + 1):
+    for k in range(1, stop + 1):
         recent: set[Word] = set(layers[-1])
         if len(layers) >= 2:
             recent |= set(layers[-2])
@@ -102,7 +106,7 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
             for p, labels in preds.items():
                 edges[(p, w)] = tuple(sorted(labels, key=label_key))
         layers.append(layer)
-    return GeodesicDAG(u, v, length, tuple(layers), edges, metric)
+    return GeodesicDAG(u, v, stop, tuple(layers), edges, metric)
 
 
 def enumerate_geodesics(graph: RelativeGraph, dag: GeodesicDAG,
@@ -230,58 +234,26 @@ def validate_direction(graph: RelativeGraph, oracle: DistanceOracle,
                    f"vertex at distance {got}, so the word is not geodesic")
 
 
-@dataclass(frozen=True)
-class CGRBundleTrunc:
-    """Truncation of the geodesic ray bundle from `base` toward a direction.
-
-    The DAG runs from the base to a ray vertex at least `margin` deeper
-    than the truncation depth; only layers 0..depth are retained, so every
-    kept vertex extends to a geodesic reaching layer depth.
-    """
-
-    base: Word
-    direction: DirectionSpec
-    depth: int
-    margin: int
-    target: Word
-    full_length: int
-    dag: GeodesicDAG
-    anchor: Word = ()
-
-    def layer(self, k: int) -> tuple[Word, ...]:
-        return self.dag.layers[k]
-
-    def vertices(self) -> set[Word]:
-        return self.dag.vertices()
-
-
 def cgr_bundle_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
                      direction: DirectionSpec, depth: int, margin: int,
-                     anchor: Word = ()) -> CGRBundleTrunc:
+                     anchor: Word = ()) -> GeodesicDAG:
     """Bundle of all geodesics from x toward the direction, cut at `depth`.
 
     The direction's ray starts at `anchor`; the target sits at ray depth
     d(anchor,x) + depth + margin, which by the triangle inequality is at
     least depth+margin from x and never behind it — a nearer ray vertex
     could satisfy the distance bound from the wrong side when x lies on
-    the ray itself.
+    the ray itself.  The DAG to that target is grown through layer
+    `depth` only, so every kept vertex extends to a geodesic reaching it.
     """
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
     k = depth + margin + oracle.distance(anchor, x, RELATIVE)
     validate_direction(graph, oracle, direction, k)
     t = ray_vertex(graph, direction, k, base=anchor)
-    full = geodesic_dag(graph, oracle, x, t)
-    length = min(depth, full.length)
-    layers = full.layers[:length + 1]
-    kept = {w for layer in layers for w in layer}
-    edges = {pair: labels for pair, labels in full.edges.items()
-             if pair[0] in kept and pair[1] in kept}
-    cut = GeodesicDAG(x, t, length, layers, edges, full.metric)
-    return CGRBundleTrunc(x, direction, length, margin, t, full.length, cut,
-                          anchor)
+    return geodesic_dag(graph, oracle, x, t, depth=depth)
 
 
-def layer_profile(bundle: CGRBundleTrunc) -> list[int]:
+def layer_profile(bundle: GeodesicDAG) -> list[int]:
     """Number of distinct vertices per layer index 0..depth."""
-    return [len(layer) for layer in bundle.dag.layers]
+    return [len(layer) for layer in bundle.layers]

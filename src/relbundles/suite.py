@@ -89,6 +89,11 @@ class RunConfig:
     seed: int = 0
 
     def __post_init__(self):
+        # Bundle, class, scan and coding checks run once per listed item;
+        # an empty list would let a suite pass with none of them run.
+        for name in ("directions", "bases", "scan_depths"):
+            if not getattr(self, name):
+                raise SpecError(f"{name} must not be empty")
         # class-count and every scan depth build a ξ-class decomposition,
         # which needs depth >= 2; failing here saves the slimness sweep.
         if self.depth < 2:

@@ -11,7 +11,7 @@ from relbundles.geodesics import direction_from_text, enumerate_geodesics
 from relbundles.bundles import (
     DirectionPipeline,
     StabilizationError,
-    horofunction_table,
+    horofunction,
     symdiff_scan,
 )
 
@@ -72,43 +72,47 @@ def f2_words(max_len: int):
 
 
 # ---------------------------------------------------------------------------
-# horofunction tables
+# horofunction signatures
+
+
+def _flat_window(radius: int) -> tuple:
+    ball = GR_F2.ball((), radius, RELATIVE)
+    return tuple(w for layer in ball.frontiers for w in layer)
 
 
 class TestHorofunctionTable:
     def test_anchor_value_is_zero(self):
         pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
-        table = pipe.table(F2.parse("a b a'"))
-        assert table.value(()) == 0
+        sig = pipe.signature(F2.parse("a b a'"))
+        assert sig[pipe.window().index(())] == 0
 
     def test_z_equals_anchor_gives_distance_table(self):
         pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
-        table = pipe.table(())
-        for g in table.window:
-            assert table.value(g) == OR_F2.distance((), g, RELATIVE)
+        sig = pipe.signature(())
+        window = pipe.window()
+        assert len(sig) == len(window)
+        for g, value in zip(window, sig):
+            assert value == OR_F2.distance((), g, RELATIVE)
 
     def test_axis_values(self):
-        window = GR_F2.ball((), 2, RELATIVE)
-        flat = tuple(w for layer in window.frontiers for w in layer)
-        table = horofunction_table(OR_F2, F2.parse("a a a a a"), flat)
-        assert table.value(F2.parse("a")) == -1
-        assert table.value(F2.parse("a'")) == 1
+        flat = _flat_window(2)
+        values = horofunction(OR_F2, F2.parse("a a a a a"), flat)
+        assert values[flat.index(F2.parse("a"))] == -1
+        assert values[flat.index(F2.parse("a'"))] == 1
 
     def test_busemann_stabilization_on_axis(self):
-        window = GR_F2.ball((), 2, RELATIVE)
-        flat = tuple(w for layer in window.frontiers for w in layer)
-        near = horofunction_table(OR_F2, F2.parse("a a a a a"), flat)
-        far = horofunction_table(OR_F2, tuple([1] * 9), flat)
-        assert near.values == far.values
+        flat = _flat_window(2)
+        near = horofunction(OR_F2, F2.parse("a a a a a"), flat)
+        far = horofunction(OR_F2, tuple([1] * 9), flat)
+        assert near == far
 
     @PROPERTY_SETTINGS
     @given(z=f2_words(5), g=f2_words(2), h=f2_words(2))
     def test_one_lipschitz(self, z, g, h):
-        window = GR_F2.ball((), 2, RELATIVE)
-        flat = tuple(w for layer in window.frontiers for w in layer)
-        table = horofunction_table(OR_F2, z, flat)
-        assert abs(table.value(g) - table.value(h)) <= OR_F2.distance(
-            g, h, RELATIVE)
+        flat = _flat_window(2)
+        values = horofunction(OR_F2, z, flat)
+        assert abs(values[flat.index(g)] - values[flat.index(h)]) <= (
+            OR_F2.distance(g, h, RELATIVE))
 
 
 # ---------------------------------------------------------------------------
@@ -132,9 +136,10 @@ class TestXiClasses:
         assert deco.classes[0].signature == (0, -1, 0, 1, -2, 1, 2, 2)
 
     def test_signature_window_is_distance_layered(self):
-        deco = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
-                                 nu=0).classes_from((), 12)
-        window = deco.classes[0].window
+        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        deco = pipe.classes_from((), 12)
+        window = pipe.window(deco.window_radius)
+        assert len(window) == len(deco.classes[0].signature)
         dists = [OR_Z3Z2.distance((), w, RELATIVE) for w in window]
         assert dists == sorted(dists)
         assert window[0] == ()
@@ -181,7 +186,7 @@ class TestSectors:
     def test_tree_sector_is_the_ray(self):
         pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
         cls = pipe.classes_from((), 8).classes[0]
-        sec = pipe.sector((), cls.signature, 8, cls.window_radius)
+        sec = pipe.sector((), cls.signature, 8)
         assert sec.vertices() == frozenset(
             tuple([1] * k) for k in range(9))
         assert [len(layer) for layer in sec.layers] == [1] * 9
@@ -190,12 +195,12 @@ class TestSectors:
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         deco = pipe.classes_from((), 8)
         for cls in deco.classes:
-            sec = pipe.sector((), cls.signature, 8, cls.window_radius)
-            assert sec.vertices() <= deco.bundle.dag.vertices()
+            sec = pipe.sector((), cls.signature, 8)
+            assert sec.vertices() <= pipe.bundle((), 8).vertices()
 
     def test_unrealized_signature_reports_empty(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
-        sec = pipe.sector((), (99,) * 8, 8, 2)
+        sec = pipe.sector((), (99,) * 8, 8)
         assert sec.empty
         assert sec.vertices() == frozenset()
 
@@ -203,10 +208,8 @@ class TestSectors:
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         d8 = pipe.classes_from((), 8)
         d10 = pipe.classes_from((), 10)
-        s8 = pipe.sector((), d8.classes[0].signature, 8,
-                         d8.classes[0].window_radius)
-        s10 = pipe.sector((), d10.classes[0].signature, 10,
-                          d10.classes[0].window_radius)
+        s8 = pipe.sector((), d8.classes[0].signature, 8)
+        s10 = pipe.sector((), d10.classes[0].signature, 10)
         for k in range(9):
             assert set(s8.layers[k]) <= set(s10.layers[k])
 
@@ -214,9 +217,8 @@ class TestSectors:
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         x = Z3Z2.parse("a b a b")
         deco = pipe.classes_from(x, 8)
-        sec = pipe.sector(x, deco.classes[0].signature, 8,
-                          deco.classes[0].window_radius)
-        for rep in deco.classes[0].terminals(8):
+        sec = pipe.sector(x, deco.classes[0].signature, 8)
+        for rep in deco.classes[0].terminals:
             assert rep in sec.vertices()
 
 
@@ -234,9 +236,9 @@ class TestSpecialVertices:
         assert {c for _, c in report.special} == {0}
 
     def test_special_set_inside_bundle(self):
-        report = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
-                                   nu=0).special_vertices((), 8)
-        bundle = report.decomposition.bundle.dag.vertices()
+        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        report = pipe.special_vertices((), 8)
+        bundle = pipe.bundle((), 8).vertices()
         for v, _ in report.special:
             assert v in bundle
 
@@ -281,8 +283,7 @@ class TestGeo1:
             cls = deco.classes[cid]
             for y in ys:
                 dist = OR_Z3Z2.distance(base, y, RELATIVE)
-                sec = pipe.sector(y, cls.signature, 8 - dist,
-                                  cls.window_radius)
+                sec = pipe.sector(y, cls.signature, 8 - dist)
                 expected |= sec.vertices()
         assert g1.vertices == frozenset(expected)
 
@@ -293,7 +294,7 @@ class TestGeo1:
         for depth in (8, 10, 12):
             g1 = pipe.geo1(base, depth).vertices
             paths, truncated = enumerate_geodesics(
-                GR_Z3Z2, pipe.bundle(base, depth).dag)
+                GR_Z3Z2, pipe.bundle(base, depth))
             assert not truncated
             worst = 0
             for path in paths:
@@ -318,10 +319,12 @@ class TestGeo1:
         plain = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         moved = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0, anchor=g)
         z = Z3Z2.parse("a b a b")
-        te = plain.table(z)
-        tg = moved.table(Z3Z2.multiply(g, z))
-        for w in te.window:
-            assert tg.value(Z3Z2.multiply(g, w)) == te.value(w)
+        te = plain.signature(z)
+        tg = moved.signature(Z3Z2.multiply(g, z))
+        window, moved_window = plain.window(), moved.window()
+        assert len(te) == len(window)
+        for w, value in zip(window, te):
+            assert tg[moved_window.index(Z3Z2.multiply(g, w))] == value
 
 
 # ---------------------------------------------------------------------------

@@ -147,6 +147,19 @@ class TestExplore:
                      "--out", str(tmp_path)]) == 1
         assert "CENTER and RADIUS" in capsys.readouterr().err
 
+    @pytest.mark.parametrize("args, name", [
+        (["ball", "e", "x"], "RADIUS"),
+        (["bundle", "e", "a", "x"], "DEPTH"),
+        (["geo1", "e", "a", "2.5"], "DEPTH"),
+    ])
+    def test_non_integer_size_is_an_error(self, f2_spec_file, tmp_path,
+                                          capsys, args, name):
+        assert main(["explore", *args, "--spec", f2_spec_file,
+                     "--out", str(tmp_path)]) == 1
+        err = capsys.readouterr().err
+        assert err.startswith(f"error: {name} must be an integer")
+        assert "Traceback" not in err
+
     @pytest.mark.parametrize("error", [ResourceLimitError, DehnReductionError])
     def test_search_errors_exit_one(self, tmp_path, capsys, monkeypatch,
                                     error):
@@ -226,7 +239,10 @@ class TestVerify:
         assert capsys.readouterr().err == "error: sweep gave up\n"
 
     @pytest.mark.parametrize("bad", [{"depth": 1},
-                                     {"arithmetic_length": -1}])
+                                     {"arithmetic_length": -1},
+                                     {"directions": []},
+                                     {"bases": []},
+                                     {"scan_depths": []}])
     def test_bad_numbers_exit_before_the_sweep(self, tmp_path, capsys,
                                                monkeypatch, bad):
         def sweep(*args, **kwargs):

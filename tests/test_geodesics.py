@@ -10,6 +10,7 @@ from relbundles.relgraph import ABSOLUTE, RELATIVE, DistanceOracle, RelativeGrap
 from relbundles.geodesics import (
     DirectionError,
     DirectionSpec,
+    GeodesicDAG,
     cgr_bundle_trunc,
     direction_from_text,
     enumerate_geodesics,
@@ -277,24 +278,24 @@ def test_bundle_along_periodic_ray():
     d = direction_from_text(GR_Z3Z2, "a b")
     bundle = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, (), d, depth=5, margin=1)
     assert layer_profile(bundle) == [1, 1, 1, 1, 1, 1]
-    assert bundle.layer(3) == (Z3Z2.parse("a b a"),)
-    assert bundle.full_length >= 6
+    assert bundle.layers[3] == (Z3Z2.parse("a b a"),)
+    assert OR_Z3Z2.distance((), bundle.target, RELATIVE) >= 6
 
 
 def test_bundle_from_offset_base_passes_identity():
     d = direction_from_text(GR_F2, "a")
     bundle = cgr_bundle_trunc(GR_F2, OR_F2, F2.parse("b"), d, depth=3, margin=1)
     assert layer_profile(bundle) == [1, 1, 1, 1]
-    assert bundle.layer(0) == (F2.parse("b"),)
-    assert bundle.layer(1) == ((),)
-    assert bundle.layer(2) == (F2.parse("a"),)
+    assert bundle.layers[0] == (F2.parse("b"),)
+    assert bundle.layers[1] == ((),)
+    assert bundle.layers[2] == (F2.parse("a"),)
 
 
 def test_bundle_margin_does_not_change_kept_layers():
     d = direction_from_text(GR_Z3Z2, "a b")
     small = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=1)
     large = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=3)
-    assert small.dag.layers == large.dag.layers
+    assert small.layers == large.layers
 
 
 def test_bundle_rejects_invalid_direction():
@@ -314,8 +315,48 @@ def test_bundle_parameter_validation():
 def test_bundle_layers_extend_to_full_depth():
     """Every kept vertex must reach the cut: successors exist below depth."""
     d = direction_from_text(GR_Z3Z2, "a b")
-    bundle = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b a'"), d, 4, margin=2)
-    dag = bundle.dag
-    for k in range(bundle.depth):
+    dag = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b a'"), d, 4, margin=2)
+    assert dag.length == 4
+    for k in range(dag.length):
         for w in dag.layers[k]:
             assert dag.successors(w, k)
+
+
+def _full_dag_cut(graph, oracle, x, target, depth):
+    """The bundle built the long way: the whole DAG from x to the target,
+    then layers 0..depth and the edges among them."""
+    full = geodesic_dag(graph, oracle, x, target)
+    length = min(depth, full.length)
+    layers = full.layers[:length + 1]
+    kept = {w for layer in layers for w in layer}
+    edges = {pair: labels for pair, labels in full.edges.items()
+             if pair[0] in kept and pair[1] in kept}
+    return full, GeodesicDAG(x, target, length, layers, edges, full.metric)
+
+
+@pytest.mark.parametrize("graph, oracle, text, bases, depths, branching", [
+    (GR_Z3Z2, OR_Z3Z2, "a b", ["e", "b", "a b", "b a'"], [0, 3, 6], False),
+    (GR_Z3Z2, OR_Z3Z2, "a:b a'", ["e", "a'"], [2, 5], False),
+    (GR_F2X, OR_F2X, "ab a", ["e", "b", "a'"], [2, 5], False),
+    (GR_F2X, OR_F2X, "a b'", ["e", "b a"], [1, 4], False),
+    (GR_GENUS2, OR_GENUS2, "a b a' b':a", ["e", "c"], [2, 4], True),
+], ids=["z3z2", "z3z2-prefix", "f2-ab", "f2-ab-mixed", "genus2"])
+def test_truncated_bundle_is_the_cut_of_the_full_dag(graph, oracle, text,
+                                                     bases, depths, branching):
+    """Growing only to the cut keeps the same layers and edges (same dict)
+    as cutting the full DAG, and a cut at or past d(u,v) is the full DAG."""
+    direction = direction_from_text(graph, text)
+    widest = 1
+    for base in bases:
+        x = graph.group.parse(base)
+        for depth in depths:
+            bundle = cgr_bundle_trunc(graph, oracle, x, direction, depth,
+                                      margin=1)
+            full, cut = _full_dag_cut(graph, oracle, x, bundle.target, depth)
+            assert bundle == cut
+            assert bundle.length == depth
+            for extra in (0, 2):
+                assert geodesic_dag(graph, oracle, x, bundle.target,
+                                    depth=full.length + extra) == full
+            widest = max(widest, *(len(layer) for layer in bundle.layers))
+    assert (widest > 1) == branching

@@ -1,0 +1,37 @@
+"""The bytes of `report.json` and `scans.csv` are pinned.
+
+`perfbench/references.json` records the sha256[:16] digests of both files
+for `verify --seed N` on the shipped benchmark configs.  A change that
+alters a report (a reworded summary, a reordered key, a different
+verdict) fails here and not only in a benchmark run.  The reference file
+is read, never written.
+"""
+
+from __future__ import annotations
+
+import hashlib
+import json
+import pathlib
+
+import pytest
+
+from relbundles.cli import main
+
+ROOT = pathlib.Path(__file__).resolve().parent.parent
+REFERENCES = ROOT / "perfbench" / "references.json"
+
+
+@pytest.mark.parametrize("config", ["perfbench/z3z2_bench.json",
+                                    "configs/f2_tree.json"])
+def test_report_bytes_match_the_references(config, tmp_path, monkeypatch,
+                                           capsys):
+    want = json.loads(REFERENCES.read_text())[
+        f"verify --config {config} --seed 0"]
+    assert set(want) == {"report.json", "scans.csv"}
+    monkeypatch.chdir(ROOT)
+    run = tmp_path / "run"
+    assert main(["verify", "--config", config, "--seed", "0",
+                 "--out", str(run)]) == 0
+    got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()[:16]
+           for name in want}
+    assert got == want

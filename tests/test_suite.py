@@ -117,6 +117,9 @@ class TestRunConfig:
         {"oracle_max_distance": -1},
         {"arithmetic_length": -1},
         {"continuation_cap": 0},
+        {"directions": ()},
+        {"bases": ()},
+        {"scan_depths": ()},
     ])
     def test_invalid_numbers_rejected(self, bad):
         with pytest.raises(SpecError):
