@@ -19,6 +19,7 @@ from .relgraph import (
     DistanceOracle,
     EdgeLabel,
     RelativeGraph,
+    ResourceLimitError,
     label_key,
 )
 
@@ -80,6 +81,9 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     smaller would shortcut u→v).  Layer k depends only on layer k−1, so
     growth stopped after layer min(depth, L) keeps exactly the first
     layers and edges of the full DAG; `length` is the last layer kept.
+    A layer with no vertex means the graph's moves cannot realize the
+    oracle's distance (a truncated parabolic); that raises
+    ResourceLimitError naming u, v and the layer.
     """
     length = oracle.distance(u, v, metric)
     stop = length if depth is None else min(depth, length)
@@ -101,10 +105,17 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
                         continue
                     bucket = found[w] = {}
                 bucket.setdefault(p, []).append(label)
-        layer = tuple(sorted(found, key=shortlex_key))
+        if not found:
+            fmt = graph.group.format
+            raise ResourceLimitError(
+                f"geodesic DAG from {fmt(u)} to {fmt(v)} has no layer {k}: "
+                f"the graph's moves do not reach the oracle's distance {length}")
+        layer = tuple(found)
+        if len(layer) > 1:  # sorting one item is the identity
+            layer = tuple(sorted(layer, key=shortlex_key))
         for w, preds in found.items():
             for p, labels in preds.items():
-                edges[(p, w)] = tuple(sorted(labels, key=label_key))
+                edges[(p, w)] = tuple(labels)  # `neighbors` is in label order
         layers.append(layer)
     return GeodesicDAG(u, v, stop, tuple(layers), edges, metric)
 

@@ -6,7 +6,10 @@ sides, and the reported constant is the worst defect over a triangle
 family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
-needed.  Both metrics are scored in one pass over the same side DAGs.
+needed.  Both metrics are scored in one pass over the same sides.  Each
+triangle is moved to a corner at e, and a side is built once per
+geodesic up to translation and, on exact graphs, orientation; a side
+that is a single path is kept as its bare vertices (`_TriangleProbe`).
 """
 
 from __future__ import annotations
@@ -23,7 +26,7 @@ from .geodesics import GeodesicDAG, geodesic_dag
 @dataclass(frozen=True)
 class TriangleWitness:
     corners: tuple[Word, Word, Word]
-    probe: Word
+    probe: Word  # a vertex attaining the larger of the two defects
     defect_rel: int
     defect_abs: int
 
@@ -95,64 +98,90 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
 
 @dataclass(frozen=True)
 class _Side:
-    """A side DAG in local coordinates (source e) and where it is placed."""
+    """A placed side: a chain as its vertices, or its local DAG (source e)
+    with each local vertex x mapped to its placed vertex."""
 
-    dag: GeodesicDAG
-    chain: bool
-    placed: dict[Word, Word]  # local vertex x ↦ u·x
+    dag: GeodesicDAG | None
+    placed: tuple[Word, ...] | dict[Word, Word]
+    verts: set[Word]
 
 
 class _TriangleProbe:
     """Defects of corner triples in both metrics, one pass per triangle.
 
+    Defects are invariant under left translation, so a triangle (a, b, c)
+    is scored as (e, a⁻¹b, a⁻¹c) and its probe vertex moved back by a.
     The geodesic DAG from u to v is the DAG from e to w = u⁻¹v moved by u,
-    so it is built once per difference word and kept with source e; a
-    queried pair only translates its vertices.  The bottleneck DP runs over
-    the local layers with costs measured at the translated vertices.
+    so it is built once per difference word and kept with source e.  A
+    defect reads only a side's vertex set and the bottleneck over its
+    paths, and both are the same for v→u, which is the DAG from e to w⁻¹
+    moved by v; so a side is built once per geodesic up to orientation,
+    and the two sides at e need no translation.  That rests on the oracle
+    agreeing with the graph's own moves, so on a graph with truncated
+    parabolics each orientation is built for itself.  A chain (one vertex
+    per layer) is kept as its tuple of vertices, any other side as its DAG.
     """
 
     def __init__(self, graph: RelativeGraph, oracle: DistanceOracle):
         self.graph = graph
+        self.group = graph.group
         self.oracle = oracle
-        self._dags: dict[Word, tuple[GeodesicDAG, bool]] = {}
+        self._shared = not graph.is_approximate(RELATIVE)
+        self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
 
     def _side(self, u: Word, v: Word) -> _Side:
-        g = self.graph.group
-        w = g.multiply(g.inverse(u), v)
-        hit = self._dags.get(w)
-        if hit is None:
-            dag = geodesic_dag(self.graph, self.oracle, (), w)
-            hit = self._dags[w] = (dag, all(len(l) == 1 for l in dag.layers))
-        dag, chain = hit
-        placed = {x: g.multiply(u, x) if u else x
-                  for layer in dag.layers for x in layer}
-        return _Side(dag, chain, placed)
+        g = self.group
+        w = g.multiply(g.inverse(u), v) if u else v
+        local, at = self._local.get(w), u
+        if local is None and self._shared:
+            local, at = self._local.get(g.inverse(w)), v
+        if local is None:
+            local, at = geodesic_dag(self.graph, self.oracle, (), w), u
+            if all(len(layer) == 1 for layer in local.layers):
+                local = tuple(layer[0] for layer in local.layers)
+            self._local[w] = local
+        if isinstance(local, tuple):
+            placed = tuple(g.multiply(at, x) for x in local) if at else local
+            return _Side(None, placed, set(placed))
+        where = {x: g.multiply(at, x) if at else x
+                 for layer in local.layers for x in layer}
+        return _Side(local, where, set(where.values()))
 
     def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
         """Per metric, the worst defect over rotations and side choices and
-        the first probe vertex attaining it."""
-        sides = (self._side(a, b), self._side(b, c), self._side(c, a))
-        verts = [set(s.placed.values()) for s in sides]
+        a probe vertex attaining it."""
+        g = self.group
+        if a:
+            a_inv = g.inverse(a)
+            b, c = g.multiply(a_inv, b), g.multiply(a_inv, c)
+        last = self._side((), c) if self._shared else self._side(c, ())
+        sides = (self._side((), b), self._side(b, c), last)
         dist = self.oracle.distance
-        worst = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
+
+        def opposite(u: Word, s: _Side, m: str) -> int:
+            if s.dag is None:
+                return min(dist(u, y, m) for y in s.placed)
+            cost = {x: dist(u, y, m) for x, y in s.placed.items()}
+            return _bottleneck(s.dag, cost)
+
+        worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, ()), ABSOLUTE: (0, ())}
         for i in range(3):
-            qi, ri = (i + 1) % 3, (i + 2) % 3
-            q, r = sides[qi], sides[ri]
-            if q.chain and r.chain:
-                union = verts[qi] | verts[ri]
-                for u in verts[i] - union:
+            q, r = sides[(i + 1) % 3], sides[(i + 2) % 3]
+            if q.dag is None and r.dag is None:
+                union = q.verts | r.verts
+                for u in sides[i].verts - union:
                     for m in METRICS:
                         d = min(dist(u, v, m) for v in union)
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
-                for u in verts[i]:
+                for u in sides[i].verts:
                     for m in METRICS:
-                        d = min(_bottleneck(s.dag, {x: dist(u, y, m)
-                                                    for x, y in s.placed.items()})
-                                for s in (q, r))
+                        d = min(opposite(u, q, m), opposite(u, r, m))
                         if d > worst[m][0]:
                             worst[m] = (d, u)
+        if a:
+            worst = {m: (d, g.multiply(a, u)) for m, (d, u) in worst.items()}
         return worst
 
 
@@ -166,8 +195,11 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
     geodesic bigons are covered) inside the relative ball of
     `exhaustive_radius`; the sampled stage draws `triangle_budget` seeded
     triples from the ball of `ball_radius`.  Reported constants are the
-    maxima over both stages and can only grow with a larger sample.
+    maxima over both stages and can only grow with a larger sample.  The
+    last `keep_witnesses` triangles that raised a constant are kept.
     """
+    if keep_witnesses < 0:
+        raise SpecError("keep_witnesses must be nonnegative")
     probe = _TriangleProbe(graph, oracle)
     ball_small = graph.ball((), exhaustive_radius, RELATIVE)
     small = sorted(ball_small.entries, key=shortlex_key)
@@ -212,7 +244,7 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
         exhaustive_nu_rel=exhaustive[RELATIVE],
         exhaustive_nu_abs=exhaustive[ABSOLUTE],
         triangles_checked=count,
-        witnesses=tuple(witnesses[-keep_witnesses:]),
+        witnesses=tuple(witnesses[-keep_witnesses:]) if keep_witnesses else (),
     )
 
 

@@ -39,7 +39,8 @@ DEFAULT_VERTEX_CAP = 5_000_000
 
 
 class ResourceLimitError(RuntimeError):
-    """A search would materialize more vertices than the configured cap."""
+    """A search would pass the configured cap, or cannot finish within the
+    graph's truncated moves."""
 
 
 @dataclass(frozen=True)

@@ -6,7 +6,13 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import SpecError, build_group, spec_from_dict
-from relbundles.relgraph import ABSOLUTE, RELATIVE, DistanceOracle, RelativeGraph
+from relbundles.relgraph import (
+    ABSOLUTE,
+    RELATIVE,
+    DistanceOracle,
+    RelativeGraph,
+    ResourceLimitError,
+)
 from relbundles.geodesics import (
     DirectionError,
     DirectionSpec,
@@ -47,6 +53,12 @@ Z3Z2 = build_group(spec_from_dict({
     "factors": [{"family": "finite-table", "table": _cyclic_table(3, "a")},
                 {"family": "finite-table", "table": _cyclic_table(2, "b")}],
     "parabolics": [0, 1],
+}))
+ZxZ2 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [{"family": "free", "generators": ["a"]},
+                {"family": "finite-table", "table": _cyclic_table(2, "b")}],
+    "parabolics": [0],
 }))
 GENUS2 = build_group(spec_from_dict({
     "family": "small-cancellation",
@@ -149,6 +161,21 @@ def test_dag_source_not_identity():
     dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, base, target)
     assert dag.source == base and dag.target == target
     assert dag.length == 2
+
+
+def test_unreachable_layer_is_an_error():
+    """On a radius-3 truncation of ℤ∗ℤ₂ the oracle charges a⁴ one
+    parabolic step, which no truncated move takes: no DAG, not one with
+    an empty last layer."""
+    graph = RelativeGraph(ZxZ2, truncation_radius=3)
+    oracle = DistanceOracle(graph)
+    w = ZxZ2.parse("a a a a")
+    assert oracle.distance((), w) == 1
+    with pytest.raises(ResourceLimitError, match=r"from e to a a a a has no layer 1"):
+        geodesic_dag(graph, oracle, (), w)
+    # a³ is a move of the truncated graph, so its DAG is one edge
+    dag = geodesic_dag(graph, oracle, (), ZxZ2.parse("a a a"))
+    assert [len(layer) for layer in dag.layers] == [1, 1]
 
 
 class TestDagInvariants:

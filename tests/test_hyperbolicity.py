@@ -15,6 +15,7 @@ from relbundles.relgraph import (
     RelativeGraph,
 )
 from relbundles.geodesics import enumerate_geodesics, geodesic_dag
+from relbundles import hyperbolicity
 from relbundles.hyperbolicity import (
     _TriangleProbe,
     bound_B,
@@ -44,6 +45,12 @@ Z3Z2 = build_group(spec_from_dict({
     "factors": [{"family": "finite-table", "table": _cyclic_table(3, "a")},
                 {"family": "finite-table", "table": _cyclic_table(2, "b")}],
     "parabolics": [0, 1],
+}))
+ZxZ2 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [{"family": "free", "generators": ["a"]},
+                {"family": "finite-table", "table": _cyclic_table(2, "b")}],
+    "parabolics": [0],
 }))
 GENUS2 = build_group(spec_from_dict({
     "family": "small-cancellation",
@@ -129,6 +136,104 @@ def test_probe_matches_side_choice_referee(graph, oracle, radius):
                 graph, oracle, a, b, c, metric), (a, b, c, metric)
 
 
+# ---------------------------------------------------------------------------
+# what the probe relies on, and what it builds
+
+@pytest.mark.parametrize("graph, oracle, radius", [
+    (GR_F2, OR_F2, 3),
+    (GR_F2X, OR_F2X, 3),
+    (GR_Z3Z2, OR_Z3Z2, 3),
+    (GR_Z6, OR_Z6, 3),          # all of ℤ₆
+    (GR_GENUS2, OR_GENUS2, 2),
+], ids=["F2", "F2X", "Z3Z2", "z6_table", "genus2"])
+def test_reversed_dag_is_the_dag_of_the_inverse(graph, oracle, radius):
+    """The DAG e→w is the DAG e→w⁻¹ moved by w and read backwards."""
+    g = graph.group
+    for w in graph.ball((), radius, RELATIVE).entries:
+        dag = geodesic_dag(graph, oracle, (), w)
+        back = geodesic_dag(graph, oracle, (), g.inverse(w))
+        assert dag.length == back.length
+        moved = [{g.multiply(w, x) for x in layer} for layer in back.layers]
+        assert [set(layer) for layer in dag.layers] == moved[::-1], w
+        assert set(dag.edges) == {(g.multiply(w, q), g.multiply(w, p))
+                                  for p, q in back.edges}, w
+
+
+def _attained(graph, oracle, corners, probe, defect, metric):
+    """True when `probe` lies on a side of the triangle and some choice of
+    geodesics for the other two sides keeps it `defect` away from both."""
+    dags = [geodesic_dag(graph, oracle, u, v)
+            for u, v in zip(corners, corners[1:] + corners[:1])]
+    for i, dag in enumerate(dags):
+        if probe not in dag.vertices():
+            continue
+        far = []
+        for other in (dags[(i + 1) % 3], dags[(i + 2) % 3]):
+            paths, truncated = enumerate_geodesics(graph, other)
+            assert not truncated
+            far.append(max(min(oracle.distance(probe, x, metric) for x in p.vertices)
+                           for p in paths))
+        if min(far) == defect:
+            return True
+    return False
+
+
+@pytest.mark.parametrize("graph, oracle, radius", [
+    (GR_Z6, OR_Z6, 3),      # bigons: defect 1 on the non-chain branch
+    (GR_F2X, OR_F2X, 1),
+    (GR_Z3Z2, OR_Z3Z2, 2),
+], ids=["z6_table", "F2X", "Z3Z2"])
+def test_defects_are_left_invariant(graph, oracle, radius):
+    g = graph.group
+    probe = _TriangleProbe(graph, oracle)
+    corners = sorted(graph.ball((), radius, RELATIVE).entries)
+    shifts = sorted(graph.ball((), 2, RELATIVE).entries)
+    for a, b, c in itertools.combinations_with_replacement(corners, 3):
+        want = probe.defects(a, b, c)
+        for t in shifts:
+            moved = tuple(g.multiply(t, x) for x in (a, b, c))
+            got = probe.defects(*moved)
+            for metric in METRICS:
+                defect, at = got[metric]
+                assert defect == want[metric][0], (a, b, c, t, metric)
+                assert _attained(graph, oracle, moved, at, defect, metric), \
+                    (a, b, c, t, metric)
+
+
+@pytest.fixture
+def built(monkeypatch):
+    """The target of every side DAG the probe builds, in order."""
+    targets = []
+
+    def counting(graph, oracle, u, v, *args, **kwargs):
+        assert u == ()
+        targets.append(v)
+        return geodesic_dag(graph, oracle, u, v, *args, **kwargs)
+
+    monkeypatch.setattr(hyperbolicity, "geodesic_dag", counting)
+    return targets
+
+
+def test_sweep_builds_one_orientation_per_geodesic(built):
+    estimate_nu(GR_F2, OR_F2, exhaustive_radius=2, ball_radius=3,
+                triangle_budget=400, seed=3)
+    seen = set(built)
+    assert len(built) == len(seen) > 0
+    assert [w for w in built if w != F2.inverse(w) and F2.inverse(w) in seen] == []
+
+
+def test_truncated_graph_builds_each_orientation(built):
+    """Truncated moves can miss what the oracle counts, so a geodesic is
+    not shared with its reverse there."""
+    graph = RelativeGraph(ZxZ2, truncation_radius=3)
+    probe = _TriangleProbe(graph, DistanceOracle(graph))
+    words = [ZxZ2.parse(text) for text in ("a", "a b", "b a a", "a a b a'")]
+    for w in words:
+        probe.defects((), w, ())
+    for w in words:
+        assert w in built and ZxZ2.inverse(w) in built
+
+
 def test_cyclic_group_sweep_is_pinned():
     report = estimate_nu(GR_Z6, OR_Z6, exhaustive_radius=3, ball_radius=3,
                          triangle_budget=50, seed=1)
@@ -138,6 +243,15 @@ def test_cyclic_group_sweep_is_pinned():
     witness = report.witnesses[0]
     assert witness.corners == ((), (), (1, 1, 1))
     assert (witness.defect_rel, witness.defect_abs) == (1, 1)
+
+
+def test_keep_witnesses_keeps_the_last_ones():
+    kw = dict(exhaustive_radius=3, ball_radius=3, triangle_budget=50, seed=1)
+    assert estimate_nu(GR_Z6, OR_Z6, keep_witnesses=0, **kw).witnesses == ()
+    kept = estimate_nu(GR_Z6, OR_Z6, keep_witnesses=1, **kw).witnesses
+    assert [w.corners for w in kept] == [((), (), (1, 1, 1))]
+    with pytest.raises(SpecError, match="keep_witnesses"):
+        estimate_nu(GR_Z6, OR_Z6, keep_witnesses=-1, **kw)
 
 
 # ---------------------------------------------------------------------------
