@@ -87,8 +87,6 @@ def _build_parser() -> argparse.ArgumentParser:
                                 "bundle BASE DIRECTION DEPTH | "
                                 "geo1 BASE DIRECTION DEPTH")
     p_explore.add_argument("--spec", required=True, help="group spec JSON")
-    p_explore.add_argument("--format", choices=("json", "csv", "dot"),
-                           default="json", help="extra emission format")
     p_explore.add_argument("--window", type=int,
                            help="horofunction window radius for geo1")
     p_explore.add_argument("--out", default=".", help="output directory")
@@ -205,20 +203,17 @@ def _explore_ball(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
         "center": fmt(center),
         "radius": radius,
         "metric": RELATIVE,
-        "approximate": graph.is_approximate(RELATIVE),
         "vertex_count": len(table.entries),
         "vertices": sorted([fmt(v), d] for v, d in table.entries.items()),
     })]
     with open(stem + ".dot", "w", encoding="utf-8") as fh:
         fh.write(export_ball_dot(graph, table))
     written.append(stem + ".dot")
-    if args.format == "csv":
-        with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-            writer = csv.writer(fh)
-            writer.writerow(["vertex", "distance"])
-            writer.writerows(sorted([fmt(v), d]
-                                    for v, d in table.entries.items()))
-        written.append(stem + ".csv")
+    with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["vertex", "distance"])
+        writer.writerows(sorted([fmt(v), d] for v, d in table.entries.items()))
+    written.append(stem + ".csv")
     return written
 
 

@@ -36,16 +36,13 @@ class LabelCodec:
 
     Symbols are the distinct move elements of the graph in canonical
     least-label order, so parallel labels carrying the same element share
-    one code and left translation cannot change a path's coding.  With a
-    truncated parabolic alphabet the codec is stamped approximate; codes
-    of the symbols that do exist are still stable.
+    one code and left translation cannot change a path's coding.
     """
 
     def __init__(self, graph: RelativeGraph, metric: str = RELATIVE):
         self.graph = graph
         self.metric = metric
         self.symbols: tuple[Word, ...] = tuple(graph.step_words(metric))
-        self.approximate = graph.is_approximate(metric)
         self._codes = {w: _bits(i) for i, w in enumerate(self.symbols)}
 
     def code(self, element: Word) -> tuple[int, ...]:
@@ -53,7 +50,7 @@ class LabelCodec:
         if got is None:
             raise SpecError(
                 f"{self.graph.group.format(element)} is not a move of the "
-                f"(possibly truncated) {self.metric} alphabet")
+                f"{self.metric} alphabet")
         return got
 
     def code_label(self, label: EdgeLabel) -> tuple[int, ...]:

@@ -81,9 +81,9 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     smaller would shortcut u→v).  Layer k depends only on layer k−1, so
     growth stopped after layer min(depth, L) keeps exactly the first
     layers and edges of the full DAG; `length` is the last layer kept.
-    A layer with no vertex means the graph's moves cannot realize the
-    oracle's distance (a truncated parabolic); that raises
-    ResourceLimitError naming u, v and the layer.
+    A layer with no vertex would mean that the oracle disagrees with the
+    graph's moves; that guard raises ResourceLimitError naming u, v and
+    the layer.
     """
     length = oracle.distance(u, v, metric)
     stop = length if depth is None else min(depth, length)
@@ -213,14 +213,6 @@ def direction_from_text(graph: RelativeGraph, text: str, name: str = "") -> Dire
 
     return DirectionSpec(parse_part(prefix_text), parse_part(period_text),
                          name=name or text.strip())
-
-
-def shift_direction(direction: DirectionSpec, steps: int) -> DirectionSpec:
-    """Drop the first `steps` symbols (re-anchoring along the ray)."""
-    symbols = [direction.symbol(i) for i in range(steps + len(direction.prefix))]
-    rest = tuple(symbols[steps:])
-    return DirectionSpec(rest, direction.period,
-                         name=f"{direction.display()}>>{steps}")
 
 
 def ray_vertex(graph: RelativeGraph, direction: DirectionSpec, k: int,

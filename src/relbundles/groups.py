@@ -188,8 +188,6 @@ class Group:
     gen_names: tuple[str, ...]
     spec: GroupSpec
 
-    one: Word = ()
-
     def reduce(self, word: Iterable[int]) -> Word:
         raise NotImplementedError
 
@@ -212,23 +210,6 @@ class Group:
         for i in range(1, len(self.gen_names) + 1):
             out.extend((i, -i))
         return out
-
-    def elements_within(self, radius: int) -> list[Word]:
-        """All canonical words of generator length <= radius, shortlex sorted."""
-        seen = {self.one}
-        frontier = [self.one]
-        for _ in range(radius):
-            new = []
-            for w in frontier:
-                for letter in self.signed_letters():
-                    z = self.multiply(w, (letter,))
-                    if z not in seen:
-                        seen.add(z)
-                        new.append(z)
-            frontier = new
-            if not frontier:
-                break
-        return sorted(seen, key=shortlex_key)
 
     def parse(self, text: str) -> Word:
         return self.reduce(parse_word(text, self.gen_names))
@@ -645,27 +626,20 @@ class FreeProductGroup(Group):
             raise SpecError(f"factor {slot} is not declared parabolic")
         return self.factors[slot]
 
-    def parabolic_is_finite(self, slot: int) -> bool:
-        return isinstance(self._parabolic_factor(slot), TableGroup)
-
-    def parabolic_elements(self, slot: int, truncation_radius: int | None = None) -> list[Word]:
+    def parabolic_elements(self, slot: int) -> list[Word]:
         """Non-identity elements of a parabolic factor, as global words.
 
-        `slot` is the factor index (it must be declared parabolic).  Finite
-        factors enumerate exactly; infinite ones require a truncation radius
-        (canonical-word length in the factor's own generators) and the caller
-        is responsible for stamping results as approximate.
+        `slot` is the factor index; it must be declared parabolic and be a
+        finite table, since coning off an infinite factor would give the
+        relative graph vertices of infinite degree.
         """
         factor = self._parabolic_factor(slot)
-        if isinstance(factor, TableGroup):
-            local = [w for w in factor.all_elements() if w]
-        else:
-            if truncation_radius is None:
-                raise SpecError(
-                    "infinite parabolic subgroup requires a truncation radius")
-            local = [w for w in factor.elements_within(truncation_radius) if w]
+        if not isinstance(factor, TableGroup):
+            raise SpecError(
+                f"parabolic factor {slot} ({', '.join(factor.gen_names)}) is "
+                "infinite: infinite parabolic subgroups are not supported")
         glob = self._global[slot].__getitem__
-        return [tuple(map(glob, w)) for w in local]
+        return [tuple(map(glob, w)) for w in factor.all_elements() if w]
 
     def coset_rep(self, g: Word, slot: int) -> Word:
         """Canonical representative of the left coset g H_slot."""
@@ -674,18 +648,6 @@ class FreeProductGroup(Group):
         while s and self._owner[g[s - 1]] == slot:
             s -= 1
         return g[:s]
-
-
-@dataclass(frozen=True)
-class CosetId:
-    parabolic_slot: int
-    rep: Word
-
-
-def coset_id(group: Group, g: Word, slot: int) -> CosetId:
-    if not isinstance(group, FreeProductGroup):
-        raise SpecError("cosets are only defined for parabolic factors of a free product")
-    return CosetId(slot, group.coset_rep(g, slot))
 
 
 def _check_names(names: tuple[str, ...]) -> None:

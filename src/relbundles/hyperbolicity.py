@@ -116,24 +116,21 @@ class _TriangleProbe:
     defect reads only a side's vertex set and the bottleneck over its
     paths, and both are the same for v→u, which is the DAG from e to w⁻¹
     moved by v; so a side is built once per geodesic up to orientation,
-    and the two sides at e need no translation.  That rests on the oracle
-    agreeing with the graph's own moves, so on a graph with truncated
-    parabolics each orientation is built for itself.  A chain (one vertex
-    per layer) is kept as its tuple of vertices, any other side as its DAG.
+    and the two sides at e need no translation.  A chain (one vertex per
+    layer) is kept as its tuple of vertices, any other side as its DAG.
     """
 
     def __init__(self, graph: RelativeGraph, oracle: DistanceOracle):
         self.graph = graph
         self.group = graph.group
         self.oracle = oracle
-        self._shared = not graph.is_approximate(RELATIVE)
         self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
 
     def _side(self, u: Word, v: Word) -> _Side:
         g = self.group
         w = g.multiply(g.inverse(u), v) if u else v
         local, at = self._local.get(w), u
-        if local is None and self._shared:
+        if local is None:
             local, at = self._local.get(g.inverse(w)), v
         if local is None:
             local, at = geodesic_dag(self.graph, self.oracle, (), w), u
@@ -154,8 +151,7 @@ class _TriangleProbe:
         if a:
             a_inv = g.inverse(a)
             b, c = g.multiply(a_inv, b), g.multiply(a_inv, c)
-        last = self._side((), c) if self._shared else self._side(c, ())
-        sides = (self._side((), b), self._side(b, c), last)
+        sides = (self._side((), b), self._side(b, c), self._side((), c))
         dist = self.oracle.distance
 
         def opposite(u: Word, s: _Side, m: str) -> int:

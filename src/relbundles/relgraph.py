@@ -40,7 +40,7 @@ DEFAULT_VERTEX_CAP = 5_000_000
 
 class ResourceLimitError(RuntimeError):
     """A search would pass the configured cap, or cannot finish within the
-    graph's truncated moves."""
+    graph's moves."""
 
 
 @dataclass(frozen=True)
@@ -87,11 +87,9 @@ class BallTable:
 class RelativeGraph:
     """Adjacency and BFS searches over X ∪ (parabolic elements)."""
 
-    def __init__(self, group: Group, truncation_radius: int | None = None,
-                 vertex_cap: int = DEFAULT_VERTEX_CAP):
+    def __init__(self, group: Group, vertex_cap: int = DEFAULT_VERTEX_CAP):
         self.group = group
         self.spec = group.spec
-        self.truncation_radius = truncation_radius
         self.vertex_cap = vertex_cap
 
         prim = group.gen_names
@@ -125,15 +123,7 @@ class RelativeGraph:
         g = self.group
         if isinstance(g, FreeProductGroup):
             for slot in g.parabolic_slots:
-                if g.parabolic_is_finite(slot):
-                    elements = g.parabolic_elements(slot)
-                else:
-                    if self.truncation_radius is None:
-                        raise SpecError(
-                            "infinite parabolic subgroup: construct the graph "
-                            "with a truncation_radius to enable truncated mode")
-                    elements = g.parabolic_elements(slot, self.truncation_radius)
-                for h in elements:
+                for h in g.parabolic_elements(slot):
                     moves.append((EdgeLabel("par", slot, 0, h), h))
         self._par_moves = moves
         return moves
@@ -151,19 +141,6 @@ class RelativeGraph:
         out.sort(key=lambda mv: label_key(mv[0]))
         self._moves[metric] = tuple(out)
         return self._moves[metric]
-
-    def is_approximate(self, metric: str = RELATIVE) -> bool:
-        """True when the moves of `metric` truncate an infinite parabolic.
-
-        Only the relative metric can be approximate.  Like `moves`, this
-        raises SpecError for an infinite parabolic on a graph built
-        without a truncation radius.
-        """
-        self.moves(metric)
-        g = self.group
-        return (metric == RELATIVE and isinstance(g, FreeProductGroup)
-                and not all(g.parabolic_is_finite(slot)
-                            for slot in g.parabolic_slots))
 
     def alphabet(self, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
         """Distinct move elements with all their labels.
@@ -272,8 +249,7 @@ class RelativeGraph:
             if best is not None and best <= ru + rv:
                 return best
             if not fu and not fv:
-                raise ResourceLimitError(
-                    f"no path within {ru}+{rv} steps; graph may be truncated")
+                raise ResourceLimitError(f"no path within {ru}+{rv} steps")
             if ru + rv >= max_radius:
                 raise ResourceLimitError(f"distance search exceeded {max_radius}")
             own, other, frontier = (du, dv, fu) if (len(du) <= len(dv) and fu) or not fv else (dv, du, fv)
@@ -311,9 +287,7 @@ class DistanceOracle:
     d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
     a bidirectional search whose fixed side is the ball.  The ball is never
     invalidated, only grown, and the sizes of its outer sphere and of the
-    search frontier decide how far.  On graphs with truncated parabolics
-    the oracle reports the true metric, which can undercut truncated-BFS
-    values — such runs are flagged approximate throughout.
+    search frontier decide how far.
     """
 
     def __init__(self, graph: RelativeGraph):
@@ -429,8 +403,7 @@ class DistanceOracle:
             sphere = ball.sphere(ball.radius)
             if not frontier and not sphere:
                 raise ResourceLimitError(
-                    f"no path within {ball.radius}+{k} steps; "
-                    "graph may be truncated")
+                    f"no path within {ball.radius}+{k} steps")
             if k + ball.radius >= max_radius:
                 raise ResourceLimitError(f"distance search exceeded {max_radius}")
             if not frontier or 0 < len(sphere) <= len(frontier):

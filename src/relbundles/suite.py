@@ -197,12 +197,12 @@ class SuiteReport:
 # individual checks
 
 
-def _status_from(violations: int, flags: int, approximate: bool = False) -> str:
+def _status_from(violations: int, flags: int) -> str:
     if violations:
         return FAIL
     if flags:
         return FLAGGED
-    return APPROXIMATE if approximate else PASS
+    return PASS
 
 
 def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
@@ -212,10 +212,9 @@ def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
                          ball_radius=cfg.ball_radius,
                          triangle_budget=cfg.triangle_budget, seed=cfg.seed)
     nu = max(report.nu_rel, report.nu_abs)
-    approx = graph.is_approximate(RELATIVE)
     result = CheckResult(
         "slimness",
-        APPROXIMATE if approx else PASS,
+        PASS,
         f"nu_rel={report.nu_rel} nu_abs={report.nu_abs} over "
         f"{report.triangles_checked} triangles",
         {

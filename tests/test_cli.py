@@ -15,6 +15,9 @@ from relbundles.groups import DehnReductionError
 from relbundles.relgraph import DistanceOracle, ResourceLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
+F2_Z_PARABOLIC = str(ROOT / "specs" / "f2_z_parabolic.json")
+INFINITE_PARABOLIC_ERROR = ("error: parabolic factor 1 (t) is infinite: "
+                            "infinite parabolic subgroups are not supported\n")
 F2_SPEC = {"family": "free", "generators": ["a", "b"]}
 Z3Z2_SPEC = {
     "family": "free-product",
@@ -93,7 +96,7 @@ class TestExplore:
     def test_ball_emits_dot_json_csv(self, f2_spec_file, tmp_path, capsys):
         out = tmp_path / "art"
         code = main(["explore", "ball", "e", "3", "--spec", f2_spec_file,
-                     "--out", str(out), "--format", "csv"])
+                     "--out", str(out)])
         assert code == 0
         doc = json.loads((out / "ball_r3.json").read_text())
         assert doc["vertex_count"] == 53  # 1 + 4 + 12 + 36
@@ -108,7 +111,7 @@ class TestExplore:
         args = ["explore", "ball", "e", "2", "--spec", f2_spec_file]
         assert main(args + ["--out", str(out1)]) == 0
         assert main(args + ["--out", str(out2)]) == 0
-        for name in ("ball_r2.json", "ball_r2.dot"):
+        for name in ("ball_r2.json", "ball_r2.dot", "ball_r2.csv"):
             assert (out1 / name).read_bytes() == (out2 / name).read_bytes()
 
     def test_dag_layered_dot(self, z3z2_spec_file, tmp_path):
@@ -170,6 +173,33 @@ class TestExplore:
         assert main(["explore", "dag", "e", "a b a' b'", "--spec", spec,
                      "--out", str(tmp_path / "art")]) == 1
         assert capsys.readouterr().err == "error: search gave up\n"
+
+
+class TestInfiniteParabolic:
+    """Every entry point rejects an infinite parabolic with one error line,
+    no traceback and exit code 1."""
+
+    @pytest.mark.parametrize("argv", [
+        ["validate-spec"],
+        ["explore", "ball", "e", "2"],
+        ["explore", "dag", "e", "a t"],
+    ])
+    def test_rejected(self, tmp_path, capsys, argv):
+        if argv[0] == "explore":
+            argv = argv + ["--out", str(tmp_path / "art")]
+        assert main(argv + ["--spec", F2_Z_PARABOLIC]) == 1
+        assert capsys.readouterr().err == INFINITE_PARABOLIC_ERROR
+
+    def test_verify_rejects_before_the_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))
+        assert main(["verify", "--config", cfg, "--spec", F2_Z_PARABOLIC,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == INFINITE_PARABOLIC_ERROR
+        assert not (tmp_path / "run").exists()
 
 
 class TestVerify:
@@ -317,6 +347,13 @@ class TestUsage:
                                 "--out", str(tmp_path),
                                 "--cache-dir", str(tmp_path / "c")]) == 1
         assert "unrecognized arguments: --cache-dir" in capsys.readouterr().err
+
+    def test_removed_format_option(self, f2_spec_file, tmp_path, capsys):
+        assert self._exit_code(["explore", "ball", "e", "2",
+                                "--spec", f2_spec_file,
+                                "--out", str(tmp_path),
+                                "--format", "csv"]) == 1
+        assert "unrecognized arguments: --format" in capsys.readouterr().err
 
     def test_help_exits_zero(self, capsys):
         assert self._exit_code(["--help"]) == 0

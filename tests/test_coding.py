@@ -7,7 +7,6 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import SpecError, build_group, spec_from_dict
 from relbundles.relgraph import (
-    ABSOLUTE,
     RELATIVE,
     DistanceOracle,
     RelativeGraph,
@@ -58,12 +57,6 @@ Z3Z2 = build_group(spec_from_dict({
     "factors": [{"family": "finite-table", "table": _cyclic_table(3, "a")},
                 {"family": "finite-table", "table": _cyclic_table(2, "b")}],
     "parabolics": [0, 1],
-}))
-ZxZ2 = build_group(spec_from_dict({
-    "family": "free-product",
-    "factors": [{"family": "free", "generators": ["a"]},
-                {"family": "finite-table", "table": _cyclic_table(2, "b")}],
-    "parabolics": [0],
 }))
 
 GR_F2 = RelativeGraph(F2)
@@ -116,15 +109,6 @@ class TestLabelCodec:
     def test_unknown_element_rejected(self):
         with pytest.raises(SpecError, match="alphabet"):
             CODEC_F2.code(F2.parse("a b"))
-
-    def test_exact_alphabets_not_approximate(self):
-        assert not CODEC_F2.approximate
-        assert not CODEC_Z.approximate
-
-    def test_truncated_parabolic_stamps_relative_codec(self):
-        graph = RelativeGraph(ZxZ2, truncation_radius=3)
-        assert LabelCodec(graph, RELATIVE).approximate
-        assert not LabelCodec(graph, ABSOLUTE).approximate
 
 
 # ---------------------------------------------------------------------------

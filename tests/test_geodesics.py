@@ -24,7 +24,6 @@ from relbundles.geodesics import (
     layer_profile,
     path_elements,
     ray_vertex,
-    shift_direction,
     validate_direction,
 )
 
@@ -53,12 +52,6 @@ Z3Z2 = build_group(spec_from_dict({
     "factors": [{"family": "finite-table", "table": _cyclic_table(3, "a")},
                 {"family": "finite-table", "table": _cyclic_table(2, "b")}],
     "parabolics": [0, 1],
-}))
-ZxZ2 = build_group(spec_from_dict({
-    "family": "free-product",
-    "factors": [{"family": "free", "generators": ["a"]},
-                {"family": "finite-table", "table": _cyclic_table(2, "b")}],
-    "parabolics": [0],
 }))
 GENUS2 = build_group(spec_from_dict({
     "family": "small-cancellation",
@@ -163,18 +156,25 @@ def test_dag_source_not_identity():
     assert dag.length == 2
 
 
+class _ShortcutOracle(DistanceOracle):
+    """Claims d(e, a a) = 1 on F₂, a distance no single move realizes."""
+
+    def distance(self, u, v, metric=RELATIVE):
+        if (u, v) == ((), F2.parse("a a")):
+            return 1
+        return super().distance(u, v, metric)
+
+
 def test_unreachable_layer_is_an_error():
-    """On a radius-3 truncation of ℤ∗ℤ₂ the oracle charges a⁴ one
-    parabolic step, which no truncated move takes: no DAG, not one with
-    an empty last layer."""
-    graph = RelativeGraph(ZxZ2, truncation_radius=3)
-    oracle = DistanceOracle(graph)
-    w = ZxZ2.parse("a a a a")
+    """An oracle that disagrees with the graph's moves gives no DAG, not
+    one with an empty last layer."""
+    oracle = _ShortcutOracle(GR_F2)
+    w = F2.parse("a a")
     assert oracle.distance((), w) == 1
-    with pytest.raises(ResourceLimitError, match=r"from e to a a a a has no layer 1"):
-        geodesic_dag(graph, oracle, (), w)
-    # a³ is a move of the truncated graph, so its DAG is one edge
-    dag = geodesic_dag(graph, oracle, (), ZxZ2.parse("a a a"))
+    with pytest.raises(ResourceLimitError, match=r"from e to a a has no layer 1"):
+        geodesic_dag(GR_F2, oracle, (), w)
+    # a is a move, so its DAG is one edge
+    dag = geodesic_dag(GR_F2, oracle, (), F2.parse("a"))
     assert [len(layer) for layer in dag.layers] == [1, 1]
 
 
@@ -290,12 +290,6 @@ def test_validate_direction_rejects_torsion_loop():
 def test_empty_period_rejected():
     with pytest.raises(SpecError):
         DirectionSpec(prefix=((1,),), period=())
-
-
-def test_shift_direction():
-    d = direction_from_text(GR_F2, "a : b a")
-    s = shift_direction(d, 2)
-    assert [s.symbol(i) for i in range(3)] == [d.symbol(i + 2) for i in range(3)]
 
 
 # ---------------------------------------------------------------------------

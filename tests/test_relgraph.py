@@ -318,42 +318,17 @@ class TestMetricProperties:
 
 
 # ---------------------------------------------------------------------------
-# truncated parabolics
+# infinite parabolics
 
 def test_infinite_parabolic_needs_truncation():
+    """An infinite parabolic is rejected when the relative moves are first
+    built; the absolute moves do not cone it off and still build."""
     graph = RelativeGraph(ZxZ2)
-    with pytest.raises(SpecError):
+    with pytest.raises(SpecError, match=r"parabolic factor 0 \(a\) is infinite"):
         graph.moves(RELATIVE)
-    with pytest.raises(SpecError):
-        graph.is_approximate(RELATIVE)
-    assert not graph.is_approximate(ABSOLUTE)
-
-
-def test_truncated_graph_is_flagged_approximate():
-    graph = RelativeGraph(ZxZ2, truncation_radius=3)
-    # read before any move is built: the answer does not wait for a search
-    assert graph.is_approximate(RELATIVE)
-    assert not graph.is_approximate(ABSOLUTE)
-    graph.ball((), 2, RELATIVE)
-    assert graph.is_approximate(RELATIVE)
-    assert not graph.is_approximate(ABSOLUTE)
-
-
-def test_exact_graphs_are_not_approximate():
-    # ℤ∗ℤ₃ cones off only ℤ₃, so its infinite factor truncates nothing
-    for graph in [g for g, _ in GRAPHS] + [GR_ZxZ3]:
-        assert not graph.is_approximate(RELATIVE)
-        assert not graph.is_approximate(ABSOLUTE)
-
-
-def test_oracle_reports_true_metric_on_truncated_graph():
-    """BFS over a radius-3 truncation needs two hops for a^5; the metric
-    itself charges one parabolic syllable."""
-    graph = RelativeGraph(ZxZ2, truncation_radius=3)
-    oracle = DistanceOracle(graph)
-    w = ZxZ2.parse("a a a a a")
-    assert oracle.distance((), w, RELATIVE) == 1
-    assert graph.distance_bfs((), w, RELATIVE) == 2
+    with pytest.raises(SpecError, match="infinite parabolic"):
+        graph.step_words(RELATIVE)  # nothing half-built was kept
+    assert [ZxZ2.format(w) for _, w in graph.moves(ABSOLUTE)] == ["a", "a'", "b", "b"]
 
 
 # ---------------------------------------------------------------------------
