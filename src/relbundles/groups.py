@@ -403,7 +403,14 @@ class SmallCancellationGroup(Group):
             self._majority_index.setdefault(prefix, repl)
         self._majority_lengths = sorted(
             {len(prefix) for prefix, _ in self._majority}, reverse=True)
+        # every majority prefix starts with one of these m-grams, m the
+        # shortest majority length over all relators
+        self._head_len = min(self._majority_lengths, default=1)
+        self._majority_heads = frozenset(
+            prefix[:self._head_len] for prefix, _ in self._majority)
         self._swap_lengths = sorted({len(prefix) for prefix, _ in self._half_swaps})
+        self._swap_prefixes = frozenset(prefix for prefix, _ in self._half_swaps)
+        # normal forms of the words whose canonical search ran
         self._nf_cache: dict[Word, Word] = {}
 
     # -- Dehn reduction ----------------------------------------------------
@@ -411,8 +418,12 @@ class SmallCancellationGroup(Group):
     def _find_majority(self, word: Word) -> tuple[int, Word, Word] | None:
         """The leftmost majority prefix in `word`, longest at that position."""
         n = len(word)
+        m = self._head_len
+        heads = self._majority_heads
         index = self._majority_index
-        for i in range(n):
+        for i in range(n - m + 1):
+            if word[i:i + m] not in heads:
+                continue
             for k in self._majority_lengths:
                 if i + k <= n:
                     repl = index.get(word[i:i + k])
@@ -438,12 +449,24 @@ class SmallCancellationGroup(Group):
 
     def reduce(self, word: Iterable[int]) -> Word:
         w = self.dehn_reduce(word)
+        if not self._swappable(w):
+            # no swap applies, so the search would keep only w
+            return w
         cached = self._nf_cache.get(w)
         if cached is not None:
             return cached
         best = self._canonical_search(w)
         self._nf_cache[w] = best
         return best
+
+    def _swappable(self, word: Word) -> bool:
+        """Whether some half-relator swap prefix occurs in `word`."""
+        prefixes = self._swap_prefixes
+        for k in self._swap_lengths:
+            for i in range(len(word) - k + 1):
+                if word[i:i + k] in prefixes:
+                    return True
+        return False
 
     def _canonical_search(self, start: Word) -> Word:
         """Shortlex-least word reachable by half-relator swaps (bounded BFS)."""
@@ -464,7 +487,7 @@ class SmallCancellationGroup(Group):
                         z = free_reduce(w[:i] + repl + w[i + k:])
                         if len(z) < len(w):
                             # a swap exposed a shorter word; it dominates
-                            return self._canonical_search(self.dehn_reduce(z))
+                            return self.reduce(z)
                         if z not in seen:
                             seen.add(z)
                             nxt.append(z)
@@ -666,7 +689,14 @@ def build_group(spec: GroupSpec) -> Group:
     if spec.family == "finite-table":
         return TableGroup(spec)
     if spec.family == "small-cancellation":
-        return SmallCancellationGroup(spec)
+        group = SmallCancellationGroup(spec)
+        # Dehn's algorithm decides the word problem only under C'(1/6)
+        report = _piece_report(group.relators)
+        if not report.passed:
+            raise SpecError(
+                "presentation fails the C'(1/6) metric condition: piece "
+                f"{group.format(report.max_piece)} has ratio {report.max_ratio}")
+        return group
     if spec.family == "free-product":
         return FreeProductGroup(spec)
     raise SpecError(f"unknown family {spec.family!r}")
@@ -720,8 +750,12 @@ def validate_presentation(spec: GroupSpec, bound: Fraction = Fraction(1, 6)) -> 
     """
     if spec.family != "small-cancellation":
         raise SpecError("piece validation applies to the small-cancellation family")
-    group = SmallCancellationGroup(spec)
-    pieces = enumerate_pieces(group.relators)
+    return _piece_report(SmallCancellationGroup(spec).relators, bound)
+
+
+def _piece_report(relators: Sequence[Word], bound: Fraction = Fraction(1, 6)) -> PieceReport:
+    """Piece report for cyclically reduced relators, as in validate_presentation."""
+    pieces = enumerate_pieces(relators)
     if not pieces:
         return PieceReport((), (), Fraction(0), True)
     max_piece, max_ratio = max(pieces, key=lambda kv: (kv[1], len(kv[0])))

@@ -202,6 +202,47 @@ class TestInfiniteParabolic:
         assert not (tmp_path / "run").exists()
 
 
+KLEIN_BOTTLE_SPEC = {
+    "family": "small-cancellation",
+    "generators": ["a", "b"],
+    "relators": ["a b a b'"],
+}
+KLEIN_BOTTLE_ERROR = ("error: presentation fails the C'(1/6) metric "
+                      "condition: piece a has ratio 1/4\n")
+
+
+class TestNotSmallCancellation:
+    """A presentation that fails C'(1/6) is rejected before any work, with
+    one error line and exit code 1: Dehn's algorithm would contradict
+    itself on it."""
+
+    def test_explore_rejected(self, tmp_path, capsys):
+        spec = _write(tmp_path / "klein.json", KLEIN_BOTTLE_SPEC)
+        assert main(["explore", "dag", "e", "a a b", "--spec", spec,
+                     "--out", str(tmp_path / "art")]) == 1
+        assert capsys.readouterr().err == KLEIN_BOTTLE_ERROR
+        assert not (tmp_path / "art").exists()
+
+    def test_validate_spec_reports_then_rejects(self, tmp_path, capsys):
+        spec = _write(tmp_path / "klein.json", KLEIN_BOTTLE_SPEC)
+        assert main(["validate-spec", "--spec", spec]) == 1
+        captured = capsys.readouterr()
+        assert "max piece ratio: 1/4" in captured.out
+        assert captured.err == KLEIN_BOTTLE_ERROR
+
+    def test_verify_rejects_before_the_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        spec = _write(tmp_path / "klein.json", KLEIN_BOTTLE_SPEC)
+        cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))
+        assert main(["verify", "--config", cfg, "--spec", spec,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == KLEIN_BOTTLE_ERROR
+        assert not (tmp_path / "run").exists()
+
+
 class TestVerify:
     def _config(self, tmp_path, **overrides):
         doc = dict(TINY_CONFIG, spec=F2_SPEC, **overrides)

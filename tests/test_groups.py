@@ -19,6 +19,7 @@ from relbundles.groups import (
     free_reduce,
     invert_free,
     load_spec,
+    shortlex_key,
     spec_from_dict,
     spec_hash,
     validate_presentation,
@@ -69,6 +70,25 @@ GENUS2_SPEC = spec_from_dict({
     "relators": ["a b a' b' c d c' d'"],
 })
 GENUS2 = build_group(GENUS2_SPEC)
+
+# two relators of different lengths: majority lengths 5-12, half-swap
+# lengths 4 and 6, max piece ratio 1/8
+TWO_RELATOR = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d", "f", "g", "h", "i", "j", "k"],
+    "relators": ["a b a' b' c d c' d'", "f g h i j k f' g' h' i' j' k'"],
+}))
+# an odd relator has no half swaps
+ODD_RELATOR = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d", "f", "g", "h"],
+    "relators": ["a b c d f g h"],
+}))
+NO_RELATOR = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c"],
+    "relators": [],
+}))
 
 Z3Z2 = build_group(spec_from_dict({
     "family": "free-product",
@@ -203,6 +223,35 @@ def _scan_majority(group, word):
                     best = (i, prefix, repl)
                 break  # leftmost occurrence of this prefix
     return best
+
+
+def _bfs_canonical(group, start):
+    """Shortlex-least word reachable by half-relator swaps (reference).
+
+    A breadth-first search of `search_depth` rounds from the Dehn-reduced
+    `start` over every half swap at every position; a swap that shortens
+    the word restarts the search from its Dehn reduction.
+    """
+    seen = {start}
+    frontier = [start]
+    for _ in range(group.search_depth):
+        nxt = []
+        for w in frontier:
+            for prefix, repl in group._half_swaps:
+                k = len(prefix)
+                for i in range(len(w) - k + 1):
+                    if w[i:i + k] != prefix:
+                        continue
+                    z = free_reduce(w[:i] + repl + w[i + k:])
+                    if len(z) < len(w):
+                        return _bfs_canonical(group, group.dehn_reduce(z))
+                    if z not in seen:
+                        seen.add(z)
+                        nxt.append(z)
+        frontier = nxt
+        if not frontier:
+            break
+    return min(seen, key=shortlex_key)
 
 
 def _all_words(n_letters: int, alphabet) -> list:
@@ -399,13 +448,35 @@ def _rotation_words(group, rng, count):
         yield tuple(word + rng.choices(letters, k=rng.randint(0, 3)))
 
 
-def test_indexed_majority_matches_linear_scan():
-    rng = random.Random(7)
-    letters = _letters(GENUS2)
+def _random_and_rotation_words(group, seed):
+    rng = random.Random(seed)
+    letters = _letters(group)
     randoms = (tuple(rng.choices(letters, k=rng.randint(0, 16)))
                for _ in range(3000))
-    for w in itertools.chain(randoms, _rotation_words(GENUS2, rng, 3000)):
-        assert GENUS2._find_majority(w) == _scan_majority(GENUS2, w)
+    return itertools.chain(randoms, _rotation_words(group, rng, 3000))
+
+
+def test_indexed_majority_matches_linear_scan():
+    # on TWO_RELATOR the shortest majority length (5, of the 8-relator) is
+    # below that of the 12-relator (7), so the index must use the former
+    for group in (GENUS2, TWO_RELATOR):
+        for w in _random_and_rotation_words(group, 7):
+            assert group._find_majority(w) == _scan_majority(group, w)
+
+
+@pytest.mark.parametrize("group", [GENUS2, TWO_RELATOR, ODD_RELATOR],
+                         ids=["genus2", "two-relator", "odd-relator"])
+def test_canonical_search_matches_bfs_referee(group):
+    for w in _random_and_rotation_words(group, 11):
+        assert group.reduce(w) == _bfs_canonical(group, group.dehn_reduce(w)), w
+
+
+def test_no_relators_reduce_freely():
+    rng = random.Random(5)
+    letters = _letters(NO_RELATOR)
+    for _ in range(500):
+        w = tuple(rng.choices(letters, k=rng.randint(0, 16)))
+        assert NO_RELATOR.reduce(w) == free_reduce(w)
 
 
 def _sorted_ball(radius):
@@ -458,6 +529,9 @@ def test_klein_bottle_presentation_fails():
     report = validate_presentation(spec)
     assert not report.passed
     assert report.max_ratio >= Fraction(1, 4)
+    # Dehn's algorithm is wrong here, so no group is built
+    with pytest.raises(SpecError, match=r"C'\(1/6\).*ratio 1/4"):
+        build_group(spec)
 
 
 def test_validation_rejects_other_families():
