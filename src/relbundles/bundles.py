@@ -17,12 +17,7 @@ from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
-from .geodesics import (
-    DirectionSpec,
-    GeodesicDAG,
-    cgr_bundle_trunc,
-    geodesic_dag,
-)
+from .geodesics import DirectionSpec, GeodesicDAG, cgr_bundle_trunc
 
 
 class StabilizationError(RuntimeError):
@@ -62,14 +57,11 @@ class XiDecomposition:
 
 @dataclass(frozen=True)
 class SectorTrunc:
-    """Union of geodesic DAGs from the base to one class's terminals."""
+    """Every vertex on a geodesic from the base to one class's terminals;
+    a matched sector holds its base, so no vertices means no match."""
 
-    layers: tuple[tuple[Word, ...], ...]
-    empty: bool
+    vertices: frozenset[Word]
     flags: tuple[str, ...]
-
-    def vertices(self) -> frozenset[Word]:
-        return frozenset(w for layer in self.layers for w in layer)
 
 
 @dataclass(frozen=True)
@@ -262,21 +254,24 @@ class DirectionPipeline:
         matched = [c for c in deco.classes
                    if _prefixes_agree(signature, c.signature)]
         if not matched:
-            return SectorTrunc(((),) * (depth + 1), True, deco.flags)
+            return SectorTrunc(frozenset(), deco.flags)
         flags = list(deco.flags)
         if len(matched) > 1:
             flags.append(f"signature matches {len(matched)} classes from "
                          f"{self.graph.group.format(base)} at depth {depth} "
                          f"after window restriction; their sectors were "
                          f"merged")
-        layers: list[set[Word]] = [set() for _ in range(depth + 1)]
-        for cls in matched:
-            for t in cls.terminals:
-                dag = geodesic_dag(self.graph, self.oracle, base, t)
-                for k, layer in enumerate(dag.layers):
-                    layers[k].update(layer)
-        return SectorTrunc(tuple(tuple(sorted(l, key=shortlex_key))
-                                 for l in layers), False, _unique(flags))
+        # A terminal t sits in layer `depth` = d(base, t), and every
+        # geodesic base→t runs through bundle layers joined by bundle
+        # edges, so the union of the DAGs base→t is the backward closure
+        # of the terminals in the bundle.
+        dag = self.bundle(base, depth)
+        frontier = {t for cls in matched for t in cls.terminals}
+        seen = set(frontier)
+        for k in range(depth, 0, -1):
+            frontier = {p for w in frontier for p in dag.predecessors(w, k)}
+            seen |= frontier
+        return SectorTrunc(frozenset(seen), _unique(flags))
 
     # -- special vertices ------------------------------------------------------
 
@@ -315,35 +310,33 @@ class DirectionPipeline:
     def _classify_vertex(self, deco: XiDecomposition, v: Word, remaining: int,
                          sectors: list[SectorTrunc]) -> int | None:
         """None: not special.  ≥0: special with that class id.  −1: tie."""
-        if any(s.empty for s in sectors):
+        if not all(s.vertices for s in sectors):
             return None
-        common = sectors[0].vertices()
-        for s in sectors[1:]:
-            common &= s.vertices()
+        common = frozenset.intersection(*(s.vertices for s in sectors))
         if not self._reaches_depth(v, common, remaining):
             return None
         owners = [c.id for c, s in zip(deco.classes, sectors)
-                  if s.vertices() == common]
+                  if s.vertices == common]
         if len(owners) == 1:
             return owners[0]
         return -1
 
     def _reaches_depth(self, v: Word, allowed: frozenset[Word],
                        remaining: int) -> bool:
-        """Is there a geodesic from v of full length inside `allowed`?"""
+        """Is there a geodesic from v of full length inside `allowed`?
+
+        `allowed` lies in sectors from v, so inside the bundle from v,
+        whose edges join every adjacent pair of consecutive layers.
+        """
         if v not in allowed:
             return False
-        dist = self.oracle.distance
-        frontier = [v]
-        for step in range(1, remaining + 1):
-            nxt = []
-            for w in allowed:
-                if dist(v, w, RELATIVE) == step and any(
-                        dist(p, w, RELATIVE) == 1 for p in frontier):
-                    nxt.append(w)
-            if not nxt:
+        dag = self.bundle(v, remaining)
+        frontier = {v}
+        for k in range(remaining):
+            frontier = {w for p in frontier for w in dag.successors(p, k)
+                        if w in allowed}
+            if not frontier:
                 return False
-            frontier = nxt
         return True
 
     # -- the modified bundle -----------------------------------------------
@@ -386,7 +379,7 @@ class DirectionPipeline:
             for y in y_set:
                 sec = self.sector(y, cls.signature, depth - least)
                 flags.extend(sec.flags)
-                vertices.update(sec.vertices())
+                vertices.update(sec.vertices)
         return Geo1Trunc(frozenset(vertices), tuple(chosen),
                          tuple(skipped), _unique(flags))
 

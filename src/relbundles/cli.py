@@ -370,7 +370,7 @@ def _summary_markdown(doc: dict) -> str:
 def _write_delta_csv(path: str, doc: dict) -> None:
     per_depth: dict[int, list[int]] = {}
     for c in doc["checks"]:
-        if not c["id"].startswith("scan["):
+        if not c["id"].startswith("scan[") or "rows" not in c["details"]:
             continue
         for depth, delta in c["details"]["rows"]:
             per_depth.setdefault(depth, []).append(delta)

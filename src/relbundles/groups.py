@@ -357,12 +357,12 @@ class SmallCancellationGroup(Group):
 
     Equality testing is exact (Greendlinger).  The stored normal form is the
     shortlex-least word among Dehn-reduced words reachable by
-    non-length-increasing half-relator rewrites within ``search_depth`` steps,
-    which canonicalizes every element met at desk scale; ``equal`` never
-    relies on it.
+    non-length-increasing half-relator rewrites within ``search_depth`` steps
+    (twice the longest relator), which canonicalizes every element met at
+    desk scale; ``equal`` never relies on it.
     """
 
-    def __init__(self, spec: GroupSpec, search_depth: int | None = None):
+    def __init__(self, spec: GroupSpec):
         if not spec.generators:
             raise SpecError("small-cancellation family needs generators")
         _check_names(spec.generators)
@@ -377,8 +377,7 @@ class SmallCancellationGroup(Group):
             if r[0] == -r[-1]:
                 raise SpecError(f"relator {r} is not cyclically reduced")
         self.max_relator_len = max((len(r) for r in self.relators), default=0)
-        self.search_depth = (2 * self.max_relator_len if search_depth is None
-                             else search_depth)
+        self.search_depth = 2 * self.max_relator_len
 
         # tagged cyclic rotations of relators and their inverses
         self._rotations: list[Word] = []

@@ -311,11 +311,13 @@ class DistanceOracle:
             self._pair = {RELATIVE: cls._syllable_distance,
                           ABSOLUTE: cls._word_distance}
         else:
-            self._parse = isinstance(g, FreeGroup) and self._junction_check()
+            self._parse = isinstance(g, FreeGroup)
+            if self._parse:
+                self._t_words = frozenset(
+                    w for w, _ in graph.alphabet(ABSOLUTE))
+                self._t_maxlen = max(map(len, self._t_words), default=0)
+                self._parse = self._junction_check()
             self._pair = dict.fromkeys(METRICS, cls._searched_distance)
-        words = [w for w, _ in self.graph.alphabet(ABSOLUTE)]
-        self._t_words = set(words)
-        self._t_maxlen = max((len(w) for w in words), default=0)
 
     def _junction_check(self) -> bool:
         """True when every cancelling junction of alphabet words shortcuts.
@@ -326,13 +328,12 @@ class DistanceOracle:
         net at most one), so minimal factorizations are cancellation-free
         and a parse DP over the reduced word is exact.
         """
-        words = [w for w, _ in self.graph.alphabet(ABSOLUTE)]
-        wordset = set(words)
+        words = self._t_words
         for s in words:
             for t in words:
                 if s[-1] == -t[0]:
                     st = free_reduce(s + t)
-                    if st != () and st not in wordset:
+                    if st != () and st not in words:
                         return False
         return True
 

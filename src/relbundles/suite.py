@@ -100,6 +100,10 @@ class RunConfig:
             raise SpecError("depth must be at least 2")
         if any(r < 2 for r in self.scan_depths):
             raise SpecError("scan depths must be at least 2")
+        # A scan is stabilized only on three equal rows, so with fewer
+        # depths every scan would be flagged whatever the group does.
+        if len(self.scan_depths) < 3:
+            raise SpecError("scan_depths needs at least three depths")
         for name in ("exhaustive_radius", "ball_radius", "triangle_budget",
                      "order_samples", "oracle_samples", "oracle_max_distance",
                      "arithmetic_length"):
@@ -183,10 +187,10 @@ class SuiteReport:
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
     def scan_rows(self) -> list[tuple[str, str, str, int, int]]:
-        """(direction, x, y, depth, delta) rows of every scan check."""
+        """(direction, x, y, depth, delta) rows of every scan that ran."""
         rows = []
         for c in self.checks:
-            if c.id.startswith("scan["):
+            if c.id.startswith("scan[") and "rows" in c.details:
                 for depth, delta in c.details["rows"]:
                     rows.append((c.details["direction"], c.details["x"],
                                  c.details["y"], depth, delta))

@@ -409,3 +409,33 @@ def test_criterion_8_reports_deterministic(bounds_runs):
              "; ".join(problems) or
              f"bases reversed: {same} checks identical, {twins} scans "
              f"match their swapped twins")
+
+
+# ---------------------------------------------------------------------------
+# 9. the bounds where they bite: ℤ₆∗ℤ₂ has ν̂ = 1 and branching bundles
+
+
+def test_criterion_9_bounds_hold_beyond_nu_zero():
+    cfg = load_config(str(CONFIGS / "z6z2_bounds.json"))
+    start = time.monotonic()
+    report = run_suite(cfg)
+    took = time.monotonic() - start
+    problems = []
+    want = {"nu": 1, "nu_rel": 1, "nu_abs": 1, "B": 28, "K": 588}
+    if report.constants != want:
+        problems.append(f"constants {report.constants} != {want}")
+    _, graph, _ = _toolkit("z6z2_free.json")
+    if report.constants["B"] != 7 * len(graph.ball((), 1, ABSOLUTE).entries):
+        problems.append("B != (6ν+1)|B_X^ν(e)|")
+    if report.status() != "pass" or len(report.checks) != 42:
+        problems.append(f"status {report.status()} over "
+                        f"{len(report.checks)} checks")
+    for check in _checks(report, "layer-bound["):
+        widest = 2 if check.id.startswith("layer-bound[t t t b|") else 1
+        if max(check.details["profile"]) != widest:
+            problems.append(f"{check.id} profile {check.details['profile']}")
+    if took >= BOUNDS_BUDGET:
+        problems.append(f"{took:.1f}s over the {BOUNDS_BUDGET:.0f}s budget")
+    _verdict("criterion 9 (bounds beyond ν̂ = 0)", not problems,
+             "; ".join(problems) or
+             f"42 checks pass at ν̂ = 1, B = 28, K = 588, {took:.1f}s")

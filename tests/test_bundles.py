@@ -2,12 +2,18 @@
 
 from __future__ import annotations
 
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relbundles.groups import SpecError, build_group, spec_from_dict
+from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import RELATIVE, DistanceOracle, RelativeGraph
-from relbundles.geodesics import direction_from_text, enumerate_geodesics
+from relbundles.geodesics import (
+    direction_from_text,
+    enumerate_geodesics,
+    geodesic_dag,
+)
 from relbundles.bundles import (
     DirectionPipeline,
     StabilizationError,
@@ -53,12 +59,19 @@ Z10Z10 = build_group(spec_from_dict({
     },
 }))
 
+# Z6 * Z2 with no parabolics: directions through the antipode t t t of
+# the hexagon have bundles whose layers are two wide.
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
+Z6Z2 = build_group(load_spec(str(SPECS / "z6z2_free.json")))
+
 GR_F2 = RelativeGraph(F2)
 OR_F2 = DistanceOracle(GR_F2)
 GR_F2X = RelativeGraph(F2X)
 OR_F2X = DistanceOracle(GR_F2X)
 GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
+GR_Z6Z2 = RelativeGraph(Z6Z2)
+OR_Z6Z2 = DistanceOracle(GR_Z6Z2)
 GR_Z10Z10 = RelativeGraph(Z10Z10)
 OR_Z10Z10 = DistanceOracle(GR_Z10Z10)
 
@@ -187,22 +200,22 @@ class TestSectors:
         pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
         cls = pipe.classes_from((), 8).classes[0]
         sec = pipe.sector((), cls.signature, 8)
-        assert sec.vertices() == frozenset(
+        assert sec.vertices == frozenset(
             tuple([1] * k) for k in range(9))
-        assert [len(layer) for layer in sec.layers] == [1] * 9
+        assert sorted(OR_F2.distance((), v, RELATIVE)
+                      for v in sec.vertices) == list(range(9))
 
     def test_sector_inside_bundle(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         deco = pipe.classes_from((), 8)
         for cls in deco.classes:
             sec = pipe.sector((), cls.signature, 8)
-            assert sec.vertices() <= pipe.bundle((), 8).vertices()
+            assert sec.vertices <= pipe.bundle((), 8).vertices()
 
     def test_unrealized_signature_reports_empty(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
         sec = pipe.sector((), (99,) * 8, 8)
-        assert sec.empty
-        assert sec.vertices() == frozenset()
+        assert sec.vertices == frozenset()
 
     def test_sector_monotone_in_depth(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
@@ -210,8 +223,9 @@ class TestSectors:
         d10 = pipe.classes_from((), 10)
         s8 = pipe.sector((), d8.classes[0].signature, 8)
         s10 = pipe.sector((), d10.classes[0].signature, 10)
-        for k in range(9):
-            assert set(s8.layers[k]) <= set(s10.layers[k])
+        assert max(OR_Z3Z2.distance((), v, RELATIVE)
+                   for v in s8.vertices) == 8
+        assert s8.vertices <= s10.vertices
 
     def test_ray_vertex_sector_contains_later_representatives(self):
         pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
@@ -219,7 +233,101 @@ class TestSectors:
         deco = pipe.classes_from(x, 8)
         sec = pipe.sector(x, deco.classes[0].signature, 8)
         for rep in deco.classes[0].terminals:
-            assert rep in sec.vertices()
+            assert rep in sec.vertices
+
+
+class TestReadsOffTheBundle:
+    """Sectors and reach, read off the cached bundle, against the direct
+    constructions: a geodesic DAG per terminal, and an oracle scan."""
+
+    @staticmethod
+    def _sector_referee(pipe, v, signature, depth):
+        deco = pipe.classes_from(v, depth)
+        got = set()
+        for cls in deco.classes:
+            n = min(len(signature), len(cls.signature))
+            if signature[:n] == cls.signature[:n]:
+                for t in cls.terminals:
+                    got |= geodesic_dag(pipe.graph, pipe.oracle, v,
+                                        t).vertices()
+        return frozenset(got)
+
+    @staticmethod
+    def _reach_referee(oracle, v, allowed, remaining):
+        if v not in allowed:
+            return False
+        frontier = [v]
+        for step in range(1, remaining + 1):
+            frontier = [w for w in allowed
+                        if oracle.distance(v, w, RELATIVE) == step
+                        and any(oracle.distance(p, w, RELATIVE) == 1
+                                for p in frontier)]
+            if not frontier:
+                return False
+        return True
+
+    def _check_vertex_reads(self, pipe, base, depth) -> tuple[int, int]:
+        """Compare every sector and reach `special_vertices` reads from
+        (base, depth), plus reach inside each sector less one vertex;
+        returns how many reach queries came out true and false."""
+        deco = pipe.classes_from(base, depth)
+        dag = pipe.bundle(base, depth)
+        outcomes = [0, 0]
+        for k in range(depth - 1):
+            remaining = depth - k
+            for v in dag.layers[k]:
+                try:
+                    sectors = [pipe.sector(v, c.signature, remaining)
+                               for c in deco.classes]
+                except StabilizationError:
+                    continue
+                for c, sec in zip(deco.classes, sectors):
+                    assert sec.vertices == self._sector_referee(
+                        pipe, v, c.signature, remaining)
+                candidates = [s.vertices for s in sectors]
+                candidates.append(frozenset.intersection(*candidates))
+                candidates += [s.vertices - {w} for s in sectors
+                               for w in s.vertices if w != v]
+                for allowed in candidates:
+                    want = self._reach_referee(pipe.oracle, v, allowed,
+                                               remaining)
+                    assert pipe._reaches_depth(v, allowed, remaining) == want
+                    outcomes[want] += 1
+        return outcomes[1], outcomes[0]
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    @pytest.mark.parametrize("text", ["t b", "t t t b", "t' b t b"])
+    def test_z6z2_sectors_and_reach_match_referees(self, text, nu):
+        direction = direction_from_text(GR_Z6Z2, text)
+        pipe = DirectionPipeline(GR_Z6Z2, OR_Z6Z2, direction, nu=nu)
+        reached = missed = 0
+        for base_text in ("e", "b", "t"):
+            for depth in (8, 10, 12):
+                try:
+                    got = self._check_vertex_reads(
+                        pipe, Z6Z2.parse(base_text), depth)
+                except StabilizationError:
+                    # ν̂ = 1 margins leave t t t b from e and b no stable
+                    # ray at depth 8; Geo₁ raises there too.
+                    assert (text, base_text, depth, nu) in {
+                        ("t t t b", "e", 8, 1), ("t t t b", "b", 8, 1)}
+                    continue
+                reached += got[0]
+                missed += got[1]
+        assert reached and missed
+        widest = max(len(layer) for layer in pipe.bundle((), 12).layers)
+        assert widest == (2 if text == "t t t b" else 1)
+
+    @pytest.mark.parametrize("window_radius", [0, 1])
+    def test_torus_split_sectors_match_referees(self, window_radius):
+        # Two classes on the flat torus: proper, merged and empty sectors.
+        direction = direction_from_text(GR_Z10Z10, "x")
+        pipe = DirectionPipeline(GR_Z10Z10, OR_Z10Z10, direction, nu=0,
+                                 window_radius=window_radius)
+        assert len(pipe.classes_from((), 4).classes) == 2
+        for depth in (3, 4):
+            reached, missed = self._check_vertex_reads(pipe, (), depth)
+            assert reached and missed
 
 
 # ---------------------------------------------------------------------------
@@ -284,7 +392,7 @@ class TestGeo1:
             for y in ys:
                 dist = OR_Z3Z2.distance(base, y, RELATIVE)
                 sec = pipe.sector(y, cls.signature, 8 - dist)
-                expected |= sec.vertices()
+                expected |= sec.vertices
         assert g1.vertices == frozenset(expected)
 
     def test_ray_capture_bound_does_not_grow(self):

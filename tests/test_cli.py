@@ -10,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from relbundles import suite
+from relbundles.bundles import StabilizationError
 from relbundles.cli import _build_parser, main
 from relbundles.groups import DehnReductionError
 from relbundles.relgraph import DistanceOracle, ResourceLimitError
@@ -313,7 +314,8 @@ class TestVerify:
                                      {"arithmetic_length": -1},
                                      {"directions": []},
                                      {"bases": []},
-                                     {"scan_depths": []}])
+                                     {"scan_depths": []},
+                                     {"scan_depths": [4, 6]}])
     def test_bad_numbers_exit_before_the_sweep(self, tmp_path, capsys,
                                                monkeypatch, bad):
         def sweep(*args, **kwargs):
@@ -324,6 +326,31 @@ class TestVerify:
                      "--out", str(tmp_path / "run")]) == 1
         assert next(iter(bad)) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
+
+    def test_raising_scan_is_flagged_and_other_rows_kept(
+            self, tmp_path, capsys, monkeypatch):
+        real = suite.symdiff_scan
+
+        def scan(pipe, x, y, depths):
+            if pipe.direction.display() == "b":
+                raise StabilizationError("no stable ray here")
+            return real(pipe, x, y, depths)
+        monkeypatch.setattr(suite, "symdiff_scan", scan)
+        cfg = self._config(tmp_path)
+        run = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(run)]) == 2
+        lines = capsys.readouterr().out.splitlines()
+        doc = json.loads((run / "report.json").read_text())
+        assert len(lines) == len(doc["checks"]) + 1
+        assert "flagged      scan[b|e|b]: no stable ray here" in lines
+        assert lines[-1].startswith("suite status: flagged")
+        assert (run / "scans.csv").read_text().splitlines() == [
+            "direction,x,y,depth,delta",
+            "a,e,b,4,1", "a,e,b,5,1", "a,e,b,6,1"]
+        assert main(["report", str(run)]) == 0
+        assert (run / "delta_vs_depth.csv").read_text().splitlines() == [
+            "depth,pairs,min_delta,median_delta,max_delta",
+            "4,1,1,1,1", "5,1,1,1,1", "6,1,1,1,1"]
 
     def test_missing_spec_is_an_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))

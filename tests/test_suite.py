@@ -89,10 +89,10 @@ class TestRunConfig:
             "spec": F2_SPEC,
             "directions": ["a", "b"],
             "bases": ["e"],
-            "scan_depths": [4, 6],
+            "scan_depths": [4, 6, 8],
         })
         assert cfg.directions == ("a", "b")
-        assert cfg.scan_depths == (4, 6)
+        assert cfg.scan_depths == (4, 6, 8)
 
     def test_unknown_keys_rejected(self):
         with pytest.raises(SpecError, match="unknown config keys.*radius"):
@@ -108,6 +108,7 @@ class TestRunConfig:
         {"depth": 1},
         {"scan_depths": (0,)},
         {"scan_depths": (4, 1)},
+        {"scan_depths": (4, 6)},
         {"margin": 0},
         {"window_radius": -2},
         {"n_max": 0},
