@@ -246,7 +246,7 @@ class HnWindow:
 
     def within(self, r: int, oracle: DistanceOracle) -> frozenset[Word]:
         return frozenset(h for h in self.elements
-                         if oracle.distance((), h, RELATIVE) <= r)
+                         if oracle.within((), h, r))
 
 
 def h_n_window(group: Group, oracle: DistanceOracle, window: CEtaWindow,

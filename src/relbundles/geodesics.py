@@ -78,9 +78,12 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
 
     Grown outward from u: a neighbor w of layer k−1 belongs to layer k iff
     d(w,v) = L−k (which forces d(u,w) = k, since d(u,w) ≤ k and anything
-    smaller would shortcut u→v).  Layer k depends only on layer k−1, so
-    growth stopped after layer min(depth, L) keeps exactly the first
-    layers and edges of the full DAG; `length` is the last layer kept.
+    smaller would shortcut u→v).  As d(w,v) ≥ L−k for every such w, the
+    test asks the oracle only `within(w, v, L−k)`, which a ball search
+    answers no without finding d(w,v).  Layer k depends only on layer
+    k−1, so growth stopped after layer min(depth, L) keeps exactly the
+    first layers and edges of the full DAG; `length` is the last layer
+    kept.
     A layer with no vertex would mean that the oracle disagrees with the
     graph's moves; that guard raises ResourceLimitError naming u, v and
     the layer.
@@ -100,7 +103,7 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
                     continue
                 bucket = found.get(w)
                 if bucket is None:
-                    if oracle.distance(w, v, metric) != length - k:
+                    if not oracle.within(w, v, length - k, metric):
                         recent.add(w)  # rejected once, skip other probes
                         continue
                     bucket = found[w] = {}

@@ -11,8 +11,9 @@ Distance queries dispatch to closed forms where the family admits one.
 Otherwise the oracle keeps one ball around e per metric, valid for every
 query because the metric is left-invariant: a query inside it is a lookup,
 and one outside meets it in a bidirectional search with a meet certificate,
-growing the ball as it goes.  Every oracle mode is cross-checked against
-the plain bidirectional BFS `RelativeGraph.distance_bfs` in the test suite.
+growing the ball as it goes; a bounded query d(u, v) ≤ b stops at b.
+Every oracle mode is cross-checked against the plain bidirectional BFS
+`RelativeGraph.distance_bfs` in the test suite.
 """
 
 from __future__ import annotations
@@ -288,6 +289,11 @@ class DistanceOracle:
     a bidirectional search whose fixed side is the ball.  The ball is never
     invalidated, only grown, and the sizes of its outer sphere and of the
     search frontier decide how far.
+
+    `within(u, v, bound)` answers d(u, v) ≤ bound.  The closed forms and
+    the parse DP read it off `distance`; the ball search stops once its two
+    radii sum to the bound with no meet at or below it, and memoizes only
+    exact distances.
     """
 
     def __init__(self, graph: RelativeGraph):
@@ -295,6 +301,7 @@ class DistanceOracle:
         self.group = graph.group
         self._memo: dict[tuple[str, Word], int] = {}
         self._balls: dict[str, BallTable] = {}
+        self._parse = False
         g = self.group
         plain = not g.spec.redundant_generators
         # One d(u, v) per metric, picked here so that a query pays no
@@ -311,8 +318,7 @@ class DistanceOracle:
             self._pair = {RELATIVE: cls._syllable_distance,
                           ABSOLUTE: cls._word_distance}
         else:
-            self._parse = isinstance(g, FreeGroup)
-            if self._parse:
+            if isinstance(g, FreeGroup):
                 self._t_words = frozenset(
                     w for w, _ in graph.alphabet(ABSOLUTE))
                 self._t_maxlen = max(map(len, self._t_words), default=0)
@@ -352,6 +358,14 @@ class DistanceOracle:
             return 0
         return self._pair[metric](self, u, v, metric)
 
+    def within(self, u: Word, v: Word, bound: int,
+               metric: str = RELATIVE) -> bool:
+        """Whether d(u, v) ≤ bound; a ball search stops once it can tell."""
+        if self._parse or self._pair[metric] is not DistanceOracle._searched_distance:
+            return self.distance(u, v, metric) <= bound
+        d = self._searched_distance(u, v, metric, bound)
+        return d is not None and d <= bound
+
     def _free_distance(self, u: Word, v: Word, metric: str) -> int:
         # the common prefix of reduced words is what cancels in u⁻¹v
         k = 0
@@ -367,26 +381,32 @@ class DistanceOracle:
     def _syllable_distance(self, u: Word, v: Word, metric: str) -> int:
         return self.group.syllable_distance(u, v, self._coned)
 
-    def _searched_distance(self, u: Word, v: Word, metric: str) -> int:
-        """Parse DP or ball search on u⁻¹v, memoized with its inverse."""
+    def _searched_distance(self, u: Word, v: Word, metric: str,
+                           bound: int | None = None) -> int | None:
+        """Parse DP or ball search on u⁻¹v, memoized with its inverse;
+        None when a search bounded by `bound` proves d(u, v) > bound."""
         w = self.group.multiply(self.group.inverse(u), v)
         key = (metric, w)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        d = self._parse_dp(w) if self._parse else self._ball_search(w, metric)
-        self._memo[key] = d
-        self._memo[(metric, self.group.inverse(w))] = d
+        d = self._parse_dp(w) if self._parse else self._ball_search(w, metric, bound)
+        if d is not None:
+            self._memo[key] = d
+            self._memo[(metric, self.group.inverse(w))] = d
         return d
 
-    def _ball_search(self, w: Word, metric: str, max_radius: int = 64) -> int:
+    def _ball_search(self, w: Word, metric: str, bound: int | None = None,
+                     max_radius: int = 64) -> int | None:
         """|w| by a lookup in the ball around e, or a search from w to it.
 
         The ball is the fixed side of a bidirectional search: it grows by
         one sphere when its outer sphere is no larger than the frontier from
         w, and otherwise the search from w expands.  A meet found either
         way bounds |w|; once the best one is at most the two radii summed,
-        every shorter path would have met too, so it is exact.
+        every shorter path would have met too, so it is exact.  For the
+        same reason, once the radii sum to `bound` with no meet at or below
+        it, |w| > bound and the search returns None.
         """
         graph = self.graph
         ball = self._balls.get(metric)
@@ -401,6 +421,8 @@ class DistanceOracle:
         k = 0
         best: int | None = None
         while best is None or best > k + ball.radius:
+            if bound is not None and k + ball.radius >= bound:
+                return None
             sphere = ball.sphere(ball.radius)
             if not frontier and not sphere:
                 raise ResourceLimitError(

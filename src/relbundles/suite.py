@@ -411,6 +411,7 @@ def brute_force_geodesics(graph: RelativeGraph, oracle: DistanceOracle,
             return
         remaining = length - (len(path) - 1)
         for x, _ in graph.neighbor_edges(w, RELATIVE):
+            # exact, not `within`: a referee sharing the DAG's test shares its faults
             if oracle.distance(x, v, RELATIVE) == remaining - 1:
                 walk(x, path + (x,))
 
@@ -428,6 +429,7 @@ def oracle_equivalence_violations(graph: RelativeGraph,
     bad = 0
     for _ in range(samples):
         u, v = rng.choice(vertices), rng.choice(vertices)
+        # exact, not `within`: the referee's sample stays off the DAG's test
         if oracle.distance(u, v, RELATIVE) > max_distance:
             continue
         dag = geodesic_dag(graph, oracle, u, v)

@@ -78,6 +78,7 @@ def words_of(group, max_len=4):
 
 def brute_geodesics(graph, oracle, u, v, metric=RELATIVE):
     """Oracle-guided DFS over raw adjacency, independent of the DAG."""
+    # exact, not `within`: a referee sharing the DAG's test shares its faults
     total = oracle.distance(u, v, metric)
     out = []
 
@@ -343,6 +344,17 @@ def test_bundle_layers_extend_to_full_depth():
             assert dag.successors(w, k)
 
 
+@pytest.mark.parametrize("text, radius", [("a b c d", 2), ("a b c d a", 3)])
+def test_membership_search_stops_at_its_bound(text, radius):
+    """Layer k keeps a neighbour w iff d(w, v) <= L−k, and the ball-backed
+    search for a rejected w stops once it could have met within L−k: from
+    e to the radius-4 target the ball around e stops at radius 2, where
+    exact distances grow it to 3."""
+    oracle = DistanceOracle(GR_GENUS2)
+    geodesic_dag(GR_GENUS2, oracle, (), GENUS2.parse(text))
+    assert oracle._balls[RELATIVE].radius == radius
+
+
 def _full_dag_cut(graph, oracle, x, target, depth):
     """The bundle built the long way: the whole DAG from x to the target,
     then layers 0..depth and the edges among them."""
@@ -355,19 +367,22 @@ def _full_dag_cut(graph, oracle, x, target, depth):
     return full, GeodesicDAG(x, target, length, layers, edges, full.metric)
 
 
-@pytest.mark.parametrize("graph, oracle, text, bases, depths, branching", [
-    (GR_Z3Z2, OR_Z3Z2, "a b", ["e", "b", "a b", "b a'"], [0, 3, 6], False),
-    (GR_Z3Z2, OR_Z3Z2, "a:b a'", ["e", "a'"], [2, 5], False),
-    (GR_F2X, OR_F2X, "ab a", ["e", "b", "a'"], [2, 5], False),
-    (GR_F2X, OR_F2X, "a b'", ["e", "b a"], [1, 4], False),
-    (GR_GENUS2, OR_GENUS2, "a b a' b':a", ["e", "c"], [2, 4], True),
-], ids=["z3z2", "z3z2-prefix", "f2-ab", "f2-ab-mixed", "genus2"])
+@pytest.mark.parametrize("graph, oracle, text, bases, depths, widest", [
+    (GR_Z3Z2, OR_Z3Z2, "a b", ["e", "b", "a b", "b a'"], [0, 3, 6], 1),
+    (GR_Z3Z2, OR_Z3Z2, "a:b a'", ["e", "a'"], [2, 5], 1),
+    (GR_F2X, OR_F2X, "ab a", ["e", "b", "a'"], [2, 5], 1),
+    (GR_F2X, OR_F2X, "a b'", ["e", "b a"], [1, 4], 1),
+    (GR_GENUS2, OR_GENUS2, "a b a' b':a", ["e", "c"], [2, 4], 2),
+    # base and target far from e: the layer profile is [1, 2]
+    (GR_GENUS2, OR_GENUS2, "a", ["c d c' d'"], [1], 2),
+], ids=["z3z2", "z3z2-prefix", "f2-ab", "f2-ab-mixed", "genus2",
+        "genus2-far-base"])
 def test_truncated_bundle_is_the_cut_of_the_full_dag(graph, oracle, text,
-                                                     bases, depths, branching):
+                                                     bases, depths, widest):
     """Growing only to the cut keeps the same layers and edges (same dict)
     as cutting the full DAG, and a cut at or past d(u,v) is the full DAG."""
     direction = direction_from_text(graph, text)
-    widest = 1
+    width = 1
     for base in bases:
         x = graph.group.parse(base)
         for depth in depths:
@@ -379,5 +394,5 @@ def test_truncated_bundle_is_the_cut_of_the_full_dag(graph, oracle, text,
             for extra in (0, 2):
                 assert geodesic_dag(graph, oracle, x, bundle.target,
                                     depth=full.length + extra) == full
-            widest = max(widest, *(len(layer) for layer in bundle.layers))
-    assert (widest > 1) == branching
+            width = max(width, *(len(layer) for layer in bundle.layers))
+    assert width == widest

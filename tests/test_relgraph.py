@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import os
+import random
 
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
@@ -10,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from relbundles.groups import build_group, load_spec, spec_from_dict, SpecError
 from relbundles.relgraph import (
     ABSOLUTE,
+    METRICS,
     RELATIVE,
     BallTable,
     DistanceOracle,
@@ -256,6 +258,68 @@ class TestOracleAgainstSearch:
         # that answers do not depend on the order of the queries
         for metric in (RELATIVE, ABSOLUTE):
             assert OR_GENUS2.distance(u, v, metric) == GR_GENUS2.distance_bfs(u, v, metric)
+
+
+# ---------------------------------------------------------------------------
+# the bounded predicate d(u, v) <= bound
+
+Z6 = build_group(spec_from_dict({"family": "finite-table",
+                                 "table": _cyclic_table(6, "a")}))
+# one group per oracle mode, with the d(u, v) the mode dispatches to
+ORACLE_MODES = {
+    "free": (F2, "_free_distance"),
+    "parse": (F2X, "_searched_distance"),
+    "table": (Z6, "_word_distance"),
+    "syllable": (Z3Z2, "_syllable_distance"),
+    "ball": (GENUS2, "_searched_distance"),
+}
+
+
+def _seeded_pairs(group, seed, count=6, max_len=4):
+    rng = random.Random(seed)
+    n = len(group.gen_names)
+    letters = [i for i in range(1, n + 1)] + [-i for i in range(1, n + 1)]
+
+    def word():
+        return group.reduce([rng.choice(letters)
+                             for _ in range(rng.randint(0, max_len))])
+
+    return [(word(), word()) for _ in range(count)]
+
+
+@pytest.mark.parametrize("seed", [0, 1, 2])
+@pytest.mark.parametrize("mode", sorted(ORACLE_MODES))
+def test_within_matches_search(mode, seed):
+    """within(u, v, b) is d(u, v) <= b for b around the true distance, on
+    every oracle mode and both metrics."""
+    group, pair = ORACLE_MODES[mode]
+    graph = RelativeGraph(group)
+    assert DistanceOracle(graph)._pair[RELATIVE].__name__ == pair
+    assert DistanceOracle(graph)._parse == (mode == "parse")
+    for u, v in _seeded_pairs(group, seed):
+        for metric in METRICS:
+            d = graph.distance_bfs(u, v, metric)
+            # fresh, so that each no comes from a search and not the memo
+            oracle = DistanceOracle(graph)
+            for bound in sorted({0, d - 1, d, d + 1}):
+                assert oracle.within(u, v, bound, metric) == (d <= bound)
+
+
+@pytest.mark.parametrize("forward_first", [True, False])
+@pytest.mark.parametrize("seed", [2, 3])
+def test_bounded_no_leaves_no_memo(seed, forward_first):
+    """A bounded search that answers no memoizes nothing, so the exact
+    distances asked afterwards, in either order, are still right."""
+    for u, v in _seeded_pairs(GENUS2, seed):
+        d = GR_GENUS2.distance_bfs(u, v, RELATIVE)
+        if d < 2:
+            continue
+        oracle = DistanceOracle(GR_GENUS2)
+        assert not oracle.within(u, v, d - 1)
+        assert not oracle._memo
+        pairs = [(u, v), (v, u)] if forward_first else [(v, u), (u, v)]
+        for a, b in pairs:
+            assert oracle.distance(a, b) == d
 
 
 # genus-2 surface group * Z2, the Z2 slot parabolic: a non-parabolic
