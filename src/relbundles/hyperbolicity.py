@@ -6,10 +6,11 @@ sides, and the reported constant is the worst defect over a triangle
 family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
-needed.  Both metrics are scored in one pass over the same sides.  Each
-triangle is moved to a corner at e, and a side is built once per
-geodesic up to translation and, on exact graphs, orientation; a side
-that is a single path is kept as its bare vertices (`_TriangleProbe`).
+needed.  Both metrics are scored in one pass over the same sides, where
+the triangle sits.  A side's local DAG is built at e once per difference
+word u⁻¹v up to orientation, and a side is placed from it once per
+unordered endpoint pair and cached for the sweep; a side that is a single
+path is kept as its bare vertices (`_TriangleProbe`).
 """
 
 from __future__ import annotations
@@ -98,26 +99,25 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
 
 @dataclass(frozen=True)
 class _Side:
-    """A placed side: a chain as its vertices, or its local DAG (source e)
-    with each local vertex x mapped to its placed vertex."""
+    """A placed side that is not a chain: its local DAG (source e) with
+    each local vertex x mapped to its placed vertex."""
 
-    dag: GeodesicDAG | None
-    placed: tuple[Word, ...] | dict[Word, Word]
-    verts: set[Word]
+    dag: GeodesicDAG
+    placed: dict[Word, Word]
 
 
 class _TriangleProbe:
     """Defects of corner triples in both metrics, one pass per triangle.
 
-    Defects are invariant under left translation, so a triangle (a, b, c)
-    is scored as (e, a⁻¹b, a⁻¹c) and its probe vertex moved back by a.
     The geodesic DAG from u to v is the DAG from e to w = u⁻¹v moved by u,
     so it is built once per difference word and kept with source e.  A
     defect reads only a side's vertex set and the bottleneck over its
     paths, and both are the same for v→u, which is the DAG from e to w⁻¹
-    moved by v; so a side is built once per geodesic up to orientation,
-    and the two sides at e need no translation.  A chain (one vertex per
-    layer) is kept as its tuple of vertices, any other side as its DAG.
+    moved by v; so a local DAG is built once per geodesic up to
+    orientation, and a side is placed once per unordered endpoint pair and
+    kept for the probe's life.  A chain (one vertex per layer) is its bare
+    tuple of vertices, any other side a `_Side`; the words of local chains
+    and placed sides go through one intern dict, so sides share them.
     """
 
     def __init__(self, graph: RelativeGraph, oracle: DistanceOracle):
@@ -125,9 +125,19 @@ class _TriangleProbe:
         self.group = graph.group
         self.oracle = oracle
         self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
+        self._sides: dict[tuple[Word, Word], tuple[Word, ...] | _Side] = {}
+        self._words: dict[Word, Word] = {}
 
-    def _side(self, u: Word, v: Word) -> _Side:
+    def _side(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
+        key = (u, v) if u <= v else (v, u)
+        side = self._sides.get(key)
+        if side is None:
+            side = self._sides[key] = self._place(u, v)
+        return side
+
+    def _place(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
         g = self.group
+        intern = self._words.setdefault
         w = g.multiply(g.inverse(u), v) if u else v
         local, at = self._local.get(w), u
         if local is None:
@@ -135,49 +145,48 @@ class _TriangleProbe:
         if local is None:
             local, at = geodesic_dag(self.graph, self.oracle, (), w), u
             if all(len(layer) == 1 for layer in local.layers):
-                local = tuple(layer[0] for layer in local.layers)
+                local = tuple(intern(x, x) for (x,) in local.layers)
             self._local[w] = local
+
+        def place(x: Word) -> Word:
+            y = g.multiply(at, x) if at else x
+            return intern(y, y)
+
         if isinstance(local, tuple):
-            placed = tuple(g.multiply(at, x) for x in local) if at else local
-            return _Side(None, placed, set(placed))
-        where = {x: g.multiply(at, x) if at else x
-                 for layer in local.layers for x in layer}
-        return _Side(local, where, set(where.values()))
+            return tuple(map(place, local)) if at else local
+        return _Side(local, {x: place(x) for layer in local.layers for x in layer})
 
     def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
         """Per metric, the worst defect over rotations and side choices and
-        a probe vertex attaining it."""
-        g = self.group
-        if a:
-            a_inv = g.inverse(a)
-            b, c = g.multiply(a_inv, b), g.multiply(a_inv, c)
-        sides = (self._side((), b), self._side(b, c), self._side((), c))
+        a probe vertex attaining it (the corner a when the defect is 0)."""
+        sides = (self._side(a, b), self._side(b, c), self._side(a, c))
+        verts = [set(s) if isinstance(s, tuple) else set(s.placed.values())
+                 for s in sides]
         dist = self.oracle.distance
 
-        def opposite(u: Word, s: _Side, m: str) -> int:
-            if s.dag is None:
-                return min(dist(u, y, m) for y in s.placed)
+        def opposite(u: Word, s: tuple[Word, ...] | _Side, m: str) -> int:
+            if isinstance(s, tuple):
+                return min(dist(u, y, m) for y in s)
             cost = {x: dist(u, y, m) for x, y in s.placed.items()}
             return _bottleneck(s.dag, cost)
 
-        worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, ()), ABSOLUTE: (0, ())}
+        worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):
-            q, r = sides[(i + 1) % 3], sides[(i + 2) % 3]
-            if q.dag is None and r.dag is None:
-                union = q.verts | r.verts
-                for u in sides[i].verts - union:
+            j, k = (i + 1) % 3, (i + 2) % 3
+            q, r = sides[j], sides[k]
+            if isinstance(q, tuple) and isinstance(r, tuple):
+                union = verts[j] | verts[k]
+                for u in verts[i] - union:
                     for m in METRICS:
                         d = min(dist(u, v, m) for v in union)
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
-                for u in sides[i].verts:
+                for u in verts[i]:
                     for m in METRICS:
                         d = min(opposite(u, q, m), opposite(u, r, m))
                         if d > worst[m][0]:
                             worst[m] = (d, u)
-        if a:
-            worst = {m: (d, g.multiply(a, u)) for m, (d, u) in worst.items()}
         return worst
 
 

@@ -216,6 +216,43 @@ def test_sweep_builds_one_orientation_per_geodesic(built):
     assert [w for w in built if w != F2.inverse(w) and F2.inverse(w) in seen] == []
 
 
+def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):
+    pairs, placed = set(), []
+    defects, place = _TriangleProbe.defects, _TriangleProbe._place
+
+    def recording_defects(self, a, b, c):
+        pairs.update(tuple(sorted(p)) for p in ((a, b), (b, c), (a, c)))
+        return defects(self, a, b, c)
+
+    def counting_place(self, u, v):
+        placed.append(tuple(sorted((u, v))))
+        return place(self, u, v)
+
+    monkeypatch.setattr(_TriangleProbe, "defects", recording_defects)
+    monkeypatch.setattr(_TriangleProbe, "_place", counting_place)
+    estimate_nu(GR_F2, OR_F2, exhaustive_radius=2, ball_radius=3,
+                triangle_budget=400, seed=3)
+    assert len(placed) == len(pairs) > 0
+    assert set(placed) == pairs
+
+
+@pytest.mark.parametrize("graph, oracle", [
+    (GR_F2, OR_F2),
+    (GR_Z6, OR_Z6),         # bigons of defect 1
+    (GR_Z3Z2, OR_Z3Z2),
+], ids=["F2", "z6_table", "Z3Z2"])
+def test_degenerate_triangles(graph, oracle):
+    """A point has defect 0 at itself; a bigon's probe lies on the bigon."""
+    probe = _TriangleProbe(graph, oracle)
+    corners = sorted(graph.ball((), 2, RELATIVE).entries)
+    for t in corners:
+        assert probe.defects(t, t, t) == {m: (0, t) for m in METRICS}, t
+    for a, b in itertools.product(corners, repeat=2):
+        on = geodesic_dag(graph, oracle, a, b).vertices()
+        for metric, (_, at) in probe.defects(a, a, b).items():
+            assert at in on, (a, b, metric)
+
+
 def test_cyclic_group_sweep_is_pinned():
     report = estimate_nu(GR_Z6, OR_Z6, exhaustive_radius=3, ball_radius=3,
                          triangle_budget=50, seed=1)
@@ -225,6 +262,7 @@ def test_cyclic_group_sweep_is_pinned():
     witness = report.witnesses[0]
     assert witness.corners == ((), (), (1, 1, 1))
     assert (witness.defect_rel, witness.defect_abs) == (1, 1)
+    assert witness.probe == (-1, -1)
 
 
 def test_keep_witnesses_keeps_the_last_ones():
