@@ -178,8 +178,8 @@ class DirectionPipeline:
         """Terminal (u,v,w) vertex triples of depth-reaching bundle rays."""
         dag = self.bundle(base, depth)
         for u in dag.layers[depth - 2]:
-            for v in dag.successors(u, depth - 2):
-                for w in dag.successors(v, depth - 1):
+            for _, v in dag.successors[u]:
+                for _, w in dag.successors[v]:
                     yield u, v, w
 
     def _compute_classes(self, base: Word, depth: int) -> XiDecomposition:
@@ -268,8 +268,8 @@ class DirectionPipeline:
         dag = self.bundle(base, depth)
         frontier = {t for cls in matched for t in cls.terminals}
         seen = set(frontier)
-        for k in range(depth, 0, -1):
-            frontier = {p for w in frontier for p in dag.predecessors(w, k)}
+        for _ in range(depth):
+            frontier = {p for w in frontier for p in dag.predecessors[w]}
             seen |= frontier
         return SectorTrunc(frozenset(seen), _unique(flags))
 
@@ -332,8 +332,8 @@ class DirectionPipeline:
             return False
         dag = self.bundle(v, remaining)
         frontier = {v}
-        for k in range(remaining):
-            frontier = {w for p in frontier for w in dag.successors(p, k)
+        for _ in range(remaining):
+            frontier = {w for p in frontier for _, w in dag.successors[p]
                         if w in allowed}
             if not frontier:
                 return False

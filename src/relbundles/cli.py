@@ -224,7 +224,7 @@ def _explore_dag(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
     u, v = group.parse(args.args[0]), group.parse(args.args[1])
     oracle = DistanceOracle(graph)
     dag = geodesic_dag(graph, oracle, u, v)
-    paths, truncated = enumerate_geodesics(graph, dag, max_count=10_000)
+    paths, truncated = enumerate_geodesics(dag, max_count=10_000)
     stem = os.path.join(args.out, "dag")
     written = [_out_json(stem + ".json", {
         "source": group.format(u),
@@ -243,22 +243,20 @@ def _explore_dag(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
 def _dag_dot(graph: RelativeGraph, dag) -> str:
     """Directed DOT of a geodesic DAG, one rank per layer."""
     fmt = graph.group.format
-    ids: dict = {}
+    pos = {v: i for layer in dag.layers for i, v in enumerate(layer)}
     lines = ["digraph dag {", "  rankdir=LR;", "  node [shape=box];"]
     for k, layer in enumerate(dag.layers):
-        names = []
-        for v in layer:
-            ids[(k, v)] = f"n{k}_{len(names)}"
-            names.append(ids[(k, v)])
-            lines.append(f'  {ids[(k, v)]} [label="{fmt(v)}"];')
+        names = [f"n{k}_{i}" for i in range(len(layer))]
+        for name, v in zip(names, layer):
+            lines.append(f'  {name} [label="{fmt(v)}"];')
         lines.append("  { rank=same; " + "; ".join(names) + "; }")
     for k, layer in enumerate(dag.layers[:-1]):
-        for v in layer:
-            for w in dag.successors(v, k):
-                text = "|".join(graph.format_label(l)
-                                for l in dag.edges[(v, w)])
-                lines.append(f'  {ids[(k, v)]} -> {ids[(k + 1, w)]} '
-                             f'[label="{text}"];')
+        for i, v in enumerate(layer):
+            # edges are drawn in layer order, not the stored symbol order
+            for symbol, w in sorted(dag.successors[v],
+                                    key=lambda edge: pos[edge[1]]):
+                lines.append(f'  n{k}_{i} -> n{k + 1}_{pos[w]} '
+                             f'[label="{graph.format_symbol(symbol)}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"
 
@@ -398,10 +396,10 @@ def _cmd_validate_spec(args: argparse.Namespace) -> int:
         print(f"max piece ratio: {ratio.numerator}/{ratio.denominator}")
     group = build_group(spec)
     graph = RelativeGraph(group)
-    alphabet = [graph.format_label(l)
-                for _, labels in graph.alphabet(RELATIVE) for l in labels]
+    # before the generators line: an infinite parabolic raises here
+    size = len(graph.moves(RELATIVE))
     print(f"generators: {', '.join(group.gen_names)}")
-    print(f"relative alphabet size: {len(alphabet)}")
+    print(f"relative alphabet size: {size}")
     print(f"spec hash: {spec_hash(spec)}")
     return 0
 

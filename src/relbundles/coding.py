@@ -1,12 +1,12 @@
 """Binary label coding over Geo₁ and the minimal-label machinery.
 
-Edge moves get short binary codes; the first `n` edges of a geodesic
-continuation become an n×n bit matrix.  Collecting those matrices over a
-truncated Geo₁ gives a finite window into C^η, from which the minimal
-recurring label, the set it tags, its least element, and the translated
-comparison window are all computed.  `check_lemma418`-style window
-matching closes the loop: two directions are compared by searching for a
-translation aligning their windows.
+Alphabet symbols get short binary codes; the first `n` edges of a
+geodesic continuation become an n×n bit matrix.  Collecting those
+matrices over a truncated Geo₁ gives a finite window into C^η, from which
+the minimal recurring label, the set it tags, its least element, and the
+translated comparison window are all computed.  `check_lemma418`-style
+window matching closes the loop: two directions are compared by searching
+for a translation aligning their windows.
 """
 
 from __future__ import annotations
@@ -14,14 +14,8 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import Group, SpecError, Word, shortlex_key
-from .relgraph import (
-    RELATIVE,
-    DistanceOracle,
-    EdgeLabel,
-    RelativeGraph,
-    label_key,
-)
-from .geodesics import DirectionSpec, GeodesicDAG, enumerate_geodesics, geodesic_dag
+from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
+from .geodesics import DirectionSpec, enumerate_geodesics, geodesic_dag
 from .bundles import DirectionPipeline, StabilizationError
 from .hyperbolicity import bound_B, bound_K
 
@@ -34,15 +28,15 @@ def _bits(k: int) -> tuple[int, ...]:
 class LabelCodec:
     """Shortest-first binary codes for the symmetrized alphabet.
 
-    Symbols are the distinct move elements of the graph in canonical
-    least-label order, so parallel labels carrying the same element share
-    one code and left translation cannot change a path's coding.
+    `symbols` lists the distinct move elements of the relative alphabet in
+    symbol order, and symbol i codes as `_bits(i)`: parallel labels
+    carrying the same element share one code, and left translation cannot
+    change a path's coding.
     """
 
-    def __init__(self, graph: RelativeGraph, metric: str = RELATIVE):
+    def __init__(self, graph: RelativeGraph):
         self.graph = graph
-        self.metric = metric
-        self.symbols: tuple[Word, ...] = tuple(graph.step_words(metric))
+        self.symbols: tuple[Word, ...] = graph.step_words(RELATIVE)
         self._codes = {w: _bits(i) for i, w in enumerate(self.symbols)}
 
     def code(self, element: Word) -> tuple[int, ...]:
@@ -50,11 +44,8 @@ class LabelCodec:
         if got is None:
             raise SpecError(
                 f"{self.graph.group.format(element)} is not a move of the "
-                f"{self.metric} alphabet")
+                f"relative alphabet")
         return got
-
-    def code_label(self, label: EdgeLabel) -> tuple[int, ...]:
-        return self.code(self.graph.label_word(label))
 
 
 @dataclass(frozen=True)
@@ -83,15 +74,12 @@ class RestrictedLabel:
         return tuple(out)
 
 
-def restrict_label(codec: LabelCodec, labels: tuple[EdgeLabel, ...],
-                   n: int) -> RestrictedLabel:
-    if len(labels) < n:
-        raise SpecError(f"path has {len(labels)} edges, need {n}")
-    rows = []
-    for label in labels[:n]:
-        code = codec.code_label(label)
-        rows.append((code + (0,) * n)[:n])
-    return RestrictedLabel(n, tuple(rows))
+def restrict_label(symbols: tuple[int, ...], n: int) -> RestrictedLabel:
+    """The first n edges of a path, each row its symbol's code padded."""
+    if len(symbols) < n:
+        raise SpecError(f"path has {len(symbols)} edges, need {n}")
+    pad = (0,) * n
+    return RestrictedLabel(n, tuple((_bits(s) + pad)[:n] for s in symbols[:n]))
 
 
 def compare_n(u: RestrictedLabel, v: RestrictedLabel) -> int:
@@ -115,46 +103,27 @@ class CEtaWindow:
     depth: int
     n: int
     entries: tuple[tuple[Word, RestrictedLabel, int], ...]
-    capped: tuple[Word, ...]  # vertices whose continuations hit the cap
+    capped: tuple[Word, ...]  # vertices with more continuations than the cap
     horizon: int  # host depth cutoff; every qualifying vertex this close is in
 
     def labels_beyond(self, threshold: int) -> list[RestrictedLabel]:
         return [lab for _, lab, d in self.entries if d > threshold]
 
 
-def _continuations(dag: GeodesicDAG, cap: int) -> tuple[list[tuple[EdgeLabel, ...]], bool]:
-    """Label words of all source→terminal paths, every parallel label
-    counted separately, in label-lexicographic order, capped."""
-    out: list[tuple[EdgeLabel, ...]] = []
-
-    def walk(v: Word, k: int, acc: list[EdgeLabel]) -> bool:
-        if k == dag.length:
-            out.append(tuple(acc))
-            return len(out) <= cap
-        options = [(label, w) for w in dag.successors(v, k)
-                   for label in dag.edges[(v, w)]]
-        options.sort(key=lambda item: label_key(item[0]))
-        for label, w in options:
-            acc.append(label)
-            alive = walk(w, k + 1, acc)
-            acc.pop()
-            if not alive:
-                return False
-        return True
-
-    finished = walk(dag.source, 0, [])
-    return out[:cap], not finished
-
-
 def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
                  continuation_cap: int = 256) -> CEtaWindow:
+    """Restricted labels of the continuations from each Geo₁ host.
+
+    A host's continuations are the paths of its length-n bundle, read in
+    symbol order; a host with more than `continuation_cap` of them keeps
+    the first ones and is listed in `capped`.
+    """
     if n < 1:
         raise SpecError("label size n must be positive")
     if n > depth - pipeline.margin:
         raise SpecError(
             f"label size {n} too large for depth {depth} with margin "
             f"{pipeline.margin}")
-    codec = LabelCodec(pipeline.graph, RELATIVE)
     base = pipeline.anchor
     dist = pipeline.oracle.distance
     cutoff = depth - n - pipeline.margin
@@ -164,12 +133,13 @@ def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
     entries: list[tuple[Word, RestrictedLabel, int]] = []
     capped: list[Word] = []
     for g in hosts:
-        words, hit = _continuations(pipeline.bundle(g, n), continuation_cap)
+        paths, hit = enumerate_geodesics(pipeline.bundle(g, n),
+                                         max_count=continuation_cap)
         if hit:
             capped.append(g)
         seen: set[RestrictedLabel] = set()
-        for labels in words:
-            lab = restrict_label(codec, labels, n)
+        for path in paths:
+            lab = restrict_label(path.symbols, n)
             if lab not in seen:
                 seen.add(lab)
                 entries.append((g, lab, dist(base, g, RELATIVE)))
@@ -202,19 +172,13 @@ def pigeonhole_witness(window: CEtaWindow, depth_threshold: int) -> bool:
 # T_n, g_n, H_n
 
 
-def _least_word_key(graph: RelativeGraph, oracle: DistanceOracle,
-                    base: Word, g: Word) -> tuple:
-    dag = geodesic_dag(graph, oracle, base, g)
-    paths, _ = enumerate_geodesics(graph, dag, max_count=1)
-    return tuple(label_key(l) for l in paths[0].labels)
-
-
 def element_order_key(graph: RelativeGraph, oracle: DistanceOracle,
                       base: Word, g: Word) -> tuple:
     """Order on vertices: distance first, then least spelling over the
     alphabet — so g ≤ h forces d(base,g) ≤ d(base,h)."""
-    return (oracle.distance(base, g, RELATIVE),
-            _least_word_key(graph, oracle, base, g))
+    dag = geodesic_dag(graph, oracle, base, g)
+    (least,), _ = enumerate_geodesics(dag, max_count=1)
+    return (dag.length, least.symbols)
 
 
 def t_n_and_g_n(graph: RelativeGraph, oracle: DistanceOracle,

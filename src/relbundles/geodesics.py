@@ -3,24 +3,23 @@ geodesic-ray bundles toward eventually periodic directions.
 
 A DAG between u and v holds exactly the vertices w with
 d(u,w) + d(w,v) = d(u,v), arranged in layers by d(u,·), with edges only
-between consecutive layers.  A bundle toward a direction is the DAG to a
-deep vertex on the direction's ray, grown only to the requested depth; a
-margin controls how much deeper the target sits than the cut.
+between consecutive layers.  An edge is its alphabet symbol (see
+`relgraph`), so paths are enumerated and spelled by symbols.  A bundle
+toward a direction is the DAG to a deep vertex on the direction's ray,
+grown only to the requested depth; a margin controls how much deeper the
+target sits than the cut.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from functools import cached_property
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import (
     RELATIVE,
     DistanceOracle,
-    EdgeLabel,
     RelativeGraph,
     ResourceLimitError,
-    label_key,
 )
 
 
@@ -34,41 +33,30 @@ class DirectionError(ValueError):
 
 @dataclass(frozen=True)
 class GeodesicDAG:
+    """Layers and edges of a geodesic DAG.
+
+    `successors[v]` lists the (symbol, w) edges out of v in symbol order,
+    and `predecessors[w]` the vertices with an edge into w in layer order;
+    every vertex has both entries, empty at the ends.
+    """
+
     source: Word
     target: Word
     length: int
     layers: tuple[tuple[Word, ...], ...]
-    edges: dict[tuple[Word, Word], tuple[EdgeLabel, ...]]
-    metric: str
+    successors: dict[Word, list[tuple[int, Word]]]
+    predecessors: dict[Word, list[Word]]
 
     def vertices(self) -> set[Word]:
         return {w for layer in self.layers for w in layer}
 
-    @cached_property
-    def _adjacency(self) -> dict[Word, tuple[list[Word], list[Word]]]:
-        """(successors, predecessors) of every vertex, each in layer order,
-        built once from `edges` on first use; layers are disjoint, so a
-        vertex alone names its place."""
-        rank = {v: i for layer in self.layers for i, v in enumerate(layer)}
-        adj: dict[Word, tuple[list[Word], list[Word]]] = {v: ([], []) for v in rank}
-        for a, b in sorted(self.edges, key=lambda e: (rank[e[0]], rank[e[1]])):
-            adj[a][0].append(b)
-            adj[b][1].append(a)
-        return adj
-
-    def successors(self, v: Word, k: int) -> list[Word]:
-        return self._adjacency[v][0] if k < self.length else []
-
-    def predecessors(self, v: Word, k: int) -> list[Word]:
-        return self._adjacency[v][1] if k > 0 else []
-
 
 @dataclass(frozen=True)
-class LabeledPath:
-    """One geodesic: its vertices and, per edge, the least label."""
+class SymbolPath:
+    """One geodesic: its vertices and the symbol of each edge."""
 
     vertices: tuple[Word, ...]
-    labels: tuple[EdgeLabel, ...]
+    symbols: tuple[int, ...]
 
 
 def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
@@ -91,23 +79,27 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     length = oracle.distance(u, v, metric)
     stop = length if depth is None else min(depth, length)
     layers: list[tuple[Word, ...]] = [(u,)]
-    edges: dict[tuple[Word, Word], tuple[EdgeLabel, ...]] = {}
+    successors: dict[Word, list[tuple[int, Word]]] = {u: []}
+    predecessors: dict[Word, list[Word]] = {u: []}
     for k in range(1, stop + 1):
         recent: set[Word] = set(layers[-1])
         if len(layers) >= 2:
             recent |= set(layers[-2])
-        found: dict[Word, dict[Word, list[EdgeLabel]]] = {}
+        found: dict[Word, list[Word]] = {}
         for p in layers[-1]:
-            for label, w in graph.neighbors(p, metric):
+            out = successors[p]
+            for symbol, w in graph.neighbors(p, metric):
                 if w in recent:
                     continue
-                bucket = found.get(w)
-                if bucket is None:
+                preds = found.get(w)
+                if preds is None:
                     if not oracle.within(w, v, length - k, metric):
                         recent.add(w)  # rejected once, skip other probes
                         continue
-                    bucket = found[w] = {}
-                bucket.setdefault(p, []).append(label)
+                    preds = found[w] = predecessors[w] = []
+                    successors[w] = []
+                preds.append(p)
+                out.append((symbol, w))
         if not found:
             fmt = graph.group.format
             raise ResourceLimitError(
@@ -116,50 +108,40 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
         layer = tuple(found)
         if len(layer) > 1:  # sorting one item is the identity
             layer = tuple(sorted(layer, key=shortlex_key))
-        for w, preds in found.items():
-            for p, labels in preds.items():
-                edges[(p, w)] = tuple(labels)  # `neighbors` is in label order
         layers.append(layer)
-    return GeodesicDAG(u, v, stop, tuple(layers), edges, metric)
+    return GeodesicDAG(u, v, stop, tuple(layers), successors, predecessors)
 
 
-def enumerate_geodesics(graph: RelativeGraph, dag: GeodesicDAG,
-                        max_count: int = 1000) -> tuple[list[LabeledPath], bool]:
-    """All source→target paths in lexicographic label order.
+def enumerate_geodesics(dag: GeodesicDAG,
+                        max_count: int = 1000) -> tuple[list[SymbolPath], bool]:
+    """All source→target paths in lexicographic symbol order.
 
-    Returns (paths, truncated).  Each edge contributes its least label;
-    successor order by that label makes the output order lexicographic.
+    Returns (paths, truncated): the first `max_count` paths, and whether
+    the DAG holds more.  Successors are stored in symbol order, so a
+    depth-first walk meets the paths in order.
     """
-    paths: list[LabeledPath] = []
-    truncated = False
+    paths: list[SymbolPath] = []
+    verts: list[Word] = [dag.source]
+    symbols: list[int] = []
 
-    def walk(v: Word, k: int, verts: list[Word], labels: list[EdgeLabel]) -> bool:
-        nonlocal truncated
-        if k == dag.length:
-            paths.append(LabeledPath(tuple(verts), tuple(labels)))
-            if len(paths) >= max_count:
-                truncated = True
+    def walk(v: Word) -> bool:
+        if len(symbols) == dag.length:
+            if len(paths) == max_count:
                 return False
-        else:
-            nxt = [(dag.edges[(v, w)][0], w) for w in dag.successors(v, k)]
-            nxt.sort(key=lambda item: label_key(item[0]))
-            for label, w in nxt:
-                verts.append(w)
-                labels.append(label)
-                alive = walk(w, k + 1, verts, labels)
-                verts.pop()
-                labels.pop()
-                if not alive:
-                    return False
+            paths.append(SymbolPath(tuple(verts), tuple(symbols)))
+            return True
+        for symbol, w in dag.successors[v]:
+            verts.append(w)
+            symbols.append(symbol)
+            alive = walk(w)
+            verts.pop()
+            symbols.pop()
+            if not alive:
+                return False
         return True
 
-    walk(dag.source, 0, [dag.source], [])
+    truncated = not walk(dag.source)
     return paths, truncated
-
-
-def path_elements(graph: RelativeGraph, path: LabeledPath) -> tuple[Word, ...]:
-    """The alphabet element carried by each edge of a path."""
-    return tuple(graph.label_word(label) for label in path.labels)
 
 
 # ---------------------------------------------------------------------------
@@ -202,7 +184,7 @@ def direction_from_text(graph: RelativeGraph, text: str, name: str = "") -> Dire
         prefix_text, period_text = text.split(":", 1)
     else:
         prefix_text, period_text = "", text
-    alphabet = {w for w, _ in graph.alphabet(RELATIVE)}
+    alphabet = set(graph.step_words(RELATIVE))
 
     def parse_part(part: str) -> tuple[Word, ...]:
         out = []

@@ -92,7 +92,7 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
         for v in dag.layers[k]:
             c = cost[v]
             if k < dag.length:
-                c = min(c, max(val[w] for w in dag.successors(v, k)))
+                c = min(c, max(val[w] for _, w in dag.successors[v]))
             val[v] = c
     return val[dag.source]
 

@@ -7,6 +7,12 @@ element; the absolute metric uses generator edges only.  Cone points are
 implicit — the two half-edges through a coset's cone vertex collapse to a
 single parabolic edge between group elements, keeping distances integral.
 
+A generator that also lies in a parabolic factor gives parallel edges
+carrying one element.  Below the display layer an edge is its alphabet
+symbol: the position of its element among the distinct move elements,
+ordered by least label.  A symbol's labels are read back only for
+display: the DOT files print them and `validate-spec` counts them.
+
 Distance queries dispatch to closed forms where the family admits one.
 Otherwise the oracle keeps one ball around e per metric, valid for every
 query because the metric is left-invariant: a query inside it is a lookup,
@@ -112,8 +118,7 @@ class RelativeGraph:
         self._par_moves: list[tuple[EdgeLabel, Word]] | None = None
         self._alphabets: dict[str, list[tuple[Word, tuple[EdgeLabel, ...]]]] = {}
         self._moves: dict[str, tuple[tuple[EdgeLabel, Word], ...]] = {}
-        self._label_words: dict[EdgeLabel, Word] = dict(
-            (label, w) for label, w in self._abs_moves)
+        self._steps: dict[str, tuple[Word, ...]] = {}
 
     # -- move alphabet -----------------------------------------------------
 
@@ -144,7 +149,7 @@ class RelativeGraph:
         return self._moves[metric]
 
     def alphabet(self, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
-        """Distinct move elements with all their labels.
+        """Distinct move elements with all their labels, symbol by symbol.
 
         The order — by least label — is the canonical enumeration of the
         symmetrized alphabet used for binary coding, and the elements are
@@ -156,48 +161,44 @@ class RelativeGraph:
         by_word: dict[Word, list[EdgeLabel]] = {}
         for label, w in self.moves(metric):
             by_word.setdefault(w, []).append(label)
+        # moves come in label order, so first sight is least-label order
         out = [(w, tuple(labels)) for w, labels in by_word.items()]
-        out.sort(key=lambda item: label_key(item[1][0]))
         self._alphabets[metric] = out
         return out
 
-    def step_words(self, metric: str = RELATIVE) -> list[Word]:
-        return [w for w, _ in self.alphabet(metric)]
+    def step_words(self, metric: str = RELATIVE) -> tuple[Word, ...]:
+        """The element of each symbol.
 
-    # -- adjacency -----------------------------------------------------------
-
-    def neighbors(self, v: Word, metric: str = RELATIVE) -> list[tuple[EdgeLabel, Word]]:
-        """All (label, neighbor) pairs in canonical label order.
-
-        A vertex reachable by several symbols appears once per label; use
-        `neighbor_edges` for the collapsed per-vertex view.
+        Absolute labels sort before parabolic ones, so the absolute
+        alphabet is a prefix of the relative one: a symbol names the same
+        element in both metrics.
         """
-        out = []
-        for label, w in self.moves(metric):
-            u = self.group.multiply(v, w)
-            if u != v:
-                out.append((label, u))
-        return out
-
-    def neighbor_edges(self, v: Word, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
-        """Distinct neighbor vertices, each with its full ordered label set."""
-        by_vertex: dict[Word, list[EdgeLabel]] = {}
-        for label, u in self.neighbors(v, metric):
-            by_vertex.setdefault(u, []).append(label)
-        out = [(u, tuple(labels)) for u, labels in by_vertex.items()]
-        out.sort(key=lambda item: label_key(item[1][0]))
-        return out
+        steps = self._steps.get(metric)
+        if steps is None:
+            steps = self._steps[metric] = tuple(w for w, _ in self.alphabet(metric))
+        return steps
 
     def format_label(self, label: EdgeLabel) -> str:
         if label.kind == "abs":
             return self._x_names[label.index] + ("" if label.sign > 0 else "'")
         return f"H{label.index}:{self.group.format(label.element)}"
 
-    def label_word(self, label: EdgeLabel) -> Word:
-        """The group element a label moves by."""
-        if label.kind == "par":
-            return label.element
-        return self._label_words[label]
+    def format_symbol(self, symbol: int, metric: str = RELATIVE) -> str:
+        """Every label of a symbol, joined by "|" in label order."""
+        return "|".join(self.format_label(label)
+                        for label in self.alphabet(metric)[symbol][1])
+
+    # -- adjacency -----------------------------------------------------------
+
+    def neighbors(self, v: Word, metric: str = RELATIVE) -> list[tuple[int, Word]]:
+        """(symbol, neighbor) pairs in symbol order, one per distinct
+        neighbor: distinct elements move v to distinct vertices."""
+        out = []
+        for symbol, w in enumerate(self.step_words(metric)):
+            u = self.group.multiply(v, w)
+            if u != v:
+                out.append((symbol, u))
+        return out
 
     # -- searches ------------------------------------------------------------
 
@@ -282,9 +283,10 @@ class DistanceOracle:
     free products charge 1 per parabolic syllable of u⁻¹v and the factor
     length otherwise, read off where the syllables of u and v part, without
     building u⁻¹v.  Absolute free-product distances are canonical lengths
-    of u⁻¹v.  A free group with adjoined generators uses a parse DP, valid
-    because the alphabet passes the junction check below.  Anything else
-    uses one ball around e per metric:
+    of u⁻¹v.  A free group with adjoined generators uses a parse DP of u⁻¹v
+    when the alphabet passes the junction check below; it has no parabolic
+    moves, so both metrics share the DP and its memo.  Anything else uses
+    one ball around e per metric:
     d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
     a bidirectional search whose fixed side is the ball.  The ball is never
     invalidated, only grown, and the sizes of its outer sphere and of the
@@ -301,7 +303,6 @@ class DistanceOracle:
         self.group = graph.group
         self._memo: dict[tuple[str, Word], int] = {}
         self._balls: dict[str, BallTable] = {}
-        self._parse = False
         g = self.group
         plain = not g.spec.redundant_generators
         # One d(u, v) per metric, picked here so that a query pays no
@@ -317,12 +318,14 @@ class DistanceOracle:
             self._coned = frozenset(g.parabolic_slots)
             self._pair = {RELATIVE: cls._syllable_distance,
                           ABSOLUTE: cls._word_distance}
+        elif isinstance(g, FreeGroup):
+            self._t_words = frozenset(graph.step_words(ABSOLUTE))
+            self._t_maxlen = max(map(len, self._t_words), default=0)
+            self._parses: dict[Word, int] = {}
+            pair = (cls._parsed_distance if self._junction_check()
+                    else cls._searched_distance)
+            self._pair = dict.fromkeys(METRICS, pair)
         else:
-            if isinstance(g, FreeGroup):
-                self._t_words = frozenset(
-                    w for w, _ in graph.alphabet(ABSOLUTE))
-                self._t_maxlen = max(map(len, self._t_words), default=0)
-                self._parse = self._junction_check()
             self._pair = dict.fromkeys(METRICS, cls._searched_distance)
 
     def _junction_check(self) -> bool:
@@ -361,7 +364,7 @@ class DistanceOracle:
     def within(self, u: Word, v: Word, bound: int,
                metric: str = RELATIVE) -> bool:
         """Whether d(u, v) ≤ bound; a ball search stops once it can tell."""
-        if self._parse or self._pair[metric] is not DistanceOracle._searched_distance:
+        if self._pair[metric] is not DistanceOracle._searched_distance:
             return self.distance(u, v, metric) <= bound
         d = self._searched_distance(u, v, metric, bound)
         return d is not None and d <= bound
@@ -381,16 +384,24 @@ class DistanceOracle:
     def _syllable_distance(self, u: Word, v: Word, metric: str) -> int:
         return self.group.syllable_distance(u, v, self._coned)
 
+    def _parsed_distance(self, u: Word, v: Word, metric: str) -> int:
+        """Parse DP on u⁻¹v, memoized once for both metrics."""
+        w = self.group.multiply(self.group.inverse(u), v)
+        d = self._parses.get(w)
+        if d is None:
+            d = self._parses[w] = self._parse_dp(w)
+        return d
+
     def _searched_distance(self, u: Word, v: Word, metric: str,
                            bound: int | None = None) -> int | None:
-        """Parse DP or ball search on u⁻¹v, memoized with its inverse;
-        None when a search bounded by `bound` proves d(u, v) > bound."""
+        """Ball search on u⁻¹v, memoized with its inverse; None when a
+        search bounded by `bound` proves d(u, v) > bound."""
         w = self.group.multiply(self.group.inverse(u), v)
         key = (metric, w)
         hit = self._memo.get(key)
         if hit is not None:
             return hit
-        d = self._parse_dp(w) if self._parse else self._ball_search(w, metric, bound)
+        d = self._ball_search(w, metric, bound)
         if d is not None:
             self._memo[key] = d
             self._memo[(metric, self.group.inverse(w))] = d
@@ -465,9 +476,9 @@ def export_ball_dot(graph: RelativeGraph, table: BallTable) -> str:
     for v in order:
         lines.append(f'  n{ids[v]} [label="{fmt(v)}"];')
     for v in order:
-        for u, labels in graph.neighbor_edges(v, table.metric):
+        for symbol, u in graph.neighbors(v, table.metric):
             if u in table.entries and shortlex_key(v) < shortlex_key(u):
-                text = "|".join(graph.format_label(l) for l in labels)
+                text = graph.format_symbol(symbol, table.metric)
                 lines.append(f'  n{ids[v]} -- n{ids[u]} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

@@ -410,7 +410,7 @@ def brute_force_geodesics(graph: RelativeGraph, oracle: DistanceOracle,
                 found.add(path)
             return
         remaining = length - (len(path) - 1)
-        for x, _ in graph.neighbor_edges(w, RELATIVE):
+        for _, x in graph.neighbors(w, RELATIVE):
             # exact, not `within`: a referee sharing the DAG's test shares its faults
             if oracle.distance(x, v, RELATIVE) == remaining - 1:
                 walk(x, path + (x,))
@@ -433,7 +433,7 @@ def oracle_equivalence_violations(graph: RelativeGraph,
         if oracle.distance(u, v, RELATIVE) > max_distance:
             continue
         dag = geodesic_dag(graph, oracle, u, v)
-        paths, truncated = enumerate_geodesics(graph, dag, max_count=100_000)
+        paths, truncated = enumerate_geodesics(dag, max_count=100_000)
         if truncated:
             continue
         got = {p.vertices for p in paths}

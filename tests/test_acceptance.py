@@ -301,15 +301,15 @@ def _equivariance_mismatches(spec_name: str, samples: int, seed: int) -> tuple[i
         dag = geodesic_dag(graph, oracle, u, v)
         moved = geodesic_dag(graph, oracle, group.multiply(g, u),
                              group.multiply(g, v))
-        paths, _ = enumerate_geodesics(graph, dag, max_count=2)
+        paths, _ = enumerate_geodesics(dag, max_count=2)
         for path in paths:
             if done >= samples:
                 break
             done += 1
             translated = [group.multiply(g, w) for w in path.vertices]
-            for a, b, ga, gb in zip(path.vertices, path.vertices[1:],
-                                    translated, translated[1:]):
-                if moved.edges.get((ga, gb)) != dag.edges[(a, b)]:
+            for symbol, ga, gb in zip(path.symbols, translated,
+                                      translated[1:]):
+                if (symbol, gb) not in moved.successors.get(ga, ()):
                     bad += 1
                     break
     return bad, done

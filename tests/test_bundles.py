@@ -401,8 +401,7 @@ class TestGeo1:
         bounds = []
         for depth in (8, 10, 12):
             g1 = pipe.geo1(base, depth).vertices
-            paths, truncated = enumerate_geodesics(
-                GR_Z3Z2, pipe.bundle(base, depth))
+            paths, truncated = enumerate_geodesics(pipe.bundle(base, depth))
             assert not truncated
             worst = 0
             for path in paths:

@@ -3,6 +3,7 @@
 from __future__ import annotations
 
 import argparse
+import hashlib
 import json
 import re
 from pathlib import Path
@@ -123,6 +124,26 @@ class TestExplore:
         assert doc["length"] == 3
         assert doc["layer_sizes"] == [1, 1, 1, 1]
         assert "rank=same" in (out / "dag.dot").read_text()
+
+    @pytest.mark.parametrize("spec, args, name, label, digest", [
+        ("z3z2_rel_factors", ["dag", "e", "a b a"], "dag.dot", "a|H0:a",
+         "b0def84c53cf80c353d940fd5f772c0e591b133ab477c0c59f5e0fec523e2f9a"),
+        ("z3z2_rel_factors", ["ball", "e", "2"], "ball_r2.dot", "a|H0:a",
+         "290ecca67b9b94307259767838743b047a92f103c431a462c209af655443a9c0"),
+        # from t, symbol order reaches t t before e; layer order puts e first
+        ("z6z2_free", ["dag", "t b t'", "t' t'"], "dag.dot", "b|b'",
+         "03fe7b196adc8881a0c5dc1f783626fc59b9e1188cbf41679bc1a11f6046388b"),
+    ], ids=["z3z2-dag", "z3z2-ball", "z6z2-dag"])
+    def test_parallel_label_dot_pinned(self, tmp_path, spec, args, name,
+                                       label, digest):
+        """DOT edges print every parallel label, such as `a|H0:a` in ℤ₃∗ℤ₂,
+        and a DAG's edges in layer order; the files keep their bytes."""
+        spec = str(ROOT / "specs" / f"{spec}.json")
+        assert main(["explore", *args, "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        dot = (tmp_path / name).read_bytes()
+        assert f'label="{label}"'.encode() in dot
+        assert hashlib.sha256(dot).hexdigest() == digest
 
     def test_geo1_vertex_list(self, z3z2_spec_file, tmp_path):
         out = tmp_path / "art"

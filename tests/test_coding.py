@@ -115,31 +115,30 @@ class TestLabelCodec:
 # restricted labels and the order
 
 
-def _tree_edge_labels(text: str):
+def _tree_edge_symbols(text: str):
     target = F2.parse(text)
     dag = geodesic_dag(GR_F2, OR_F2, (), target)
-    paths, _ = enumerate_geodesics(GR_F2, dag, max_count=1)
-    return paths[0].labels
+    paths, _ = enumerate_geodesics(dag, max_count=1)
+    return paths[0].symbols
 
 
 class TestRestrictedLabel:
     def test_first_symbol_padded_to_zero_row(self):
-        lab = restrict_label(CODEC_F2, _tree_edge_labels("a"), 1)
+        lab = restrict_label(_tree_edge_symbols("a"), 1)
         assert lab.rows == ((0,),)
 
     def test_two_step_padding(self):
         # edges b then a': codes "1" and "0", padded to two bits each
-        lab = restrict_label(CODEC_F2, _tree_edge_labels("b a'"), 2)
+        lab = restrict_label(_tree_edge_symbols("b a'"), 2)
         assert lab.rows == ((1, 0), (0, 0))
 
     def test_short_path_rejected(self):
         with pytest.raises(SpecError, match="edges"):
-            restrict_label(CODEC_F2, _tree_edge_labels("a"), 2)
+            restrict_label(_tree_edge_symbols("a"), 2)
 
     def test_restriction_drops_row_and_bits(self):
-        lab = restrict_label(CODEC_F2, _tree_edge_labels("b a' b"), 3)
-        assert lab.restrict(2) == restrict_label(
-            CODEC_F2, _tree_edge_labels("b a' b"), 2)
+        lab = restrict_label(_tree_edge_symbols("b a' b"), 3)
+        assert lab.restrict(2) == restrict_label(_tree_edge_symbols("b a' b"), 2)
 
     @PROPERTY_SETTINGS
     @given(lab=bit_matrices(6), m=st.integers(1, 6), k=st.integers(1, 6))
@@ -200,6 +199,23 @@ class TestCEtaWindow:
         assert labels == {RestrictedLabel(2, ((0, 0), (0, 0)))}
         assert len(win.entries) == 10  # hosts a^0..a^9
         assert win.capped == ()
+
+    def test_cap_counts_distinct_continuations(self):
+        """In ℤ₃∗ℤ₂ with both factors parabolic (the group of
+        specs/z3z2_rel_factors.json) every edge has parallel labels, but a
+        host is capped only past its number of distinct continuations."""
+        win = c_eta_window(PIPE_AB, 12, 2)
+        hosts = sorted({g for g, _, _ in win.entries})
+        counts = []
+        for g in hosts:
+            paths, truncated = enumerate_geodesics(PIPE_AB.bundle(g, 2))
+            assert not truncated
+            counts.append(len(paths))
+        cap = max(counts)
+        assert c_eta_window(PIPE_AB, 12, 2, continuation_cap=cap).capped == ()
+        tight = c_eta_window(PIPE_AB, 12, 2, continuation_cap=cap - 1)
+        assert sorted(tight.capped) == [g for g, c in zip(hosts, counts)
+                                        if c == cap]
 
     def test_entry_depths_respect_cutoff(self):
         win = c_eta_window(PIPE_AB, 12, 3)
@@ -322,9 +338,9 @@ class TestLabelEquivariance:
         t = F2.reduce(t)
         dag = geodesic_dag(GR_F2, OR_F2, (), t)
         moved = geodesic_dag(GR_F2, OR_F2, g, F2.multiply(g, t))
-        paths, _ = enumerate_geodesics(GR_F2, dag)
-        moved_paths, _ = enumerate_geodesics(GR_F2, moved)
-        assert [p.labels for p in paths] == [p.labels for p in moved_paths]
+        paths, _ = enumerate_geodesics(dag)
+        moved_paths, _ = enumerate_geodesics(moved)
+        assert [p.symbols for p in paths] == [p.symbols for p in moved_paths]
 
 
 # ---------------------------------------------------------------------------

@@ -22,7 +22,6 @@ from relbundles.geodesics import (
     enumerate_geodesics,
     geodesic_dag,
     layer_profile,
-    path_elements,
     ray_vertex,
     validate_direction,
 )
@@ -88,7 +87,7 @@ def brute_geodesics(graph, oracle, u, v, metric=RELATIVE):
                 out.append(tuple(path))
             return
         remaining = total - (len(path) - 1)
-        for x, _ in graph.neighbor_edges(w, metric):
+        for _, x in graph.neighbors(w, metric):
             if oracle.distance(x, v, metric) == remaining - 1:
                 path.append(x)
                 walk(x, path)
@@ -105,47 +104,49 @@ def test_free_chain_dag():
     dag = geodesic_dag(GR_F2, OR_F2, (), F2.parse("a b"))
     assert dag.length == 2
     assert dag.layers == (((),), ((1,),), ((1, 2),))
-    paths, truncated = enumerate_geodesics(GR_F2, dag)
+    paths, truncated = enumerate_geodesics(dag)
     assert len(paths) == 1 and not truncated
-    assert [GR_F2.format_label(l) for l in paths[0].labels] == ["a", "b"]
+    assert [GR_F2.format_symbol(s) for s in paths[0].symbols] == ["a", "b"]
 
 
 def test_free_product_syllable_chain():
     w = Z3Z2.parse("a b a")
     dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, (), w)
     assert dag.layers == (((),), ((1,),), ((1, 2),), ((1, 2, 1),))
-    paths, _ = enumerate_geodesics(GR_Z3Z2, dag)
+    paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
-    assert path_elements(GR_Z3Z2, paths[0]) == ((1,), (2,), (1,))
+    steps = GR_Z3Z2.step_words()
+    assert [steps[s] for s in paths[0].symbols] == [(1,), (2,), (1,)]
 
 
 def test_adjoined_generator_single_step():
     dag = geodesic_dag(GR_F2X, OR_F2X, (), F2X.parse("a b"))
     assert dag.length == 1
-    (path,), _ = enumerate_geodesics(GR_F2X, dag)
-    assert [GR_F2X.format_label(l) for l in path.labels] == ["ab"]
+    (path,), _ = enumerate_geodesics(dag)
+    assert [GR_F2X.format_symbol(s) for s in path.symbols] == ["ab"]
 
 
 def test_adjoined_generator_double_step():
     dag = geodesic_dag(GR_F2X, OR_F2X, (), F2X.parse("a b a b"))
-    paths, _ = enumerate_geodesics(GR_F2X, dag)
+    paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
-    assert path_elements(GR_F2X, paths[0]) == ((1, 2), (1, 2))
+    steps = GR_F2X.step_words()
+    assert [steps[s] for s in paths[0].symbols] == [(1, 2), (1, 2)]
 
 
 def test_commutator_bigon_enumeration():
     """Both spellings of the genus-2 commutator, in label order."""
     dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), GENUS2.parse("a b a' b'"))
     assert dag.length == 4
-    paths, truncated = enumerate_geodesics(GR_GENUS2, dag)
+    paths, truncated = enumerate_geodesics(dag)
     assert not truncated
-    spelled = [tuple(GR_GENUS2.format_label(l) for l in p.labels) for p in paths]
+    spelled = [tuple(GR_GENUS2.format_symbol(s) for s in p.symbols) for p in paths]
     assert spelled == [("a", "b", "a'", "b'"), ("d", "c", "d'", "c'")]
 
 
 def test_enumeration_cap():
     dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), GENUS2.parse("a b a' b'"))
-    paths, truncated = enumerate_geodesics(GR_GENUS2, dag, max_count=1)
+    paths, truncated = enumerate_geodesics(dag, max_count=1)
     assert truncated and len(paths) == 1
 
 
@@ -195,10 +196,8 @@ class TestDagInvariants:
         dag = geodesic_dag(GR_F2X, OR_F2X, u, v)
         for k, layer in enumerate(dag.layers):
             for w in layer:
-                if k > 0:
-                    assert dag.predecessors(w, k)
-                if k < dag.length:
-                    assert dag.successors(w, k)
+                assert bool(dag.predecessors[w]) == (k > 0)
+                assert bool(dag.successors[w]) == (k < dag.length)
 
     @PROPERTY_SETTINGS
     @given(g=words_of(Z3Z2, 3), u=words_of(Z3Z2, 3), v=words_of(Z3Z2, 3))
@@ -218,7 +217,7 @@ class TestAgainstBruteForce:
     @given(u=words_of(Z3Z2, 3), v=words_of(Z3Z2, 3))
     def test_free_product(self, u, v):
         dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, u, v)
-        paths, _ = enumerate_geodesics(GR_Z3Z2, dag, max_count=10_000)
+        paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
             GR_Z3Z2, OR_Z3Z2, u, v)
 
@@ -226,7 +225,7 @@ class TestAgainstBruteForce:
     @given(u=words_of(F2X, 3), v=words_of(F2X, 3))
     def test_free_adjoined(self, u, v):
         dag = geodesic_dag(GR_F2X, OR_F2X, u, v)
-        paths, _ = enumerate_geodesics(GR_F2X, dag, max_count=10_000)
+        paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
             GR_F2X, OR_F2X, u, v)
 
@@ -235,7 +234,7 @@ class TestAgainstBruteForce:
     @given(v=words_of(GENUS2, 4))
     def test_small_cancellation(self, v):
         dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), v)
-        paths, _ = enumerate_geodesics(GR_GENUS2, dag, max_count=10_000)
+        paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
             GR_GENUS2, OR_GENUS2, (), v)
 
@@ -341,7 +340,7 @@ def test_bundle_layers_extend_to_full_depth():
     assert dag.length == 4
     for k in range(dag.length):
         for w in dag.layers[k]:
-            assert dag.successors(w, k)
+            assert dag.successors[w]
 
 
 @pytest.mark.parametrize("text, radius", [("a b c d", 2), ("a b c d a", 3)])
@@ -362,9 +361,11 @@ def _full_dag_cut(graph, oracle, x, target, depth):
     length = min(depth, full.length)
     layers = full.layers[:length + 1]
     kept = {w for layer in layers for w in layer}
-    edges = {pair: labels for pair, labels in full.edges.items()
-             if pair[0] in kept and pair[1] in kept}
-    return full, GeodesicDAG(x, target, length, layers, edges, full.metric)
+    successors = {v: [(s, w) for s, w in full.successors[v] if w in kept]
+                  for v in kept}
+    predecessors = {w: full.predecessors[w] for w in kept}
+    return full, GeodesicDAG(x, target, length, layers, successors,
+                             predecessors)
 
 
 @pytest.mark.parametrize("graph, oracle, text, bases, depths, widest", [

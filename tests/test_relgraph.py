@@ -97,18 +97,18 @@ def words_of(group, max_len=5):
 # adjacency pins
 
 def test_free_group_neighbor_order():
-    got = [(GR_F2.format_label(l), w) for l, w in GR_F2.neighbors(())]
+    got = [(GR_F2.format_symbol(s), w) for s, w in GR_F2.neighbors(())]
     assert got == [("a", (1,)), ("a'", (-1,)), ("b", (2,)), ("b'", (-2,))]
 
 
 def test_free_product_neighbor_edges():
-    """The b edge carries both signs plus the parabolic label."""
-    got = [(w, tuple(GR_Z3Z2.format_label(l) for l in labels))
-           for w, labels in GR_Z3Z2.neighbor_edges(())]
+    """One edge per neighbor: the b symbol carries both signs plus the
+    parabolic label."""
+    got = [(s, w, GR_Z3Z2.format_symbol(s)) for s, w in GR_Z3Z2.neighbors(())]
     assert got == [
-        ((1,), ("a", "H0:a")),
-        ((-1,), ("a'", "H0:a'")),
-        ((2,), ("b", "b'", "H1:b")),
+        (0, (1,), "a|H0:a"),
+        (1, (-1,), "a'|H0:a'"),
+        (2, (2,), "b|b'|H1:b"),
     ]
 
 
@@ -116,8 +116,14 @@ def test_alphabet_matches_identity_neighbors():
     for graph, _ in GRAPHS:
         for metric in (RELATIVE, ABSOLUTE):
             steps = graph.step_words(metric)
-            neigh = [w for w, _ in graph.neighbor_edges((), metric)]
-            assert steps == neigh
+            assert graph.neighbors((), metric) == list(enumerate(steps))
+
+
+def test_absolute_alphabet_is_a_relative_prefix():
+    """A symbol names the same element in both metrics."""
+    for graph, _ in GRAPHS:
+        absolute = graph.step_words(ABSOLUTE)
+        assert graph.step_words(RELATIVE)[:len(absolute)] == absolute
 
 
 def test_adjoined_generator_alphabet():
@@ -268,7 +274,7 @@ Z6 = build_group(spec_from_dict({"family": "finite-table",
 # one group per oracle mode, with the d(u, v) the mode dispatches to
 ORACLE_MODES = {
     "free": (F2, "_free_distance"),
-    "parse": (F2X, "_searched_distance"),
+    "parse": (F2X, "_parsed_distance"),
     "table": (Z6, "_word_distance"),
     "syllable": (Z3Z2, "_syllable_distance"),
     "ball": (GENUS2, "_searched_distance"),
@@ -295,7 +301,6 @@ def test_within_matches_search(mode, seed):
     group, pair = ORACLE_MODES[mode]
     graph = RelativeGraph(group)
     assert DistanceOracle(graph)._pair[RELATIVE].__name__ == pair
-    assert DistanceOracle(graph)._parse == (mode == "parse")
     for u, v in _seeded_pairs(group, seed):
         for metric in METRICS:
             d = graph.distance_bfs(u, v, metric)
@@ -303,6 +308,17 @@ def test_within_matches_search(mode, seed):
             oracle = DistanceOracle(graph)
             for bound in sorted({0, d - 1, d, d + 1}):
                 assert oracle.within(u, v, bound, metric) == (d <= bound)
+
+
+def test_parse_memo_stores_each_word_once():
+    """A free group has no parabolic moves, so both metrics share the parse
+    DP: d(u, v) asked in each leaves one memo entry, for u⁻¹v alone."""
+    u, v = F2X.parse("a"), F2X.parse("b a b a")
+    d = GR_F2X.distance_bfs(u, v, RELATIVE)
+    oracle = DistanceOracle(GR_F2X)
+    for metric in METRICS:
+        assert oracle.distance(u, v, metric) == d
+    assert oracle._parses == {F2X.multiply(F2X.inverse(u), v): d}
 
 
 @pytest.mark.parametrize("forward_first", [True, False])

@@ -251,7 +251,7 @@ class TestReferees:
         for u_text, v_text in [("e", "a b a"), ("b", "a b"), ("a", "a'")]:
             u, v = group.parse(u_text), group.parse(v_text)
             dag = geodesic_dag(graph, oracle, u, v)
-            paths, truncated = enumerate_geodesics(graph, dag)
+            paths, truncated = enumerate_geodesics(dag)
             assert not truncated
             assert {p.vertices for p in paths} == brute_force_geodesics(
                 graph, oracle, u, v)
