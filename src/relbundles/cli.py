@@ -108,8 +108,15 @@ def _build_parser() -> argparse.ArgumentParser:
 
 
 def _load_json(path: str) -> dict:
+    """The JSON object a file holds; anything else is a SpecError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return json.load(fh)
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # bad JSON, or bytes that are not UTF-8
+            raise SpecError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"{path} must hold a JSON object")
+    return doc
 
 
 def load_config(config_path: str, spec_path: str | None = None,
@@ -122,6 +129,8 @@ def load_config(config_path: str, spec_path: str | None = None,
     """
     doc = _load_json(config_path)
     relative = doc.pop("spec_path", None)
+    if relative is not None and not isinstance(relative, str):
+        raise SpecError("spec_path must be a string")
     if spec_path:
         doc["spec"] = _load_json(spec_path)
     elif relative is not None:
@@ -397,7 +406,7 @@ def _cmd_validate_spec(args: argparse.Namespace) -> int:
     group = build_group(spec)
     graph = RelativeGraph(group)
     # before the generators line: an infinite parabolic raises here
-    size = len(graph.moves(RELATIVE))
+    size = sum(len(names) for _, names in graph.alphabet(RELATIVE))
     print(f"generators: {', '.join(group.gen_names)}")
     print(f"relative alphabet size: {size}")
     print(f"spec hash: {spec_hash(spec)}")

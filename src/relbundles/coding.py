@@ -1,6 +1,8 @@
 """Binary label coding over Geo₁ and the minimal-label machinery.
 
-Alphabet symbols get short binary codes; the first `n` edges of a
+Alphabet symbol i codes as `_bits(i)`, the i-th binary string shortest
+first, so parallel labels carrying one element share a code and left
+translation cannot change a path's coding.  The first `n` edges of a
 geodesic continuation become an n×n bit matrix.  Collecting those
 matrices over a truncated Geo₁ gives a finite window into C^η, from which
 the minimal recurring label, the set it tags, its least element, and the
@@ -23,29 +25,6 @@ from .hyperbolicity import bound_B, bound_K
 def _bits(k: int) -> tuple[int, ...]:
     """The k-th binary string in length-then-lex order: "", 0, 1, 00, 01, …"""
     return tuple(int(c) for c in bin(k + 1)[3:])
-
-
-class LabelCodec:
-    """Shortest-first binary codes for the symmetrized alphabet.
-
-    `symbols` lists the distinct move elements of the relative alphabet in
-    symbol order, and symbol i codes as `_bits(i)`: parallel labels
-    carrying the same element share one code, and left translation cannot
-    change a path's coding.
-    """
-
-    def __init__(self, graph: RelativeGraph):
-        self.graph = graph
-        self.symbols: tuple[Word, ...] = graph.step_words(RELATIVE)
-        self._codes = {w: _bits(i) for i, w in enumerate(self.symbols)}
-
-    def code(self, element: Word) -> tuple[int, ...]:
-        got = self._codes.get(element)
-        if got is None:
-            raise SpecError(
-                f"{self.graph.group.format(element)} is not a move of the "
-                f"relative alphabet")
-        return got
 
 
 @dataclass(frozen=True)
@@ -247,10 +226,6 @@ class Lemma418Report:
     distance_bound: int
     distance_violations: tuple[Word, ...]
     count_bound: int
-
-    @property
-    def ok(self) -> bool:
-        return not self.distance_violations and len(self.matches) <= self.count_bound
 
 
 def check_lemma418(graph: RelativeGraph, oracle: DistanceOracle,

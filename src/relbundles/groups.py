@@ -141,30 +141,59 @@ class GroupSpec:
         return d
 
 
+def json_int(value, what: str) -> int:
+    """`value` if it is a JSON integer; true and false are not, though
+    Python counts a bool as an int."""
+    if not isinstance(value, int) or isinstance(value, bool):
+        raise SpecError(f"{what} must be an integer, got {value!r}")
+    return value
+
+
+def json_list(value, kind: type, what: str) -> tuple:
+    """`value` as a tuple if it is a JSON list of `kind` (int or str)."""
+    if not isinstance(value, list) or not all(
+            isinstance(x, kind) and not isinstance(x, bool) for x in value):
+        noun = "integers" if kind is int else "strings"
+        raise SpecError(f"{what} must be a list of {noun}")
+    return tuple(value)
+
+
 def spec_from_dict(data: dict) -> GroupSpec:
+    if not isinstance(data, dict):
+        raise SpecError("a group spec must be a JSON object")
     family = data.get("family")
     if family not in ("free", "finite-table", "small-cancellation", "free-product"):
         raise SpecError(f"unknown family {family!r}")
     parab = data.get("parabolics", "none")
-    parabolics = () if parab in ("none", None) else tuple(int(i) for i in parab)
-    redundant = tuple(data.get("redundant_generators", ()))
+    parabolics = () if parab in ("none", None) else json_list(parab, int, "parabolics")
+    redundant = json_list(data.get("redundant_generators", []), str,
+                          "redundant_generators")
     if family == "finite-table":
         t = data.get("table")
         if not isinstance(t, dict):
             raise SpecError("finite-table spec needs a 'table' object")
+        mul = t.get("mul")
+        if not isinstance(mul, list):
+            raise SpecError("table 'mul' must be a list of rows")
+        names = t.get("generators")
+        if not isinstance(names, dict):
+            raise SpecError("table 'generators' must map names to elements")
         table = TableData(
-            size=int(t["size"]),
-            mul=tuple(tuple(int(x) for x in row) for row in t["mul"]),
-            generators=tuple(sorted((str(n), int(i)) for n, i in t["generators"].items())),
+            size=json_int(t.get("size"), "table size"),
+            mul=tuple(json_list(row, int, "table row") for row in mul),
+            generators=tuple(sorted((n, json_int(i, f"element of {n!r}"))
+                                    for n, i in names.items())),
         )
         return GroupSpec(family, table=table, parabolics=parabolics,
                          redundant_generators=redundant)
     if family == "free-product":
-        factors = tuple(spec_from_dict(f) for f in data.get("factors", ()))
-        return GroupSpec(family, factors=factors, parabolics=parabolics,
-                         redundant_generators=redundant)
-    gens = tuple(str(g) for g in data.get("generators", ()))
-    relators = tuple(str(r) for r in data.get("relators", ()))
+        factors = data.get("factors", [])
+        if not isinstance(factors, list):
+            raise SpecError("'factors' must be a list of group specs")
+        return GroupSpec(family, factors=tuple(map(spec_from_dict, factors)),
+                         parabolics=parabolics, redundant_generators=redundant)
+    gens = json_list(data.get("generators", []), str, "generators")
+    relators = json_list(data.get("relators", []), str, "relators")
     return GroupSpec(family, generators=gens, relators=relators,
                      parabolics=parabolics, redundant_generators=redundant)
 
@@ -199,9 +228,6 @@ class Group:
 
     def is_identity(self, word: Word) -> bool:
         return self.reduce(word) == ()
-
-    def equal(self, u: Word, v: Word) -> bool:
-        return self.reduce(u) == self.reduce(v)
 
     # -- enumeration ------------------------------------------------------
 
@@ -643,11 +669,6 @@ class FreeProductGroup(Group):
     def parabolic_slots(self) -> tuple[int, ...]:
         return self.spec.parabolics
 
-    def _parabolic_factor(self, slot: int) -> Group:
-        if slot not in self.spec.parabolics:
-            raise SpecError(f"factor {slot} is not declared parabolic")
-        return self.factors[slot]
-
     def parabolic_elements(self, slot: int) -> list[Word]:
         """Non-identity elements of a parabolic factor, as global words.
 
@@ -655,21 +676,15 @@ class FreeProductGroup(Group):
         finite table, since coning off an infinite factor would give the
         relative graph vertices of infinite degree.
         """
-        factor = self._parabolic_factor(slot)
+        if slot not in self.spec.parabolics:
+            raise SpecError(f"factor {slot} is not declared parabolic")
+        factor = self.factors[slot]
         if not isinstance(factor, TableGroup):
             raise SpecError(
                 f"parabolic factor {slot} ({', '.join(factor.gen_names)}) is "
                 "infinite: infinite parabolic subgroups are not supported")
         glob = self._global[slot].__getitem__
         return [tuple(map(glob, w)) for w in factor.all_elements() if w]
-
-    def coset_rep(self, g: Word, slot: int) -> Word:
-        """Canonical representative of the left coset g H_slot."""
-        self._parabolic_factor(slot)
-        s = len(g)
-        while s and self._owner[g[s - 1]] == slot:
-            s -= 1
-        return g[:s]
 
 
 def _check_names(names: tuple[str, ...]) -> None:

@@ -10,8 +10,9 @@ single parabolic edge between group elements, keeping distances integral.
 A generator that also lies in a parabolic factor gives parallel edges
 carrying one element.  Below the display layer an edge is its alphabet
 symbol: the position of its element among the distinct move elements,
-ordered by least label.  A symbol's labels are read back only for
-display: the DOT files print them and `validate-spec` counts them.
+ordered by least label.  A label is only a name: `alphabet` keeps each
+symbol's element with the names of its labels, which the DOT files print
+and `validate-spec` counts.
 
 Distance queries dispatch to closed forms where the family admits one.
 Otherwise the oracle keeps one ball around e per metric, valid for every
@@ -44,33 +45,13 @@ METRICS = (RELATIVE, ABSOLUTE)
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
+# per symbol: its element and the names of its labels, in label order
+Alphabet = tuple[tuple[Word, tuple[str, ...]], ...]
+
 
 class ResourceLimitError(RuntimeError):
     """A search would pass the configured cap, or cannot finish within the
     graph's moves."""
-
-
-@dataclass(frozen=True)
-class EdgeLabel:
-    """One symbol of the symmetrized alphabet.
-
-    Absolute labels name a position in X (primitive generators first, then
-    adjoined ones) plus a sign.  Parabolic labels name the factor slot and
-    the non-identity subgroup element being applied; `sign` stays 0.
-    """
-
-    kind: str  # "abs" | "par"
-    index: int
-    sign: int = 0
-    element: Word = ()
-
-
-def label_key(label: EdgeLabel) -> tuple:
-    """Canonical total order: absolute labels first, in declaration order
-    with + before −, then parabolic labels by (slot, factor normal form)."""
-    if label.kind == "abs":
-        return (0, label.index, 0 if label.sign > 0 else 1)
-    return (1, label.index, shortlex_key(label.element))
 
 
 @dataclass
@@ -99,77 +80,57 @@ class RelativeGraph:
         self.spec = group.spec
         self.vertex_cap = vertex_cap
 
-        prim = group.gen_names
-        self._x_names = list(prim)
-        self._abs_moves: list[tuple[EdgeLabel, Word]] = []
-        for i in range(len(prim)):
-            for sign in (1, -1):
-                self._abs_moves.append(
-                    (EdgeLabel("abs", i, sign), group.reduce((sign * (i + 1),))))
-        for j, text in enumerate(self.spec.redundant_generators):
+        # (name, element) of each label of X, in label order
+        self._x_labels: list[tuple[str, Word]] = []
+        for i, name in enumerate(group.gen_names, 1):
+            self._x_labels += [(name, group.reduce((i,))),
+                               (name + "'", group.reduce((-i,)))]
+        for text in self.spec.redundant_generators:
             w = group.parse(text)
             if w == ():
                 raise SpecError(f"adjoined generator {text!r} is the identity")
-            self._x_names.append("".join(text.split()))
-            k = len(prim) + j
-            self._abs_moves.append((EdgeLabel("abs", k, 1), w))
-            self._abs_moves.append((EdgeLabel("abs", k, -1), group.inverse(w)))
-
-        self._par_moves: list[tuple[EdgeLabel, Word]] | None = None
-        self._alphabets: dict[str, list[tuple[Word, tuple[EdgeLabel, ...]]]] = {}
-        self._moves: dict[str, tuple[tuple[EdgeLabel, Word], ...]] = {}
+            name = "".join(text.split())
+            self._x_labels += [(name, w), (name + "'", group.inverse(w))]
+        self._alphabets: dict[str, Alphabet] = {}
         self._steps: dict[str, tuple[Word, ...]] = {}
 
     # -- move alphabet -----------------------------------------------------
 
-    def _parabolic_moves(self) -> list[tuple[EdgeLabel, Word]]:
-        if self._par_moves is not None:
-            return self._par_moves
-        moves: list[tuple[EdgeLabel, Word]] = []
-        g = self.group
-        if isinstance(g, FreeProductGroup):
-            for slot in g.parabolic_slots:
-                for h in g.parabolic_elements(slot):
-                    moves.append((EdgeLabel("par", slot, 0, h), h))
-        self._par_moves = moves
-        return moves
+    def alphabet(self, metric: str = RELATIVE) -> Alphabet:
+        """Distinct move elements with the names of all their labels.
 
-    def moves(self, metric: str = RELATIVE) -> tuple[tuple[EdgeLabel, Word], ...]:
-        """Every (label, element) move, sorted by label once per metric."""
-        cached = self._moves.get(metric)
-        if cached is not None:
-            return cached
+        Labels come in a fixed order: the generators of X as declared,
+        primitive then adjoined, each + before −; then, for the relative
+        metric, one `H{slot}:{h}` per non-identity element h of each
+        parabolic factor, by slot and shortlex h.  Symbols, the positions
+        in this table, follow the least label of each element; they are
+        the canonical enumeration of the symmetrized alphabet used for
+        binary coding.  A table is built on first use and kept only once
+        built, so an infinite parabolic raises on every relative call and
+        the absolute table still builds.
+        """
+        table = self._alphabets.get(metric)
+        if table is not None:
+            return table
         if metric not in METRICS:
             raise SpecError(f"unknown metric {metric!r}")
-        out = list(self._abs_moves)
-        if metric == RELATIVE:
-            out.extend(self._parabolic_moves())
-        out.sort(key=lambda mv: label_key(mv[0]))
-        self._moves[metric] = tuple(out)
-        return self._moves[metric]
-
-    def alphabet(self, metric: str = RELATIVE) -> list[tuple[Word, tuple[EdgeLabel, ...]]]:
-        """Distinct move elements with all their labels, symbol by symbol.
-
-        The order — by least label — is the canonical enumeration of the
-        symmetrized alphabet used for binary coding, and the elements are
-        exactly the neighbors of the identity vertex.
-        """
-        cached = self._alphabets.get(metric)
-        if cached is not None:
-            return cached
-        by_word: dict[Word, list[EdgeLabel]] = {}
-        for label, w in self.moves(metric):
-            by_word.setdefault(w, []).append(label)
-        # moves come in label order, so first sight is least-label order
-        out = [(w, tuple(labels)) for w, labels in by_word.items()]
-        self._alphabets[metric] = out
-        return out
+        labels = list(self._x_labels)
+        g = self.group
+        if metric == RELATIVE and isinstance(g, FreeProductGroup):
+            for slot in sorted(g.parabolic_slots):
+                labels += [(f"H{slot}:{g.format(h)}", h)
+                           for h in g.parabolic_elements(slot)]
+        names: dict[Word, list[str]] = {}
+        for name, w in labels:
+            names.setdefault(w, []).append(name)
+        table = self._alphabets[metric] = tuple(
+            (w, tuple(ns)) for w, ns in names.items())
+        return table
 
     def step_words(self, metric: str = RELATIVE) -> tuple[Word, ...]:
         """The element of each symbol.
 
-        Absolute labels sort before parabolic ones, so the absolute
+        Absolute labels come before parabolic ones, so the absolute
         alphabet is a prefix of the relative one: a symbol names the same
         element in both metrics.
         """
@@ -178,15 +139,9 @@ class RelativeGraph:
             steps = self._steps[metric] = tuple(w for w, _ in self.alphabet(metric))
         return steps
 
-    def format_label(self, label: EdgeLabel) -> str:
-        if label.kind == "abs":
-            return self._x_names[label.index] + ("" if label.sign > 0 else "'")
-        return f"H{label.index}:{self.group.format(label.element)}"
-
     def format_symbol(self, symbol: int, metric: str = RELATIVE) -> str:
         """Every label of a symbol, joined by "|" in label order."""
-        return "|".join(self.format_label(label)
-                        for label in self.alphabet(metric)[symbol][1])
+        return "|".join(self.alphabet(metric)[symbol][1])
 
     # -- adjacency -----------------------------------------------------------
 

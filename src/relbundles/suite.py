@@ -26,6 +26,8 @@ from .groups import (
     SpecError,
     Word,
     build_group,
+    json_int,
+    json_list,
     shortlex_key,
     spec_from_dict,
     spec_hash,
@@ -126,10 +128,20 @@ class RunConfig:
             raise SpecError(f"unknown config keys: {sorted(unknown)}")
         if "spec" not in data:
             raise SpecError("config needs a 'spec' document")
+        # JSON can put any type anywhere: check each before __post_init__
+        # compares them.  Every field not named here is an integer.
         coerced = dict(data)
-        for name in ("directions", "bases", "scan_depths"):
-            if name in coerced:
-                coerced[name] = tuple(coerced[name])
+        for name, value in data.items():
+            if name in ("directions", "bases"):
+                coerced[name] = json_list(value, str, name)
+            elif name == "scan_depths":
+                coerced[name] = json_list(value, int, name)
+            elif name == "suite":
+                if not isinstance(value, str):
+                    raise SpecError("suite must be a string")
+            elif name != "spec" and not (
+                    value is None and name in ("window_radius", "margin")):
+                json_int(value, name)
         return cls(**coerced)
 
     def digest(self) -> str:

@@ -13,8 +13,13 @@ import pytest
 from relbundles import suite
 from relbundles.bundles import StabilizationError
 from relbundles.cli import _build_parser, main
-from relbundles.groups import DehnReductionError
-from relbundles.relgraph import DistanceOracle, ResourceLimitError
+from relbundles.groups import DehnReductionError, build_group, spec_from_dict
+from relbundles.relgraph import (
+    RELATIVE,
+    DistanceOracle,
+    RelativeGraph,
+    ResourceLimitError,
+)
 
 ROOT = Path(__file__).resolve().parent.parent
 F2_Z_PARABOLIC = str(ROOT / "specs" / "f2_z_parabolic.json")
@@ -92,6 +97,68 @@ class TestValidateSpec:
         broken = _write(tmp_path / "broken.json", {"family": "quantum"})
         assert main(["validate-spec", "--spec", broken]) == 1
         assert "error" in capsys.readouterr().err
+
+    def test_parabolic_slot_order_is_immaterial(self, tmp_path, capsys):
+        """Parabolic labels come by slot, not by declaration order.  In
+        ℤ₄∗ℤ₄ the squares a a and b b are carried by no generator, so
+        they are the last two symbols either way."""
+        def z4(gen):
+            mul = [[(i + j) % 4 for j in range(4)] for i in range(4)]
+            return {"family": "finite-table",
+                    "table": {"size": 4, "mul": mul, "generators": {gen: 1}}}
+        seen = []
+        for order in ([0, 1], [1, 0]):
+            spec = {"family": "free-product", "factors": [z4("a"), z4("b")],
+                    "parabolics": order}
+            graph = RelativeGraph(build_group(spec_from_dict(spec)))
+            path = _write(tmp_path / "z4z4.json", spec)
+            assert main(["validate-spec", "--spec", path]) == 0
+            size = [line for line in capsys.readouterr().out.splitlines()
+                    if line.startswith("relative alphabet size")]
+            labels = [graph.format_symbol(i)
+                      for i in range(len(graph.step_words(RELATIVE)))]
+            seen.append((graph.alphabet(RELATIVE), labels, size))
+        assert seen[0] == seen[1]
+        assert seen[0][1][-2:] == ["H0:a a", "H1:b b"]
+        assert seen[0][2] == ["relative alphabet size: 10"]
+
+
+MALFORMED = [
+    pytest.param("spec", "{not json", id="spec-not-json"),
+    pytest.param("spec", "[1, 2]", id="spec-not-object"),
+    pytest.param("spec", json.dumps({"family": "finite-table",
+                                     "table": {"mul": [[0]], "generators": {}}}),
+                 id="table-without-size"),
+    pytest.param("spec", json.dumps(dict(Z3Z2_SPEC, parabolics=["x"])),
+                 id="parabolic-not-integer"),
+    pytest.param("spec", json.dumps({"family": "free", "generators": "ab"}),
+                 id="generators-not-list"),
+    pytest.param("config", "{not json", id="config-not-json"),
+    pytest.param("config", json.dumps(dict(TINY_CONFIG, depth="ten")),
+                 id="depth-not-integer"),
+    pytest.param("config", json.dumps(dict(TINY_CONFIG, scan_depths=[8, 10, "x"])),
+                 id="scan-depth-not-integer"),
+    pytest.param("config", json.dumps(dict(TINY_CONFIG, directions="a")),
+                 id="directions-not-list"),
+]
+
+
+@pytest.mark.parametrize("kind, text", MALFORMED)
+def test_malformed_input_is_one_error_line(tmp_path, capsys, f2_spec_file,
+                                           kind, text):
+    """A file that is not the JSON document it should be gives exit 1 and
+    one error line, not a traceback."""
+    doc = tmp_path / "doc.json"
+    doc.write_text(text, encoding="utf-8")
+    if kind == "spec":
+        argv = ["validate-spec", "--spec", str(doc)]
+    else:
+        argv = ["verify", "--config", str(doc), "--spec", f2_spec_file,
+                "--out", str(tmp_path / "run")]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert "Traceback" not in err
+    assert err.startswith("error: ") and err.count("\n") == 1
 
 
 class TestExplore:

@@ -1,4 +1,4 @@
-"""Label codec, restricted labels, the <_n order, and window machinery."""
+"""Symbol codes, restricted labels, the <_n order, and window machinery."""
 
 from __future__ import annotations
 
@@ -19,8 +19,8 @@ from relbundles.geodesics import (
 from relbundles.bundles import DirectionPipeline, StabilizationError
 from relbundles.coding import (
     CEtaWindow,
-    LabelCodec,
     RestrictedLabel,
+    _bits,
     c_eta_window,
     check_lemma418,
     compare_n,
@@ -68,9 +68,6 @@ OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 DIR_A = direction_from_text(GR_F2, "a")
 DIR_AB = direction_from_text(GR_Z3Z2, "a b")
 
-CODEC_F2 = LabelCodec(GR_F2)
-CODEC_Z = LabelCodec(GR_Z3Z2)
-
 PIPE_TREE = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
 PIPE_AB = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
 
@@ -81,34 +78,33 @@ def bit_matrices(n: int):
 
 
 # ---------------------------------------------------------------------------
-# codec
+# symbol codes
 
 
-class TestLabelCodec:
+class TestSymbolCodes:
+    """Symbol i codes as `_bits(i)`: shortest first, one code per element."""
+
     def test_f2_codes_are_shortest_first(self):
-        assert [F2.format(s) for s in CODEC_F2.symbols] == ["a", "a'", "b", "b'"]
-        assert [CODEC_F2.code(s) for s in CODEC_F2.symbols] == [
-            (), (0,), (1,), (0, 0)]
+        assert [GR_F2.format_symbol(i) for i in range(4)] == ["a", "a'", "b", "b'"]
+        assert [_bits(i) for i in range(4)] == [(), (0,), (1,), (0, 0)]
 
     def test_fifth_symbol_code(self):
-        codec = LabelCodec(GR_F2X)
-        assert len(codec.symbols) == 6
-        assert F2X.format(codec.symbols[4]) == "a b"
-        assert codec.code(codec.symbols[4]) == (0, 1)
+        assert len(GR_F2X.step_words()) == 6
+        assert F2X.format(GR_F2X.step_words()[4]) == "a b"
+        assert GR_F2X.format_symbol(4) == "ab"
+        assert _bits(4) == (0, 1)
 
     def test_z3z2_parallel_labels_share_codes(self):
         # a reachable by the absolute generator and the Z₃ factor alike
-        assert [Z3Z2.format(s) for s in CODEC_Z.symbols] == ["a", "a'", "b"]
-        assert [CODEC_Z.code(s) for s in CODEC_Z.symbols] == [(), (0,), (1,)]
+        assert [(Z3Z2.format(w), names) for w, names in GR_Z3Z2.alphabet()] == [
+            ("a", ("a", "H0:a")), ("a'", ("a'", "H0:a'")),
+            ("b", ("b", "b'", "H1:b"))]
+        assert [_bits(i) for i in range(3)] == [(), (0,), (1,)]
 
     def test_injective_over_alphabet(self):
-        for codec in (CODEC_F2, CODEC_Z, LabelCodec(GR_F2X)):
-            codes = [codec.code(s) for s in codec.symbols]
-            assert len(set(codes)) == len(codes)
-
-    def test_unknown_element_rejected(self):
-        with pytest.raises(SpecError, match="alphabet"):
-            CODEC_F2.code(F2.parse("a b"))
+        codes = [_bits(i) for i in range(64)]
+        assert len(set(codes)) == len(codes)
+        assert [len(c) for c in codes] == sorted(len(c) for c in codes)
 
 
 # ---------------------------------------------------------------------------
@@ -358,7 +354,7 @@ class TestLemma418:
         report = check_lemma418(GR_Z3Z2, OR_Z3Z2, h, h, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()
-        assert report.ok
+        assert len(report.matches) <= report.count_bound
 
     def test_rotated_direction_matches_after_translation(self):
         d_ba = direction_from_text(GR_Z3Z2, "b a")
@@ -368,7 +364,7 @@ class TestLemma418:
         assert hb.g_n == Z3Z2.parse("b")
         report = check_lemma418(GR_Z3Z2, OR_Z3Z2, ha, hb, 0)
         assert report.matches == ((),)
-        assert report.ok
+        assert report.distance_violations == ()
         assert report.count_bound == 1
 
     def test_transverse_tree_directions_share_nothing(self):
@@ -378,7 +374,7 @@ class TestLemma418:
         hb = self._window(pipe_b, GR_F2, OR_F2, F2, 21, 2, 10)
         report = check_lemma418(GR_F2, OR_F2, ha, hb, 0)
         assert report.matches == ()
-        assert report.ok
+        assert report.distance_violations == ()
 
     def test_size_mismatch_rejected(self):
         ha = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
@@ -404,5 +400,5 @@ class TestLemma418:
         hb = self._window(pipe_back, GR_F2, OR_F2, F2, 21, 2, 10)
         report = check_lemma418(GR_F2, OR_F2, ha, hb, 0)
         assert report.matches == ()
-        assert report.ok
+        assert report.distance_violations == ()
         assert report.search_radius == 9

@@ -8,18 +8,22 @@ import random
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relbundles.groups import build_group, load_spec, spec_from_dict, SpecError
+from relbundles.groups import (
+    SpecError,
+    build_group,
+    load_spec,
+    shortlex_key,
+    spec_from_dict,
+)
 from relbundles.relgraph import (
     ABSOLUTE,
     METRICS,
     RELATIVE,
     BallTable,
     DistanceOracle,
-    EdgeLabel,
     RelativeGraph,
     ResourceLimitError,
     export_ball_dot,
-    label_key,
 )
 
 PROPERTY_SETTINGS = settings(
@@ -130,20 +134,37 @@ def test_adjoined_generator_alphabet():
     words = GR_F2X.step_words(ABSOLUTE)
     assert (1, 2) in words and (-2, -1) in words
     assert len(words) == 6
-    label = [l for l, w in GR_F2X.moves(ABSOLUTE) if w == (1, 2)][0]
-    assert GR_F2X.format_label(label) == "ab"
+    assert GR_F2X.format_symbol(words.index((1, 2)), ABSOLUTE) == "ab"
+    assert GR_F2X.format_symbol(words.index((-2, -1)), ABSOLUTE) == "ab'"
 
 
-def test_moves_sorted_by_label_key():
-    for graph, _ in GRAPHS:
-        for metric in (RELATIVE, ABSOLUTE):
-            keys = [label_key(l) for l, _ in graph.moves(metric)]
-            assert keys == sorted(keys)
+def _label_rank(graph, name):
+    """Label order: the generators of X as declared, + before −, then the
+    parabolic labels by slot and shortlex element."""
+    if name.startswith("H"):
+        slot, h = name[1:].split(":")
+        return (1, int(slot), shortlex_key(graph.group.parse(h)))
+    x = list(graph.group.gen_names)
+    x += ["".join(t.split()) for t in graph.spec.redundant_generators]
+    return (0, [n + s for n in x for s in ("", "'")].index(name))
+
+
+def test_alphabet_in_label_order():
+    """Each symbol lists its labels in label order, and symbols come in
+    the order of their least label."""
+    for graph, _ in GRAPHS + [(GR_ZxZ3, OR_ZxZ3)]:
+        for metric in METRICS:
+            ranks = [[_label_rank(graph, n) for n in names]
+                     for _, names in graph.alphabet(metric)]
+            assert all(r == sorted(r) for r in ranks)
+            assert [r[0] for r in ranks] == sorted(r[0] for r in ranks)
 
 
 def test_absolute_metric_has_no_parabolic_labels():
-    assert all(l.kind == "abs" for l, _ in GR_Z3Z2.moves(ABSOLUTE))
-    assert any(l.kind == "par" for l, _ in GR_Z3Z2.moves(RELATIVE))
+    def names(metric):
+        return [n for _, ns in GR_Z3Z2.alphabet(metric) for n in ns]
+    assert not any(n.startswith("H") for n in names(ABSOLUTE))
+    assert any(n.startswith("H") for n in names(RELATIVE))
 
 
 # ---------------------------------------------------------------------------
@@ -401,14 +422,16 @@ class TestMetricProperties:
 # infinite parabolics
 
 def test_infinite_parabolic_needs_truncation():
-    """An infinite parabolic is rejected when the relative moves are first
-    built; the absolute moves do not cone it off and still build."""
+    """An infinite parabolic is rejected when the relative alphabet is
+    first built; the absolute alphabet does not cone it off and still
+    builds."""
     graph = RelativeGraph(ZxZ2)
     with pytest.raises(SpecError, match=r"parabolic factor 0 \(a\) is infinite"):
-        graph.moves(RELATIVE)
+        graph.alphabet(RELATIVE)
     with pytest.raises(SpecError, match="infinite parabolic"):
         graph.step_words(RELATIVE)  # nothing half-built was kept
-    assert [ZxZ2.format(w) for _, w in graph.moves(ABSOLUTE)] == ["a", "a'", "b", "b"]
+    assert graph.alphabet(ABSOLUTE) == (
+        ((1,), ("a",)), ((-1,), ("a'",)), ((2,), ("b", "b'")))
 
 
 # ---------------------------------------------------------------------------
