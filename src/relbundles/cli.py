@@ -329,14 +329,27 @@ def _cmd_report(args: argparse.Namespace) -> int:
         print(f"error: missing report file {report_path}", file=sys.stderr)
         return 1
     doc = _load_json(report_path)
+    # both outputs are read off the document before either is written
+    try:
+        summary = _summary_markdown(doc)
+        deltas = _delta_rows(doc)
+    except KeyError as err:
+        raise SpecError(f"{report_path} is not a verify report: "
+                        f"no key {err}") from None
+    except (TypeError, ValueError, AttributeError) as err:
+        raise SpecError(f"{report_path} is not a verify report: {err}") from None
     out_dir = args.out or args.run_dir
     os.makedirs(out_dir, exist_ok=True)
 
     md_path = os.path.join(out_dir, "summary.md")
     with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write(_summary_markdown(doc))
+        fh.write(summary)
     csv_path = os.path.join(out_dir, "delta_vs_depth.csv")
-    _write_delta_csv(csv_path, doc)
+    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
+        writer = csv.writer(fh)
+        writer.writerow(["depth", "pairs", "min_delta", "median_delta",
+                         "max_delta"])
+        writer.writerows(deltas)
     print(md_path)
     print(csv_path)
     return 0
@@ -374,21 +387,17 @@ def _summary_markdown(doc: dict) -> str:
     return "\n".join(lines)
 
 
-def _write_delta_csv(path: str, doc: dict) -> None:
+def _delta_rows(doc: dict) -> list[list]:
+    """Per scanned depth: pairs, and the min, median and max delta."""
     per_depth: dict[int, list[int]] = {}
     for c in doc["checks"]:
         if not c["id"].startswith("scan[") or "rows" not in c["details"]:
             continue
         for depth, delta in c["details"]["rows"]:
             per_depth.setdefault(depth, []).append(delta)
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "pairs", "min_delta", "median_delta",
-                         "max_delta"])
-        for depth in sorted(per_depth):
-            deltas = per_depth[depth]
-            writer.writerow([depth, len(deltas), min(deltas),
-                             statistics.median(deltas), max(deltas)])
+    return [[depth, len(deltas), min(deltas), statistics.median(deltas),
+             max(deltas)]
+            for depth, deltas in sorted(per_depth.items())]
 
 
 # ---------------------------------------------------------------------------

@@ -4,15 +4,22 @@ geodesic-ray bundles toward eventually periodic directions.
 A DAG between u and v holds exactly the vertices w with
 d(u,w) + d(w,v) = d(u,v), arranged in layers by d(u,·), with edges only
 between consecutive layers.  An edge is its alphabet symbol (see
-`relgraph`), so paths are enumerated and spelled by symbols.  A bundle
-toward a direction is the DAG to a deep vertex on the direction's ray,
-grown only to the requested depth; a margin controls how much deeper the
-target sits than the cut.
+`relgraph`), so paths are enumerated and spelled by symbols.  Where the
+normal form u⁻¹v spells the one geodesic, the DAG is that chain: on a
+plain free group, and on a plain free product in the relative metric when
+every syllable of u⁻¹v is coned (one edge per syllable, as syllable
+boundaries are cut points).  Otherwise it is grown layer by layer, asking
+the oracle about each candidate vertex; that build is also the chain's
+referee in the tests.  A bundle toward a direction is the DAG to a deep
+vertex on the direction's ray, grown only to the requested depth; a
+margin controls how much deeper the target sits than the cut.
 """
 
 from __future__ import annotations
 
+from collections.abc import Iterable
 from dataclasses import dataclass
+from itertools import accumulate, chain, islice
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import (
@@ -64,14 +71,67 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
                  depth: int | None = None) -> GeodesicDAG:
     """Every vertex and edge on a geodesic from u to v, up to layer `depth`.
 
-    Grown outward from u: a neighbor w of layer k−1 belongs to layer k iff
-    d(w,v) = L−k (which forces d(u,w) = k, since d(u,w) ≤ k and anything
-    smaller would shortcut u→v).  As d(w,v) ≥ L−k for every such w, the
-    test asks the oracle only `within(w, v, L−k)`, which a ball search
-    answers no without finding d(w,v).  Layer k depends only on layer
-    k−1, so growth stopped after layer min(depth, L) keeps exactly the
-    first layers and edges of the full DAG; `length` is the last layer
-    kept.
+    Where the oracle reads d(u, v) off a normal form that spells the one
+    geodesic (`_chain`), the DAG is that chain; otherwise it is grown layer
+    by layer (`_layered_dag`).  Both builds give the same layers and edges
+    in the same order, and cut at layer min(depth, d(u, v)), the DAG's
+    `length`.
+    """
+    spelled = _chain(graph, oracle, u, v, metric)
+    if spelled is None:
+        return _layered_dag(graph, oracle, u, v, metric, depth)
+    steps, vertices = spelled
+    stop = len(steps) if depth is None else min(depth, len(steps))
+    path = list(islice(vertices, stop + 1))
+    symbol = graph.symbols(metric)
+    successors = {x: [(symbol[s], y)] for x, s, y in zip(path, steps, path[1:])}
+    successors[path[-1]] = []
+    predecessors = {y: [x] for x, y in zip(path, path[1:])}
+    predecessors[u] = []
+    return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors,
+                       predecessors)
+
+
+def _chain(graph: RelativeGraph, oracle: DistanceOracle, u: Word, v: Word,
+           metric: str) -> tuple[list[Word], Iterable[Word]] | None:
+    """The step elements and vertices of the one geodesic from u to v, where
+    the oracle's normal form spells it; else None.
+
+    On a plain free group the steps are the letters of the reduced word
+    u⁻¹v, and the vertices the prefixes of u back to the prefix u and v
+    share, then the longer prefixes of v.  On a plain free product in the
+    relative metric, when every syllable of u⁻¹v lies in a coned factor,
+    each syllable is one edge and syllable boundaries are cut points, so
+    the steps are the syllables.  The vertices are yielded lazily, so a
+    cut DAG forms only those it keeps.
+    """
+    pair = oracle._pair[metric]
+    if pair is DistanceOracle._free_distance:
+        k = (len(u) + len(v) - oracle.distance(u, v, metric)) // 2
+        steps = [(-a,) for a in reversed(u[k:])] + [(b,) for b in v[k:]]
+        return steps, chain((u[:i] for i in range(len(u), k - 1, -1)),
+                            (v[:j] for j in range(k + 1, len(v) + 1)))
+    if pair is DistanceOracle._syllable_distance:
+        g = graph.group
+        syllables = g.syllables(g.multiply(g.inverse(u), v))
+        if all(f in g.parabolic_slots for f, _ in syllables):
+            steps = [g.lift(f, x) for f, x in syllables]
+            return steps, accumulate(steps, g.multiply, initial=u)
+    return None
+
+
+def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
+                 v: Word, metric: str = RELATIVE,
+                 depth: int | None = None) -> GeodesicDAG:
+    """The DAG grown outward from u, for any oracle.
+
+    A neighbor w of layer k−1 belongs to layer k iff d(w,v) = L−k (which
+    forces d(u,w) = k, since d(u,w) ≤ k and anything smaller would
+    shortcut u→v).  As d(w,v) ≥ L−k for every such w, the test asks the
+    oracle only `within(w, v, L−k)`, which a ball search answers no
+    without finding d(w,v).  Layer k depends only on layer k−1, so growth
+    stopped after layer min(depth, L) keeps exactly the first layers and
+    edges of the full DAG.
     A layer with no vertex would mean that the oracle disagrees with the
     graph's moves; that guard raises ResourceLimitError naming u, v and
     the layer.

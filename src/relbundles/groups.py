@@ -553,6 +553,10 @@ class FreeProductGroup(Group):
                 raise SpecError("nested free products are unsupported; flatten factors")
             if fs.parabolics:
                 raise SpecError("factors must not declare their own parabolics")
+            if fs.redundant_generators:
+                # the product's moves are its own generators and adjoined words
+                raise SpecError("factors must not declare redundant generators; "
+                                "adjoin them to the product")
             g = build_group(fs)
             glob: dict[int, int] = {}
             for i in range(1, len(g.gen_names) + 1):
@@ -579,6 +583,10 @@ class FreeProductGroup(Group):
         local = self._local.__getitem__
         return [(f, tuple(map(local, run)))
                 for f, run in groupby(word, self._owner.__getitem__)]
+
+    def lift(self, f: int, local: Word) -> Word:
+        """A factor-local word of factor f as a global word."""
+        return tuple(map(self._global[f].__getitem__, local))
 
     def reduce(self, word: Iterable[int]) -> Word:
         out: Word = ()
@@ -683,8 +691,7 @@ class FreeProductGroup(Group):
             raise SpecError(
                 f"parabolic factor {slot} ({', '.join(factor.gen_names)}) is "
                 "infinite: infinite parabolic subgroups are not supported")
-        glob = self._global[slot].__getitem__
-        return [tuple(map(glob, w)) for w in factor.all_elements() if w]
+        return [self.lift(slot, w) for w in factor.all_elements() if w]
 
 
 def _check_names(names: tuple[str, ...]) -> None:

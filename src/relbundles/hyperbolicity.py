@@ -10,7 +10,10 @@ needed.  Both metrics are scored in one pass over the same sides, where
 the triangle sits.  A side's local DAG is built at e once per difference
 word u⁻¹v up to orientation, and a side is placed from it once per
 unordered endpoint pair and cached for the sweep; a side that is a single
-path is kept as its bare vertices (`_TriangleProbe`).
+path is kept as its bare vertices (`_TriangleProbe`).  Where the local
+DAG is the chain spelled by u⁻¹v (`geodesic_dag`), as on a free group,
+the local cache is about neutral; it saves builds where DAGs are grown in
+layers, as with adjoined generators.
 """
 
 from __future__ import annotations

@@ -93,6 +93,7 @@ class RelativeGraph:
             self._x_labels += [(name, w), (name + "'", group.inverse(w))]
         self._alphabets: dict[str, Alphabet] = {}
         self._steps: dict[str, tuple[Word, ...]] = {}
+        self._symbols: dict[str, dict[Word, int]] = {}
 
     # -- move alphabet -----------------------------------------------------
 
@@ -138,6 +139,14 @@ class RelativeGraph:
         if steps is None:
             steps = self._steps[metric] = tuple(w for w, _ in self.alphabet(metric))
         return steps
+
+    def symbols(self, metric: str = RELATIVE) -> dict[Word, int]:
+        """The symbol of each move element: `step_words` inverted."""
+        table = self._symbols.get(metric)
+        if table is None:
+            table = self._symbols[metric] = {
+                w: i for i, w in enumerate(self.step_words(metric))}
+        return table
 
     def format_symbol(self, symbol: int, metric: str = RELATIVE) -> str:
         """Every label of a symbol, joined by "|" in label order."""

@@ -484,6 +484,45 @@ class TestReport:
         err = capsys.readouterr().err
         assert "report.json" in err and "nowhere" in err
 
+    def test_malformed_report_is_one_error_line(self, tmp_path, capsys):
+        """A report.json that lacks a key the summary or the delta table
+        reads, or holds one of the wrong type, exits 1 with one error
+        line and writes neither output."""
+        cfg = _write(tmp_path / "config.json",
+                     dict(TINY_CONFIG, spec=F2_SPEC))
+        run = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(run)]) == 0
+        good = json.loads((run / "report.json").read_text())
+        scan = next(i for i, c in enumerate(good["checks"])
+                    if c["id"].startswith("scan["))
+        no_details = json.loads(json.dumps(good))
+        del no_details["checks"][scan]["details"]
+        bad_rows = json.loads(json.dumps(good))
+        bad_rows["checks"][scan]["details"]["rows"] = [[4]]
+        cases = {
+            "empty": ({}, "no key 'checks'"),
+            "no-constants": ({k: v for k, v in good.items()
+                              if k != "constants"}, "no key 'constants'"),
+            "no-status": ({k: v for k, v in good.items() if k != "status"},
+                          "no key 'status'"),
+            "scan-without-details": (no_details, "no key 'details'"),
+            "checks-not-a-list": (dict(good, checks=3), "not iterable"),
+            "short-row": (bad_rows, "not enough values to unpack"),
+        }
+        capsys.readouterr()
+        for name, (doc, reason) in cases.items():
+            bad = tmp_path / name
+            bad.mkdir()
+            _write(bad / "report.json", doc)
+            out = tmp_path / f"{name}-out"
+            assert main(["report", str(bad), "--out", str(out)]) == 1, name
+            captured = capsys.readouterr()
+            assert captured.out == ""
+            lines = captured.err.splitlines()
+            assert len(lines) == 1 and lines[0].startswith("error: "), name
+            assert "is not a verify report" in lines[0] and reason in lines[0]
+            assert not out.exists(), name
+
 
 class TestUsage:
     """Parser errors exit 1: exit code 2 means flagged or approximate."""

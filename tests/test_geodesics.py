@@ -2,10 +2,13 @@
 
 from __future__ import annotations
 
+import json
+import pathlib
+
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
-from relbundles.groups import SpecError, build_group, spec_from_dict
+from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import (
     ABSOLUTE,
     RELATIVE,
@@ -14,6 +17,8 @@ from relbundles.relgraph import (
     ResourceLimitError,
 )
 from relbundles.geodesics import (
+    _chain,
+    _layered_dag,
     DirectionError,
     DirectionSpec,
     GeodesicDAG,
@@ -26,6 +31,7 @@ from relbundles.geodesics import (
     validate_direction,
 )
 
+SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
 PROPERTY_SETTINGS = settings(
     max_examples=60,
     deadline=None,
@@ -58,7 +64,13 @@ GENUS2 = build_group(spec_from_dict({
     "relators": ["a b a' b' c d c' d'"],
 }))
 
-GR_F2, OR_F2 = RelativeGraph(F2), None
+Z6Z2 = build_group(load_spec(str(SPECS / "z6z2_free.json")))
+F2Z = build_group(load_spec(str(SPECS / "f2_z_parabolic.json")))
+# ℤ₆∗ℤ₂ with only ℤ₂ coned: relative symbols of b meet absolute ones of t
+Z6Z2_MIXED = build_group(spec_from_dict(
+    json.loads((SPECS / "z6z2_free.json").read_text()) | {"parabolics": [1]}))
+
+GR_F2 = RelativeGraph(F2)
 OR_F2 = DistanceOracle(GR_F2)
 GR_F2X = RelativeGraph(F2X)
 OR_F2X = DistanceOracle(GR_F2X)
@@ -66,6 +78,12 @@ GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 GR_GENUS2 = RelativeGraph(GENUS2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
+GR_Z6Z2 = RelativeGraph(Z6Z2)
+OR_Z6Z2 = DistanceOracle(GR_Z6Z2)
+GR_F2Z = RelativeGraph(F2Z)
+OR_F2Z = DistanceOracle(GR_F2Z)
+GR_Z6Z2_MIXED = RelativeGraph(Z6Z2_MIXED)
+OR_Z6Z2_MIXED = DistanceOracle(GR_Z6Z2_MIXED)
 
 
 def words_of(group, max_len=4):
@@ -158,11 +176,64 @@ def test_dag_source_not_identity():
     assert dag.length == 2
 
 
+# (group, graph, oracle, metric) of every free group and free product the
+# dispatch sees; F₂∗ℤ cones off ℤ, an infinite factor, so its relative
+# metric has no alphabet
+DISPATCH_CASES = [
+    pytest.param(F2, GR_F2, OR_F2, RELATIVE, id="f2"),
+    pytest.param(Z3Z2, GR_Z3Z2, OR_Z3Z2, RELATIVE, id="z3z2-rel"),
+    pytest.param(Z3Z2, GR_Z3Z2, OR_Z3Z2, ABSOLUTE, id="z3z2-abs"),
+    pytest.param(Z6Z2, GR_Z6Z2, OR_Z6Z2, RELATIVE, id="z6z2"),
+    pytest.param(Z6Z2_MIXED, GR_Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE,
+                 id="z6z2-mixed-rel"),
+    pytest.param(F2Z, GR_F2Z, OR_F2Z, ABSOLUTE, id="f2z-abs"),
+]
+
+
+@pytest.mark.parametrize("group, graph, oracle, metric", DISPATCH_CASES)
+@settings(max_examples=80, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_chain_is_the_layered_dag(group, graph, oracle, metric, data):
+    """Where the normal form spells the one geodesic, its chain is the very
+    DAG the layered search grows: same layers in the same order, same
+    successor lists in symbol order, same predecessor lists in layer
+    order.  Elsewhere `geodesic_dag` is the layered build."""
+    u = data.draw(words_of(group, 5), label="u")
+    v = data.draw(words_of(group, 7), label="v")
+    length = oracle.distance(u, v, metric)
+    depth = data.draw(st.one_of(st.none(), st.integers(0, length + 3)),
+                      label="depth")
+    dag = geodesic_dag(graph, oracle, u, v, metric, depth)
+    assert dag == _layered_dag(graph, oracle, u, v, metric, depth)
+    assert dag.length == (length if depth is None else min(depth, length))
+
+
+@pytest.mark.parametrize("graph, oracle, metric, u, v, spelled", [
+    (GR_F2, OR_F2, RELATIVE, "a b", "a a' b'", True),
+    (GR_Z3Z2, OR_Z3Z2, RELATIVE, "b", "a b a' b", True),
+    (GR_Z3Z2, OR_Z3Z2, ABSOLUTE, "e", "a b", False),
+    (GR_Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE, "t", "t b", True),
+    (GR_Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE, "e", "t b", False),
+    (GR_Z6Z2, OR_Z6Z2, RELATIVE, "e", "b", False),
+    (GR_F2X, OR_F2X, RELATIVE, "e", "a", False),
+    (GR_GENUS2, OR_GENUS2, RELATIVE, "e", "a", False),
+])
+def test_chain_only_where_the_normal_form_spells_it(graph, oracle, metric, u,
+                                                    v, spelled):
+    """Plain free groups, and coned syllables in a free product's relative
+    metric, are chains; any other syllable or family is grown in layers."""
+    g = graph.group
+    assert (_chain(graph, oracle, g.parse(u), g.parse(v), metric)
+            is not None) == spelled
+
+
 class _ShortcutOracle(DistanceOracle):
-    """Claims d(e, a a) = 1 on F₂, a distance no single move realizes."""
+    """Claims d(e, a a) = 1 on F₂ with `a b` adjoined, a distance no single
+    move realizes."""
 
     def distance(self, u, v, metric=RELATIVE):
-        if (u, v) == ((), F2.parse("a a")):
+        if (u, v) == ((), F2X.parse("a a")):
             return 1
         return super().distance(u, v, metric)
 
@@ -170,13 +241,13 @@ class _ShortcutOracle(DistanceOracle):
 def test_unreachable_layer_is_an_error():
     """An oracle that disagrees with the graph's moves gives no DAG, not
     one with an empty last layer."""
-    oracle = _ShortcutOracle(GR_F2)
-    w = F2.parse("a a")
+    oracle = _ShortcutOracle(GR_F2X)
+    w = F2X.parse("a a")
     assert oracle.distance((), w) == 1
     with pytest.raises(ResourceLimitError, match=r"from e to a a has no layer 1"):
-        geodesic_dag(GR_F2, oracle, (), w)
+        geodesic_dag(GR_F2X, oracle, (), w)
     # a is a move, so its DAG is one edge
-    dag = geodesic_dag(GR_F2, oracle, (), F2.parse("a"))
+    dag = geodesic_dag(GR_F2X, oracle, (), F2X.parse("a"))
     assert [len(layer) for layer in dag.layers] == [1, 1]
 
 

@@ -556,6 +556,17 @@ def test_parabolics_only_on_free_products():
             {"family": "free", "generators": ["a"], "parabolics": [0]}))
 
 
+def test_factor_redundant_generators_rejected():
+    """The product's moves are its own generators and adjoined words, so a
+    factor's adjoined words would be silently dropped."""
+    factor = {"family": "free", "generators": ["a", "b"],
+              "redundant_generators": ["a b"]}
+    with pytest.raises(SpecError, match="factors must not declare redundant"):
+        build_group(spec_from_dict({
+            "family": "free-product",
+            "factors": [factor, {"family": "free", "generators": ["t"]}]}))
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

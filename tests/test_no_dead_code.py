@@ -24,8 +24,6 @@ ALLOWED = {
     "SmallCancellationGroup.equal": "exact equality by Dehn's algorithm, the "
                                     "referee for genus-2 normal forms in "
                                     "tests/test_groups.py",
-    "FreeProductGroup.syllables": "referee view of free-product normal "
-                                  "forms in tests/test_groups.py",
     "RelativeGraph.distance_bfs": "plain bidirectional BFS, the referee for "
                                   "every DistanceOracle mode in "
                                   "tests/test_relgraph.py",

@@ -2,7 +2,8 @@
 
 `perfbench/references.json` records the sha256[:16] digests of both files
 for `verify --seed N` on the shipped benchmark configs; seeds 0 and 5 are
-checked here.  A change that alters a report (a reworded summary, a
+checked here.  `configs/z6z2_bounds.json` is pinned at seed 0 by digests
+kept in this file.  A change that alters a report (a reworded summary, a
 reordered key, a different verdict) fails here and not only in a
 benchmark run.  The reference file is read, never written.
 """
@@ -38,3 +39,19 @@ def test_report_bytes_match_the_references(config, seed, tmp_path,
     got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()[:16]
            for name in want}
     assert got == want
+
+
+# ℤ₆∗ℤ₂ is the shipped config whose bundles branch: a ℤ₆ syllable t t t has
+# two geodesics.  Digests of `verify --seed 0`, recorded before geodesic
+# DAGs were read off syllables.
+Z6Z2_SEED0 = {"report.json": "092448168217245a", "scans.csv": "168f4477409dc5d4"}
+
+
+def test_z6z2_report_bytes_are_pinned(tmp_path, monkeypatch):
+    monkeypatch.chdir(ROOT)
+    run = tmp_path / "run"
+    assert main(["verify", "--config", "configs/z6z2_bounds.json",
+                 "--seed", "0", "--out", str(run)]) == 0
+    got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()[:16]
+           for name in Z6Z2_SEED0}
+    assert got == Z6Z2_SEED0
