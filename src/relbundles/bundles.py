@@ -8,7 +8,9 @@ constructions, ending in symmetric-difference stabilization scans.
 
 All signatures inside one `DirectionPipeline` share a window centered at
 the pipeline anchor and are normalized there, which makes the whole
-construction commute with left translation by construction.
+construction commute with left translation by construction.  A pipeline
+is built from the oracle alone, `DirectionPipeline(oracle, direction)`,
+and reads its balls and names off `oracle.graph` and `oracle.group`.
 """
 
 from __future__ import annotations
@@ -16,7 +18,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
+from .relgraph import RELATIVE, DistanceOracle
 from .geodesics import DirectionSpec, GeodesicDAG, cgr_bundle_trunc
 
 
@@ -108,11 +110,9 @@ class DirectionPipeline:
     computing it and the results it read.
     """
 
-    def __init__(self, graph: RelativeGraph, oracle: DistanceOracle,
-                 direction: DirectionSpec, *, nu: int = 0,
-                 margin: int | None = None, window_radius: int | None = None,
-                 anchor: Word = ()):
-        self.graph = graph
+    def __init__(self, oracle: DistanceOracle, direction: DirectionSpec, *,
+                 nu: int = 0, margin: int | None = None,
+                 window_radius: int | None = None, anchor: Word = ()):
         self.oracle = oracle
         self.direction = direction
         self.anchor = anchor
@@ -139,7 +139,7 @@ class DirectionPipeline:
         r = self.window_radius if radius is None else radius
         got = self._windows.get(r)
         if got is None:
-            ball = self.graph.ball(self.anchor, r, RELATIVE)
+            ball = self.oracle.graph.ball(self.anchor, r, RELATIVE)
             got = tuple(w for layer in ball.frontiers for w in layer)
             self._windows[r] = got
         return got
@@ -158,9 +158,8 @@ class DirectionPipeline:
         key = (base, depth)
         got = self._bundles.get(key)
         if got is None:
-            got = cgr_bundle_trunc(self.graph, self.oracle, base,
-                                   self.direction, depth, self.margin,
-                                   anchor=self.anchor)
+            got = cgr_bundle_trunc(self.oracle, base, self.direction, depth,
+                                   self.margin, anchor=self.anchor)
             self._bundles[key] = got
         return got
 
@@ -194,7 +193,7 @@ class DirectionPipeline:
         radius = min(self.window_radius, reach)
         if radius < self.window_radius:
             note = (f"window clipped to radius {radius} for the depth-{depth} "
-                    f"decomposition from {self.graph.group.format(base)}")
+                    f"decomposition from {self.oracle.group.format(base)}")
             if note not in self.notes:
                 self.notes.append(note)
         flags: list[str] = []
@@ -209,8 +208,8 @@ class DirectionPipeline:
                     unstable.add(w)
             if not grouped:
                 raise StabilizationError(
-                    f"no geodesic ray from {self.graph.group.format(base)} has "
-                    f"a stable signature at depth {depth}; rerun with a "
+                    f"no geodesic ray from {self.oracle.group.format(base)} "
+                    f"has a stable signature at depth {depth}; rerun with a "
                     f"larger depth")
             if radius < self.window_radius:
                 break  # clipped windows never drive widening
@@ -258,7 +257,7 @@ class DirectionPipeline:
         flags = list(deco.flags)
         if len(matched) > 1:
             flags.append(f"signature matches {len(matched)} classes from "
-                         f"{self.graph.group.format(base)} at depth {depth} "
+                         f"{self.oracle.group.format(base)} at depth {depth} "
                          f"after window restriction; their sectors were "
                          f"merged")
         # A terminal t sits in layer `depth` = d(base, t), and every

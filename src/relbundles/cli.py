@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import errno
 import json
 import os
 import statistics
@@ -147,6 +148,7 @@ def load_config(config_path: str, spec_path: str | None = None,
 def _cmd_verify(args: argparse.Namespace) -> int:
     cfg = load_config(args.config, args.spec, seed=args.seed,
                       depth=args.radius, window_radius=args.window)
+    _check_out_dir(args.out)
     report = run_suite(cfg)
 
     os.makedirs(args.out, exist_ok=True)
@@ -160,6 +162,23 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     print(f"suite status: {report.status()} "
           f"({len(report.checks)} checks, spec {report.spec_hash[:12]})")
     return report.exit_code()
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise an OSError now if `path` cannot become an output directory.
+
+    Nothing is created, so a run rejected before its report is written
+    leaves no directory behind."""
+    probe = os.path.abspath(path)
+    while not os.path.exists(probe):
+        probe = os.path.dirname(probe)
+    if not os.path.isdir(probe):
+        code = errno.ENOTDIR
+    elif not os.access(probe, os.W_OK | os.X_OK):
+        code = errno.EACCES
+    else:
+        return
+    raise OSError(code, os.strerror(code), probe)
 
 
 def _write_scans_csv(path: str,
@@ -176,12 +195,11 @@ def _write_scans_csv(path: str,
 
 def _cmd_explore(args: argparse.Namespace) -> int:
     spec = spec_from_dict(_load_json(args.spec))
-    group = build_group(spec)
-    graph = RelativeGraph(group)
+    oracle = DistanceOracle(RelativeGraph(build_group(spec)))
     os.makedirs(args.out, exist_ok=True)
     handlers = {"ball": _explore_ball, "dag": _explore_dag,
                 "bundle": _explore_bundle, "geo1": _explore_geo1}
-    written = handlers[args.object](args, graph)
+    written = handlers[args.object](args, oracle)
     for path in written:
         print(path)
     return 0
@@ -200,9 +218,11 @@ def _int_arg(name: str, text: str) -> int:
         raise SpecError(f"{name} must be an integer, got {text!r}") from None
 
 
-def _explore_ball(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
+def _explore_ball(args: argparse.Namespace,
+                  oracle: DistanceOracle) -> list[str]:
     if len(args.args) != 2:
         raise SpecError("explore ball needs CENTER and RADIUS")
+    graph = oracle.graph
     center = graph.group.parse(args.args[0])
     radius = _int_arg("RADIUS", args.args[1])
     table = graph.ball(center, radius, RELATIVE)
@@ -226,13 +246,13 @@ def _explore_ball(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
     return written
 
 
-def _explore_dag(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
+def _explore_dag(args: argparse.Namespace,
+                 oracle: DistanceOracle) -> list[str]:
     if len(args.args) != 2:
         raise SpecError("explore dag needs two vertices U and V")
-    group = graph.group
+    group = oracle.group
     u, v = group.parse(args.args[0]), group.parse(args.args[1])
-    oracle = DistanceOracle(graph)
-    dag = geodesic_dag(graph, oracle, u, v)
+    dag = geodesic_dag(oracle, u, v)
     paths, truncated = enumerate_geodesics(dag, max_count=10_000)
     stem = os.path.join(args.out, "dag")
     written = [_out_json(stem + ".json", {
@@ -244,7 +264,7 @@ def _explore_dag(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
         "count_truncated": truncated,
     })]
     with open(stem + ".dot", "w", encoding="utf-8") as fh:
-        fh.write(_dag_dot(graph, dag))
+        fh.write(_dag_dot(oracle.graph, dag))
     written.append(stem + ".dot")
     return written
 
@@ -280,30 +300,26 @@ def _direction_args(args: argparse.Namespace, graph: RelativeGraph):
 
 
 def _explore_bundle(args: argparse.Namespace,
-                    graph: RelativeGraph) -> list[str]:
-    base, direction, depth = _direction_args(args, graph)
-    oracle = DistanceOracle(graph)
-    pipe = DirectionPipeline(graph, oracle, direction)
-    bundle = pipe.bundle(base, depth)
-    fmt = graph.group.format
+                    oracle: DistanceOracle) -> list[str]:
+    base, direction, depth = _direction_args(args, oracle.graph)
+    bundle = DirectionPipeline(oracle, direction).bundle(base, depth)
+    fmt = oracle.group.format
     payload = {
         "base": fmt(base),
         "direction": direction.display(),
         "depth": depth,
         "layer_profile": layer_profile(bundle),
-        "layers": [[fmt(v) for v in sorted(bundle.layers[k], key=shortlex_key)]
-                   for k in range(depth + 1)],
+        "layers": [[fmt(v) for v in layer] for layer in bundle.layers],
     }
     return [_out_json(os.path.join(args.out, "bundle.json"), payload)]
 
 
-def _explore_geo1(args: argparse.Namespace, graph: RelativeGraph) -> list[str]:
-    base, direction, depth = _direction_args(args, graph)
-    oracle = DistanceOracle(graph)
-    pipe = DirectionPipeline(graph, oracle, direction,
-                             window_radius=args.window)
+def _explore_geo1(args: argparse.Namespace,
+                  oracle: DistanceOracle) -> list[str]:
+    base, direction, depth = _direction_args(args, oracle.graph)
+    pipe = DirectionPipeline(oracle, direction, window_radius=args.window)
     geo1 = pipe.geo1(base, depth)
-    fmt = graph.group.format
+    fmt = oracle.group.format
     payload = {
         "base": fmt(base),
         "direction": direction.display(),

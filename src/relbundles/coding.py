@@ -8,16 +8,19 @@ matrices over a truncated Geo₁ gives a finite window into C^η, from which
 the minimal recurring label, the set it tags, its least element, and the
 translated comparison window are all computed.  `check_lemma418`-style
 window matching closes the loop: two directions are compared by searching
-for a translation aligning their windows.
+for a translation aligning their windows.  Every step takes the oracle as
+its one handle on the group: `t_n_and_g_n(oracle, window, s_n)`,
+`h_n_window(oracle, window, t_n)` (gₙ is Tₙ's least element, t_n[0]) and
+`check_lemma418(oracle, window_a, window_b, nu)`.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from .groups import Group, SpecError, Word, shortlex_key
-from .relgraph import RELATIVE, DistanceOracle, RelativeGraph
-from .geodesics import DirectionSpec, enumerate_geodesics, geodesic_dag
+from .groups import SpecError, Word, shortlex_key
+from .relgraph import RELATIVE, DistanceOracle
+from .geodesics import enumerate_geodesics, geodesic_dag
 from .bundles import DirectionPipeline, StabilizationError
 from .hyperbolicity import bound_B, bound_K
 
@@ -77,9 +80,7 @@ def compare_n(u: RestrictedLabel, v: RestrictedLabel) -> int:
 class CEtaWindow:
     """Finite view of C^η: (g, restricted continuation label, depth of g)."""
 
-    direction: DirectionSpec
     base: Word
-    depth: int
     n: int
     entries: tuple[tuple[Word, RestrictedLabel, int], ...]
     capped: tuple[Word, ...]  # vertices with more continuations than the cap
@@ -122,8 +123,7 @@ def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
             if lab not in seen:
                 seen.add(lab)
                 entries.append((g, lab, dist(base, g, RELATIVE)))
-    return CEtaWindow(pipeline.direction, base, depth, n, tuple(entries),
-                      tuple(capped), cutoff)
+    return CEtaWindow(base, n, tuple(entries), tuple(capped), cutoff)
 
 
 def s_n_eta(window: CEtaWindow, depth_threshold: int) -> RestrictedLabel:
@@ -151,23 +151,21 @@ def pigeonhole_witness(window: CEtaWindow, depth_threshold: int) -> bool:
 # T_n, g_n, H_n
 
 
-def element_order_key(graph: RelativeGraph, oracle: DistanceOracle,
-                      base: Word, g: Word) -> tuple:
+def element_order_key(oracle: DistanceOracle, base: Word, g: Word) -> tuple:
     """Order on vertices: distance first, then least spelling over the
     alphabet — so g ≤ h forces d(base,g) ≤ d(base,h)."""
-    dag = geodesic_dag(graph, oracle, base, g)
+    dag = geodesic_dag(oracle, base, g)
     (least,), _ = enumerate_geodesics(dag, max_count=1)
     return (dag.length, least.symbols)
 
 
-def t_n_and_g_n(graph: RelativeGraph, oracle: DistanceOracle,
-                window: CEtaWindow,
+def t_n_and_g_n(oracle: DistanceOracle, window: CEtaWindow,
                 s_n: RestrictedLabel) -> tuple[tuple[Word, ...], Word]:
     tagged = {g for g, lab, _ in window.entries if lab == s_n}
     if not tagged:
         raise SpecError("the minimal label tags no window vertex")
     t_n = tuple(sorted(tagged, key=lambda g: element_order_key(
-        graph, oracle, window.base, g)))
+        oracle, window.base, g)))
     return t_n, t_n[0]
 
 
@@ -182,7 +180,6 @@ class HnWindow:
     """
 
     n: int
-    base: Word
     g_n: Word
     elements: tuple[Word, ...]
     complete_radius: int
@@ -192,17 +189,19 @@ class HnWindow:
                          if oracle.within((), h, r))
 
 
-def h_n_window(group: Group, oracle: DistanceOracle, window: CEtaWindow,
-               t_n: tuple[Word, ...], g_n: Word) -> HnWindow:
+def h_n_window(oracle: DistanceOracle, window: CEtaWindow,
+               t_n: tuple[Word, ...]) -> HnWindow:
+    """(g_n)⁻¹·T_n, where g_n = t_n[0] is the least element of T_n."""
     if not t_n:
         raise SpecError("T_n is empty")
+    group, g_n = oracle.group, t_n[0]
     inv = group.inverse(g_n)
     translated = tuple(sorted((group.multiply(inv, t) for t in t_n),
                               key=shortlex_key))
     # h with d(e,h) <= horizon - d(e,g_n) has d(e, g_n·h) <= horizon, so
     # its preimage was a window host and h cannot be missing.
     rho = window.horizon - oracle.distance((), g_n, RELATIVE)
-    return HnWindow(window.n, window.base, g_n, translated, rho)
+    return HnWindow(window.n, g_n, translated, rho)
 
 
 # ---------------------------------------------------------------------------
@@ -228,9 +227,8 @@ class Lemma418Report:
     count_bound: int
 
 
-def check_lemma418(graph: RelativeGraph, oracle: DistanceOracle,
-                   window_a: HnWindow, window_b: HnWindow,
-                   nu: int) -> Lemma418Report:
+def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
+                   window_b: HnWindow, nu: int) -> Lemma418Report:
     """Find every g with window_a = g·window_b, as far as the windows prove.
 
     The hypothesis being surrogated is equality of *infinite* sets, so a
@@ -243,7 +241,7 @@ def check_lemma418(graph: RelativeGraph, oracle: DistanceOracle,
     if window_a.n != window_b.n:
         raise SpecError(
             f"window sizes differ: {window_a.n} vs {window_b.n}")
-    group = graph.group
+    group = oracle.group
     dist = oracle.distance
     rho_a, rho_b = window_a.complete_radius, window_b.complete_radius
     d_star = min(rho_a, rho_b)
@@ -264,4 +262,4 @@ def check_lemma418(graph: RelativeGraph, oracle: DistanceOracle,
                        if dist((), g, RELATIVE) > bound)
     return Lemma418Report(window_a.n, d_star, min(rho_a, rho_b // 2),
                           tuple(matches), bound, violations,
-                          bound_K(nu, bound_B(graph, nu)))
+                          bound_K(nu, bound_B(oracle.graph, nu)))

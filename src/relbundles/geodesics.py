@@ -13,6 +13,10 @@ the oracle about each candidate vertex; that build is also the chain's
 referee in the tests.  A bundle toward a direction is the DAG to a deep
 vertex on the direction's ray, grown only to the requested depth; a
 margin controls how much deeper the target sits than the cut.
+
+A function here that measures takes the `DistanceOracle` alone, as in
+`geodesic_dag(oracle, u, v)`, and reads the graph and group the oracle was
+built over as `oracle.graph` and `oracle.group`.
 """
 
 from __future__ import annotations
@@ -66,8 +70,8 @@ class SymbolPath:
     symbols: tuple[int, ...]
 
 
-def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
-                 v: Word, metric: str = RELATIVE,
+def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
+                 metric: str = RELATIVE,
                  depth: int | None = None) -> GeodesicDAG:
     """Every vertex and edge on a geodesic from u to v, up to layer `depth`.
 
@@ -77,13 +81,13 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     in the same order, and cut at layer min(depth, d(u, v)), the DAG's
     `length`.
     """
-    spelled = _chain(graph, oracle, u, v, metric)
+    spelled = _chain(oracle, u, v, metric)
     if spelled is None:
-        return _layered_dag(graph, oracle, u, v, metric, depth)
+        return _layered_dag(oracle, u, v, metric, depth)
     steps, vertices = spelled
     stop = len(steps) if depth is None else min(depth, len(steps))
     path = list(islice(vertices, stop + 1))
-    symbol = graph.symbols(metric)
+    symbol = oracle.graph.symbols(metric)
     successors = {x: [(symbol[s], y)] for x, s, y in zip(path, steps, path[1:])}
     successors[path[-1]] = []
     predecessors = {y: [x] for x, y in zip(path, path[1:])}
@@ -92,7 +96,7 @@ def geodesic_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
                        predecessors)
 
 
-def _chain(graph: RelativeGraph, oracle: DistanceOracle, u: Word, v: Word,
+def _chain(oracle: DistanceOracle, u: Word, v: Word,
            metric: str) -> tuple[list[Word], Iterable[Word]] | None:
     """The step elements and vertices of the one geodesic from u to v, where
     the oracle's normal form spells it; else None.
@@ -112,7 +116,7 @@ def _chain(graph: RelativeGraph, oracle: DistanceOracle, u: Word, v: Word,
         return steps, chain((u[:i] for i in range(len(u), k - 1, -1)),
                             (v[:j] for j in range(k + 1, len(v) + 1)))
     if pair is DistanceOracle._syllable_distance:
-        g = graph.group
+        g = oracle.group
         syllables = g.syllables(g.multiply(g.inverse(u), v))
         if all(f in g.parabolic_slots for f, _ in syllables):
             steps = [g.lift(f, x) for f, x in syllables]
@@ -120,8 +124,8 @@ def _chain(graph: RelativeGraph, oracle: DistanceOracle, u: Word, v: Word,
     return None
 
 
-def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
-                 v: Word, metric: str = RELATIVE,
+def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
+                 metric: str = RELATIVE,
                  depth: int | None = None) -> GeodesicDAG:
     """The DAG grown outward from u, for any oracle.
 
@@ -132,7 +136,7 @@ def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     without finding d(w,v).  Layer k depends only on layer k−1, so growth
     stopped after layer min(depth, L) keeps exactly the first layers and
     edges of the full DAG.
-    A layer with no vertex would mean that the oracle disagrees with the
+    A layer with no vertex would mean that the oracle disagrees with its
     graph's moves; that guard raises ResourceLimitError naming u, v and
     the layer.
     """
@@ -141,6 +145,7 @@ def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
     layers: list[tuple[Word, ...]] = [(u,)]
     successors: dict[Word, list[tuple[int, Word]]] = {u: []}
     predecessors: dict[Word, list[Word]] = {u: []}
+    neighbors = oracle.graph.neighbors
     for k in range(1, stop + 1):
         recent: set[Word] = set(layers[-1])
         if len(layers) >= 2:
@@ -148,7 +153,7 @@ def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
         found: dict[Word, list[Word]] = {}
         for p in layers[-1]:
             out = successors[p]
-            for symbol, w in graph.neighbors(p, metric):
+            for symbol, w in neighbors(p, metric):
                 if w in recent:
                     continue
                 preds = found.get(w)
@@ -161,7 +166,7 @@ def _layered_dag(graph: RelativeGraph, oracle: DistanceOracle, u: Word,
                 preds.append(p)
                 out.append((symbol, w))
         if not found:
-            fmt = graph.group.format
+            fmt = oracle.group.format
             raise ResourceLimitError(
                 f"geodesic DAG from {fmt(u)} to {fmt(v)} has no layer {k}: "
                 f"the graph's moves do not reach the oracle's distance {length}")
@@ -269,12 +274,12 @@ def ray_vertex(graph: RelativeGraph, direction: DirectionSpec, k: int,
     return v
 
 
-def validate_direction(graph: RelativeGraph, oracle: DistanceOracle,
-                       direction: DirectionSpec, depth: int) -> None:
+def validate_direction(oracle: DistanceOracle, direction: DirectionSpec,
+                       depth: int) -> None:
     """Check d(e, endpoint_k) = k for every k ≤ depth."""
     v: Word = ()
     for k in range(1, depth + 1):
-        v = graph.group.multiply(v, direction.symbol(k - 1))
+        v = oracle.group.multiply(v, direction.symbol(k - 1))
         got = oracle.distance((), v, RELATIVE)
         if got != k:
             raise DirectionError(
@@ -282,7 +287,7 @@ def validate_direction(graph: RelativeGraph, oracle: DistanceOracle,
                    f"vertex at distance {got}, so the word is not geodesic")
 
 
-def cgr_bundle_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
+def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
                      direction: DirectionSpec, depth: int, margin: int,
                      anchor: Word = ()) -> GeodesicDAG:
     """Bundle of all geodesics from x toward the direction, cut at `depth`.
@@ -297,9 +302,9 @@ def cgr_bundle_trunc(graph: RelativeGraph, oracle: DistanceOracle, x: Word,
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
     k = depth + margin + oracle.distance(anchor, x, RELATIVE)
-    validate_direction(graph, oracle, direction, k)
-    t = ray_vertex(graph, direction, k, base=anchor)
-    return geodesic_dag(graph, oracle, x, t, depth=depth)
+    validate_direction(oracle, direction, k)
+    t = ray_vertex(oracle.graph, direction, k, base=anchor)
+    return geodesic_dag(oracle, x, t, depth=depth)
 
 
 def layer_profile(bundle: GeodesicDAG) -> list[int]:

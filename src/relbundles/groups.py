@@ -226,9 +226,6 @@ class Group:
     def inverse(self, u: Word) -> Word:
         raise NotImplementedError
 
-    def is_identity(self, word: Word) -> bool:
-        return self.reduce(word) == ()
-
     # -- enumeration ------------------------------------------------------
 
     def signed_letters(self) -> list[int]:

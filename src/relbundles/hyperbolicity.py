@@ -14,6 +14,9 @@ path is kept as its bare vertices (`_TriangleProbe`).  Where the local
 DAG is the chain spelled by u⁻¹v (`geodesic_dag`), as on a free group,
 the local cache is about neutral; it saves builds where DAGs are grown in
 layers, as with adjoined generators.
+
+`estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
+alone and sweep the graph it was built over, `oracle.graph`.
 """
 
 from __future__ import annotations
@@ -38,8 +41,6 @@ class TriangleWitness:
 @dataclass
 class SlimnessReport:
     exhaustive_radius: int
-    ball_radius: int
-    triangle_budget: int
     seed: int
     nu_rel: int
     nu_abs: int
@@ -123,9 +124,7 @@ class _TriangleProbe:
     and placed sides go through one intern dict, so sides share them.
     """
 
-    def __init__(self, graph: RelativeGraph, oracle: DistanceOracle):
-        self.graph = graph
-        self.group = graph.group
+    def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
         self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
         self._sides: dict[tuple[Word, Word], tuple[Word, ...] | _Side] = {}
@@ -139,14 +138,14 @@ class _TriangleProbe:
         return side
 
     def _place(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
-        g = self.group
+        g = self.oracle.group
         intern = self._words.setdefault
         w = g.multiply(g.inverse(u), v) if u else v
         local, at = self._local.get(w), u
         if local is None:
             local, at = self._local.get(g.inverse(w)), v
         if local is None:
-            local, at = geodesic_dag(self.graph, self.oracle, (), w), u
+            local, at = geodesic_dag(self.oracle, (), w), u
             if all(len(layer) == 1 for layer in local.layers):
                 local = tuple(intern(x, x) for (x,) in local.layers)
             self._local[w] = local
@@ -193,10 +192,9 @@ class _TriangleProbe:
         return worst
 
 
-def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
-                exhaustive_radius: int = 3, ball_radius: int = 4,
-                triangle_budget: int = 10_000, seed: int = 0,
-                keep_witnesses: int = 5) -> SlimnessReport:
+def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
+                ball_radius: int = 4, triangle_budget: int = 10_000,
+                seed: int = 0, keep_witnesses: int = 5) -> SlimnessReport:
     """Slimness constants from an exhaustive small sweep plus sampling.
 
     The exhaustive stage tries every corner triple (repeats allowed, so
@@ -208,8 +206,8 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
     """
     if keep_witnesses < 0:
         raise SpecError("keep_witnesses must be nonnegative")
-    probe = _TriangleProbe(graph, oracle)
-    ball_small = graph.ball((), exhaustive_radius, RELATIVE)
+    probe = _TriangleProbe(oracle)
+    ball_small = oracle.graph.ball((), exhaustive_radius, RELATIVE)
     small = sorted(ball_small.entries, key=shortlex_key)
     worst: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
     exhaustive: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
@@ -236,7 +234,7 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
 
     rng = random.Random(seed)
     if triangle_budget > 0:
-        ball_big = graph.ball((), ball_radius, RELATIVE)
+        ball_big = oracle.graph.ball((), ball_radius, RELATIVE)
         big = sorted(ball_big.entries, key=shortlex_key)
         for _ in range(triangle_budget):
             a, b, c = (rng.choice(big) for _ in range(3))
@@ -244,8 +242,6 @@ def estimate_nu(graph: RelativeGraph, oracle: DistanceOracle,
 
     return SlimnessReport(
         exhaustive_radius=exhaustive_radius,
-        ball_radius=ball_radius,
-        triangle_budget=triangle_budget,
         seed=seed,
         nu_rel=worst[RELATIVE],
         nu_abs=worst[ABSOLUTE],

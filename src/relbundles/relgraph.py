@@ -56,13 +56,12 @@ class ResourceLimitError(RuntimeError):
 
 @dataclass
 class BallTable:
-    """Exact BFS distances from `center` out to `radius`.
+    """Exact BFS distances from a center out to `radius`.
 
     `frontiers[r]` lists the vertices at distance exactly r (shortlex
     sorted), so a ball can be resumed and grown without recomputation.
     """
 
-    center: Word
     radius: int
     metric: str
     entries: dict[Word, int]
@@ -170,7 +169,7 @@ class RelativeGraph:
         """Exact BFS ball; raises ResourceLimitError past the vertex cap."""
         if radius < 0:
             raise SpecError("radius must be nonnegative")
-        start = BallTable(center, 0, metric, {center: 0}, ((center,),))
+        start = BallTable(0, metric, {center: 0}, ((center,),))
         return self.grow_ball(start, radius)
 
     def grow_ball(self, table: BallTable, radius: int) -> BallTable:
@@ -198,8 +197,7 @@ class RelativeGraph:
                 break
         while len(frontiers) < radius + 1:
             frontiers.append(())
-        return BallTable(table.center, radius, table.metric, entries,
-                         tuple(frontiers))
+        return BallTable(radius, table.metric, entries, tuple(frontiers))
 
     def distance_bfs(self, u: Word, v: Word, metric: str = RELATIVE,
                      max_radius: int = 64) -> int:

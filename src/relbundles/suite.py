@@ -39,6 +39,7 @@ from .relgraph import (
     ResourceLimitError,
 )
 from .geodesics import (
+    DirectionError,
     DirectionSpec,
     direction_from_text,
     enumerate_geodesics,
@@ -221,10 +222,9 @@ def _status_from(violations: int, flags: int) -> str:
     return PASS
 
 
-def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
+def _check_slimness(oracle: DistanceOracle,
                     cfg: RunConfig) -> tuple[CheckResult, int]:
-    report = estimate_nu(graph, oracle,
-                         exhaustive_radius=cfg.exhaustive_radius,
+    report = estimate_nu(oracle, exhaustive_radius=cfg.exhaustive_radius,
                          ball_radius=cfg.ball_radius,
                          triangle_budget=cfg.triangle_budget, seed=cfg.seed)
     nu = max(report.nu_rel, report.nu_abs)
@@ -248,7 +248,7 @@ def _check_slimness(graph: RelativeGraph, oracle: DistanceOracle,
 def _check_layer_bound(check_id: str, pipe: DirectionPipeline,
                        cfg: RunConfig, base_text: str, dir_text: str,
                        cap: int) -> CheckResult:
-    bundle = pipe.bundle(pipe.graph.group.parse(base_text), cfg.depth)
+    bundle = pipe.bundle(pipe.oracle.group.parse(base_text), cfg.depth)
     profile = layer_profile(bundle)
     worst = max(profile)
     return CheckResult(
@@ -260,7 +260,7 @@ def _check_layer_bound(check_id: str, pipe: DirectionPipeline,
 
 def _check_classes(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
                    base_text: str, dir_text: str, cap: int) -> CheckResult:
-    deco = pipe.classes_from(pipe.graph.group.parse(base_text), cfg.depth)
+    deco = pipe.classes_from(pipe.oracle.group.parse(base_text), cfg.depth)
     count = len(deco.classes)
     flags = list(deco.flags)
     if deco.unstabilized:
@@ -275,7 +275,7 @@ def _check_classes(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
 
 def _check_scan(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
                 x_text: str, y_text: str, dir_text: str) -> CheckResult:
-    group = pipe.graph.group
+    group = pipe.oracle.group
     scan = symdiff_scan(pipe, group.parse(x_text), group.parse(y_text),
                         list(cfg.scan_depths))
     flags = sorted(scan.flags)
@@ -323,7 +323,7 @@ def _check_coding(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
             flags.append(f"n={n}: minimal label is threshold-sensitive")
         if not pigeonhole_witness(window, two_thirds):
             flags.append(f"n={n}: no label recurs beyond {two_thirds}")
-        t_n, g_n = t_n_and_g_n(pipe.graph, oracle, window, s_n)
+        t_n, g_n = t_n_and_g_n(oracle, window, s_n)
         if prev_s is not None:
             if s_n.restrict(n - 1) != prev_s:
                 violations += 1
@@ -343,18 +343,17 @@ def _h_window(pipe: DirectionPipeline, cfg: RunConfig, n: int) -> HnWindow:
     depth = coding_depth(pipe.direction, n, pipe.margin)
     win = c_eta_window(pipe, depth, n, continuation_cap=cfg.continuation_cap)
     s_n = s_n_eta(win, depth // 2)
-    t_n, g_n = t_n_and_g_n(pipe.graph, pipe.oracle, win, s_n)
-    return h_n_window(pipe.graph.group, pipe.oracle, win, t_n, g_n)
+    t_n, _ = t_n_and_g_n(pipe.oracle, win, s_n)
+    return h_n_window(pipe.oracle, win, t_n)
 
 
 def _check_lemma418_pair(check_id: str, eta: DirectionPipeline,
                          theta: DirectionPipeline, cfg: RunConfig,
                          eta_text: str, theta_text: str, n: int,
                          nu: int) -> CheckResult:
-    graph, oracle = eta.graph, eta.oracle
-    group = graph.group
+    oracle = eta.oracle
     wa, wb = _h_window(eta, cfg, n), _h_window(theta, cfg, n)
-    report = check_lemma418(graph, oracle, wa, wb, nu)
+    report = check_lemma418(oracle, wa, wb, nu)
     bad = len(report.distance_violations)
     over = int(len(report.matches) > report.count_bound)
     shallow = report.search_radius < report.distance_bound
@@ -365,11 +364,11 @@ def _check_lemma418_pair(check_id: str, eta: DirectionPipeline,
         f"{len(report.matches)} matches, bound {report.count_bound}, "
         f"{bad} distance violations",
         {"eta": eta_text, "theta": theta_text, "n": n,
-         "matches": [group.format(g) for g in report.matches],
+         "matches": [oracle.group.format(g) for g in report.matches],
          "d_star": report.d_star, "search_radius": report.search_radius,
          "count_bound": report.count_bound,
          "distance_bound": report.distance_bound,
-         "distance_violations": [group.format(g)
+         "distance_violations": [oracle.group.format(g)
                                  for g in report.distance_violations],
          "flags": flags})
 
@@ -410,8 +409,8 @@ def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:
                        {"violations": bad, "samples": cfg.order_samples})
 
 
-def brute_force_geodesics(graph: RelativeGraph, oracle: DistanceOracle,
-                          u: Word, v: Word) -> set[tuple[Word, ...]]:
+def brute_force_geodesics(oracle: DistanceOracle, u: Word,
+                          v: Word) -> set[tuple[Word, ...]]:
     """Depth-first vertex paths u→v of geodesic length, no DAG involved."""
     length = oracle.distance(u, v, RELATIVE)
     found: set[tuple[Word, ...]] = set()
@@ -422,7 +421,7 @@ def brute_force_geodesics(graph: RelativeGraph, oracle: DistanceOracle,
                 found.add(path)
             return
         remaining = length - (len(path) - 1)
-        for _, x in graph.neighbors(w, RELATIVE):
+        for _, x in oracle.graph.neighbors(w, RELATIVE):
             # exact, not `within`: a referee sharing the DAG's test shares its faults
             if oracle.distance(x, v, RELATIVE) == remaining - 1:
                 walk(x, path + (x,))
@@ -431,12 +430,11 @@ def brute_force_geodesics(graph: RelativeGraph, oracle: DistanceOracle,
     return found
 
 
-def oracle_equivalence_violations(graph: RelativeGraph,
-                                  oracle: DistanceOracle, samples: int,
+def oracle_equivalence_violations(oracle: DistanceOracle, samples: int,
                                   max_distance: int, seed: int) -> int:
     """DAG-based enumeration vs naive DFS on random nearby pairs."""
     rng = random.Random(seed)
-    pool = graph.ball((), max_distance, RELATIVE)
+    pool = oracle.graph.ball((), max_distance, RELATIVE)
     vertices = sorted(pool.entries, key=shortlex_key)
     bad = 0
     for _ in range(samples):
@@ -444,20 +442,19 @@ def oracle_equivalence_violations(graph: RelativeGraph,
         # exact, not `within`: the referee's sample stays off the DAG's test
         if oracle.distance(u, v, RELATIVE) > max_distance:
             continue
-        dag = geodesic_dag(graph, oracle, u, v)
+        dag = geodesic_dag(oracle, u, v)
         paths, truncated = enumerate_geodesics(dag, max_count=100_000)
         if truncated:
             continue
         got = {p.vertices for p in paths}
-        if got != brute_force_geodesics(graph, oracle, u, v):
+        if got != brute_force_geodesics(oracle, u, v):
             bad += 1
     return bad
 
 
-def _check_oracle_equivalence(check_id: str, graph: RelativeGraph,
-                              oracle: DistanceOracle,
+def _check_oracle_equivalence(check_id: str, oracle: DistanceOracle,
                               cfg: RunConfig) -> CheckResult:
-    bad = oracle_equivalence_violations(graph, oracle, cfg.oracle_samples,
+    bad = oracle_equivalence_violations(oracle, cfg.oracle_samples,
                                         cfg.oracle_max_distance, cfg.seed)
     return CheckResult(
         check_id, PASS if bad == 0 else FAIL,
@@ -529,7 +526,7 @@ def _check_equivariance(check_id: str,
     `pipeline(dir_text, anchor)` is the run's shared pipeline lookup.
     """
     plain = pipeline(dir_text)
-    graph, group = plain.graph, plain.graph.group
+    graph, group = plain.oracle.graph, plain.oracle.group
     want_e = plain.geo1((), cfg.depth).vertices
     rng = random.Random(cfg.seed)
     pool = sorted(graph.ball((), 2, RELATIVE).entries, key=shortlex_key)
@@ -552,7 +549,8 @@ def _check_equivariance(check_id: str,
 
 # Errors a check can hit on a finite truncation of an infinite object.
 # Each one becomes that check's verdict instead of ending the run.
-CHECK_ERRORS = (StabilizationError, ResourceLimitError, DehnReductionError)
+CHECK_ERRORS = (StabilizationError, ResourceLimitError, DehnReductionError,
+                DirectionError)
 
 
 def _run_check(check_id: str, check, *args) -> CheckResult:
@@ -574,9 +572,9 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         group.parse(base_text)
     directions = {d: direction_from_text(graph, d) for d in cfg.directions}
     for direction in directions.values():
-        validate_direction(graph, oracle, direction, cfg.depth)
+        validate_direction(oracle, direction, cfg.depth)
 
-    slim, nu = _check_slimness(graph, oracle, cfg)
+    slim, nu = _check_slimness(oracle, cfg)
     b_cap = bound_B(graph, nu)
     k_cap = bound_K(nu, b_cap)
 
@@ -586,7 +584,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     def pipeline(dir_text: str, anchor: Word = ()) -> DirectionPipeline:
         got = pipelines.get((dir_text, anchor))
         if got is None:
-            got = DirectionPipeline(graph, oracle, directions[dir_text],
+            got = DirectionPipeline(oracle, directions[dir_text],
                                     nu=nu, margin=cfg.margin,
                                     window_radius=cfg.window_radius,
                                     anchor=anchor)
@@ -618,7 +616,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
                 pipeline(eta), pipeline(theta), cfg, eta, theta, n, nu))
     results.append(_run_check("order-property", _check_order_property, cfg))
     results.append(_run_check("oracle-equivalence", _check_oracle_equivalence,
-                              graph, oracle, cfg))
+                              oracle, cfg))
     if group.spec.family in ("free", "finite-table"):
         results.append(_run_check("arithmetic", _check_arithmetic, group,
                                   cfg))

@@ -54,10 +54,9 @@ def _verdict(criterion: str, ok: bool, detail: str) -> None:
 
 
 @functools.lru_cache(maxsize=None)
-def _toolkit(spec_name: str):
+def _oracle(spec_name: str) -> DistanceOracle:
     group = build_group(load_spec(str(SPECS / spec_name)))
-    graph = RelativeGraph(group)
-    return group, graph, DistanceOracle(graph)
+    return DistanceOracle(RelativeGraph(group))
 
 
 def _checks(report, prefix: str):
@@ -93,7 +92,7 @@ def bounds_runs():
 def test_criterion_1_tree_suite_is_exact(tree_run):
     cfg, report, elapsed = tree_run
     start = time.monotonic()
-    group, graph, oracle = _toolkit("f2_standard.json")
+    oracle = _oracle("f2_standard.json")
     problems = []
 
     want = {"nu": 0, "nu_rel": 0, "nu_abs": 0, "B": 1, "K": 1}
@@ -106,9 +105,9 @@ def test_criterion_1_tree_suite_is_exact(tree_run):
             problems.append(f"{check.id} profile {check.details['profile']}")
 
     # |Geo₁(e) Δ Geo₁(b)| along (a)^∞ equals d(e,b) = 1 at every depth
-    direction = direction_from_text(graph, "a")
-    pipe = DirectionPipeline(graph, oracle, direction, nu=0)
-    scan = symdiff_scan(pipe, (), group.parse("b"), list(range(2, 11)))
+    direction = direction_from_text(oracle.graph, "a")
+    pipe = DirectionPipeline(oracle, direction, nu=0)
+    scan = symdiff_scan(pipe, (), oracle.group.parse("b"), list(range(2, 11)))
     if [delta for _, delta in scan.rows] != [1] * 9:
         problems.append(f"symdiff rows {scan.rows}")
 
@@ -117,7 +116,7 @@ def test_criterion_1_tree_suite_is_exact(tree_run):
     for n in range(1, 5):
         window = c_eta_window(pipe, depth, n)
         s_n = s_n_eta(window, depth // 2)
-        t_n, g_n = t_n_and_g_n(graph, oracle, window, s_n)
+        t_n, g_n = t_n_and_g_n(oracle, window, s_n)
         cutoff = depth - n - pipe.margin
         zero = RestrictedLabel(n, tuple(tuple(0 for _ in range(n))
                                         for _ in range(n)))
@@ -126,7 +125,7 @@ def test_criterion_1_tree_suite_is_exact(tree_run):
             problems.append(f"s_{n} not the zero matrix")
         if t_n != powers or g_n != ():
             problems.append(f"T_{n}/g_{n} not the a-power chain from e")
-        h_n = h_n_window(group, oracle, window, t_n, g_n)
+        h_n = h_n_window(oracle, window, t_n)
         if h_n.elements != tuple(sorted(powers)) or h_n.complete_radius != cutoff:
             problems.append(f"H_{n} not the a-power chain to radius {cutoff}")
 
@@ -162,7 +161,7 @@ def test_criterion_2_layer_bounds_hold(bounds_runs):
         if slim.details["triangles_checked"] < 10_000:
             problems.append(f"{name}: only {slim.details['triangles_checked']}"
                             " triangles")
-        _, graph, _ = _toolkit(BOUNDS_SPECS[name])
+        graph = _oracle(BOUNDS_SPECS[name]).graph
         nu = report.constants["nu"]
         ball = graph.ball((), nu, ABSOLUTE)
         if report.constants["B"] != (6 * nu + 1) * len(ball.entries):
@@ -217,14 +216,14 @@ def test_criterion_3_symmetric_differences_stabilize(bounds_runs):
 
 
 def _h_window(spec_name: str, text: str, n: int):
-    group, graph, oracle = _toolkit(spec_name)
-    direction = direction_from_text(graph, text)
-    pipe = DirectionPipeline(graph, oracle, direction, nu=0)
+    oracle = _oracle(spec_name)
+    direction = direction_from_text(oracle.graph, text)
+    pipe = DirectionPipeline(oracle, direction, nu=0)
     depth = coding_depth(direction, n, pipe.margin)
     window = c_eta_window(pipe, depth, n)
     s_n = s_n_eta(window, depth // 2)
-    t_n, g_n = t_n_and_g_n(graph, oracle, window, s_n)
-    return h_n_window(group, oracle, window, t_n, g_n)
+    t_n, _ = t_n_and_g_n(oracle, window, s_n)
+    return h_n_window(oracle, window, t_n)
 
 
 def test_criterion_4_window_translators_bounded(bounds_runs):
@@ -243,11 +242,11 @@ def test_criterion_4_window_translators_bounded(bounds_runs):
             if check.status == "fail":
                 problems.append(f"{name}: {check.id} failed")
     # a few deeper pairings than the suites schedule
-    _, graph, oracle = _toolkit("z3z2_rel_factors.json")
+    oracle = _oracle("z3z2_rel_factors.json")
     for eta, theta in (("a b", "b a"), ("a' b", "b a'")):
         for n in (3, 4):
             paired += 1
-            result = check_lemma418(graph, oracle,
+            result = check_lemma418(oracle,
                                     _h_window("z3z2_rel_factors.json", eta, n),
                                     _h_window("z3z2_rel_factors.json", theta, n),
                                     nu=0)
@@ -267,9 +266,9 @@ def test_criterion_4_window_translators_bounded(bounds_runs):
 
 
 def _ladder_problems(spec_name: str, text: str) -> list[str]:
-    _, graph, oracle = _toolkit(spec_name)
-    direction = direction_from_text(graph, text)
-    pipe = DirectionPipeline(graph, oracle, direction, nu=0)
+    oracle = _oracle(spec_name)
+    direction = direction_from_text(oracle.graph, text)
+    pipe = DirectionPipeline(oracle, direction, nu=0)
     depth = coding_depth(direction, 5, pipe.margin)
     problems = []
     prev_s = prev_t = None
@@ -278,7 +277,7 @@ def _ladder_problems(spec_name: str, text: str) -> list[str]:
         s_n = s_n_eta(window, depth // 2)
         if n <= 4 and s_n != s_n_eta(window, 2 * depth // 3):
             problems.append(f"{text}: s_{n} threshold-sensitive")
-        t_n, _ = t_n_and_g_n(graph, oracle, window, s_n)
+        t_n, _ = t_n_and_g_n(oracle, window, s_n)
         if prev_s is not None and s_n.restrict(n - 1) != prev_s:
             problems.append(f"{text}: s_{n} does not restrict to s_{n - 1}")
         if prev_t is not None and not set(t_n) <= set(prev_t):
@@ -288,7 +287,8 @@ def _ladder_problems(spec_name: str, text: str) -> list[str]:
 
 
 def _equivariance_mismatches(spec_name: str, samples: int, seed: int) -> tuple[int, int]:
-    group, graph, oracle = _toolkit(spec_name)
+    oracle = _oracle(spec_name)
+    group, graph = oracle.group, oracle.graph
     rng = random.Random(seed)
     pool = sorted(graph.ball((), 3, RELATIVE).entries, key=shortlex_key)
     shifts = sorted(graph.ball((), 2, RELATIVE).entries, key=shortlex_key)
@@ -298,8 +298,8 @@ def _equivariance_mismatches(spec_name: str, samples: int, seed: int) -> tuple[i
         if u == v:
             continue
         g = rng.choice(shifts)
-        dag = geodesic_dag(graph, oracle, u, v)
-        moved = geodesic_dag(graph, oracle, group.multiply(g, u),
+        dag = geodesic_dag(oracle, u, v)
+        moved = geodesic_dag(oracle, group.multiply(g, u),
                              group.multiply(g, v))
         paths, _ = enumerate_geodesics(dag, max_count=2)
         for path in paths:
@@ -361,14 +361,12 @@ def test_criterion_7_independent_referees_agree():
     assert sum(quota for _, quota in allocation) == 1000
     problems = []
     for spec_name, quota in allocation:
-        _, graph, oracle = _toolkit(spec_name)
-        bad = oracle_equivalence_violations(graph, oracle, quota,
+        bad = oracle_equivalence_violations(_oracle(spec_name), quota,
                                             max_distance=5, seed=2026)
         if bad:
             problems.append(f"{spec_name}: {bad} enumeration mismatches")
     for spec_name in ("f2_standard.json", "z6_table.json"):
-        group, _, _ = _toolkit(spec_name)
-        bad = arithmetic_violations(group, 6)
+        bad = arithmetic_violations(_oracle(spec_name).group, 6)
         if bad:
             problems.append(f"{spec_name}: {bad} arithmetic mismatches")
     _verdict("criterion 7 (independent referees)", not problems,
@@ -424,7 +422,7 @@ def test_criterion_9_bounds_hold_beyond_nu_zero():
     want = {"nu": 1, "nu_rel": 1, "nu_abs": 1, "B": 28, "K": 588}
     if report.constants != want:
         problems.append(f"constants {report.constants} != {want}")
-    _, graph, _ = _toolkit("z6z2_free.json")
+    graph = _oracle("z6z2_free.json").graph
     if report.constants["B"] != 7 * len(graph.ball((), 1, ABSOLUTE).entries):
         problems.append("B != (6ν+1)|B_X^ν(e)|")
     if report.status() != "pass" or len(report.checks) != 42:

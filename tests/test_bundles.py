@@ -37,10 +37,6 @@ def _cyclic_table(n: int, gen: str) -> dict:
 
 
 F2 = build_group(spec_from_dict({"family": "free", "generators": ["a", "b"]}))
-F2X = build_group(spec_from_dict({
-    "family": "free", "generators": ["a", "b"],
-    "redundant_generators": ["a b"],
-}))
 Z3Z2 = build_group(spec_from_dict({
     "family": "free-product",
     "factors": [{"family": "finite-table", "table": _cyclic_table(3, "a")},
@@ -66,8 +62,6 @@ Z6Z2 = build_group(load_spec(str(SPECS / "z6z2_free.json")))
 
 GR_F2 = RelativeGraph(F2)
 OR_F2 = DistanceOracle(GR_F2)
-GR_F2X = RelativeGraph(F2X)
-OR_F2X = DistanceOracle(GR_F2X)
 GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 GR_Z6Z2 = RelativeGraph(Z6Z2)
@@ -95,12 +89,12 @@ def _flat_window(radius: int) -> tuple:
 
 class TestHorofunctionTable:
     def test_anchor_value_is_zero(self):
-        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
         sig = pipe.signature(F2.parse("a b a'"))
         assert sig[pipe.window().index(())] == 0
 
     def test_z_equals_anchor_gives_distance_table(self):
-        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
         sig = pipe.signature(())
         window = pipe.window()
         assert len(sig) == len(window)
@@ -136,12 +130,12 @@ class TestXiClasses:
     def test_tree_single_class_many_directions(self):
         for text in ["a", "b", "a b", "b' a"]:
             d = direction_from_text(GR_F2, text)
-            deco = DirectionPipeline(GR_F2, OR_F2, d, nu=0).classes_from((), 8)
+            deco = DirectionPipeline(OR_F2, d, nu=0).classes_from((), 8)
             assert len(deco.classes) == 1
             assert deco.unstabilized == ()
 
     def test_z3z2_depth12_pinned(self):
-        deco = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB,
+        deco = DirectionPipeline(OR_Z3Z2, DIR_AB,
                                  nu=0).classes_from((), 12)
         assert len(deco.classes) == 1
         assert deco.unstabilized == ()
@@ -149,7 +143,7 @@ class TestXiClasses:
         assert deco.classes[0].signature == (0, -1, 0, 1, -2, 1, 2, 2)
 
     def test_signature_window_is_distance_layered(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         deco = pipe.classes_from((), 12)
         window = pipe.window(deco.window_radius)
         assert len(window) == len(deco.classes[0].signature)
@@ -159,25 +153,24 @@ class TestXiClasses:
 
     def test_class_count_within_layer_bound(self):
         # ν̂ = 0 for both families pins bound_B to 1
-        for graph, oracle, group, texts in [
-            (GR_F2, OR_F2, F2, ["a", "b a", "a b'"]),
-            (GR_Z3Z2, OR_Z3Z2, Z3Z2, ["a b", "a' b"]),
+        for oracle, texts in [
+            (OR_F2, ["a", "b a", "a b'"]),
+            (OR_Z3Z2, ["a b", "a' b"]),
         ]:
             for text in texts:
-                d = direction_from_text(graph, text)
-                deco = DirectionPipeline(graph, oracle, d,
-                                         nu=0).classes_from((), 8)
+                d = direction_from_text(oracle.graph, text)
+                deco = DirectionPipeline(oracle, d, nu=0).classes_from((), 8)
                 assert len(deco.classes) <= 1
 
     def test_shallow_base_clips_window(self):
-        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
         deco = pipe.classes_from(F2.parse("b"), 4)
         assert deco.window_radius == 1
         assert any("clipped" in note for note in pipe.notes)
         assert deco.flags == ()
 
     def test_depth_below_two_rejected(self):
-        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
         with pytest.raises(SpecError):
             pipe.classes_from((), 1)
 
@@ -186,7 +179,7 @@ class TestXiClasses:
             def signature(self, z, radius=None):
                 return (OR_F2.distance((), z, RELATIVE),)
 
-        pipe = Scrambled(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = Scrambled(OR_F2, DIR_A, nu=0)
         with pytest.raises(StabilizationError, match="larger depth"):
             pipe.classes_from((), 6)
 
@@ -197,7 +190,7 @@ class TestXiClasses:
 
 class TestSectors:
     def test_tree_sector_is_the_ray(self):
-        pipe = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
+        pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
         cls = pipe.classes_from((), 8).classes[0]
         sec = pipe.sector((), cls.signature, 8)
         assert sec.vertices == frozenset(
@@ -206,19 +199,19 @@ class TestSectors:
                       for v in sec.vertices) == list(range(9))
 
     def test_sector_inside_bundle(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         deco = pipe.classes_from((), 8)
         for cls in deco.classes:
             sec = pipe.sector((), cls.signature, 8)
             assert sec.vertices <= pipe.bundle((), 8).vertices()
 
     def test_unrealized_signature_reports_empty(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         sec = pipe.sector((), (99,) * 8, 8)
         assert sec.vertices == frozenset()
 
     def test_sector_monotone_in_depth(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         d8 = pipe.classes_from((), 8)
         d10 = pipe.classes_from((), 10)
         s8 = pipe.sector((), d8.classes[0].signature, 8)
@@ -228,7 +221,7 @@ class TestSectors:
         assert s8.vertices <= s10.vertices
 
     def test_ray_vertex_sector_contains_later_representatives(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         x = Z3Z2.parse("a b a b")
         deco = pipe.classes_from(x, 8)
         sec = pipe.sector(x, deco.classes[0].signature, 8)
@@ -248,8 +241,7 @@ class TestReadsOffTheBundle:
             n = min(len(signature), len(cls.signature))
             if signature[:n] == cls.signature[:n]:
                 for t in cls.terminals:
-                    got |= geodesic_dag(pipe.graph, pipe.oracle, v,
-                                        t).vertices()
+                    got |= geodesic_dag(pipe.oracle, v, t).vertices()
         return frozenset(got)
 
     @staticmethod
@@ -299,7 +291,7 @@ class TestReadsOffTheBundle:
     @pytest.mark.parametrize("text", ["t b", "t t t b", "t' b t b"])
     def test_z6z2_sectors_and_reach_match_referees(self, text, nu):
         direction = direction_from_text(GR_Z6Z2, text)
-        pipe = DirectionPipeline(GR_Z6Z2, OR_Z6Z2, direction, nu=nu)
+        pipe = DirectionPipeline(OR_Z6Z2, direction, nu=nu)
         reached = missed = 0
         for base_text in ("e", "b", "t"):
             for depth in (8, 10, 12):
@@ -322,7 +314,7 @@ class TestReadsOffTheBundle:
     def test_torus_split_sectors_match_referees(self, window_radius):
         # Two classes on the flat torus: proper, merged and empty sectors.
         direction = direction_from_text(GR_Z10Z10, "x")
-        pipe = DirectionPipeline(GR_Z10Z10, OR_Z10Z10, direction, nu=0,
+        pipe = DirectionPipeline(OR_Z10Z10, direction, nu=0,
                                  window_radius=window_radius)
         assert len(pipe.classes_from((), 4).classes) == 2
         for depth in (3, 4):
@@ -336,7 +328,7 @@ class TestReadsOffTheBundle:
 
 class TestSpecialVertices:
     def test_tree_everything_classifiable_is_special(self):
-        report = DirectionPipeline(GR_F2, OR_F2, DIR_A,
+        report = DirectionPipeline(OR_F2, DIR_A,
                                    nu=0).special_vertices((), 6)
         assert report.ambiguous == ()
         assert {v for v, _ in report.special} == {
@@ -344,14 +336,14 @@ class TestSpecialVertices:
         assert {c for _, c in report.special} == {0}
 
     def test_special_set_inside_bundle(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         report = pipe.special_vertices((), 8)
         bundle = pipe.bundle((), 8).vertices()
         for v, _ in report.special:
             assert v in bundle
 
     def test_z3z2_specials_pinned_and_stable(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         r8 = pipe.special_vertices((), 8)
         r10 = pipe.special_vertices((), 10)
         ray = [Z3Z2.parse(" ".join(["a b"] * (k // 2)) + (" a" if k % 2 else ""))
@@ -372,17 +364,17 @@ class TestSpecialVertices:
 
 class TestGeo1:
     def test_tree_geo1_is_the_ray(self):
-        g1 = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0).geo1((), 8)
+        g1 = DirectionPipeline(OR_F2, DIR_A, nu=0).geo1((), 8)
         assert g1.vertices == frozenset(tuple([1] * k) for k in range(9))
         assert g1.chosen == ((0, ((),)),)
         assert g1.skipped_classes == ()
 
     def test_base_is_its_own_nearest_special(self):
-        g1 = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0).geo1((), 8)
+        g1 = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0).geo1((), 8)
         assert g1.chosen[0][1] == ((),)
 
     def test_geo1_equals_union_of_chosen_sectors(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         base = Z3Z2.parse("b")
         g1 = pipe.geo1(base, 8)
         deco = pipe.classes_from(base, 8)
@@ -396,7 +388,7 @@ class TestGeo1:
         assert g1.vertices == frozenset(expected)
 
     def test_ray_capture_bound_does_not_grow(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         base = Z3Z2.parse("b")
         bounds = []
         for depth in (8, 10, 12):
@@ -414,8 +406,8 @@ class TestGeo1:
 
     def test_left_translation_equivariance(self):
         g = Z3Z2.parse("b a")
-        plain = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
-        moved = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0, anchor=g)
+        plain = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
+        moved = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0, anchor=g)
         x = Z3Z2.parse("a")
         translated = frozenset(Z3Z2.multiply(g, v)
                                for v in plain.geo1(x, 8).vertices)
@@ -423,8 +415,8 @@ class TestGeo1:
 
     def test_table_values_translate_with_the_anchor(self):
         g = Z3Z2.parse("b a")
-        plain = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
-        moved = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0, anchor=g)
+        plain = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
+        moved = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0, anchor=g)
         z = Z3Z2.parse("a b a b")
         te = plain.signature(z)
         tg = moved.signature(Z3Z2.multiply(g, z))
@@ -443,7 +435,7 @@ class TestOrderIndependence:
 
     def _pipe(self):
         direction = direction_from_text(GR_Z10Z10, "x")
-        return DirectionPipeline(GR_Z10Z10, OR_Z10Z10, direction, nu=0,
+        return DirectionPipeline(OR_Z10Z10, direction, nu=0,
                                  window_radius=0)
 
     def test_geo1_does_not_depend_on_call_order(self):
@@ -476,20 +468,20 @@ class TestOrderIndependence:
 
 class TestSymDiffScan:
     def test_tree_median_row_pinned(self):
-        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+        scan = symdiff_scan(DirectionPipeline(OR_F2, DIR_A, nu=0),
                             (), F2.parse("b"), [2, 3, 4, 6, 8])
         assert scan.rows == ((2, 1), (3, 1), (4, 1), (6, 1), (8, 1))
         assert scan.verdict == "stabilized"
 
     def test_same_base_is_zero(self):
         x = F2.parse("b a")
-        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+        scan = symdiff_scan(DirectionPipeline(OR_F2, DIR_A, nu=0),
                             x, x, [4, 6, 8])
         assert scan.rows == ((4, 0), (6, 0), (8, 0))
         assert scan.verdict == "stabilized"
 
     def test_z3z2_scans_pinned(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         ab = symdiff_scan(pipe, (), Z3Z2.parse("a b"), [8, 10, 12])
         assert ab.rows == ((8, 2), (10, 2), (12, 2))
         assert ab.verdict == "stabilized"
@@ -497,7 +489,7 @@ class TestSymDiffScan:
         assert b.rows == ((8, 1), (10, 1), (12, 1))
 
     def test_z3z2_difference_sits_below_layer_one(self):
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         x, y = (), Z3Z2.parse("b")
         gx = pipe.geo1(x, 10).vertices
         gy = pipe.geo1(y, 10).vertices
@@ -508,7 +500,7 @@ class TestSymDiffScan:
         assert vis == {Z3Z2.parse("b")}
 
     def test_short_scan_never_reports_stabilized(self):
-        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+        scan = symdiff_scan(DirectionPipeline(OR_F2, DIR_A, nu=0),
                             (), F2.parse("b"), [4, 6])
         assert scan.verdict == "unstabilized"
 
@@ -520,7 +512,7 @@ class TestSymDiffScan:
                  + OR_F2.distance(x, far, RELATIVE)
                  - OR_F2.distance(y, far, RELATIVE)) // 2
         med_y = OR_F2.distance(x, y, RELATIVE) - med_x
-        scan = symdiff_scan(DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0),
+        scan = symdiff_scan(DirectionPipeline(OR_F2, DIR_A, nu=0),
                             x, y, [6, 7, 8])
         assert scan.verdict == "stabilized"
         assert [n for _, n in scan.rows] == [med_x + med_y] * 3

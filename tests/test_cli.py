@@ -10,7 +10,7 @@ from pathlib import Path
 
 import pytest
 
-from relbundles import suite
+from relbundles import cli, suite
 from relbundles.bundles import StabilizationError
 from relbundles.cli import _build_parser, main
 from relbundles.groups import DehnReductionError, build_group, spec_from_dict
@@ -227,6 +227,18 @@ class TestExplore:
         doc = json.loads((out / "bundle.json").read_text())
         assert doc["layer_profile"] == [1] * 7
 
+    def test_branching_bundle_layers_pinned(self, tmp_path):
+        """Layers are written as the DAG stores them, in shortlex order."""
+        spec = str(ROOT / "specs" / "z6z2_free.json")
+        assert main(["explore", "bundle", "e", "t t t b", "10", "--spec", spec,
+                     "--out", str(tmp_path)]) == 0
+        raw = (tmp_path / "bundle.json").read_bytes()
+        doc = json.loads(raw)
+        assert doc["layer_profile"] == [1, 2, 2, 1, 1, 2, 2, 1, 1, 2, 2]
+        assert doc["layers"][1] == ["t", "t'"]
+        assert hashlib.sha256(raw).hexdigest() == (
+            "ec110215a55bfcbea8695a57d3ba64e84937c6ae0a6b4127df9f0ffd591af8f0")
+
     def test_non_geodesic_direction_names_prefix(self, z3z2_spec_file,
                                                  tmp_path, capsys):
         code = main(["explore", "geo1", "e", "a b:b a", "8",
@@ -439,6 +451,50 @@ class TestVerify:
         assert (run / "delta_vs_depth.csv").read_text().splitlines() == [
             "depth,pairs,min_delta,median_delta,max_delta",
             "4,1,1,1,1", "5,1,1,1,1", "6,1,1,1,1"]
+
+    def test_direction_failing_past_the_validated_depth_is_flagged(
+            self, tmp_path, capsys):
+        """Directions are validated to `depth` before the sweep; a bundle
+        deeper than that which meets the bad prefix flags its own check,
+        and every other check still runs."""
+        bad = "a a a a a a a a a a a:a'"
+        cfg = _write(tmp_path / "config.json", {
+            "spec_path": str(ROOT / "specs" / "f2_standard.json"),
+            "directions": ["a", bad], "depth": 8, "scan_depths": [8, 10, 12],
+            "n_max": 1, "exhaustive_radius": 1, "ball_radius": 2,
+            "triangle_budget": 10})
+        run = tmp_path / "run"
+        assert main(["verify", "--config", cfg, "--out", str(run)]) == 2
+        assert capsys.readouterr().err == ""
+        doc = json.loads((run / "report.json").read_text())
+        flagged = {c["id"]: c for c in doc["checks"]
+                   if c["status"] != "pass"}
+        assert sorted(flagged) == [f"coding[{bad}]",
+                                   f"lemma418[{bad}|a|n=1]",
+                                   f"lemma418[a|{bad}|n=1]"]
+        for check in flagged.values():
+            assert check["status"] == "flagged"
+            assert check["summary"] == (
+                f"{bad}: prefix of length 12 reaches a vertex at distance "
+                f"10, so the word is not geodesic")
+            assert check["details"] == {"error": "DirectionError"}
+        assert len(doc["checks"]) == 14
+
+    @pytest.mark.parametrize("out", ["taken", "taken/run"])
+    def test_unusable_out_fails_before_the_run(self, tmp_path, capsys,
+                                               monkeypatch, out):
+        def run_suite(cfg):
+            raise AssertionError("suite reached")
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        (tmp_path / "taken").write_text("a file\n")
+        cfg = self._config(tmp_path)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        lines = captured.err.splitlines()
+        assert len(lines) == 1 and lines[0].startswith("error: ")
+        assert str(tmp_path / "taken") in lines[0]
 
     def test_missing_spec_is_an_error(self, tmp_path, capsys):
         cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))

@@ -68,8 +68,8 @@ OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 DIR_A = direction_from_text(GR_F2, "a")
 DIR_AB = direction_from_text(GR_Z3Z2, "a b")
 
-PIPE_TREE = DirectionPipeline(GR_F2, OR_F2, DIR_A, nu=0)
-PIPE_AB = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0)
+PIPE_TREE = DirectionPipeline(OR_F2, DIR_A, nu=0)
+PIPE_AB = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
 
 
 def bit_matrices(n: int):
@@ -113,7 +113,7 @@ class TestSymbolCodes:
 
 def _tree_edge_symbols(text: str):
     target = F2.parse(text)
-    dag = geodesic_dag(GR_F2, OR_F2, (), target)
+    dag = geodesic_dag(OR_F2, (), target)
     paths, _ = enumerate_geodesics(dag, max_count=1)
     return paths[0].symbols
 
@@ -265,41 +265,38 @@ class TestTnGnHn:
     def test_tree_closed_forms(self):
         win = c_eta_window(PIPE_TREE, 21, 2)
         s = s_n_eta(win, 10)
-        t_n, g_n = t_n_and_g_n(GR_F2, OR_F2, win, s)
+        t_n, g_n = t_n_and_g_n(OR_F2, win, s)
         assert t_n == tuple(tuple([1] * k) for k in range(19))
         assert g_n == ()
-        h = h_n_window(F2, OR_F2, win, t_n, g_n)
+        h = h_n_window(OR_F2, win, t_n)
         assert h.elements == tuple(sorted(t_n))
         assert h.complete_radius == 18
 
     def test_z3z2_even_vertices_pinned(self):
         win = c_eta_window(PIPE_AB, 18, 2)
-        t_n, g_n = t_n_and_g_n(GR_Z3Z2, OR_Z3Z2, win, s_n_eta(win, 9))
+        t_n, g_n = t_n_and_g_n(OR_Z3Z2, win, s_n_eta(win, 9))
         assert g_n == ()
         assert t_n == tuple(Z3Z2.parse(" ".join(["a b"] * k))
                             for k in range(8))
 
     def test_minimum_element_distance(self):
         win = c_eta_window(PIPE_AB, 18, 2)
-        t_n, g_n = t_n_and_g_n(GR_Z3Z2, OR_Z3Z2, win, s_n_eta(win, 9))
+        t_n, g_n = t_n_and_g_n(OR_Z3Z2, win, s_n_eta(win, 9))
         dmin = min(OR_Z3Z2.distance((), t, RELATIVE) for t in t_n)
         assert OR_Z3Z2.distance((), g_n, RELATIVE) == dmin
 
     def test_order_key_respects_distance(self):
         words = [(), Z3Z2.parse("a"), Z3Z2.parse("b a"), Z3Z2.parse("a b a")]
-        keys = [element_order_key(GR_Z3Z2, OR_Z3Z2, (), w) for w in words]
+        keys = [element_order_key(OR_Z3Z2, (), w) for w in words]
         ranked = sorted(zip(keys, words))
         dists = [OR_Z3Z2.distance((), w, RELATIVE) for _, w in ranked]
         assert dists == sorted(dists)
 
     def test_identity_always_in_h_n(self):
-        for pipe, graph, oracle, group in [
-            (PIPE_TREE, GR_F2, OR_F2, F2),
-            (PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2),
-        ]:
+        for pipe in (PIPE_TREE, PIPE_AB):
             win = c_eta_window(pipe, 15, 2)
-            t_n, g_n = t_n_and_g_n(graph, oracle, win, s_n_eta(win, 7))
-            h = h_n_window(group, oracle, win, t_n, g_n)
+            t_n, _ = t_n_and_g_n(pipe.oracle, win, s_n_eta(win, 7))
+            h = h_n_window(pipe.oracle, win, t_n)
             assert () in h.elements
 
     def test_coherence_and_nesting(self):
@@ -307,7 +304,7 @@ class TestTnGnHn:
         for n in (1, 2, 3, 4):
             win = c_eta_window(PIPE_AB, 18, n)
             s = s_n_eta(win, 9)
-            t_n, _ = t_n_and_g_n(GR_Z3Z2, OR_Z3Z2, win, s)
+            t_n, _ = t_n_and_g_n(OR_Z3Z2, win, s)
             if prev_s is not None:
                 assert s.restrict(n - 1) == prev_s
                 assert set(t_n) <= set(prev_t)
@@ -315,7 +312,7 @@ class TestTnGnHn:
 
     def test_s_n_invariant_under_reanchoring(self):
         g = Z3Z2.parse("b a")
-        moved = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, DIR_AB, nu=0, anchor=g)
+        moved = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0, anchor=g)
         w0 = c_eta_window(PIPE_AB, 18, 2)
         wg = c_eta_window(moved, 18, 2)
         assert s_n_eta(wg, 9) == s_n_eta(w0, 9)
@@ -332,8 +329,8 @@ class TestLabelEquivariance:
     def test_translated_paths_spell_identically(self, g, t):
         g = F2.reduce(g)
         t = F2.reduce(t)
-        dag = geodesic_dag(GR_F2, OR_F2, (), t)
-        moved = geodesic_dag(GR_F2, OR_F2, g, F2.multiply(g, t))
+        dag = geodesic_dag(OR_F2, (), t)
+        moved = geodesic_dag(OR_F2, g, F2.multiply(g, t))
         paths, _ = enumerate_geodesics(dag)
         moved_paths, _ = enumerate_geodesics(moved)
         assert [p.symbols for p in paths] == [p.symbols for p in moved_paths]
@@ -344,48 +341,48 @@ class TestLabelEquivariance:
 
 
 class TestLemma418:
-    def _window(self, pipe, graph, oracle, group, depth, n, threshold):
+    def _window(self, pipe, depth, n, threshold):
         win = c_eta_window(pipe, depth, n)
-        t_n, g_n = t_n_and_g_n(graph, oracle, win, s_n_eta(win, threshold))
-        return h_n_window(group, oracle, win, t_n, g_n)
+        t_n, _ = t_n_and_g_n(pipe.oracle, win, s_n_eta(win, threshold))
+        return h_n_window(pipe.oracle, win, t_n)
 
     def test_identical_windows_match_at_identity(self):
-        h = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
-        report = check_lemma418(GR_Z3Z2, OR_Z3Z2, h, h, 0)
+        h = self._window(PIPE_AB, 18, 2, 9)
+        report = check_lemma418(OR_Z3Z2, h, h, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()
         assert len(report.matches) <= report.count_bound
 
     def test_rotated_direction_matches_after_translation(self):
         d_ba = direction_from_text(GR_Z3Z2, "b a")
-        pipe = DirectionPipeline(GR_Z3Z2, OR_Z3Z2, d_ba, nu=0)
-        ha = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
-        hb = self._window(pipe, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
+        pipe = DirectionPipeline(OR_Z3Z2, d_ba, nu=0)
+        ha = self._window(PIPE_AB, 18, 2, 9)
+        hb = self._window(pipe, 18, 2, 9)
         assert hb.g_n == Z3Z2.parse("b")
-        report = check_lemma418(GR_Z3Z2, OR_Z3Z2, ha, hb, 0)
+        report = check_lemma418(OR_Z3Z2, ha, hb, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()
         assert report.count_bound == 1
 
     def test_transverse_tree_directions_share_nothing(self):
         d_b = direction_from_text(GR_F2, "b")
-        pipe_b = DirectionPipeline(GR_F2, OR_F2, d_b, nu=0)
-        ha = self._window(PIPE_TREE, GR_F2, OR_F2, F2, 21, 2, 10)
-        hb = self._window(pipe_b, GR_F2, OR_F2, F2, 21, 2, 10)
-        report = check_lemma418(GR_F2, OR_F2, ha, hb, 0)
+        pipe_b = DirectionPipeline(OR_F2, d_b, nu=0)
+        ha = self._window(PIPE_TREE, 21, 2, 10)
+        hb = self._window(pipe_b, 21, 2, 10)
+        report = check_lemma418(OR_F2, ha, hb, 0)
         assert report.matches == ()
         assert report.distance_violations == ()
 
     def test_size_mismatch_rejected(self):
-        ha = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
-        hb = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 3, 9)
+        ha = self._window(PIPE_AB, 18, 2, 9)
+        hb = self._window(PIPE_AB, 18, 3, 9)
         with pytest.raises(SpecError, match="sizes"):
-            check_lemma418(GR_Z3Z2, OR_Z3Z2, ha, hb, 0)
+            check_lemma418(OR_Z3Z2, ha, hb, 0)
 
     def test_common_ball_uses_smaller_window(self):
-        ha = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 18, 2, 9)
-        hb = self._window(PIPE_AB, GR_Z3Z2, OR_Z3Z2, Z3Z2, 12, 2, 6)
-        report = check_lemma418(GR_Z3Z2, OR_Z3Z2, ha, hb, 0)
+        ha = self._window(PIPE_AB, 18, 2, 9)
+        hb = self._window(PIPE_AB, 12, 2, 6)
+        report = check_lemma418(OR_Z3Z2, ha, hb, 0)
         assert report.d_star == min(ha.complete_radius, hb.complete_radius)
         assert report.matches == ((),)
 
@@ -395,10 +392,10 @@ class TestLemma418:
         # one inside any finite ball, but the infinite sets differ; none
         # of those slides may count as a match.
         d_back = direction_from_text(GR_F2, "a'")
-        pipe_back = DirectionPipeline(GR_F2, OR_F2, d_back, nu=0)
-        ha = self._window(PIPE_TREE, GR_F2, OR_F2, F2, 21, 2, 10)
-        hb = self._window(pipe_back, GR_F2, OR_F2, F2, 21, 2, 10)
-        report = check_lemma418(GR_F2, OR_F2, ha, hb, 0)
+        pipe_back = DirectionPipeline(OR_F2, d_back, nu=0)
+        ha = self._window(PIPE_TREE, 21, 2, 10)
+        hb = self._window(pipe_back, 21, 2, 10)
+        report = check_lemma418(OR_F2, ha, hb, 0)
         assert report.matches == ()
         assert report.distance_violations == ()
         assert report.search_radius == 9

@@ -80,8 +80,7 @@ GR_GENUS2 = RelativeGraph(GENUS2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
 GR_Z6Z2 = RelativeGraph(Z6Z2)
 OR_Z6Z2 = DistanceOracle(GR_Z6Z2)
-GR_F2Z = RelativeGraph(F2Z)
-OR_F2Z = DistanceOracle(GR_F2Z)
+OR_F2Z = DistanceOracle(RelativeGraph(F2Z))
 GR_Z6Z2_MIXED = RelativeGraph(Z6Z2_MIXED)
 OR_Z6Z2_MIXED = DistanceOracle(GR_Z6Z2_MIXED)
 
@@ -93,7 +92,7 @@ def words_of(group, max_len=4):
         lambda ls: group.reduce(ls))
 
 
-def brute_geodesics(graph, oracle, u, v, metric=RELATIVE):
+def brute_geodesics(oracle, u, v, metric=RELATIVE):
     """Oracle-guided DFS over raw adjacency, independent of the DAG."""
     # exact, not `within`: a referee sharing the DAG's test shares its faults
     total = oracle.distance(u, v, metric)
@@ -105,7 +104,7 @@ def brute_geodesics(graph, oracle, u, v, metric=RELATIVE):
                 out.append(tuple(path))
             return
         remaining = total - (len(path) - 1)
-        for _, x in graph.neighbors(w, metric):
+        for _, x in oracle.graph.neighbors(w, metric):
             if oracle.distance(x, v, metric) == remaining - 1:
                 path.append(x)
                 walk(x, path)
@@ -119,7 +118,7 @@ def brute_geodesics(graph, oracle, u, v, metric=RELATIVE):
 # DAG pins
 
 def test_free_chain_dag():
-    dag = geodesic_dag(GR_F2, OR_F2, (), F2.parse("a b"))
+    dag = geodesic_dag(OR_F2, (), F2.parse("a b"))
     assert dag.length == 2
     assert dag.layers == (((),), ((1,),), ((1, 2),))
     paths, truncated = enumerate_geodesics(dag)
@@ -129,7 +128,7 @@ def test_free_chain_dag():
 
 def test_free_product_syllable_chain():
     w = Z3Z2.parse("a b a")
-    dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, (), w)
+    dag = geodesic_dag(OR_Z3Z2, (), w)
     assert dag.layers == (((),), ((1,),), ((1, 2),), ((1, 2, 1),))
     paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
@@ -138,14 +137,14 @@ def test_free_product_syllable_chain():
 
 
 def test_adjoined_generator_single_step():
-    dag = geodesic_dag(GR_F2X, OR_F2X, (), F2X.parse("a b"))
+    dag = geodesic_dag(OR_F2X, (), F2X.parse("a b"))
     assert dag.length == 1
     (path,), _ = enumerate_geodesics(dag)
     assert [GR_F2X.format_symbol(s) for s in path.symbols] == ["ab"]
 
 
 def test_adjoined_generator_double_step():
-    dag = geodesic_dag(GR_F2X, OR_F2X, (), F2X.parse("a b a b"))
+    dag = geodesic_dag(OR_F2X, (), F2X.parse("a b a b"))
     paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
     steps = GR_F2X.step_words()
@@ -154,7 +153,7 @@ def test_adjoined_generator_double_step():
 
 def test_commutator_bigon_enumeration():
     """Both spellings of the genus-2 commutator, in label order."""
-    dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), GENUS2.parse("a b a' b'"))
+    dag = geodesic_dag(OR_GENUS2, (), GENUS2.parse("a b a' b'"))
     assert dag.length == 4
     paths, truncated = enumerate_geodesics(dag)
     assert not truncated
@@ -163,7 +162,7 @@ def test_commutator_bigon_enumeration():
 
 
 def test_enumeration_cap():
-    dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), GENUS2.parse("a b a' b'"))
+    dag = geodesic_dag(OR_GENUS2, (), GENUS2.parse("a b a' b'"))
     paths, truncated = enumerate_geodesics(dag, max_count=1)
     assert truncated and len(paths) == 1
 
@@ -171,30 +170,30 @@ def test_enumeration_cap():
 def test_dag_source_not_identity():
     base = Z3Z2.parse("b")
     target = Z3Z2.parse("b a b")
-    dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, base, target)
+    dag = geodesic_dag(OR_Z3Z2, base, target)
     assert dag.source == base and dag.target == target
     assert dag.length == 2
 
 
-# (group, graph, oracle, metric) of every free group and free product the
+# (group, oracle, metric) of every free group and free product the
 # dispatch sees; F₂∗ℤ cones off ℤ, an infinite factor, so its relative
 # metric has no alphabet
 DISPATCH_CASES = [
-    pytest.param(F2, GR_F2, OR_F2, RELATIVE, id="f2"),
-    pytest.param(Z3Z2, GR_Z3Z2, OR_Z3Z2, RELATIVE, id="z3z2-rel"),
-    pytest.param(Z3Z2, GR_Z3Z2, OR_Z3Z2, ABSOLUTE, id="z3z2-abs"),
-    pytest.param(Z6Z2, GR_Z6Z2, OR_Z6Z2, RELATIVE, id="z6z2"),
-    pytest.param(Z6Z2_MIXED, GR_Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE,
+    pytest.param(F2, OR_F2, RELATIVE, id="f2"),
+    pytest.param(Z3Z2, OR_Z3Z2, RELATIVE, id="z3z2-rel"),
+    pytest.param(Z3Z2, OR_Z3Z2, ABSOLUTE, id="z3z2-abs"),
+    pytest.param(Z6Z2, OR_Z6Z2, RELATIVE, id="z6z2"),
+    pytest.param(Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE,
                  id="z6z2-mixed-rel"),
-    pytest.param(F2Z, GR_F2Z, OR_F2Z, ABSOLUTE, id="f2z-abs"),
+    pytest.param(F2Z, OR_F2Z, ABSOLUTE, id="f2z-abs"),
 ]
 
 
-@pytest.mark.parametrize("group, graph, oracle, metric", DISPATCH_CASES)
+@pytest.mark.parametrize("group, oracle, metric", DISPATCH_CASES)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_chain_is_the_layered_dag(group, graph, oracle, metric, data):
+def test_chain_is_the_layered_dag(group, oracle, metric, data):
     """Where the normal form spells the one geodesic, its chain is the very
     DAG the layered search grows: same layers in the same order, same
     successor lists in symbol order, same predecessor lists in layer
@@ -204,8 +203,8 @@ def test_chain_is_the_layered_dag(group, graph, oracle, metric, data):
     length = oracle.distance(u, v, metric)
     depth = data.draw(st.one_of(st.none(), st.integers(0, length + 3)),
                       label="depth")
-    dag = geodesic_dag(graph, oracle, u, v, metric, depth)
-    assert dag == _layered_dag(graph, oracle, u, v, metric, depth)
+    dag = geodesic_dag(oracle, u, v, metric, depth)
+    assert dag == _layered_dag(oracle, u, v, metric, depth)
     assert dag.length == (length if depth is None else min(depth, length))
 
 
@@ -224,7 +223,7 @@ def test_chain_only_where_the_normal_form_spells_it(graph, oracle, metric, u,
     """Plain free groups, and coned syllables in a free product's relative
     metric, are chains; any other syllable or family is grown in layers."""
     g = graph.group
-    assert (_chain(graph, oracle, g.parse(u), g.parse(v), metric)
+    assert (_chain(oracle, g.parse(u), g.parse(v), metric)
             is not None) == spelled
 
 
@@ -245,9 +244,9 @@ def test_unreachable_layer_is_an_error():
     w = F2X.parse("a a")
     assert oracle.distance((), w) == 1
     with pytest.raises(ResourceLimitError, match=r"from e to a a has no layer 1"):
-        geodesic_dag(GR_F2X, oracle, (), w)
+        geodesic_dag(oracle, (), w)
     # a is a move, so its DAG is one edge
-    dag = geodesic_dag(GR_F2X, oracle, (), F2X.parse("a"))
+    dag = geodesic_dag(oracle, (), F2X.parse("a"))
     assert [len(layer) for layer in dag.layers] == [1, 1]
 
 
@@ -255,7 +254,7 @@ class TestDagInvariants:
     @PROPERTY_SETTINGS
     @given(u=words_of(Z3Z2), v=words_of(Z3Z2))
     def test_layers_are_exact_slices(self, u, v):
-        dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, u, v)
+        dag = geodesic_dag(OR_Z3Z2, u, v)
         for k, layer in enumerate(dag.layers):
             for w in layer:
                 assert OR_Z3Z2.distance(u, w) == k
@@ -264,7 +263,7 @@ class TestDagInvariants:
     @PROPERTY_SETTINGS
     @given(u=words_of(F2X, 3), v=words_of(F2X, 3))
     def test_every_vertex_lies_on_a_path(self, u, v):
-        dag = geodesic_dag(GR_F2X, OR_F2X, u, v)
+        dag = geodesic_dag(OR_F2X, u, v)
         for k, layer in enumerate(dag.layers):
             for w in layer:
                 assert bool(dag.predecessors[w]) == (k > 0)
@@ -273,8 +272,8 @@ class TestDagInvariants:
     @PROPERTY_SETTINGS
     @given(g=words_of(Z3Z2, 3), u=words_of(Z3Z2, 3), v=words_of(Z3Z2, 3))
     def test_equivariance(self, g, u, v):
-        dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, u, v)
-        moved = geodesic_dag(GR_Z3Z2, OR_Z3Z2,
+        dag = geodesic_dag(OR_Z3Z2, u, v)
+        moved = geodesic_dag(OR_Z3Z2,
                              Z3Z2.multiply(g, u), Z3Z2.multiply(g, v))
         assert moved.length == dag.length
         for ours, theirs in zip(dag.layers, moved.layers):
@@ -287,27 +286,27 @@ class TestAgainstBruteForce:
     @PROPERTY_SETTINGS
     @given(u=words_of(Z3Z2, 3), v=words_of(Z3Z2, 3))
     def test_free_product(self, u, v):
-        dag = geodesic_dag(GR_Z3Z2, OR_Z3Z2, u, v)
+        dag = geodesic_dag(OR_Z3Z2, u, v)
         paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
-            GR_Z3Z2, OR_Z3Z2, u, v)
+            OR_Z3Z2, u, v)
 
     @PROPERTY_SETTINGS
     @given(u=words_of(F2X, 3), v=words_of(F2X, 3))
     def test_free_adjoined(self, u, v):
-        dag = geodesic_dag(GR_F2X, OR_F2X, u, v)
+        dag = geodesic_dag(OR_F2X, u, v)
         paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
-            GR_F2X, OR_F2X, u, v)
+            OR_F2X, u, v)
 
     @settings(max_examples=12, deadline=None,
               suppress_health_check=[HealthCheck.too_slow])
     @given(v=words_of(GENUS2, 4))
     def test_small_cancellation(self, v):
-        dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), v)
+        dag = geodesic_dag(OR_GENUS2, (), v)
         paths, _ = enumerate_geodesics(dag, max_count=10_000)
         assert sorted(p.vertices for p in paths) == brute_geodesics(
-            GR_GENUS2, OR_GENUS2, (), v)
+            OR_GENUS2, (), v)
 
 
 # ---------------------------------------------------------------------------
@@ -331,7 +330,7 @@ def test_direction_symbols_must_be_single_steps():
 def test_direction_with_repeated_symbol_is_allowed():
     d = direction_from_text(GR_F2, "a a")
     assert d.period == ((1,), (1,))
-    validate_direction(GR_F2, OR_F2, d, 6)
+    validate_direction(OR_F2, d, 6)
 
 
 def test_parabolic_direction_symbol():
@@ -341,20 +340,20 @@ def test_parabolic_direction_symbol():
 
 
 def test_validate_direction_accepts_geodesic_ray():
-    validate_direction(GR_Z3Z2, OR_Z3Z2, direction_from_text(GR_Z3Z2, "a b"), 9)
+    validate_direction(OR_Z3Z2, direction_from_text(GR_Z3Z2, "a b"), 9)
 
 
 def test_validate_direction_rejects_backtracking():
     bad = direction_from_text(GR_F2, "a a'")
     with pytest.raises(DirectionError) as info:
-        validate_direction(GR_F2, OR_F2, bad, 5)
+        validate_direction(OR_F2, bad, 5)
     assert info.value.prefix_length == 2
 
 
 def test_validate_direction_rejects_torsion_loop():
     bad = direction_from_text(GR_Z3Z2, "b")
     with pytest.raises(DirectionError) as info:
-        validate_direction(GR_Z3Z2, OR_Z3Z2, bad, 4)
+        validate_direction(OR_Z3Z2, bad, 4)
     assert info.value.prefix_length == 2
 
 
@@ -368,7 +367,7 @@ def test_empty_period_rejected():
 
 def test_bundle_along_periodic_ray():
     d = direction_from_text(GR_Z3Z2, "a b")
-    bundle = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, (), d, depth=5, margin=1)
+    bundle = cgr_bundle_trunc(OR_Z3Z2, (), d, depth=5, margin=1)
     assert layer_profile(bundle) == [1, 1, 1, 1, 1, 1]
     assert bundle.layers[3] == (Z3Z2.parse("a b a"),)
     assert OR_Z3Z2.distance((), bundle.target, RELATIVE) >= 6
@@ -376,7 +375,7 @@ def test_bundle_along_periodic_ray():
 
 def test_bundle_from_offset_base_passes_identity():
     d = direction_from_text(GR_F2, "a")
-    bundle = cgr_bundle_trunc(GR_F2, OR_F2, F2.parse("b"), d, depth=3, margin=1)
+    bundle = cgr_bundle_trunc(OR_F2, F2.parse("b"), d, depth=3, margin=1)
     assert layer_profile(bundle) == [1, 1, 1, 1]
     assert bundle.layers[0] == (F2.parse("b"),)
     assert bundle.layers[1] == ((),)
@@ -385,29 +384,29 @@ def test_bundle_from_offset_base_passes_identity():
 
 def test_bundle_margin_does_not_change_kept_layers():
     d = direction_from_text(GR_Z3Z2, "a b")
-    small = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=1)
-    large = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=3)
+    small = cgr_bundle_trunc(OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=1)
+    large = cgr_bundle_trunc(OR_Z3Z2, Z3Z2.parse("b"), d, 4, margin=3)
     assert small.layers == large.layers
 
 
 def test_bundle_rejects_invalid_direction():
     bad = direction_from_text(GR_F2, "a a'")
     with pytest.raises(DirectionError):
-        cgr_bundle_trunc(GR_F2, OR_F2, (), bad, depth=4, margin=1)
+        cgr_bundle_trunc(OR_F2, (), bad, depth=4, margin=1)
 
 
 def test_bundle_parameter_validation():
     d = direction_from_text(GR_F2, "a")
     with pytest.raises(SpecError):
-        cgr_bundle_trunc(GR_F2, OR_F2, (), d, depth=-1, margin=1)
+        cgr_bundle_trunc(OR_F2, (), d, depth=-1, margin=1)
     with pytest.raises(SpecError):
-        cgr_bundle_trunc(GR_F2, OR_F2, (), d, depth=3, margin=0)
+        cgr_bundle_trunc(OR_F2, (), d, depth=3, margin=0)
 
 
 def test_bundle_layers_extend_to_full_depth():
     """Every kept vertex must reach the cut: successors exist below depth."""
     d = direction_from_text(GR_Z3Z2, "a b")
-    dag = cgr_bundle_trunc(GR_Z3Z2, OR_Z3Z2, Z3Z2.parse("b a'"), d, 4, margin=2)
+    dag = cgr_bundle_trunc(OR_Z3Z2, Z3Z2.parse("b a'"), d, 4, margin=2)
     assert dag.length == 4
     for k in range(dag.length):
         for w in dag.layers[k]:
@@ -421,14 +420,14 @@ def test_membership_search_stops_at_its_bound(text, radius):
     e to the radius-4 target the ball around e stops at radius 2, where
     exact distances grow it to 3."""
     oracle = DistanceOracle(GR_GENUS2)
-    geodesic_dag(GR_GENUS2, oracle, (), GENUS2.parse(text))
+    geodesic_dag(oracle, (), GENUS2.parse(text))
     assert oracle._balls[RELATIVE].radius == radius
 
 
-def _full_dag_cut(graph, oracle, x, target, depth):
+def _full_dag_cut(oracle, x, target, depth):
     """The bundle built the long way: the whole DAG from x to the target,
     then layers 0..depth and the edges among them."""
-    full = geodesic_dag(graph, oracle, x, target)
+    full = geodesic_dag(oracle, x, target)
     length = min(depth, full.length)
     layers = full.layers[:length + 1]
     kept = {w for layer in layers for w in layer}
@@ -439,32 +438,32 @@ def _full_dag_cut(graph, oracle, x, target, depth):
                              predecessors)
 
 
-@pytest.mark.parametrize("graph, oracle, text, bases, depths, widest", [
-    (GR_Z3Z2, OR_Z3Z2, "a b", ["e", "b", "a b", "b a'"], [0, 3, 6], 1),
-    (GR_Z3Z2, OR_Z3Z2, "a:b a'", ["e", "a'"], [2, 5], 1),
-    (GR_F2X, OR_F2X, "ab a", ["e", "b", "a'"], [2, 5], 1),
-    (GR_F2X, OR_F2X, "a b'", ["e", "b a"], [1, 4], 1),
-    (GR_GENUS2, OR_GENUS2, "a b a' b':a", ["e", "c"], [2, 4], 2),
+@pytest.mark.parametrize("oracle, text, bases, depths, widest", [
+    (OR_Z3Z2, "a b", ["e", "b", "a b", "b a'"], [0, 3, 6], 1),
+    (OR_Z3Z2, "a:b a'", ["e", "a'"], [2, 5], 1),
+    (OR_F2X, "ab a", ["e", "b", "a'"], [2, 5], 1),
+    (OR_F2X, "a b'", ["e", "b a"], [1, 4], 1),
+    (OR_GENUS2, "a b a' b':a", ["e", "c"], [2, 4], 2),
     # base and target far from e: the layer profile is [1, 2]
-    (GR_GENUS2, OR_GENUS2, "a", ["c d c' d'"], [1], 2),
+    (OR_GENUS2, "a", ["c d c' d'"], [1], 2),
 ], ids=["z3z2", "z3z2-prefix", "f2-ab", "f2-ab-mixed", "genus2",
         "genus2-far-base"])
-def test_truncated_bundle_is_the_cut_of_the_full_dag(graph, oracle, text,
-                                                     bases, depths, widest):
+def test_truncated_bundle_is_the_cut_of_the_full_dag(oracle, text, bases,
+                                                     depths, widest):
     """Growing only to the cut keeps the same layers and edges (same dict)
     as cutting the full DAG, and a cut at or past d(u,v) is the full DAG."""
-    direction = direction_from_text(graph, text)
+    direction = direction_from_text(oracle.graph, text)
     width = 1
     for base in bases:
-        x = graph.group.parse(base)
+        x = oracle.group.parse(base)
         for depth in depths:
-            bundle = cgr_bundle_trunc(graph, oracle, x, direction, depth,
+            bundle = cgr_bundle_trunc(oracle, x, direction, depth,
                                       margin=1)
-            full, cut = _full_dag_cut(graph, oracle, x, bundle.target, depth)
+            full, cut = _full_dag_cut(oracle, x, bundle.target, depth)
             assert bundle == cut
             assert bundle.length == depth
             for extra in (0, 2):
-                assert geodesic_dag(graph, oracle, x, bundle.target,
+                assert geodesic_dag(oracle, x, bundle.target,
                                     depth=full.length + extra) == full
             width = max(width, *(len(layer) for layer in bundle.layers))
     assert width == widest

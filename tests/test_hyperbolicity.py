@@ -52,17 +52,12 @@ GENUS2 = build_group(spec_from_dict({
     "relators": ["a b a' b' c d c' d'"],
 }))
 
-GR_F2 = RelativeGraph(F2)
-OR_F2 = DistanceOracle(GR_F2)
-GR_F2X = RelativeGraph(F2X)
-OR_F2X = DistanceOracle(GR_F2X)
-GR_Z3Z2 = RelativeGraph(Z3Z2)
-OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
-GR_GENUS2 = RelativeGraph(GENUS2)
-OR_GENUS2 = DistanceOracle(GR_GENUS2)
+OR_F2 = DistanceOracle(RelativeGraph(F2))
+OR_F2X = DistanceOracle(RelativeGraph(F2X))
+OR_Z3Z2 = DistanceOracle(RelativeGraph(Z3Z2))
+OR_GENUS2 = DistanceOracle(RelativeGraph(GENUS2))
 Z6 = build_group(load_spec(os.path.join(SPECS, "z6_table.json")))
-GR_Z6 = RelativeGraph(Z6)
-OR_Z6 = DistanceOracle(GR_Z6)
+OR_Z6 = DistanceOracle(RelativeGraph(Z6))
 
 
 # ---------------------------------------------------------------------------
@@ -78,7 +73,7 @@ def test_tripod_has_no_defect():
 def test_bigon_defect_in_one_relator_group():
     """The two commutator spellings stay 2 apart in the middle."""
     w = GENUS2.parse("a b a' b'")
-    dag = geodesic_dag(GR_GENUS2, OR_GENUS2, (), w)
+    dag = geodesic_dag(OR_GENUS2, (), w)
     paths, _ = enumerate_geodesics(dag)
     first, second = paths[0].vertices, paths[-1].vertices
     assert triangle_defect(OR_GENUS2, first, (w,), tuple(reversed(second))) == 2
@@ -103,30 +98,30 @@ def test_empty_side_rejected():
 # ---------------------------------------------------------------------------
 # adversarial defect vs explicit side choices
 
-def _referee_defect(graph, oracle, a, b, c, metric):
+def _referee_defect(oracle, a, b, c, metric):
     """Max of triangle_defect over every choice of one geodesic per side."""
     choices = []
     for u, v in ((a, b), (b, c), (c, a)):
-        paths, truncated = enumerate_geodesics(geodesic_dag(graph, oracle, u, v))
+        paths, truncated = enumerate_geodesics(geodesic_dag(oracle, u, v))
         assert not truncated
         choices.append([p.vertices for p in paths])
     return max(triangle_defect(oracle, p, q, r, metric=metric)
                for p, q, r in itertools.product(*choices))
 
 
-@pytest.mark.parametrize("graph, oracle, radius", [
-    (GR_Z6, OR_Z6, 3),      # 6-cycle bigons: the non-chain bottleneck branch
-    (GR_F2X, OR_F2X, 1),    # adjoined generator: one edge spans two letters
-    (GR_Z3Z2, OR_Z3Z2, 2),  # parabolic edges
+@pytest.mark.parametrize("oracle, radius", [
+    (OR_Z6, 3),    # 6-cycle bigons: the non-chain bottleneck branch
+    (OR_F2X, 1),   # adjoined generator: one edge spans two letters
+    (OR_Z3Z2, 2),  # parabolic edges
 ], ids=["z6_table", "F2X", "Z3Z2"])
-def test_probe_matches_side_choice_referee(graph, oracle, radius):
-    probe = _TriangleProbe(graph, oracle)
-    corners = sorted(graph.ball((), radius, RELATIVE).entries)
+def test_probe_matches_side_choice_referee(oracle, radius):
+    probe = _TriangleProbe(oracle)
+    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
     for a, b, c in itertools.product(corners, repeat=3):
         got = probe.defects(a, b, c)
         for metric in METRICS:
             assert got[metric][0] == _referee_defect(
-                graph, oracle, a, b, c, metric), (a, b, c, metric)
+                oracle, a, b, c, metric), (a, b, c, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -136,19 +131,19 @@ def _edges(dag):
     return {(p, w) for p, out in dag.successors.items() for _, w in out}
 
 
-@pytest.mark.parametrize("graph, oracle, radius", [
-    (GR_F2, OR_F2, 3),
-    (GR_F2X, OR_F2X, 3),
-    (GR_Z3Z2, OR_Z3Z2, 3),
-    (GR_Z6, OR_Z6, 3),          # all of ℤ₆
-    (GR_GENUS2, OR_GENUS2, 2),
+@pytest.mark.parametrize("oracle, radius", [
+    (OR_F2, 3),
+    (OR_F2X, 3),
+    (OR_Z3Z2, 3),
+    (OR_Z6, 3),          # all of ℤ₆
+    (OR_GENUS2, 2),
 ], ids=["F2", "F2X", "Z3Z2", "z6_table", "genus2"])
-def test_reversed_dag_is_the_dag_of_the_inverse(graph, oracle, radius):
+def test_reversed_dag_is_the_dag_of_the_inverse(oracle, radius):
     """The DAG e→w is the DAG e→w⁻¹ moved by w and read backwards."""
-    g = graph.group
-    for w in graph.ball((), radius, RELATIVE).entries:
-        dag = geodesic_dag(graph, oracle, (), w)
-        back = geodesic_dag(graph, oracle, (), g.inverse(w))
+    g = oracle.group
+    for w in oracle.graph.ball((), radius, RELATIVE).entries:
+        dag = geodesic_dag(oracle, (), w)
+        back = geodesic_dag(oracle, (), g.inverse(w))
         assert dag.length == back.length
         moved = [{g.multiply(w, x) for x in layer} for layer in back.layers]
         assert [set(layer) for layer in dag.layers] == moved[::-1], w
@@ -156,10 +151,10 @@ def test_reversed_dag_is_the_dag_of_the_inverse(graph, oracle, radius):
                                for p, q in _edges(back)}, w
 
 
-def _attained(graph, oracle, corners, probe, defect, metric):
+def _attained(oracle, corners, probe, defect, metric):
     """True when `probe` lies on a side of the triangle and some choice of
     geodesics for the other two sides keeps it `defect` away from both."""
-    dags = [geodesic_dag(graph, oracle, u, v)
+    dags = [geodesic_dag(oracle, u, v)
             for u, v in zip(corners, corners[1:] + corners[:1])]
     for i, dag in enumerate(dags):
         if probe not in dag.vertices():
@@ -175,16 +170,16 @@ def _attained(graph, oracle, corners, probe, defect, metric):
     return False
 
 
-@pytest.mark.parametrize("graph, oracle, radius", [
-    (GR_Z6, OR_Z6, 3),      # bigons: defect 1 on the non-chain branch
-    (GR_F2X, OR_F2X, 1),
-    (GR_Z3Z2, OR_Z3Z2, 2),
+@pytest.mark.parametrize("oracle, radius", [
+    (OR_Z6, 3),      # bigons: defect 1 on the non-chain branch
+    (OR_F2X, 1),
+    (OR_Z3Z2, 2),
 ], ids=["z6_table", "F2X", "Z3Z2"])
-def test_defects_are_left_invariant(graph, oracle, radius):
-    g = graph.group
-    probe = _TriangleProbe(graph, oracle)
-    corners = sorted(graph.ball((), radius, RELATIVE).entries)
-    shifts = sorted(graph.ball((), 2, RELATIVE).entries)
+def test_defects_are_left_invariant(oracle, radius):
+    g = oracle.group
+    probe = _TriangleProbe(oracle)
+    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
+    shifts = sorted(oracle.graph.ball((), 2, RELATIVE).entries)
     for a, b, c in itertools.combinations_with_replacement(corners, 3):
         want = probe.defects(a, b, c)
         for t in shifts:
@@ -193,7 +188,7 @@ def test_defects_are_left_invariant(graph, oracle, radius):
             for metric in METRICS:
                 defect, at = got[metric]
                 assert defect == want[metric][0], (a, b, c, t, metric)
-                assert _attained(graph, oracle, moved, at, defect, metric), \
+                assert _attained(oracle, moved, at, defect, metric), \
                     (a, b, c, t, metric)
 
 
@@ -202,17 +197,17 @@ def built(monkeypatch):
     """The target of every side DAG the probe builds, in order."""
     targets = []
 
-    def counting(graph, oracle, u, v, *args, **kwargs):
+    def counting(oracle, u, v, *args, **kwargs):
         assert u == ()
         targets.append(v)
-        return geodesic_dag(graph, oracle, u, v, *args, **kwargs)
+        return geodesic_dag(oracle, u, v, *args, **kwargs)
 
     monkeypatch.setattr(hyperbolicity, "geodesic_dag", counting)
     return targets
 
 
 def test_sweep_builds_one_orientation_per_geodesic(built):
-    estimate_nu(GR_F2, OR_F2, exhaustive_radius=2, ball_radius=3,
+    estimate_nu(OR_F2, exhaustive_radius=2, ball_radius=3,
                 triangle_budget=400, seed=3)
     seen = set(built)
     assert len(built) == len(seen) > 0
@@ -233,31 +228,31 @@ def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):
 
     monkeypatch.setattr(_TriangleProbe, "defects", recording_defects)
     monkeypatch.setattr(_TriangleProbe, "_place", counting_place)
-    estimate_nu(GR_F2, OR_F2, exhaustive_radius=2, ball_radius=3,
+    estimate_nu(OR_F2, exhaustive_radius=2, ball_radius=3,
                 triangle_budget=400, seed=3)
     assert len(placed) == len(pairs) > 0
     assert set(placed) == pairs
 
 
-@pytest.mark.parametrize("graph, oracle", [
-    (GR_F2, OR_F2),
-    (GR_Z6, OR_Z6),         # bigons of defect 1
-    (GR_Z3Z2, OR_Z3Z2),
+@pytest.mark.parametrize("oracle", [
+    OR_F2,
+    OR_Z6,           # bigons of defect 1
+    OR_Z3Z2,
 ], ids=["F2", "z6_table", "Z3Z2"])
-def test_degenerate_triangles(graph, oracle):
+def test_degenerate_triangles(oracle):
     """A point has defect 0 at itself; a bigon's probe lies on the bigon."""
-    probe = _TriangleProbe(graph, oracle)
-    corners = sorted(graph.ball((), 2, RELATIVE).entries)
+    probe = _TriangleProbe(oracle)
+    corners = sorted(oracle.graph.ball((), 2, RELATIVE).entries)
     for t in corners:
         assert probe.defects(t, t, t) == {m: (0, t) for m in METRICS}, t
     for a, b in itertools.product(corners, repeat=2):
-        on = geodesic_dag(graph, oracle, a, b).vertices()
+        on = geodesic_dag(oracle, a, b).vertices()
         for metric, (_, at) in probe.defects(a, a, b).items():
             assert at in on, (a, b, metric)
 
 
 def test_cyclic_group_sweep_is_pinned():
-    report = estimate_nu(GR_Z6, OR_Z6, exhaustive_radius=3, ball_radius=3,
+    report = estimate_nu(OR_Z6, exhaustive_radius=3, ball_radius=3,
                          triangle_budget=50, seed=1)
     assert (report.nu_rel, report.nu_abs) == (1, 1)
     assert report.triangles_checked == 106  # C(6+2, 3) = 56 plus 50 sampled
@@ -270,33 +265,33 @@ def test_cyclic_group_sweep_is_pinned():
 
 def test_keep_witnesses_keeps_the_last_ones():
     kw = dict(exhaustive_radius=3, ball_radius=3, triangle_budget=50, seed=1)
-    assert estimate_nu(GR_Z6, OR_Z6, keep_witnesses=0, **kw).witnesses == ()
-    kept = estimate_nu(GR_Z6, OR_Z6, keep_witnesses=1, **kw).witnesses
+    assert estimate_nu(OR_Z6, keep_witnesses=0, **kw).witnesses == ()
+    kept = estimate_nu(OR_Z6, keep_witnesses=1, **kw).witnesses
     assert [w.corners for w in kept] == [((), (), (1, 1, 1))]
     with pytest.raises(SpecError, match="keep_witnesses"):
-        estimate_nu(GR_Z6, OR_Z6, keep_witnesses=-1, **kw)
+        estimate_nu(OR_Z6, keep_witnesses=-1, **kw)
 
 
 # ---------------------------------------------------------------------------
 # sweeps; the constants below are regression pins for these presentations
 
 def test_tree_like_families_are_zero_slim():
-    for graph, oracle in ((GR_F2, OR_F2), (GR_Z3Z2, OR_Z3Z2)):
-        report = estimate_nu(graph, oracle, exhaustive_radius=2,
+    for oracle in (OR_F2, OR_Z3Z2):
+        report = estimate_nu(oracle, exhaustive_radius=2,
                              ball_radius=3, triangle_budget=400, seed=3)
         assert report.nu_rel == 0
         assert report.nu_abs == 0
 
 
 def test_adjoined_generator_family_is_zero_slim():
-    report = estimate_nu(GR_F2X, OR_F2X, exhaustive_radius=2,
+    report = estimate_nu(OR_F2X, exhaustive_radius=2,
                          ball_radius=3, triangle_budget=400, seed=3)
     assert report.nu_rel == 0 and report.nu_abs == 0
 
 
 def test_surface_group_shallow_sweep():
     # radius-1 corners cannot reach the commutator bigons yet
-    report = estimate_nu(GR_GENUS2, OR_GENUS2, exhaustive_radius=1,
+    report = estimate_nu(OR_GENUS2, exhaustive_radius=1,
                          ball_radius=1, triangle_budget=0)
     assert report.nu_rel == 0
     assert report.triangles_checked == 165  # C(9+2, 3) triples from |B(1)| = 9
@@ -304,17 +299,17 @@ def test_surface_group_shallow_sweep():
 
 def test_report_is_deterministic():
     kw = dict(exhaustive_radius=1, ball_radius=2, triangle_budget=150, seed=11)
-    a = estimate_nu(GR_Z3Z2, OR_Z3Z2, **kw)
-    b = estimate_nu(GR_Z3Z2, OR_Z3Z2, **kw)
+    a = estimate_nu(OR_Z3Z2, **kw)
+    b = estimate_nu(OR_Z3Z2, **kw)
     assert (a.nu_rel, a.nu_abs, a.triangles_checked) == \
         (b.nu_rel, b.nu_abs, b.triangles_checked)
     assert [w.corners for w in a.witnesses] == [w.corners for w in b.witnesses]
 
 
 def test_sampling_only_grows_the_estimate():
-    lean = estimate_nu(GR_Z3Z2, OR_Z3Z2, exhaustive_radius=1,
+    lean = estimate_nu(OR_Z3Z2, exhaustive_radius=1,
                        ball_radius=2, triangle_budget=0)
-    rich = estimate_nu(GR_Z3Z2, OR_Z3Z2, exhaustive_radius=1,
+    rich = estimate_nu(OR_Z3Z2, exhaustive_radius=1,
                        ball_radius=2, triangle_budget=200, seed=5)
     assert rich.nu_rel >= lean.nu_rel
     assert rich.nu_abs >= lean.nu_abs
@@ -322,7 +317,7 @@ def test_sampling_only_grows_the_estimate():
 
 
 def test_exhaustive_stage_never_exceeds_total():
-    report = estimate_nu(GR_GENUS2, OR_GENUS2, exhaustive_radius=1,
+    report = estimate_nu(OR_GENUS2, exhaustive_radius=1,
                          ball_radius=2, triangle_budget=60, seed=2)
     assert report.exhaustive_nu_rel <= report.nu_rel
     assert report.exhaustive_nu_abs <= report.nu_abs
@@ -332,10 +327,10 @@ def test_exhaustive_stage_never_exceeds_total():
 # derived constants
 
 def test_layer_bound_values():
-    assert bound_B(GR_F2, 0) == 1
-    assert bound_B(GR_F2, 1) == 7 * 5
-    assert bound_B(GR_F2, 2) == 13 * 17
-    assert bound_B(GR_GENUS2, 1) == 7 * 9
+    assert bound_B(OR_F2.graph, 0) == 1
+    assert bound_B(OR_F2.graph, 1) == 7 * 5
+    assert bound_B(OR_F2.graph, 2) == 13 * 17
+    assert bound_B(OR_GENUS2.graph, 1) == 7 * 9
 
 
 def test_class_bound_values():
@@ -346,7 +341,7 @@ def test_class_bound_values():
 
 def test_bounds_reject_negative_input():
     with pytest.raises(SpecError):
-        bound_B(GR_F2, -1)
+        bound_B(OR_F2.graph, -1)
     with pytest.raises(SpecError):
         bound_K(-1, 10)
     with pytest.raises(SpecError):

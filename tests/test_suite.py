@@ -246,21 +246,19 @@ class TestReferees:
 
     def test_brute_force_matches_dag_enumeration(self):
         group = build_group(spec_from_dict(Z3Z2_SPEC))
-        graph = RelativeGraph(group)
-        oracle = DistanceOracle(graph)
+        oracle = DistanceOracle(RelativeGraph(group))
         for u_text, v_text in [("e", "a b a"), ("b", "a b"), ("a", "a'")]:
             u, v = group.parse(u_text), group.parse(v_text)
-            dag = geodesic_dag(graph, oracle, u, v)
+            dag = geodesic_dag(oracle, u, v)
             paths, truncated = enumerate_geodesics(dag)
             assert not truncated
             assert {p.vertices for p in paths} == brute_force_geodesics(
-                graph, oracle, u, v)
+                oracle, u, v)
 
     def test_oracle_equivalence_samples_clean(self):
-        group = build_group(spec_from_dict(Z3Z2_SPEC))
-        graph = RelativeGraph(group)
-        oracle = DistanceOracle(graph)
-        assert oracle_equivalence_violations(graph, oracle, samples=40,
+        oracle = DistanceOracle(RelativeGraph(build_group(
+            spec_from_dict(Z3Z2_SPEC))))
+        assert oracle_equivalence_violations(oracle, samples=40,
                                              max_distance=4, seed=2) == 0
 
 
