@@ -10,12 +10,14 @@ All signatures inside one `DirectionPipeline` share a window centered at
 the pipeline anchor and are normalized there, which makes the whole
 construction commute with left translation by construction.  A pipeline
 is built from the oracle alone, `DirectionPipeline(oracle, direction)`,
-and reads its balls and names off `oracle.graph` and `oracle.group`.
+and reads its balls and names off `oracle.graph` and `oracle.group`; its
+stages keep their results in one table, through the `_memo` decorator.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from functools import wraps
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import RELATIVE, DistanceOracle
@@ -98,16 +100,29 @@ def _unique(flags: list[str]) -> tuple[str, ...]:
     return tuple(dict.fromkeys(flags))
 
 
-class DirectionPipeline:
-    """Cached window/signature/bundle/class/sector/Geo₁ computations for
-    one direction.
+def _memo(method):
+    """Keep a stage's results in its pipeline's one table, keyed by stage name
+    and positional arguments; a call that raises stores nothing."""
+    @wraps(method)
+    def memoized(self, *args):
+        key = (method.__name__, *args)
+        got = self._memo.get(key)
+        if got is None:
+            got = self._memo[key] = method(self, *args)
+        return got
+    return memoized
 
-    Every cached result is a pure function of its key and the constructor
-    arguments, so call order never changes what a query returns and one
-    pipeline can serve every check on its direction.  The pipeline radius
-    is fixed; a decomposition whose classes split one radius further out
-    widens its own window, and each result carries the flags raised while
-    computing it and the results it read.
+
+class DirectionPipeline:
+    """Window/signature/bundle/class/sector/Geo₁ computations for one
+    direction, each stage memoized in one table (`_memo`).
+
+    Every stored result is a pure function of its stage, its arguments and
+    the constructor arguments, so call order never changes what a query
+    returns and one pipeline can serve every check on its direction.  The
+    pipeline radius is fixed; a decomposition whose classes split one
+    radius further out widens its own window, and each result carries the
+    flags raised while computing it and the results it read.
     """
 
     def __init__(self, oracle: DistanceOracle, direction: DirectionSpec, *,
@@ -120,58 +135,32 @@ class DirectionPipeline:
         self.window_radius = (window_radius if window_radius is not None
                               else 3 * nu + 2)
         self.notes: list[str] = []  # informational only
-        self._windows: dict[int, tuple[Word, ...]] = {}
-        self._signatures: dict[tuple[Word, int], tuple[int, ...]] = {}
-        self._bundles: dict[tuple[Word, int], GeodesicDAG] = {}
-        self._classes: dict[tuple[Word, int], XiDecomposition] = {}
-        self._sectors: dict[tuple[Word, tuple[int, ...], int], SectorTrunc] = {}
-        self._geo1: dict[tuple[Word, int], Geo1Trunc] = {}
+        self._memo: dict[tuple, object] = {}
 
     # -- primitives --------------------------------------------------------
 
-    def window(self, radius: int | None = None) -> tuple[Word, ...]:
+    @_memo
+    def window(self, radius: int) -> tuple[Word, ...]:
         """Window vertices ordered by (distance from anchor, shortlex).
 
         The layered order makes a smaller window a prefix of any larger
         one, so signatures taken at different radii compare on the
         shorter one's length.
         """
-        r = self.window_radius if radius is None else radius
-        got = self._windows.get(r)
-        if got is None:
-            ball = self.oracle.graph.ball(self.anchor, r, RELATIVE)
-            got = tuple(w for layer in ball.frontiers for w in layer)
-            self._windows[r] = got
-        return got
+        ball = self.oracle.graph.ball(self.anchor, radius, RELATIVE)
+        return tuple(w for layer in ball.frontiers for w in layer)
 
-    def signature(self, z: Word, radius: int | None = None) -> tuple[int, ...]:
+    @_memo
+    def signature(self, z: Word, radius: int) -> tuple[int, ...]:
         """Horofunction of z on the window, normalized at the anchor."""
-        r = self.window_radius if radius is None else radius
-        key = (z, r)
-        got = self._signatures.get(key)
-        if got is None:
-            got = horofunction(self.oracle, z, self.window(r), self.anchor)
-            self._signatures[key] = got
-        return got
+        return horofunction(self.oracle, z, self.window(radius), self.anchor)
 
+    @_memo
     def bundle(self, base: Word, depth: int) -> GeodesicDAG:
-        key = (base, depth)
-        got = self._bundles.get(key)
-        if got is None:
-            got = cgr_bundle_trunc(self.oracle, base, self.direction, depth,
-                                   self.margin, anchor=self.anchor)
-            self._bundles[key] = got
-        return got
+        return cgr_bundle_trunc(self.oracle, base, self.direction, depth,
+                                self.margin, anchor=self.anchor)
 
     # -- horofunction classes ----------------------------------------------
-
-    def classes_from(self, base: Word, depth: int) -> XiDecomposition:
-        key = (base, depth)
-        got = self._classes.get(key)
-        if got is None:
-            got = self._compute_classes(base, depth)
-            self._classes[key] = got
-        return got
 
     def _stab_triples(self, base: Word, depth: int):
         """Terminal (u,v,w) vertex triples of depth-reaching bundle rays."""
@@ -181,7 +170,8 @@ class DirectionPipeline:
                 for _, w in dag.successors[v]:
                     yield u, v, w
 
-    def _compute_classes(self, base: Word, depth: int) -> XiDecomposition:
+    @_memo
+    def classes_from(self, base: Word, depth: int) -> XiDecomposition:
         if depth < 2:
             raise SpecError("class decomposition needs depth >= 2")
         triples = list(self._stab_triples(base, depth))
@@ -238,17 +228,9 @@ class DirectionPipeline:
 
     # -- sectors -------------------------------------------------------------
 
+    @_memo
     def sector(self, base: Word, signature: tuple[int, ...],
                depth: int) -> SectorTrunc:
-        key = (base, signature, depth)
-        got = self._sectors.get(key)
-        if got is None:
-            got = self._compute_sector(base, signature, depth)
-            self._sectors[key] = got
-        return got
-
-    def _compute_sector(self, base: Word, signature: tuple[int, ...],
-                        depth: int) -> SectorTrunc:
         deco = self.classes_from(base, depth)
         matched = [c for c in deco.classes
                    if _prefixes_agree(signature, c.signature)]
@@ -277,7 +259,7 @@ class DirectionPipeline:
     def special_vertices(self, base: Word, depth: int) -> SpecialVertexReport:
         """Bundle vertices whose class sectors single out one class.
 
-        Not cached: `geo1`, its only caller, is cached on the same key.
+        Not memoized: `geo1`, its only caller, is memoized on the same key.
         """
         deco = self.classes_from(base, depth)
         special: list[tuple[Word, int]] = []
@@ -340,15 +322,8 @@ class DirectionPipeline:
 
     # -- the modified bundle -----------------------------------------------
 
+    @_memo
     def geo1(self, base: Word, depth: int) -> Geo1Trunc:
-        key = (base, depth)
-        got = self._geo1.get(key)
-        if got is None:
-            got = self._compute_geo1(base, depth)
-            self._geo1[key] = got
-        return got
-
-    def _compute_geo1(self, base: Word, depth: int) -> Geo1Trunc:
         report = self.special_vertices(base, depth)
         deco = self.classes_from(base, depth)
         flags = list(report.flags)

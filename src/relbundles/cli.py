@@ -20,8 +20,9 @@ from .groups import (
     DehnReductionError,
     SpecError,
     build_group,
+    load_json,
+    load_spec,
     shortlex_key,
-    spec_from_dict,
     spec_hash,
     validate_presentation,
 )
@@ -108,18 +109,6 @@ def _build_parser() -> argparse.ArgumentParser:
 # verify
 
 
-def _load_json(path: str) -> dict:
-    """The JSON object a file holds; anything else is a SpecError."""
-    with open(path, "r", encoding="utf-8") as fh:
-        try:
-            doc = json.load(fh)
-        except ValueError as err:  # bad JSON, or bytes that are not UTF-8
-            raise SpecError(f"{path} is not valid JSON: {err}") from None
-    if not isinstance(doc, dict):
-        raise SpecError(f"{path} must hold a JSON object")
-    return doc
-
-
 def load_config(config_path: str, spec_path: str | None = None,
                 **overrides) -> RunConfig:
     """Config document + spec resolution + overrides, as `verify` sees it.
@@ -128,14 +117,14 @@ def load_config(config_path: str, spec_path: str | None = None,
     document's own directory, so shipped configs stay relocatable; an
     explicit spec file wins over both it and an inline spec.
     """
-    doc = _load_json(config_path)
+    doc = load_json(config_path)
     relative = doc.pop("spec_path", None)
     if relative is not None and not isinstance(relative, str):
         raise SpecError("spec_path must be a string")
     if spec_path:
-        doc["spec"] = _load_json(spec_path)
+        doc["spec"] = load_json(spec_path)
     elif relative is not None:
-        doc["spec"] = _load_json(os.path.join(
+        doc["spec"] = load_json(os.path.join(
             os.path.dirname(os.path.abspath(config_path)), relative))
     if "spec" not in doc:
         raise SpecError("config names no group spec; use --spec or spec_path")
@@ -194,7 +183,7 @@ def _write_scans_csv(path: str,
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec))
+    spec = load_spec(args.spec)
     oracle = DistanceOracle(RelativeGraph(build_group(spec)))
     os.makedirs(args.out, exist_ok=True)
     handlers = {"ball": _explore_ball, "dag": _explore_dag,
@@ -344,7 +333,7 @@ def _cmd_report(args: argparse.Namespace) -> int:
     if not os.path.exists(report_path):
         print(f"error: missing report file {report_path}", file=sys.stderr)
         return 1
-    doc = _load_json(report_path)
+    doc = load_json(report_path)
     # both outputs are read off the document before either is written
     try:
         summary = _summary_markdown(doc)
@@ -421,7 +410,7 @@ def _delta_rows(doc: dict) -> list[list]:
 
 
 def _cmd_validate_spec(args: argparse.Namespace) -> int:
-    spec = spec_from_dict(_load_json(args.spec))
+    spec = load_spec(args.spec)
     print(f"family: {spec.family}")
     if spec.family == "small-cancellation":
         report = validate_presentation(spec)

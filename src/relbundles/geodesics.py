@@ -12,7 +12,8 @@ boundaries are cut points).  Otherwise it is grown layer by layer, asking
 the oracle about each candidate vertex; that build is also the chain's
 referee in the tests.  A bundle toward a direction is the DAG to a deep
 vertex on the direction's ray, grown only to the requested depth; a
-margin controls how much deeper the target sits than the cut.
+margin controls how much deeper the target sits than the cut.  The ray is
+walked once per bundle, by `ray_vertex`, which checks each step geodesic.
 
 A function here that measures takes the `DistanceOracle` alone, as in
 `geodesic_dag(oracle, u, v)`, and reads the graph and group the oracle was
@@ -183,30 +184,32 @@ def enumerate_geodesics(dag: GeodesicDAG,
 
     Returns (paths, truncated): the first `max_count` paths, and whether
     the DAG holds more.  Successors are stored in symbol order, so a
-    depth-first walk meets the paths in order.
+    depth-first walk meets the paths in order.  The walk keeps its own
+    stack, one iterator of untried edges per vertex on the current path,
+    so a DAG of any length is walked without recursion.
     """
     paths: list[SymbolPath] = []
     verts: list[Word] = [dag.source]
     symbols: list[int] = []
-
-    def walk(v: Word) -> bool:
-        if len(symbols) == dag.length:
-            if len(paths) == max_count:
-                return False
+    pending = [iter(dag.successors[dag.source])]
+    while pending:
+        if len(symbols) < dag.length:
+            edge = next(pending[-1], None)
+            if edge is not None:
+                symbol, w = edge
+                verts.append(w)
+                symbols.append(symbol)
+                pending.append(iter(dag.successors[w]))
+                continue
+        elif len(paths) == max_count:
+            return paths, True
+        else:
             paths.append(SymbolPath(tuple(verts), tuple(symbols)))
-            return True
-        for symbol, w in dag.successors[v]:
-            verts.append(w)
-            symbols.append(symbol)
-            alive = walk(w)
-            verts.pop()
+        pending.pop()
+        verts.pop()
+        if symbols:
             symbols.pop()
-            if not alive:
-                return False
-        return True
-
-    truncated = not walk(dag.source)
-    return paths, truncated
+    return paths, False
 
 
 # ---------------------------------------------------------------------------
@@ -265,26 +268,20 @@ def direction_from_text(graph: RelativeGraph, text: str, name: str = "") -> Dire
                          name=name or text.strip())
 
 
-def ray_vertex(graph: RelativeGraph, direction: DirectionSpec, k: int,
+def ray_vertex(oracle: DistanceOracle, direction: DirectionSpec, k: int,
                base: Word = ()) -> Word:
-    """Endpoint of the first k symbols, applied from `base`."""
+    """Endpoint rₖ of the first k symbols from `base`, checking d(base, rᵢ)
+    = i at each step; by left invariance a word fails at the same prefix
+    length from every base."""
     v = base
-    for i in range(k):
-        v = graph.group.multiply(v, direction.symbol(i))
-    return v
-
-
-def validate_direction(oracle: DistanceOracle, direction: DirectionSpec,
-                       depth: int) -> None:
-    """Check d(e, endpoint_k) = k for every k ≤ depth."""
-    v: Word = ()
-    for k in range(1, depth + 1):
-        v = oracle.group.multiply(v, direction.symbol(k - 1))
-        got = oracle.distance((), v, RELATIVE)
-        if got != k:
+    for i in range(1, k + 1):
+        v = oracle.group.multiply(v, direction.symbol(i - 1))
+        got = oracle.distance(base, v, RELATIVE)
+        if got != i:
             raise DirectionError(
-                k, f"{direction.display()}: prefix of length {k} reaches a "
+                i, f"{direction.display()}: prefix of length {i} reaches a "
                    f"vertex at distance {got}, so the word is not geodesic")
+    return v
 
 
 def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
@@ -302,8 +299,7 @@ def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
     k = depth + margin + oracle.distance(anchor, x, RELATIVE)
-    validate_direction(oracle, direction, k)
-    t = ray_vertex(oracle.graph, direction, k, base=anchor)
+    t = ray_vertex(oracle, direction, k, base=anchor)
     return geodesic_dag(oracle, x, t, depth=depth)
 
 

@@ -198,9 +198,20 @@ def spec_from_dict(data: dict) -> GroupSpec:
                      parabolics=parabolics, redundant_generators=redundant)
 
 
-def load_spec(path: str) -> GroupSpec:
+def load_json(path: str) -> dict:
+    """The JSON object a file holds; anything else is a SpecError."""
     with open(path, "r", encoding="utf-8") as fh:
-        return spec_from_dict(json.load(fh))
+        try:
+            doc = json.load(fh)
+        except ValueError as err:  # bad JSON, or bytes that are not UTF-8
+            raise SpecError(f"{path} is not valid JSON: {err}") from None
+    if not isinstance(doc, dict):
+        raise SpecError(f"{path} must hold a JSON object")
+    return doc
+
+
+def load_spec(path: str) -> GroupSpec:
+    return spec_from_dict(load_json(path))
 
 
 def spec_hash(spec: GroupSpec) -> str:

@@ -45,7 +45,7 @@ from .geodesics import (
     enumerate_geodesics,
     geodesic_dag,
     layer_profile,
-    validate_direction,
+    ray_vertex,
 )
 from .bundles import DirectionPipeline, StabilizationError, symdiff_scan
 from .coding import (
@@ -93,10 +93,14 @@ class RunConfig:
 
     def __post_init__(self):
         # Bundle, class, scan and coding checks run once per listed item;
-        # an empty list would let a suite pass with none of them run.
+        # an empty list would let a suite pass with none of them run, and a
+        # repeated one would repeat its check ids.
         for name in ("directions", "bases", "scan_depths"):
-            if not getattr(self, name):
+            items = getattr(self, name)
+            if not items:
                 raise SpecError(f"{name} must not be empty")
+            if len(set(items)) < len(items):
+                raise SpecError(f"{name} must not repeat an entry")
         # class-count and every scan depth build a ξ-class decomposition,
         # which needs depth >= 2; failing here saves the slimness sweep.
         if self.depth < 2:
@@ -104,9 +108,12 @@ class RunConfig:
         if any(r < 2 for r in self.scan_depths):
             raise SpecError("scan depths must be at least 2")
         # A scan is stabilized only on three equal rows, so with fewer
-        # depths every scan would be flagged whatever the group does.
+        # depths every scan would be flagged whatever the group does, and
+        # rows at one depth would be equal whatever it does.
         if len(self.scan_depths) < 3:
             raise SpecError("scan_depths needs at least three depths")
+        if any(a >= b for a, b in zip(self.scan_depths, self.scan_depths[1:])):
+            raise SpecError("scan_depths must be strictly increasing")
         for name in ("exhaustive_radius", "ball_radius", "triangle_budget",
                      "order_samples", "oracle_samples", "oracle_max_distance",
                      "arithmetic_length"):
@@ -572,7 +579,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         group.parse(base_text)
     directions = {d: direction_from_text(graph, d) for d in cfg.directions}
     for direction in directions.values():
-        validate_direction(oracle, direction, cfg.depth)
+        ray_vertex(oracle, direction, cfg.depth)
 
     slim, nu = _check_slimness(oracle, cfg)
     b_cap = bound_B(graph, nu)

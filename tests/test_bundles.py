@@ -10,6 +10,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import RELATIVE, DistanceOracle, RelativeGraph
 from relbundles.geodesics import (
+    DirectionError,
     direction_from_text,
     enumerate_geodesics,
     geodesic_dag,
@@ -90,13 +91,14 @@ def _flat_window(radius: int) -> tuple:
 class TestHorofunctionTable:
     def test_anchor_value_is_zero(self):
         pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
-        sig = pipe.signature(F2.parse("a b a'"))
-        assert sig[pipe.window().index(())] == 0
+        r = pipe.window_radius
+        sig = pipe.signature(F2.parse("a b a'"), r)
+        assert sig[pipe.window(r).index(())] == 0
 
     def test_z_equals_anchor_gives_distance_table(self):
         pipe = DirectionPipeline(OR_F2, DIR_A, nu=0)
-        sig = pipe.signature(())
-        window = pipe.window()
+        sig = pipe.signature((), pipe.window_radius)
+        window = pipe.window(pipe.window_radius)
         assert len(sig) == len(window)
         for g, value in zip(window, sig):
             assert value == OR_F2.distance((), g, RELATIVE)
@@ -418,12 +420,41 @@ class TestGeo1:
         plain = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
         moved = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0, anchor=g)
         z = Z3Z2.parse("a b a b")
-        te = plain.signature(z)
-        tg = moved.signature(Z3Z2.multiply(g, z))
-        window, moved_window = plain.window(), moved.window()
+        r = plain.window_radius
+        te = plain.signature(z, r)
+        tg = moved.signature(Z3Z2.multiply(g, z), r)
+        window, moved_window = plain.window(r), moved.window(r)
         assert len(te) == len(window)
         for w, value in zip(window, te):
             assert tg[moved_window.index(Z3Z2.multiply(g, w))] == value
+
+
+# ---------------------------------------------------------------------------
+# the memo
+
+
+class TestMemo:
+    def test_repeat_call_returns_the_stored_result(self):
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
+        assert pipe.geo1((), 8) is pipe.geo1((), 8)
+        assert pipe.classes_from((), 8) is pipe.classes_from((), 8)
+
+    def test_raising_stage_raises_again(self):
+        class Scrambled(DirectionPipeline):
+            def _stab_triples(self, base, depth):
+                raise StabilizationError("no stable ray here")
+
+        pipe = Scrambled(OR_F2, DIR_A, nu=0)
+        for _ in range(2):
+            with pytest.raises(StabilizationError, match="no stable ray"):
+                pipe.classes_from((), 6)
+        bad = DirectionPipeline(OR_F2, direction_from_text(GR_F2, "a a'"),
+                                nu=0)
+        for _ in range(2):
+            with pytest.raises(DirectionError) as info:
+                bad.bundle((), 3)
+            assert info.value.prefix_length == 2
+        assert pipe._memo == {} and bad._memo == {}
 
 
 # ---------------------------------------------------------------------------
@@ -459,7 +490,7 @@ class TestOrderIndependence:
         assert deco.window_radius == 1
         assert deco.flags == ("window collision at radius 0; widened to 1",)
         assert pipe.window_radius == 0
-        assert len(pipe.window()) == 1
+        assert len(pipe.window(pipe.window_radius)) == 1
 
 
 # ---------------------------------------------------------------------------

@@ -192,6 +192,15 @@ class TestExplore:
         assert doc["layer_sizes"] == [1, 1, 1, 1]
         assert "rank=same" in (out / "dag.dot").read_text()
 
+    def test_dag_longer_than_the_recursion_limit(self, f2_spec_file,
+                                                 tmp_path):
+        word = " ".join(["a"] * 2100)
+        assert main(["explore", "dag", "e", word, "--spec", f2_spec_file,
+                     "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "dag.json").read_text())
+        assert doc["length"] == 2100
+        assert doc["geodesic_count"] == 1 and not doc["count_truncated"]
+
     @pytest.mark.parametrize("spec, args, name, label, digest", [
         ("z3z2_rel_factors", ["dag", "e", "a b a"], "dag.dot", "a|H0:a",
          "b0def84c53cf80c353d940fd5f772c0e591b133ab477c0c59f5e0fec523e2f9a"),
@@ -415,7 +424,10 @@ class TestVerify:
                                      {"directions": []},
                                      {"bases": []},
                                      {"scan_depths": []},
-                                     {"scan_depths": [4, 6]}])
+                                     {"scan_depths": [4, 6]},
+                                     {"scan_depths": [4, 4, 4]},
+                                     {"scan_depths": [4, 8, 6]},
+                                     {"bases": ["e", "e"]}])
     def test_bad_numbers_exit_before_the_sweep(self, tmp_path, capsys,
                                                monkeypatch, bad):
         def sweep(*args, **kwargs):

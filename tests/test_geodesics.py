@@ -28,7 +28,6 @@ from relbundles.geodesics import (
     geodesic_dag,
     layer_profile,
     ray_vertex,
-    validate_direction,
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -165,6 +164,42 @@ def test_enumeration_cap():
     dag = geodesic_dag(OR_GENUS2, (), GENUS2.parse("a b a' b'"))
     paths, truncated = enumerate_geodesics(dag, max_count=1)
     assert truncated and len(paths) == 1
+
+
+def _recursive_paths(dag: GeodesicDAG, max_count: int):
+    """Referee: the depth-first walk as plain recursion."""
+    paths = []
+
+    def walk(verts, symbols):
+        if len(symbols) == dag.length:
+            if len(paths) == max_count:
+                return False
+            paths.append((tuple(verts), tuple(symbols)))
+            return True
+        return all(walk(verts + [w], symbols + [s])
+                   for s, w in dag.successors[verts[-1]])
+
+    truncated = not walk([dag.source], [])
+    return paths, truncated
+
+
+@pytest.mark.parametrize("max_count", [0, 1, 2, 3, 1000])
+def test_enumeration_matches_the_recursive_walk(max_count):
+    dags = [geodesic_dag(OR_GENUS2, (), GENUS2.parse("a b a' b'")),
+            geodesic_dag(OR_Z3Z2, (), ()),
+            cgr_bundle_trunc(OR_Z6Z2, (),
+                             direction_from_text(GR_Z6Z2, "t t t b"), 7, 1)]
+    for dag in dags:
+        paths, truncated = enumerate_geodesics(dag, max_count)
+        assert ([(p.vertices, p.symbols) for p in paths], truncated) == (
+            _recursive_paths(dag, max_count))
+
+
+def test_chain_longer_than_the_recursion_limit_has_one_path():
+    w = F2.parse(" ".join(["a"] * 2500))
+    (path,), truncated = enumerate_geodesics(geodesic_dag(OR_F2, (), w))
+    assert not truncated
+    assert path.vertices[-1] == w and len(path.symbols) == 2500
 
 
 def test_dag_source_not_identity():
@@ -330,31 +365,70 @@ def test_direction_symbols_must_be_single_steps():
 def test_direction_with_repeated_symbol_is_allowed():
     d = direction_from_text(GR_F2, "a a")
     assert d.period == ((1,), (1,))
-    validate_direction(OR_F2, d, 6)
+    ray_vertex(OR_F2, d, 6)
 
 
 def test_parabolic_direction_symbol():
     d = direction_from_text(GR_Z3Z2, "a b")
     assert d.period == ((1,), (2,))
-    assert ray_vertex(GR_Z3Z2, d, 4) == Z3Z2.parse("a b a b")
+    assert ray_vertex(OR_Z3Z2, d, 4) == Z3Z2.parse("a b a b")
 
 
 def test_validate_direction_accepts_geodesic_ray():
-    validate_direction(OR_Z3Z2, direction_from_text(GR_Z3Z2, "a b"), 9)
+    ray_vertex(OR_Z3Z2, direction_from_text(GR_Z3Z2, "a b"), 9)
 
 
 def test_validate_direction_rejects_backtracking():
     bad = direction_from_text(GR_F2, "a a'")
     with pytest.raises(DirectionError) as info:
-        validate_direction(OR_F2, bad, 5)
+        ray_vertex(OR_F2, bad, 5)
     assert info.value.prefix_length == 2
 
 
 def test_validate_direction_rejects_torsion_loop():
     bad = direction_from_text(GR_Z3Z2, "b")
     with pytest.raises(DirectionError) as info:
-        validate_direction(OR_Z3Z2, bad, 4)
+        ray_vertex(OR_Z3Z2, bad, 4)
     assert info.value.prefix_length == 2
+
+
+# (oracle, a geodesic direction, a word whose prefix of length `failing`
+# reaches distance `reached`, two anchors); genus 2 measures by ball search.
+RAY_CASES = [
+    pytest.param(OR_F2, "a b", "a b b' a", 3, 1, ("b", "a' b a"), id="F2"),
+    pytest.param(OR_Z3Z2, "a b", "a b b", 3, 1, ("b a", "a' b a'"),
+                 id="Z3Z2"),
+    pytest.param(OR_GENUS2, "a c", "a b a' b' c d c' d'", 5, 3,
+                 ("c", "d' a b"), id="genus2"),
+]
+
+
+@pytest.mark.parametrize("oracle, good, bad, failing, reached, anchors",
+                         RAY_CASES)
+def test_ray_vertex_from_an_anchor_is_the_translated_ray(
+        oracle, good, bad, failing, reached, anchors):
+    group = oracle.group
+    d = direction_from_text(oracle.graph, good)
+    for g in map(group.parse, anchors):
+        for k in range(8):
+            assert ray_vertex(oracle, d, k, base=g) == group.multiply(
+                g, ray_vertex(oracle, d, k))
+
+
+@pytest.mark.parametrize("oracle, good, bad, failing, reached, anchors",
+                         RAY_CASES)
+def test_non_geodesic_word_fails_alike_from_every_anchor(
+        oracle, good, bad, failing, reached, anchors):
+    d = direction_from_text(oracle.graph, bad)
+    raised = set()
+    for base in [(), *map(oracle.group.parse, anchors)]:
+        ray_vertex(oracle, d, failing - 1, base=base)
+        with pytest.raises(DirectionError) as info:
+            ray_vertex(oracle, d, failing + 2, base=base)
+        raised.add((info.value.prefix_length, str(info.value)))
+    assert raised == {(failing, f"{bad}: prefix of length {failing} reaches "
+                                f"a vertex at distance {reached}, so the "
+                                f"word is not geodesic")}
 
 
 def test_empty_period_rejected():

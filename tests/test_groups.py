@@ -539,6 +539,15 @@ def test_spec_json_round_trip(tmp_path):
     assert spec_hash(again) == spec_hash(spec)
 
 
+@pytest.mark.parametrize("text", ['{"family": "free",', '["free"]'],
+                         ids=["malformed", "list"])
+def test_load_spec_rejects_what_is_not_a_json_object(tmp_path, text):
+    path = tmp_path / "spec.json"
+    path.write_text(text)
+    with pytest.raises(SpecError, match="spec.json"):
+        load_spec(str(path))
+
+
 def test_unknown_generator_name_is_an_error():
     with pytest.raises(SpecError):
         F2.parse("a x")

@@ -121,6 +121,11 @@ class TestRunConfig:
         {"directions": ()},
         {"bases": ()},
         {"scan_depths": ()},
+        {"scan_depths": (4, 4, 4)},
+        {"scan_depths": (4, 6, 6)},
+        {"scan_depths": (4, 8, 6)},
+        {"directions": ("a", "b", "a")},
+        {"bases": ("e", "e")},
     ])
     def test_invalid_numbers_rejected(self, bad):
         with pytest.raises(SpecError):
@@ -198,7 +203,7 @@ class TestRunSuite:
     def test_check_errors_become_flagged_verdicts(self, monkeypatch, error):
         def broken(self, base, depth):
             raise error("no stable ray here")
-        monkeypatch.setattr(DirectionPipeline, "_compute_classes", broken)
+        monkeypatch.setattr(DirectionPipeline, "_stab_triples", broken)
         report = run_suite(RunConfig(**TINY))
         assert report.exit_code() == 2
         hit = [c for c in report.checks
