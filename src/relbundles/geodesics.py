@@ -77,12 +77,12 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
     """Every vertex and edge on a geodesic from u to v, up to layer `depth`.
 
     Where the oracle reads d(u, v) off a normal form that spells the one
-    geodesic (`_chain`), the DAG is that chain; otherwise it is grown layer
-    by layer (`_layered_dag`).  Both builds give the same layers and edges
-    in the same order, and cut at layer min(depth, d(u, v)), the DAG's
-    `length`.
+    geodesic (`spelled_geodesic`), the DAG is that chain; otherwise it is
+    grown layer by layer (`_layered_dag`).  Both builds give the same layers
+    and edges in the same order, and cut at layer min(depth, d(u, v)), the
+    DAG's `length`.
     """
-    spelled = _chain(oracle, u, v, metric)
+    spelled = spelled_geodesic(oracle, u, v, metric)
     if spelled is None:
         return _layered_dag(oracle, u, v, metric, depth)
     steps, vertices = spelled
@@ -97,8 +97,8 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
                        predecessors)
 
 
-def _chain(oracle: DistanceOracle, u: Word, v: Word,
-           metric: str) -> tuple[list[Word], Iterable[Word]] | None:
+def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
+                     metric: str) -> tuple[list[Word], Iterable[Word]] | None:
     """The step elements and vertices of the one geodesic from u to v, where
     the oracle's normal form spells it; else None.
 

@@ -7,13 +7,16 @@ family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
 needed.  Both metrics are scored in one pass over the same sides, where
-the triangle sits.  A side's local DAG is built at e once per difference
-word u⁻¹v up to orientation, and a side is placed from it once per
-unordered endpoint pair and cached for the sweep; a side that is a single
-path is kept as its bare vertices (`_TriangleProbe`).  Where the local
-DAG is the chain spelled by u⁻¹v (`geodesic_dag`), as on a free group,
-the local cache is about neutral; it saves builds where DAGs are grown in
-layers, as with adjoined generators.
+the triangle sits.  A side is placed once per unordered endpoint pair and
+cached for the sweep (`_TriangleProbe`).  Where the oracle's normal form
+spells the one geodesic (`spelled_geodesic`: a plain free group, or a
+plain free product whose syllables of u⁻¹v are all coned), the side is
+that chain's vertices, read off u and v with no DAG and, on a free group,
+no multiply.  Where DAGs are grown in layers (the parse DP of adjoined
+generators, table groups, non-coned syllables, small cancellation), a
+local DAG is built at e once per difference word u⁻¹v up to orientation
+and moved to each endpoint pair that needs it; a side that is a single
+path is kept as its bare vertices.
 
 `estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
 alone and sweep the graph it was built over, `oracle.graph`.
@@ -27,7 +30,7 @@ from itertools import combinations_with_replacement
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import ABSOLUTE, METRICS, RELATIVE, DistanceOracle, RelativeGraph
-from .geodesics import GeodesicDAG, geodesic_dag
+from .geodesics import GeodesicDAG, geodesic_dag, spelled_geodesic
 
 
 @dataclass(frozen=True)
@@ -113,15 +116,16 @@ class _Side:
 class _TriangleProbe:
     """Defects of corner triples in both metrics, one pass per triangle.
 
-    The geodesic DAG from u to v is the DAG from e to w = u⁻¹v moved by u,
-    so it is built once per difference word and kept with source e.  A
-    defect reads only a side's vertex set and the bottleneck over its
-    paths, and both are the same for v→u, which is the DAG from e to w⁻¹
-    moved by v; so a local DAG is built once per geodesic up to
-    orientation, and a side is placed once per unordered endpoint pair and
-    kept for the probe's life.  A chain (one vertex per layer) is its bare
-    tuple of vertices, any other side a `_Side`; the words of local chains
-    and placed sides go through one intern dict, so sides share them.
+    A defect reads only a side's vertex set and the bottleneck over its
+    paths, and both are the same for u→v and v→u, so a side is placed once
+    per unordered endpoint pair and kept for the probe's life.  A chain
+    (one vertex per layer) is its bare tuple of vertices, any other side a
+    `_Side`.  Where `spelled_geodesic` spells the one geodesic, the side is
+    its vertices as they come.  Otherwise the geodesic DAG from u to v is
+    the DAG from e to w = u⁻¹v moved by u, and the DAG from e to w⁻¹ moved
+    by v gives the same side; so a local DAG with source e is built once
+    per geodesic up to orientation.  The words of local chains and placed
+    sides go through one intern dict, so sides share them.
     """
 
     def __init__(self, oracle: DistanceOracle):
@@ -138,8 +142,11 @@ class _TriangleProbe:
         return side
 
     def _place(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
-        g = self.oracle.group
         intern = self._words.setdefault
+        spelled = spelled_geodesic(self.oracle, u, v, RELATIVE)
+        if spelled is not None:
+            return tuple(intern(x, x) for x in spelled[1])
+        g = self.oracle.group
         w = g.multiply(g.inverse(u), v) if u else v
         local, at = self._local.get(w), u
         if local is None:

@@ -568,16 +568,42 @@ def _run_check(check_id: str, check, *args) -> CheckResult:
                            {"error": type(err).__name__})
 
 
+def _symbol_word(direction: DirectionSpec) -> tuple[tuple[Word, ...], ...]:
+    """The shortest (prefix, period) that spells the direction's infinite
+    symbol word: `a`, `a a` and `a:a` give one pair, while `aa` and `a:aa`
+    (with a² a move) are different rays toward one boundary point."""
+    prefix, period = direction.prefix, direction.period
+    n = len(period)
+    root = next(k for k in range(1, n + 1)
+                if n % k == 0 and period == period[:k] * (n // k))
+    period = period[:root]
+    while prefix and prefix[-1] == period[-1]:
+        prefix, period = prefix[:-1], period[-1:] + period[:-1]
+    return prefix, period
+
+
+def _reject_repeats(name: str, entries: tuple[str, ...],
+                    parse: Callable[[str], object]) -> None:
+    first: dict[object, str] = {}
+    for text in entries:
+        seen = first.setdefault(parse(text), text)
+        if seen != text:
+            raise SpecError(f"{name} {seen!r} and {text!r} parse alike")
+
+
 def run_suite(cfg: RunConfig) -> SuiteReport:
     spec = spec_from_dict(cfg.spec)
     group = build_group(spec)
     graph = RelativeGraph(group)
     oracle = DistanceOracle(graph)
 
-    # Bad bases and directions fail here, before the slimness sweep.
-    for base_text in cfg.bases:
-        group.parse(base_text)
+    # Bad bases and directions fail here, before the slimness sweep.  Two
+    # entries that parse alike would rerun one check under a second name
+    # (a base scanned against itself).
+    _reject_repeats("bases", cfg.bases, group.parse)
     directions = {d: direction_from_text(graph, d) for d in cfg.directions}
+    _reject_repeats("directions", cfg.directions,
+                    lambda d: _symbol_word(directions[d]))
     for direction in directions.values():
         ray_vertex(oracle, direction, cfg.depth)
 

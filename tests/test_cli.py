@@ -439,6 +439,42 @@ class TestVerify:
         assert next(iter(bad)) in capsys.readouterr().err
         assert not (tmp_path / "run").exists()
 
+    @pytest.mark.parametrize("repeat, error", [
+        ({"bases": ["e", "a a'"]}, "error: bases 'e' and \"a a'\" parse alike\n"),
+        ({"directions": ["a b", "a  b"]},
+         "error: directions 'a b' and 'a  b' parse alike\n"),
+    ])
+    def test_entries_that_parse_alike_exit_before_the_sweep(
+            self, tmp_path, capsys, monkeypatch, repeat, error):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = self._config(tmp_path, **repeat)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == error
+        assert not (tmp_path / "run").exists()
+
+    @pytest.mark.parametrize("directions, error", [
+        (["a", "a:a"], "error: directions 'a' and 'a:a' parse alike\n"),
+        (["a b", "a:b a"], "error: directions 'a b' and 'a:b a' parse alike\n"),
+        (["a b'", "a b' a b'"],
+         "error: directions \"a b'\" and \"a b' a b'\" parse alike\n"),
+        (["a", "b:a", "a b", "a b:a"], "error: sweep reached\n"),
+    ])
+    def test_directions_compare_as_symbol_words(self, tmp_path, capsys,
+                                                monkeypatch, directions,
+                                                error):
+        """Two spellings of one infinite symbol word are one direction;
+        different words, even toward one boundary point, are not."""
+        def sweep(*args, **kwargs):
+            raise ResourceLimitError("sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        cfg = self._config(tmp_path, directions=directions)
+        assert main(["verify", "--config", cfg,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == error
+
     def test_raising_scan_is_flagged_and_other_rows_kept(
             self, tmp_path, capsys, monkeypatch):
         real = suite.symdiff_scan

@@ -17,7 +17,6 @@ from relbundles.relgraph import (
     ResourceLimitError,
 )
 from relbundles.geodesics import (
-    _chain,
     _layered_dag,
     DirectionError,
     DirectionSpec,
@@ -28,6 +27,7 @@ from relbundles.geodesics import (
     geodesic_dag,
     layer_profile,
     ray_vertex,
+    spelled_geodesic,
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"
@@ -258,7 +258,7 @@ def test_chain_only_where_the_normal_form_spells_it(graph, oracle, metric, u,
     """Plain free groups, and coned syllables in a free product's relative
     metric, are chains; any other syllable or family is grown in layers."""
     g = graph.group
-    assert (_chain(oracle, g.parse(u), g.parse(v), metric)
+    assert (spelled_geodesic(oracle, g.parse(u), g.parse(v), metric)
             is not None) == spelled
 
 

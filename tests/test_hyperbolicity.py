@@ -113,7 +113,8 @@ def _referee_defect(oracle, a, b, c, metric):
     (OR_Z6, 3),    # 6-cycle bigons: the non-chain bottleneck branch
     (OR_F2X, 1),   # adjoined generator: one edge spans two letters
     (OR_Z3Z2, 2),  # parabolic edges
-], ids=["z6_table", "F2X", "Z3Z2"])
+    (OR_F2, 2),    # sides placed straight from the normal form
+], ids=["z6_table", "F2X", "Z3Z2", "F2"])
 def test_probe_matches_side_choice_referee(oracle, radius):
     probe = _TriangleProbe(oracle)
     corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
@@ -174,7 +175,8 @@ def _attained(oracle, corners, probe, defect, metric):
     (OR_Z6, 3),      # bigons: defect 1 on the non-chain branch
     (OR_F2X, 1),
     (OR_Z3Z2, 2),
-], ids=["z6_table", "F2X", "Z3Z2"])
+    (OR_F2, 2),
+], ids=["z6_table", "F2X", "Z3Z2", "F2"])
 def test_defects_are_left_invariant(oracle, radius):
     g = oracle.group
     probe = _TriangleProbe(oracle)
@@ -207,11 +209,31 @@ def built(monkeypatch):
 
 
 def test_sweep_builds_one_orientation_per_geodesic(built):
-    estimate_nu(OR_F2, exhaustive_radius=2, ball_radius=3,
+    """Where sides are grown in layers, one local DAG serves w and w⁻¹."""
+    estimate_nu(OR_F2X, exhaustive_radius=2, ball_radius=3,
                 triangle_budget=400, seed=3)
     seen = set(built)
     assert len(built) == len(seen) > 0
-    assert [w for w in built if w != F2.inverse(w) and F2.inverse(w) in seen] == []
+    assert [w for w in built
+            if w != F2X.inverse(w) and F2X.inverse(w) in seen] == []
+
+
+@pytest.mark.parametrize("oracle", [OR_F2, OR_Z3Z2], ids=["F2", "Z3Z2"])
+def test_sweep_builds_no_dag_where_the_normal_form_spells_sides(built, oracle):
+    estimate_nu(oracle, exhaustive_radius=2, ball_radius=3,
+                triangle_budget=400, seed=3)
+    assert built == []
+
+
+@pytest.mark.parametrize("oracle", [OR_F2, OR_Z3Z2], ids=["F2", "Z3Z2"])
+def test_spelled_side_is_the_geodesic_chain(oracle):
+    """A side placed from the normal form is the chain `geodesic_dag`
+    builds, vertex for vertex from u to v."""
+    probe = _TriangleProbe(oracle)
+    corners = sorted(oracle.graph.ball((), 3, RELATIVE).entries)
+    for u, v in itertools.product(corners, repeat=2):
+        dag = geodesic_dag(oracle, u, v)
+        assert probe._place(u, v) == tuple(x for (x,) in dag.layers), (u, v)
 
 
 def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):

@@ -193,6 +193,21 @@ class TestRunSuite:
         with pytest.raises(error):
             run_suite(RunConfig(**dict(TINY, **bad)))
 
+    def test_direction_spellings_of_one_symbol_word(self):
+        """`aa` and `a:aa` are different rays toward one boundary point,
+        so only spellings of one symbol word share a key."""
+        graph = RelativeGraph(build_group(spec_from_dict(
+            {"family": "free", "generators": ["a", "b"],
+             "redundant_generators": ["a a"]})))
+
+        def key(text):
+            return suite._symbol_word(direction_from_text(graph, text))
+
+        assert key("aa") == key("aa aa") == key("aa:aa")
+        assert key("a:aa") == key("a aa:aa aa") != key("aa")
+        assert key("a") == key("a:a") != key("aa")
+        assert key("b a:b a") == key("b:a b") != key("a b")
+
     def test_check_order_does_not_change_results(self):
         one = run_suite(RunConfig(**TINY))
         two = run_suite(RunConfig(**dict(TINY, bases=TINY["bases"][::-1])))
