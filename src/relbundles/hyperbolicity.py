@@ -16,7 +16,12 @@ no multiply.  Where DAGs are grown in layers (the parse DP of adjoined
 generators, table groups, non-coned syllables, small cancellation), a
 local DAG is built at e once per difference word u⁻¹v up to orientation
 and moved to each endpoint pair that needs it; a side that is a single
-path is kept as its bare vertices.
+path is kept as its bare vertices.  Each side also keeps its vertex set as
+an `int` mask, one bit per placed vertex: where the other two sides of a
+triangle are chains, only the vertices off both can have a defect, so a
+tripod (every triangle on a tree) is scored from three masks alone.  A
+probe vertex counts only past the running worst defect, so its search
+stops at the first side, layer or vertex that is no farther.
 
 `estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
 alone and sweep the graph it was built over, `oracle.graph`.
@@ -25,6 +30,7 @@ alone and sweep the graph it was built over, `oracle.graph`.
 from __future__ import annotations
 
 import random
+from collections.abc import Iterable
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
@@ -126,20 +132,41 @@ class _TriangleProbe:
     by v gives the same side; so a local DAG with source e is built once
     per geodesic up to orientation.  The words of local chains and placed
     sides go through one intern dict, so sides share them.
+
+    Each placed vertex gets one bit, and a side is kept with the `int`
+    mask of its vertices.  A vertex on a chain is 0 from it, so where both
+    other sides are chains, the probe vertices of a side are its mask less
+    theirs.  On a tree every triangle is a tripod: all three such masks
+    are 0, and the defects come with no set built and no distance asked.
+    Local words at e get no bit, which keeps the masks narrow: 511 bits
+    for the 30,686 interned words of `f2_redundant_bounds`.
+
+    A probe vertex counts only past the running worst defect, so a search
+    stops at the first distance at or below it: over a chain, at a vertex;
+    over a DAG, at a layer, as every path crosses every layer; and over a
+    pair of sides, at the first, which is a chain where one is.
     """
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
         self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
-        self._sides: dict[tuple[Word, Word], tuple[Word, ...] | _Side] = {}
+        self._sides: dict[tuple[Word, Word], tuple[tuple[Word, ...] | _Side, int]] = {}
         self._words: dict[Word, Word] = {}
+        self._bits: dict[Word, int] = {}
 
-    def _side(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
+    def _side(self, u: Word, v: Word) -> tuple[tuple[Word, ...] | _Side, int]:
         key = (u, v) if u <= v else (v, u)
-        side = self._sides.get(key)
-        if side is None:
-            side = self._sides[key] = self._place(u, v)
-        return side
+        entry = self._sides.get(key)
+        if entry is None:
+            side = self._place(u, v)
+            bits, mask = self._bits, 0
+            for x in side if isinstance(side, tuple) else side.placed.values():
+                bit = bits.get(x)
+                if bit is None:
+                    bit = bits[x] = 1 << len(bits)
+                mask |= bit
+            entry = self._sides[key] = (side, mask)
+        return entry
 
     def _place(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
         intern = self._words.setdefault
@@ -167,35 +194,66 @@ class _TriangleProbe:
 
     def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
         """Per metric, the worst defect over rotations and side choices and
-        a probe vertex attaining it (the corner a when the defect is 0)."""
+        a probe vertex attaining it (the corner a when the defect is 0).
+
+        Probe vertices are visited in the order of their vertex sets, and
+        of tied vertices the first keeps the defect.
+        """
         sides = (self._side(a, b), self._side(b, c), self._side(a, c))
-        verts = [set(s) if isinstance(s, tuple) else set(s.placed.values())
-                 for s in sides]
         dist = self.oracle.distance
 
-        def opposite(u: Word, s: tuple[Word, ...] | _Side, m: str) -> int:
+        def nearest(u: Word, ys: Iterable[Word], m: str, floor: int) -> int:
+            """min over ys of d(u, y), or the first value at or below floor."""
+            best = None
+            for y in ys:
+                d = dist(u, y, m)
+                if d <= floor:
+                    return d
+                if best is None or d < best:
+                    best = d
+            return best
+
+        def opposite(u: Word, s: tuple[Word, ...] | _Side, m: str, floor: int) -> int:
             if isinstance(s, tuple):
-                return min(dist(u, y, m) for y in s)
-            cost = {x: dist(u, y, m) for x, y in s.placed.items()}
+                return nearest(u, s, m, floor)
+            cost: dict[Word, int] = {}
+            for layer in s.dag.layers:
+                top = 0
+                for x in layer:
+                    d = cost[x] = dist(u, s.placed[x], m)
+                    if d > top:
+                        top = d
+                if top <= floor:
+                    return top
             return _bottleneck(s.dag, cost)
+
+        def vertices(s: tuple[Word, ...] | _Side) -> set[Word]:
+            return set(s) if isinstance(s, tuple) else set(s.placed.values())
 
         worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):
-            j, k = (i + 1) % 3, (i + 2) % 3
-            q, r = sides[j], sides[k]
+            p, mask = sides[i]
+            (q, q_mask), (r, r_mask) = sides[(i + 1) % 3], sides[(i + 2) % 3]
             if isinstance(q, tuple) and isinstance(r, tuple):
-                union = verts[j] | verts[k]
-                for u in verts[i] - union:
+                if not mask & ~(q_mask | r_mask):
+                    continue
+                union = vertices(q) | vertices(r)
+                for u in vertices(p) - union:
                     for m in METRICS:
-                        d = min(dist(u, v, m) for v in union)
+                        d = nearest(u, union, m, worst[m][0])
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
-                for u in verts[i]:
+                if isinstance(r, tuple):
+                    q, r = r, q
+                for u in vertices(p):
                     for m in METRICS:
-                        d = min(opposite(u, q, m), opposite(u, r, m))
-                        if d > worst[m][0]:
-                            worst[m] = (d, u)
+                        floor = worst[m][0]
+                        d = opposite(u, q, m, floor)
+                        if d > floor:
+                            d = min(d, opposite(u, r, m, floor))
+                            if d > floor:
+                                worst[m] = (d, u)
         return worst
 
 
@@ -213,6 +271,8 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
     """
     if keep_witnesses < 0:
         raise SpecError("keep_witnesses must be nonnegative")
+    if triangle_budget < 0:
+        raise SpecError("triangle_budget must be nonnegative")
     probe = _TriangleProbe(oracle)
     ball_small = oracle.graph.ball((), exhaustive_radius, RELATIVE)
     small = sorted(ball_small.entries, key=shortlex_key)

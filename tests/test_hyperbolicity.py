@@ -17,6 +17,8 @@ from relbundles.relgraph import (
 from relbundles.geodesics import enumerate_geodesics, geodesic_dag
 from relbundles import hyperbolicity
 from relbundles.hyperbolicity import (
+    SlimnessReport,
+    TriangleWitness,
     _TriangleProbe,
     bound_B,
     bound_K,
@@ -58,6 +60,8 @@ OR_Z3Z2 = DistanceOracle(RelativeGraph(Z3Z2))
 OR_GENUS2 = DistanceOracle(RelativeGraph(GENUS2))
 Z6 = build_group(load_spec(os.path.join(SPECS, "z6_table.json")))
 OR_Z6 = DistanceOracle(RelativeGraph(Z6))
+Z6Z2 = build_group(load_spec(os.path.join(SPECS, "z6z2_free.json")))
+OR_Z6Z2 = DistanceOracle(RelativeGraph(Z6Z2))
 
 
 # ---------------------------------------------------------------------------
@@ -114,7 +118,8 @@ def _referee_defect(oracle, a, b, c, metric):
     (OR_F2X, 1),   # adjoined generator: one edge spans two letters
     (OR_Z3Z2, 2),  # parabolic edges
     (OR_F2, 2),    # sides placed straight from the normal form
-], ids=["z6_table", "F2X", "Z3Z2", "F2"])
+    (OR_Z6Z2, 2),  # branching sides beside chains: the running bound prunes
+], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2"])
 def test_probe_matches_side_choice_referee(oracle, radius):
     probe = _TriangleProbe(oracle)
     corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
@@ -176,7 +181,8 @@ def _attained(oracle, corners, probe, defect, metric):
     (OR_F2X, 1),
     (OR_Z3Z2, 2),
     (OR_F2, 2),
-], ids=["z6_table", "F2X", "Z3Z2", "F2"])
+    (OR_Z6Z2, 2),
+], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2"])
 def test_defects_are_left_invariant(oracle, radius):
     g = oracle.group
     probe = _TriangleProbe(oracle)
@@ -192,6 +198,94 @@ def test_defects_are_left_invariant(oracle, radius):
                 assert defect == want[metric][0], (a, b, c, t, metric)
                 assert _attained(oracle, moved, at, defect, metric), \
                     (a, b, c, t, metric)
+
+
+def _unpruned_defects(probe, a, b, c):
+    """`defects` with no masks and no running bound: every probe vertex,
+    every distance, in the same order."""
+    dist = probe.oracle.distance
+    sides = [probe._side(u, v)[0] for u, v in ((a, b), (b, c), (a, c))]
+    verts = [set(s) if isinstance(s, tuple) else set(s.placed.values())
+             for s in sides]
+
+    def opposite(u, s, m):
+        if isinstance(s, tuple):
+            return min(dist(u, y, m) for y in s)
+        return hyperbolicity._bottleneck(
+            s.dag, {x: dist(u, y, m) for x, y in s.placed.items()})
+
+    worst = {m: (0, a) for m in METRICS}
+    for i in range(3):
+        j, k = (i + 1) % 3, (i + 2) % 3
+        if isinstance(sides[j], tuple) and isinstance(sides[k], tuple):
+            union = verts[j] | verts[k]
+            scores = ((u, m, min(dist(u, y, m) for y in union))
+                      for u in verts[i] - union for m in METRICS)
+        else:
+            scores = ((u, m, min(opposite(u, sides[j], m), opposite(u, sides[k], m)))
+                      for u in verts[i] for m in METRICS)
+        for u, m, d in scores:
+            if d > worst[m][0]:
+                worst[m] = (d, u)
+    return worst
+
+
+@pytest.mark.parametrize("oracle, radius", [
+    (OR_Z6, 3),
+    (OR_F2X, 1),
+    (OR_Z3Z2, 2),
+    (OR_F2, 2),
+    (OR_Z6Z2, 2),
+], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2"])
+def test_pruned_scan_keeps_each_witness(oracle, radius):
+    """Masks and the running bound skip only vertices that cannot raise a
+    defect, so every defect and its probe vertex, ties included, are the
+    full scan's."""
+    probe = _TriangleProbe(oracle)
+    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
+    for a, b, c in itertools.product(corners, repeat=3):
+        assert probe.defects(a, b, c) == _unpruned_defects(probe, a, b, c), \
+            (a, b, c)
+
+
+def test_tripod_defects_ask_no_distance(monkeypatch):
+    """On a tree every triangle is a tripod, scored from its side masks:
+    the sweep asks a distance only to place a side."""
+    oracle = DistanceOracle(RelativeGraph(F2))
+    asked = {"placing": 0, "scoring": 0}
+    placing = []
+    distance, place = oracle.distance, _TriangleProbe._place
+
+    def counting_distance(*args):
+        asked["placing" if placing else "scoring"] += 1
+        return distance(*args)
+
+    def flagged_place(self, u, v):
+        placing.append(True)
+        try:
+            return place(self, u, v)
+        finally:
+            placing.pop()
+
+    monkeypatch.setattr(oracle, "distance", counting_distance)
+    monkeypatch.setattr(_TriangleProbe, "_place", flagged_place)
+    estimate_nu(oracle, exhaustive_radius=2, ball_radius=3,
+                triangle_budget=400, seed=3)
+    assert asked["placing"] > 0
+    assert asked["scoring"] == 0
+
+
+def test_referee_reaches_chain_triangles_with_a_defect():
+    """The ℤ₆ referee case gets past the mask shortcut: some triangles of
+    three chains, such as e, t², t⁴, have a vertex off both other sides
+    and a defect of 1."""
+    probe = _TriangleProbe(OR_Z6)
+    corners = sorted(OR_Z6.graph.ball((), 3, RELATIVE).entries)
+    assert any(
+        all(isinstance(probe._side(u, v)[0], tuple)
+            for u, v in ((a, b), (b, c), (a, c)))
+        and probe.defects(a, b, c)[RELATIVE][0] == 1
+        for a, b, c in itertools.product(corners, repeat=3))
 
 
 @pytest.fixture
@@ -283,6 +377,25 @@ def test_cyclic_group_sweep_is_pinned():
     assert witness.corners == ((), (), (1, 1, 1))
     assert (witness.defect_rel, witness.defect_abs) == (1, 1)
     assert witness.probe == (-1, -1)
+
+
+def test_z6z2_sweep_is_pinned():
+    """The whole report, witnesses included: the probe vertex of a witness
+    is the first of its ties, so a change in the order probe vertices are
+    visited in shows here."""
+    report = estimate_nu(OR_Z6Z2, exhaustive_radius=2, ball_radius=3,
+                         triangle_budget=200, seed=0)
+    t, t2, t_2 = Z6Z2.parse("t"), Z6Z2.parse("t t"), Z6Z2.parse("t' t'")
+    assert report == SlimnessReport(
+        exhaustive_radius=2, seed=0, nu_rel=1, nu_abs=1,
+        exhaustive_nu_rel=1, exhaustive_nu_abs=1, triangles_checked=420,
+        witnesses=(TriangleWitness(((), t, t_2), t2, 1, 1),))
+
+
+def test_negative_triangle_budget_rejected():
+    with pytest.raises(SpecError, match="triangle_budget"):
+        estimate_nu(OR_F2, exhaustive_radius=1, ball_radius=1,
+                    triangle_budget=-5)
 
 
 def test_keep_witnesses_keeps_the_last_ones():
