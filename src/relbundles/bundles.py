@@ -242,16 +242,16 @@ class DirectionPipeline:
                          f"{self.oracle.group.format(base)} at depth {depth} "
                          f"after window restriction; their sectors were "
                          f"merged")
-        # A terminal t sits in layer `depth` = d(base, t), and every
-        # geodesic base→t runs through bundle layers joined by bundle
-        # edges, so the union of the DAGs base→t is the backward closure
-        # of the terminals in the bundle.
+        # A terminal t sits in the last layer, `depth` = d(base, t), and
+        # every geodesic base→t runs through bundle layers joined by
+        # bundle edges, so the union of the DAGs base→t is the backward
+        # closure of the terminals in the bundle: walking up from the last
+        # layer, a vertex is kept when one of its successors is.
         dag = self.bundle(base, depth)
-        frontier = {t for cls in matched for t in cls.terminals}
-        seen = set(frontier)
-        for _ in range(depth):
-            frontier = {p for w in frontier for p in dag.predecessors[w]}
-            seen |= frontier
+        seen = {t for cls in matched for t in cls.terminals}
+        for layer in reversed(dag.layers[:-1]):
+            seen.update(v for v in layer
+                        if any(w in seen for _, w in dag.successors[v]))
         return SectorTrunc(frozenset(seen), _unique(flags))
 
     # -- special vertices ------------------------------------------------------

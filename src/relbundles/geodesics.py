@@ -45,11 +45,11 @@ class DirectionError(ValueError):
 
 @dataclass(frozen=True)
 class GeodesicDAG:
-    """Layers and edges of a geodesic DAG.
+    """Layers and forward edges of a geodesic DAG.
 
-    `successors[v]` lists the (symbol, w) edges out of v in symbol order,
-    and `predecessors[w]` the vertices with an edge into w in layer order;
-    every vertex has both entries, empty at the ends.
+    `successors[v]` lists the (symbol, w) edges out of v in symbol order;
+    every vertex has an entry, empty in the last layer.  No backward edges
+    are kept: a walk toward the source reads the layers from the last up.
     """
 
     source: Word
@@ -57,7 +57,6 @@ class GeodesicDAG:
     length: int
     layers: tuple[tuple[Word, ...], ...]
     successors: dict[Word, list[tuple[int, Word]]]
-    predecessors: dict[Word, list[Word]]
 
     def vertices(self) -> set[Word]:
         return {w for layer in self.layers for w in layer}
@@ -91,10 +90,7 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
     symbol = oracle.graph.symbols(metric)
     successors = {x: [(symbol[s], y)] for x, s, y in zip(path, steps, path[1:])}
     successors[path[-1]] = []
-    predecessors = {y: [x] for x, y in zip(path, path[1:])}
-    predecessors[u] = []
-    return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors,
-                       predecessors)
+    return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors)
 
 
 def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
@@ -104,11 +100,11 @@ def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
 
     On a plain free group the steps are the letters of the reduced word
     u⁻¹v, and the vertices the prefixes of u back to the prefix u and v
-    share, then the longer prefixes of v.  On a plain free product in the
-    relative metric, when every syllable of u⁻¹v lies in a coned factor,
-    each syllable is one edge and syllable boundaries are cut points, so
-    the steps are the syllables.  The vertices are yielded lazily, so a
-    cut DAG forms only those it keeps.
+    share, then the longer prefixes of v.  On a plain free product, when
+    every syllable of u⁻¹v lies in a factor the metric cones (only parabolic
+    ones, and only in the relative metric), each syllable is one edge and
+    syllable boundaries are cut points, so the steps are the syllables.
+    The vertices are yielded lazily, so a cut DAG forms only those it keeps.
     """
     pair = oracle._pair[metric]
     if pair is DistanceOracle._free_distance:
@@ -117,9 +113,9 @@ def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
         return steps, chain((u[:i] for i in range(len(u), k - 1, -1)),
                             (v[:j] for j in range(k + 1, len(v) + 1)))
     if pair is DistanceOracle._syllable_distance:
-        g = oracle.group
+        g, coned = oracle.group, oracle._coned[metric]
         syllables = g.syllables(g.multiply(g.inverse(u), v))
-        if all(f in g.parabolic_slots for f, _ in syllables):
+        if all(f in coned for f, _ in syllables):
             steps = [g.lift(f, x) for f, x in syllables]
             return steps, accumulate(steps, g.multiply, initial=u)
     return None
@@ -145,26 +141,23 @@ def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
     stop = length if depth is None else min(depth, length)
     layers: list[tuple[Word, ...]] = [(u,)]
     successors: dict[Word, list[tuple[int, Word]]] = {u: []}
-    predecessors: dict[Word, list[Word]] = {u: []}
     neighbors = oracle.graph.neighbors
     for k in range(1, stop + 1):
         recent: set[Word] = set(layers[-1])
         if len(layers) >= 2:
             recent |= set(layers[-2])
-        found: dict[Word, list[Word]] = {}
+        found: set[Word] = set()
         for p in layers[-1]:
             out = successors[p]
             for symbol, w in neighbors(p, metric):
                 if w in recent:
                     continue
-                preds = found.get(w)
-                if preds is None:
+                if w not in found:
                     if not oracle.within(w, v, length - k, metric):
                         recent.add(w)  # rejected once, skip other probes
                         continue
-                    preds = found[w] = predecessors[w] = []
+                    found.add(w)
                     successors[w] = []
-                preds.append(p)
                 out.append((symbol, w))
         if not found:
             fmt = oracle.group.format
@@ -175,7 +168,7 @@ def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
         if len(layer) > 1:  # sorting one item is the identity
             layer = tuple(sorted(layer, key=shortlex_key))
         layers.append(layer)
-    return GeodesicDAG(u, v, stop, tuple(layers), successors, predecessors)
+    return GeodesicDAG(u, v, stop, tuple(layers), successors)
 
 
 def enumerate_geodesics(dag: GeodesicDAG,

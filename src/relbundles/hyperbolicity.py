@@ -12,11 +12,10 @@ cached for the sweep (`_TriangleProbe`).  Where the oracle's normal form
 spells the one geodesic (`spelled_geodesic`: a plain free group, or a
 plain free product whose syllables of u⁻¹v are all coned), the side is
 that chain's vertices, read off u and v with no DAG and, on a free group,
-no multiply.  Where DAGs are grown in layers (the parse DP of adjoined
-generators, table groups, non-coned syllables, small cancellation), a
-local DAG is built at e once per difference word u⁻¹v up to orientation
-and moved to each endpoint pair that needs it; a side that is a single
-path is kept as its bare vertices.  Each side also keeps its vertex set as
+no multiply.  Otherwise (the parse DP of adjoined generators, table
+groups, non-coned syllables, small cancellation) the side is the geodesic
+DAG from u to v itself, grown in layers; a side that is a single path is
+kept as its bare vertices.  Each side also keeps its vertex set as
 an `int` mask, one bit per placed vertex: where the other two sides of a
 triangle are chains, only the vertices off both can have a defect, so a
 tripod (every triangle on a tree) is scored from three masks alone.  A
@@ -110,36 +109,23 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
     return val[dag.source]
 
 
-@dataclass(frozen=True)
-class _Side:
-    """A placed side that is not a chain: its local DAG (source e) with
-    each local vertex x mapped to its placed vertex."""
-
-    dag: GeodesicDAG
-    placed: dict[Word, Word]
-
-
 class _TriangleProbe:
     """Defects of corner triples in both metrics, one pass per triangle.
 
     A defect reads only a side's vertex set and the bottleneck over its
     paths, and both are the same for u→v and v→u, so a side is placed once
-    per unordered endpoint pair and kept for the probe's life.  A chain
-    (one vertex per layer) is its bare tuple of vertices, any other side a
-    `_Side`.  Where `spelled_geodesic` spells the one geodesic, the side is
-    its vertices as they come.  Otherwise the geodesic DAG from u to v is
-    the DAG from e to w = u⁻¹v moved by u, and the DAG from e to w⁻¹ moved
-    by v gives the same side; so a local DAG with source e is built once
-    per geodesic up to orientation.  The words of local chains and placed
-    sides go through one intern dict, so sides share them.
+    per unordered endpoint pair and kept for the probe's life.  Where
+    `spelled_geodesic` spells the one geodesic, the side is its vertices
+    as they come; otherwise it is `geodesic_dag(oracle, u, v)`.  A chain
+    (one vertex per layer) is kept as its bare tuple of vertices, any
+    other side as its DAG.  The vertices of chains go through one intern
+    dict, so sides share them.
 
     Each placed vertex gets one bit, and a side is kept with the `int`
     mask of its vertices.  A vertex on a chain is 0 from it, so where both
     other sides are chains, the probe vertices of a side are its mask less
     theirs.  On a tree every triangle is a tripod: all three such masks
     are 0, and the defects come with no set built and no distance asked.
-    Local words at e get no bit, which keeps the masks narrow: 511 bits
-    for the 30,686 interned words of `f2_redundant_bounds`.
 
     A probe vertex counts only past the running worst defect, so a search
     stops at the first distance at or below it: over a chain, at a vertex;
@@ -149,18 +135,17 @@ class _TriangleProbe:
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
-        self._local: dict[Word, tuple[Word, ...] | GeodesicDAG] = {}
-        self._sides: dict[tuple[Word, Word], tuple[tuple[Word, ...] | _Side, int]] = {}
+        self._sides: dict[tuple[Word, Word], tuple[tuple[Word, ...] | GeodesicDAG, int]] = {}
         self._words: dict[Word, Word] = {}
         self._bits: dict[Word, int] = {}
 
-    def _side(self, u: Word, v: Word) -> tuple[tuple[Word, ...] | _Side, int]:
+    def _side(self, u: Word, v: Word) -> tuple[tuple[Word, ...] | GeodesicDAG, int]:
         key = (u, v) if u <= v else (v, u)
         entry = self._sides.get(key)
         if entry is None:
             side = self._place(u, v)
             bits, mask = self._bits, 0
-            for x in side if isinstance(side, tuple) else side.placed.values():
+            for x in side if isinstance(side, tuple) else side.vertices():
                 bit = bits.get(x)
                 if bit is None:
                     bit = bits[x] = 1 << len(bits)
@@ -168,29 +153,17 @@ class _TriangleProbe:
             entry = self._sides[key] = (side, mask)
         return entry
 
-    def _place(self, u: Word, v: Word) -> tuple[Word, ...] | _Side:
-        intern = self._words.setdefault
+    def _place(self, u: Word, v: Word) -> tuple[Word, ...] | GeodesicDAG:
         spelled = spelled_geodesic(self.oracle, u, v, RELATIVE)
         if spelled is not None:
-            return tuple(intern(x, x) for x in spelled[1])
-        g = self.oracle.group
-        w = g.multiply(g.inverse(u), v) if u else v
-        local, at = self._local.get(w), u
-        if local is None:
-            local, at = self._local.get(g.inverse(w)), v
-        if local is None:
-            local, at = geodesic_dag(self.oracle, (), w), u
-            if all(len(layer) == 1 for layer in local.layers):
-                local = tuple(intern(x, x) for (x,) in local.layers)
-            self._local[w] = local
-
-        def place(x: Word) -> Word:
-            y = g.multiply(at, x) if at else x
-            return intern(y, y)
-
-        if isinstance(local, tuple):
-            return tuple(map(place, local)) if at else local
-        return _Side(local, {x: place(x) for layer in local.layers for x in layer})
+            path = spelled[1]
+        else:
+            dag = geodesic_dag(self.oracle, u, v)
+            if any(len(layer) > 1 for layer in dag.layers):
+                return dag
+            path = (x for (x,) in dag.layers)
+        intern = self._words.setdefault
+        return tuple(intern(x, x) for x in path)
 
     def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
         """Per metric, the worst defect over rotations and side choices and
@@ -213,22 +186,22 @@ class _TriangleProbe:
                     best = d
             return best
 
-        def opposite(u: Word, s: tuple[Word, ...] | _Side, m: str, floor: int) -> int:
+        def opposite(u: Word, s: tuple[Word, ...] | GeodesicDAG, m: str, floor: int) -> int:
             if isinstance(s, tuple):
                 return nearest(u, s, m, floor)
             cost: dict[Word, int] = {}
-            for layer in s.dag.layers:
+            for layer in s.layers:
                 top = 0
                 for x in layer:
-                    d = cost[x] = dist(u, s.placed[x], m)
+                    d = cost[x] = dist(u, x, m)
                     if d > top:
                         top = d
                 if top <= floor:
                     return top
-            return _bottleneck(s.dag, cost)
+            return _bottleneck(s, cost)
 
-        def vertices(s: tuple[Word, ...] | _Side) -> set[Word]:
-            return set(s) if isinstance(s, tuple) else set(s.placed.values())
+        def vertices(s: tuple[Word, ...] | GeodesicDAG) -> set[Word]:
+            return set(s) if isinstance(s, tuple) else s.vertices()
 
         worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):

@@ -242,13 +242,14 @@ class DistanceOracle:
 
     Free groups over their primitive generators use |u| + |v| minus twice
     their common prefix; finite tables use the canonical length of u⁻¹v;
-    free products charge 1 per parabolic syllable of u⁻¹v and the factor
+    free products charge 1 per coned syllable of u⁻¹v and the factor
     length otherwise, read off where the syllables of u and v part, without
-    building u⁻¹v.  Absolute free-product distances are canonical lengths
-    of u⁻¹v.  A free group with adjoined generators uses a parse DP of u⁻¹v
-    when the alphabet passes the junction check below; it has no parabolic
-    moves, so both metrics share the DP and its memo.  Anything else uses
-    one ball around e per metric:
+    building u⁻¹v.  One syllable walk serves both metrics: the relative one
+    cones the parabolic factors, the absolute one none, as word length adds
+    over syllables.  A free group with adjoined generators uses a parse DP
+    of u⁻¹v when the alphabet passes the junction check below; it has no
+    parabolic moves, so both metrics share the DP and its memo.  Anything
+    else uses one ball around e per metric:
     d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
     a bidirectional search whose fixed side is the ball.  The ball is never
     invalidated, only grown, and the sizes of its outer sphere and of the
@@ -277,9 +278,10 @@ class DistanceOracle:
         elif isinstance(g, TableGroup) and plain:
             self._pair = dict.fromkeys(METRICS, cls._word_distance)
         elif isinstance(g, FreeProductGroup) and plain:
-            self._coned = frozenset(g.parabolic_slots)
-            self._pair = {RELATIVE: cls._syllable_distance,
-                          ABSOLUTE: cls._word_distance}
+            # the factors whose syllables count 1, per metric
+            self._coned = {RELATIVE: frozenset(g.parabolic_slots),
+                           ABSOLUTE: frozenset()}
+            self._pair = dict.fromkeys(METRICS, cls._syllable_distance)
         elif isinstance(g, FreeGroup):
             self._t_words = frozenset(graph.step_words(ABSOLUTE))
             self._t_maxlen = max(map(len, self._t_words), default=0)
@@ -344,7 +346,7 @@ class DistanceOracle:
         return len(self.group.multiply(self.group.inverse(u), v))
 
     def _syllable_distance(self, u: Word, v: Word, metric: str) -> int:
-        return self.group.syllable_distance(u, v, self._coned)
+        return self.group.syllable_distance(u, v, self._coned[metric])
 
     def _parsed_distance(self, u: Word, v: Word, metric: str) -> int:
         """Parse DP on u⁻¹v, memoized once for both metrics."""

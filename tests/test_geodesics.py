@@ -299,9 +299,11 @@ class TestDagInvariants:
     @given(u=words_of(F2X, 3), v=words_of(F2X, 3))
     def test_every_vertex_lies_on_a_path(self, u, v):
         dag = geodesic_dag(OR_F2X, u, v)
+        entered = {w for out in dag.successors.values() for _, w in out}
+        assert set(dag.successors) == dag.vertices()
         for k, layer in enumerate(dag.layers):
             for w in layer:
-                assert bool(dag.predecessors[w]) == (k > 0)
+                assert (w in entered) == (k > 0)
                 assert bool(dag.successors[w]) == (k < dag.length)
 
     @PROPERTY_SETTINGS
@@ -507,9 +509,7 @@ def _full_dag_cut(oracle, x, target, depth):
     kept = {w for layer in layers for w in layer}
     successors = {v: [(s, w) for s, w in full.successors[v] if w in kept]
                   for v in kept}
-    predecessors = {w: full.predecessors[w] for w in kept}
-    return full, GeodesicDAG(x, target, length, layers, successors,
-                             predecessors)
+    return full, GeodesicDAG(x, target, length, layers, successors)
 
 
 @pytest.mark.parametrize("oracle, text, bases, depths, widest", [

@@ -205,14 +205,13 @@ def _unpruned_defects(probe, a, b, c):
     every distance, in the same order."""
     dist = probe.oracle.distance
     sides = [probe._side(u, v)[0] for u, v in ((a, b), (b, c), (a, c))]
-    verts = [set(s) if isinstance(s, tuple) else set(s.placed.values())
-             for s in sides]
+    verts = [set(s) if isinstance(s, tuple) else s.vertices() for s in sides]
 
     def opposite(u, s, m):
         if isinstance(s, tuple):
             return min(dist(u, y, m) for y in s)
         return hyperbolicity._bottleneck(
-            s.dag, {x: dist(u, y, m) for x, y in s.placed.items()})
+            s, {x: dist(u, x, m) for x in s.vertices()})
 
     worst = {m: (0, a) for m in METRICS}
     for i in range(3):
@@ -290,26 +289,15 @@ def test_referee_reaches_chain_triangles_with_a_defect():
 
 @pytest.fixture
 def built(monkeypatch):
-    """The target of every side DAG the probe builds, in order."""
-    targets = []
+    """The endpoints (u, v) of every side DAG the probe builds, in order."""
+    ends = []
 
     def counting(oracle, u, v, *args, **kwargs):
-        assert u == ()
-        targets.append(v)
+        ends.append((u, v))
         return geodesic_dag(oracle, u, v, *args, **kwargs)
 
     monkeypatch.setattr(hyperbolicity, "geodesic_dag", counting)
-    return targets
-
-
-def test_sweep_builds_one_orientation_per_geodesic(built):
-    """Where sides are grown in layers, one local DAG serves w and w⁻¹."""
-    estimate_nu(OR_F2X, exhaustive_radius=2, ball_radius=3,
-                triangle_budget=400, seed=3)
-    seen = set(built)
-    assert len(built) == len(seen) > 0
-    assert [w for w in built
-            if w != F2X.inverse(w) and F2X.inverse(w) in seen] == []
+    return ends
 
 
 @pytest.mark.parametrize("oracle", [OR_F2, OR_Z3Z2], ids=["F2", "Z3Z2"])
@@ -390,6 +378,28 @@ def test_z6z2_sweep_is_pinned():
         exhaustive_radius=2, seed=0, nu_rel=1, nu_abs=1,
         exhaustive_nu_rel=1, exhaustive_nu_abs=1, triangles_checked=420,
         witnesses=(TriangleWitness(((), t, t_2), t2, 1, 1),))
+
+
+@pytest.mark.parametrize("oracle, kw, nu, count, witness", [
+    (OR_F2X, dict(exhaustive_radius=2, ball_radius=3, triangle_budget=400,
+                  seed=3), 0, 5856, None),
+    (OR_GENUS2, dict(exhaustive_radius=1, ball_radius=2, triangle_budget=60,
+                     seed=2), 0, 225, None),
+    # the sampled triangles reach the commutator bigons: a tied witness
+    (OR_GENUS2, dict(exhaustive_radius=1, ball_radius=3, triangle_budget=200,
+                     seed=2), 2, 365, (("d d", "a' c' c'", "b a' b'"), "a' d c")),
+], ids=["F2X", "genus2", "genus2-witness"])
+def test_dag_side_sweeps_are_pinned(oracle, kw, nu, count, witness):
+    """As `test_z6z2_sweep_is_pinned`, on families whose sides are
+    geodesic DAGs grown in layers."""
+    report = estimate_nu(oracle, **kw)
+    parse = oracle.group.parse
+    witnesses = () if witness is None else (TriangleWitness(
+        tuple(map(parse, witness[0])), parse(witness[1]), nu, nu),)
+    assert report == SlimnessReport(
+        exhaustive_radius=kw["exhaustive_radius"], seed=kw["seed"],
+        nu_rel=nu, nu_abs=nu, exhaustive_nu_rel=0, exhaustive_nu_abs=0,
+        triangles_checked=count, witnesses=witnesses)
 
 
 def test_negative_triangle_budget_rejected():

@@ -320,7 +320,8 @@ def test_within_matches_search(mode, seed):
     every oracle mode and both metrics."""
     group, pair = ORACLE_MODES[mode]
     graph = RelativeGraph(group)
-    assert DistanceOracle(graph)._pair[RELATIVE].__name__ == pair
+    for metric in METRICS:
+        assert DistanceOracle(graph)._pair[metric].__name__ == pair
     for u, v in _seeded_pairs(group, seed):
         for metric in METRICS:
             d = graph.distance_bfs(u, v, metric)
@@ -381,15 +382,18 @@ SYLLABLE_ORACLES = {
 @given(data=st.data())
 def test_syllable_distance_matches_difference_word(name, data):
     """The closed form counts the syllables of the canonical word u⁻¹v:
-    1 for each parabolic one, its letters for any other."""
+    in the relative metric 1 for each parabolic one and its letters for
+    any other, in the absolute metric the letters of u⁻¹v."""
     oracle = SYLLABLE_ORACLES[name]
     group = oracle.group
     u = data.draw(words_of(group, 8))
     v = data.draw(words_of(group, 8))
+    w = group.multiply(group.inverse(u), v)
     parabolic = set(group.parabolic_slots)
     want = sum(1 if f in parabolic else len(local)
-               for f, local in group.syllables(group.multiply(group.inverse(u), v)))
+               for f, local in group.syllables(w))
     assert oracle.distance(u, v, RELATIVE) == want
+    assert oracle.distance(u, v, ABSOLUTE) == len(w)
 
 
 class TestMetricProperties:
