@@ -20,7 +20,7 @@ from dataclasses import dataclass
 from functools import wraps
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import RELATIVE, DistanceOracle
+from .relgraph import DistanceOracle
 from .geodesics import DirectionSpec, GeodesicDAG, cgr_bundle_trunc
 
 
@@ -31,8 +31,8 @@ class StabilizationError(RuntimeError):
 def horofunction(oracle: DistanceOracle, z: Word, window: tuple[Word, ...],
                  base: Word = ()) -> tuple[int, ...]:
     """Values of g ↦ d(g,z) − d(base,z) over the window, in window order."""
-    ref = oracle.distance(base, z, RELATIVE)
-    return tuple(oracle.distance(g, z, RELATIVE) - ref for g in window)
+    ref = oracle.distance(base, z)
+    return tuple(oracle.distance(g, z) - ref for g in window)
 
 
 def _prefixes_agree(a: tuple[int, ...], b: tuple[int, ...]) -> bool:
@@ -147,7 +147,7 @@ class DirectionPipeline:
         one, so signatures taken at different radii compare on the
         shorter one's length.
         """
-        ball = self.oracle.graph.ball(self.anchor, radius, RELATIVE)
+        ball = self.oracle.graph.ball(self.anchor, radius)
         return tuple(w for layer in ball.frontiers for w in layer)
 
     @_memo
@@ -178,7 +178,7 @@ class DirectionPipeline:
         # An anchor at distance m from the pipeline anchor cannot have
         # stabilized on a window it has not yet escaped, so close to the
         # base the comparison radius is capped by the available depth.
-        reach = min(min(self.oracle.distance(self.anchor, z, RELATIVE)
+        reach = min(min(self.oracle.distance(self.anchor, z)
                         for z in t) for t in triples)
         radius = min(self.window_radius, reach)
         if radius < self.window_radius:
@@ -334,7 +334,7 @@ class DirectionPipeline:
         by_class: dict[int, list[tuple[int, Word]]] = {}
         for v, cid in report.special:
             by_class.setdefault(cid, []).append(
-                (self.oracle.distance(base, v, RELATIVE), v))
+                (self.oracle.distance(base, v), v))
         vertices: set[Word] = set()
         chosen: list[tuple[int, tuple[Word, ...]]] = []
         skipped: list[int] = []
@@ -380,8 +380,8 @@ def symdiff_scan(pipeline: DirectionPipeline, x: Word, y: Word,
         horizon = depth - pipeline.margin
 
         def visible(v: Word) -> bool:
-            return (dist(x, v, RELATIVE) <= horizon
-                    and dist(y, v, RELATIVE) <= horizon)
+            return (dist(x, v) <= horizon
+                    and dist(y, v) <= horizon)
 
         ax = {v for v in gx.vertices if visible(v)}
         ay = {v for v in gy.vertices if visible(v)}

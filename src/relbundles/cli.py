@@ -214,7 +214,7 @@ def _explore_ball(args: argparse.Namespace,
     graph = oracle.graph
     center = graph.group.parse(args.args[0])
     radius = _int_arg("RADIUS", args.args[1])
-    table = graph.ball(center, radius, RELATIVE)
+    table = graph.ball(center, radius)
     fmt = graph.group.format
     stem = os.path.join(args.out, f"ball_r{radius}")
     written = [_out_json(stem + ".json", {
@@ -420,7 +420,7 @@ def _cmd_validate_spec(args: argparse.Namespace) -> int:
     group = build_group(spec)
     graph = RelativeGraph(group)
     # before the generators line: an infinite parabolic raises here
-    size = sum(len(names) for _, names in graph.alphabet(RELATIVE))
+    size = sum(len(names) for _, names in graph.alphabet)
     print(f"generators: {', '.join(group.gen_names)}")
     print(f"relative alphabet size: {size}")
     print(f"spec hash: {spec_hash(spec)}")

@@ -19,7 +19,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import RELATIVE, DistanceOracle
+from .relgraph import DistanceOracle
 from .geodesics import enumerate_geodesics, geodesic_dag
 from .bundles import DirectionPipeline, StabilizationError
 from .hyperbolicity import bound_B, bound_K
@@ -108,8 +108,8 @@ def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
     dist = pipeline.oracle.distance
     cutoff = depth - n - pipeline.margin
     hosts = sorted((g for g in pipeline.geo1(base, depth).vertices
-                    if dist(base, g, RELATIVE) <= cutoff),
-                   key=lambda g: (dist(base, g, RELATIVE), shortlex_key(g)))
+                    if dist(base, g) <= cutoff),
+                   key=lambda g: (dist(base, g), shortlex_key(g)))
     entries: list[tuple[Word, RestrictedLabel, int]] = []
     capped: list[Word] = []
     for g in hosts:
@@ -122,7 +122,7 @@ def c_eta_window(pipeline: DirectionPipeline, depth: int, n: int, *,
             lab = restrict_label(path.symbols, n)
             if lab not in seen:
                 seen.add(lab)
-                entries.append((g, lab, dist(base, g, RELATIVE)))
+                entries.append((g, lab, dist(base, g)))
     return CEtaWindow(base, n, tuple(entries), tuple(capped), cutoff)
 
 
@@ -200,7 +200,7 @@ def h_n_window(oracle: DistanceOracle, window: CEtaWindow,
                               key=shortlex_key))
     # h with d(e,h) <= horizon - d(e,g_n) has d(e, g_n·h) <= horizon, so
     # its preimage was a window host and h cannot be missing.
-    rho = window.horizon - oracle.distance((), g_n, RELATIVE)
+    rho = window.horizon - oracle.distance((), g_n)
     return HnWindow(window.n, g_n, translated, rho)
 
 
@@ -249,17 +249,17 @@ def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
                   for x in window_a.elements for y in window_b.elements}
     matches = []
     for g in sorted(candidates, key=shortlex_key):
-        dg = dist((), g, RELATIVE)
+        dg = dist((), g)
         r = min(rho_a, rho_b - dg)
         if dg > r:
             continue
         moved = {group.multiply(g, h) for h in window_b.elements}
         if frozenset(h for h in moved
-                     if dist((), h, RELATIVE) <= r) == window_a.within(r, oracle):
+                     if dist((), h) <= r) == window_a.within(r, oracle):
             matches.append(g)
     bound = 8 * nu
     violations = tuple(g for g in matches
-                       if dist((), g, RELATIVE) > bound)
+                       if dist((), g) > bound)
     return Lemma418Report(window_a.n, d_star, min(rho_a, rho_b // 2),
                           tuple(matches), bound, violations,
-                          bound_K(nu, bound_B(oracle.graph, nu)))
+                          bound_K(nu, bound_B(oracle, nu)))

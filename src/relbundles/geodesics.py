@@ -6,18 +6,18 @@ d(u,w) + d(w,v) = d(u,v), arranged in layers by d(u,·), with edges only
 between consecutive layers.  An edge is its alphabet symbol (see
 `relgraph`), so paths are enumerated and spelled by symbols.  Where the
 normal form u⁻¹v spells the one geodesic, the DAG is that chain: on a
-plain free group, and on a plain free product in the relative metric when
-every syllable of u⁻¹v is coned (one edge per syllable, as syllable
-boundaries are cut points).  Otherwise it is grown layer by layer, asking
-the oracle about each candidate vertex; that build is also the chain's
-referee in the tests.  A bundle toward a direction is the DAG to a deep
+plain free group, and on a plain free product when every syllable of u⁻¹v
+is coned (one edge per syllable, as syllable boundaries are cut points).
+Otherwise it is grown layer by layer, asking the oracle about each
+candidate vertex; that build is also the chain's referee in the tests.  A bundle toward a direction is the DAG to a deep
 vertex on the direction's ray, grown only to the requested depth; a
 margin controls how much deeper the target sits than the cut.  The ray is
 walked once per bundle, by `ray_vertex`, which checks each step geodesic.
 
 A function here that measures takes the `DistanceOracle` alone, as in
 `geodesic_dag(oracle, u, v)`, and reads the graph and group the oracle was
-built over as `oracle.graph` and `oracle.group`.
+built over as `oracle.graph` and `oracle.group`, in the oracle's one
+metric: a DAG in the word metric is `geodesic_dag(oracle.absolute, u, v)`.
 """
 
 from __future__ import annotations
@@ -27,12 +27,7 @@ from dataclasses import dataclass
 from itertools import accumulate, chain, islice
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import (
-    RELATIVE,
-    DistanceOracle,
-    RelativeGraph,
-    ResourceLimitError,
-)
+from .relgraph import DistanceOracle, RelativeGraph, ResourceLimitError
 
 
 class DirectionError(ValueError):
@@ -71,7 +66,6 @@ class SymbolPath:
 
 
 def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
-                 metric: str = RELATIVE,
                  depth: int | None = None) -> GeodesicDAG:
     """Every vertex and edge on a geodesic from u to v, up to layer `depth`.
 
@@ -81,39 +75,39 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
     and edges in the same order, and cut at layer min(depth, d(u, v)), the
     DAG's `length`.
     """
-    spelled = spelled_geodesic(oracle, u, v, metric)
+    spelled = spelled_geodesic(oracle, u, v)
     if spelled is None:
-        return _layered_dag(oracle, u, v, metric, depth)
+        return _layered_dag(oracle, u, v, depth)
     steps, vertices = spelled
     stop = len(steps) if depth is None else min(depth, len(steps))
     path = list(islice(vertices, stop + 1))
-    symbol = oracle.graph.symbols(metric)
+    symbol = oracle.graph.symbols
     successors = {x: [(symbol[s], y)] for x, s, y in zip(path, steps, path[1:])}
     successors[path[-1]] = []
     return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors)
 
 
-def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
-                     metric: str) -> tuple[list[Word], Iterable[Word]] | None:
+def spelled_geodesic(oracle: DistanceOracle, u: Word,
+                     v: Word) -> tuple[list[Word], Iterable[Word]] | None:
     """The step elements and vertices of the one geodesic from u to v, where
     the oracle's normal form spells it; else None.
 
     On a plain free group the steps are the letters of the reduced word
     u⁻¹v, and the vertices the prefixes of u back to the prefix u and v
     share, then the longer prefixes of v.  On a plain free product, when
-    every syllable of u⁻¹v lies in a factor the metric cones (only parabolic
-    ones, and only in the relative metric), each syllable is one edge and
-    syllable boundaries are cut points, so the steps are the syllables.
+    every syllable of u⁻¹v lies in a factor the oracle cones (a parabolic
+    one; the word metric's oracle cones none), each syllable is one edge
+    and syllable boundaries are cut points, so the steps are the syllables.
     The vertices are yielded lazily, so a cut DAG forms only those it keeps.
     """
-    pair = oracle._pair[metric]
+    pair = oracle._pair
     if pair is DistanceOracle._free_distance:
-        k = (len(u) + len(v) - oracle.distance(u, v, metric)) // 2
+        k = (len(u) + len(v) - oracle.distance(u, v)) // 2
         steps = [(-a,) for a in reversed(u[k:])] + [(b,) for b in v[k:]]
         return steps, chain((u[:i] for i in range(len(u), k - 1, -1)),
                             (v[:j] for j in range(k + 1, len(v) + 1)))
     if pair is DistanceOracle._syllable_distance:
-        g, coned = oracle.group, oracle._coned[metric]
+        g, coned = oracle.group, oracle._coned
         syllables = g.syllables(g.multiply(g.inverse(u), v))
         if all(f in coned for f, _ in syllables):
             steps = [g.lift(f, x) for f, x in syllables]
@@ -122,7 +116,6 @@ def spelled_geodesic(oracle: DistanceOracle, u: Word, v: Word,
 
 
 def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
-                 metric: str = RELATIVE,
                  depth: int | None = None) -> GeodesicDAG:
     """The DAG grown outward from u, for any oracle.
 
@@ -137,7 +130,7 @@ def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
     graph's moves; that guard raises ResourceLimitError naming u, v and
     the layer.
     """
-    length = oracle.distance(u, v, metric)
+    length = oracle.distance(u, v)
     stop = length if depth is None else min(depth, length)
     layers: list[tuple[Word, ...]] = [(u,)]
     successors: dict[Word, list[tuple[int, Word]]] = {u: []}
@@ -149,11 +142,11 @@ def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
         found: set[Word] = set()
         for p in layers[-1]:
             out = successors[p]
-            for symbol, w in neighbors(p, metric):
+            for symbol, w in neighbors(p):
                 if w in recent:
                     continue
                 if w not in found:
-                    if not oracle.within(w, v, length - k, metric):
+                    if not oracle.within(w, v, length - k):
                         recent.add(w)  # rejected once, skip other probes
                         continue
                     found.add(w)
@@ -245,7 +238,7 @@ def direction_from_text(graph: RelativeGraph, text: str, name: str = "") -> Dire
         prefix_text, period_text = text.split(":", 1)
     else:
         prefix_text, period_text = "", text
-    alphabet = set(graph.step_words(RELATIVE))
+    alphabet = set(graph.step_words)
 
     def parse_part(part: str) -> tuple[Word, ...]:
         out = []
@@ -269,7 +262,7 @@ def ray_vertex(oracle: DistanceOracle, direction: DirectionSpec, k: int,
     v = base
     for i in range(1, k + 1):
         v = oracle.group.multiply(v, direction.symbol(i - 1))
-        got = oracle.distance(base, v, RELATIVE)
+        got = oracle.distance(base, v)
         if got != i:
             raise DirectionError(
                 i, f"{direction.display()}: prefix of length {i} reaches a "
@@ -291,7 +284,7 @@ def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
     """
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
-    k = depth + margin + oracle.distance(anchor, x, RELATIVE)
+    k = depth + margin + oracle.distance(anchor, x)
     t = ray_vertex(oracle, direction, k, base=anchor)
     return geodesic_dag(oracle, x, t, depth=depth)
 

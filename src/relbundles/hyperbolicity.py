@@ -6,9 +6,10 @@ sides, and the reported constant is the worst defect over a triangle
 family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
-needed.  Both metrics are scored in one pass over the same sides, where
-the triangle sits.  A side is placed once per unordered endpoint pair and
-cached for the sweep (`_TriangleProbe`).  Where the oracle's normal form
+needed.  Both metrics, the word one by `oracle.absolute`, are scored in
+one pass over the same sides, where the triangle sits.  A side is placed
+once per unordered endpoint pair and cached for the sweep
+(`_TriangleProbe`).  Where the oracle's normal form
 spells the one geodesic (`spelled_geodesic`: a plain free group, or a
 plain free product whose syllables of u⁻¹v are all coned), the side is
 that chain's vertices, read off u and v with no DAG and, on a free group,
@@ -29,13 +30,15 @@ alone and sweep the graph it was built over, `oracle.graph`.
 from __future__ import annotations
 
 import random
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 from itertools import combinations_with_replacement
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import ABSOLUTE, METRICS, RELATIVE, DistanceOracle, RelativeGraph
+from .relgraph import ABSOLUTE, RELATIVE, DistanceOracle
 from .geodesics import GeodesicDAG, geodesic_dag, spelled_geodesic
+
+Distance = Callable[[Word, Word], int]
 
 
 @dataclass(frozen=True)
@@ -58,38 +61,39 @@ class SlimnessReport:
     witnesses: tuple[TriangleWitness, ...]
 
 
-def _check_geodesic(oracle: DistanceOracle, path: tuple[Word, ...], metric: str) -> None:
+def _check_geodesic(oracle: DistanceOracle, path: tuple[Word, ...]) -> None:
     if not path:
         raise SpecError("a triangle side must contain at least one vertex")
-    if len(path) - 1 != oracle.distance(path[0], path[-1], metric):
+    if len(path) - 1 != oracle.distance(path[0], path[-1]):
         raise SpecError(
             f"side of length {len(path) - 1} is not geodesic between its endpoints")
     for u, v in zip(path, path[1:]):
-        if oracle.distance(u, v, metric) != 1:
+        if oracle.distance(u, v) != 1:
             raise SpecError("side vertices are not consecutive neighbors")
 
 
 def triangle_defect(oracle: DistanceOracle, p: tuple[Word, ...],
                     q: tuple[Word, ...], r: tuple[Word, ...],
-                    metric: str = RELATIVE,
-                    side_metric: str = RELATIVE) -> int:
+                    measure: DistanceOracle | None = None) -> int:
     """Worst distance from a vertex of one side to the union of the others.
 
     The three paths must close up cyclically (p: x→y, q: y→z, r: z→x) and
-    each must be geodesic in `side_metric`; the defect itself is measured
-    in `metric`, maximized over the three rotations.
+    each must be geodesic for `oracle`; the defect itself is measured by
+    `measure` (`oracle` when None, `oracle.absolute` for the word metric),
+    maximized over the three rotations.
     """
     for side in (p, q, r):
-        _check_geodesic(oracle, side, side_metric)
+        _check_geodesic(oracle, side)
     if p[-1] != q[0] or q[-1] != r[0] or r[-1] != p[0]:
         raise SpecError("triangle sides do not share endpoints cyclically")
+    dist = (measure or oracle).distance
     worst = 0
     sides = (p, q, r)
     for i in range(3):
         probe = sides[i]
         others = set(sides[(i + 1) % 3]) | set(sides[(i + 2) % 3])
         for u in probe:
-            d = min(oracle.distance(u, v, metric) for v in others)
+            d = min(dist(u, v) for v in others)
             worst = max(worst, d)
     return worst
 
@@ -131,10 +135,15 @@ class _TriangleProbe:
     stops at the first distance at or below it: over a chain, at a vertex;
     over a DAG, at a layer, as every path crosses every layer; and over a
     pair of sides, at the first, which is a chain where one is.
+
+    Each metric's defect is measured by its own oracle, the relative one
+    first, which decides the witness of a tie.
     """
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
+        self._measures = ((RELATIVE, oracle.distance),
+                          (ABSOLUTE, oracle.absolute.distance))
         self._sides: dict[tuple[Word, Word], tuple[tuple[Word, ...] | GeodesicDAG, int]] = {}
         self._words: dict[Word, Word] = {}
         self._bits: dict[Word, int] = {}
@@ -154,7 +163,7 @@ class _TriangleProbe:
         return entry
 
     def _place(self, u: Word, v: Word) -> tuple[Word, ...] | GeodesicDAG:
-        spelled = spelled_geodesic(self.oracle, u, v, RELATIVE)
+        spelled = spelled_geodesic(self.oracle, u, v)
         if spelled is not None:
             path = spelled[1]
         else:
@@ -173,27 +182,27 @@ class _TriangleProbe:
         of tied vertices the first keeps the defect.
         """
         sides = (self._side(a, b), self._side(b, c), self._side(a, c))
-        dist = self.oracle.distance
+        measures = self._measures
 
-        def nearest(u: Word, ys: Iterable[Word], m: str, floor: int) -> int:
+        def nearest(u: Word, ys: Iterable[Word], dist: Distance, floor: int) -> int:
             """min over ys of d(u, y), or the first value at or below floor."""
             best = None
             for y in ys:
-                d = dist(u, y, m)
+                d = dist(u, y)
                 if d <= floor:
                     return d
                 if best is None or d < best:
                     best = d
             return best
 
-        def opposite(u: Word, s: tuple[Word, ...] | GeodesicDAG, m: str, floor: int) -> int:
+        def opposite(u: Word, s: tuple[Word, ...] | GeodesicDAG, dist: Distance, floor: int) -> int:
             if isinstance(s, tuple):
-                return nearest(u, s, m, floor)
+                return nearest(u, s, dist, floor)
             cost: dict[Word, int] = {}
             for layer in s.layers:
                 top = 0
                 for x in layer:
-                    d = cost[x] = dist(u, x, m)
+                    d = cost[x] = dist(u, x)
                     if d > top:
                         top = d
                 if top <= floor:
@@ -212,19 +221,19 @@ class _TriangleProbe:
                     continue
                 union = vertices(q) | vertices(r)
                 for u in vertices(p) - union:
-                    for m in METRICS:
-                        d = nearest(u, union, m, worst[m][0])
+                    for m, dist in measures:
+                        d = nearest(u, union, dist, worst[m][0])
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
                 if isinstance(r, tuple):
                     q, r = r, q
                 for u in vertices(p):
-                    for m in METRICS:
+                    for m, dist in measures:
                         floor = worst[m][0]
-                        d = opposite(u, q, m, floor)
+                        d = opposite(u, q, dist, floor)
                         if d > floor:
-                            d = min(d, opposite(u, r, m, floor))
+                            d = min(d, opposite(u, r, dist, floor))
                             if d > floor:
                                 worst[m] = (d, u)
         return worst
@@ -247,7 +256,7 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
     if triangle_budget < 0:
         raise SpecError("triangle_budget must be nonnegative")
     probe = _TriangleProbe(oracle)
-    ball_small = oracle.graph.ball((), exhaustive_radius, RELATIVE)
+    ball_small = oracle.graph.ball((), exhaustive_radius)
     small = sorted(ball_small.entries, key=shortlex_key)
     worst: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
     exhaustive: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
@@ -274,7 +283,7 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
 
     rng = random.Random(seed)
     if triangle_budget > 0:
-        ball_big = oracle.graph.ball((), ball_radius, RELATIVE)
+        ball_big = oracle.graph.ball((), ball_radius)
         big = sorted(ball_big.entries, key=shortlex_key)
         for _ in range(triangle_budget):
             a, b, c = (rng.choice(big) for _ in range(3))
@@ -295,11 +304,11 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
 # ---------------------------------------------------------------------------
 # derived constants
 
-def bound_B(graph: RelativeGraph, nu: int) -> int:
-    """(6·nu + 1) times the size of the absolute ball of radius nu."""
+def bound_B(oracle: DistanceOracle, nu: int) -> int:
+    """(6·nu + 1) times the size of the word-metric ball of radius nu."""
     if nu < 0:
         raise SpecError("nu must be nonnegative")
-    ball = graph.ball((), nu, ABSOLUTE)
+    ball = oracle.absolute.graph.ball((), nu)
     return (6 * nu + 1) * len(ball.entries)
 
 

@@ -3,9 +3,10 @@
 The graph is never materialized globally: vertices are canonical words and
 adjacency comes from a fixed move alphabet.  The relative metric travels
 over absolute generator edges plus one edge per non-identity parabolic
-element; the absolute metric uses generator edges only.  Cone points are
-implicit — the two half-edges through a coset's cone vertex collapse to a
-single parabolic edge between group elements, keeping distances integral.
+element; the absolute metric is that of the group with no parabolic, so a
+graph measures one metric and `DistanceOracle.absolute` is the other.
+Cone points are implicit — the two half-edges through a coset's cone vertex
+collapse to a single parabolic edge, keeping distances integral.
 
 A generator that also lies in a parabolic factor gives parallel edges
 carrying one element.  Below the display layer an edge is its alphabet
@@ -15,8 +16,8 @@ symbol's element with the names of its labels, which the DOT files print
 and `validate-spec` counts.
 
 Distance queries dispatch to closed forms where the family admits one.
-Otherwise the oracle keeps one ball around e per metric, valid for every
-query because the metric is left-invariant: a query inside it is a lookup,
+Otherwise the oracle keeps one ball around e, valid for every query
+because the metric is left-invariant: a query inside it is a lookup,
 and one outside meets it in a bidirectional search with a meet certificate,
 growing the ball as it goes; a bounded query d(u, v) ≤ b stops at b.
 Every oracle mode is cross-checked against the plain bidirectional BFS
@@ -25,7 +26,8 @@ Every oracle mode is cross-checked against the plain bidirectional BFS
 
 from __future__ import annotations
 
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
+from functools import cached_property
 from typing import Callable
 
 from .groups import (
@@ -35,13 +37,13 @@ from .groups import (
     SpecError,
     TableGroup,
     Word,
+    build_group,
     free_reduce,
     shortlex_key,
 )
 
 RELATIVE = "relative"
 ABSOLUTE = "absolute"
-METRICS = (RELATIVE, ABSOLUTE)
 
 DEFAULT_VERTEX_CAP = 5_000_000
 
@@ -63,7 +65,6 @@ class BallTable:
     """
 
     radius: int
-    metric: str
     entries: dict[Word, int]
     frontiers: tuple[tuple[Word, ...], ...]
 
@@ -90,74 +91,56 @@ class RelativeGraph:
                 raise SpecError(f"adjoined generator {text!r} is the identity")
             name = "".join(text.split())
             self._x_labels += [(name, w), (name + "'", group.inverse(w))]
-        self._alphabets: dict[str, Alphabet] = {}
-        self._steps: dict[str, tuple[Word, ...]] = {}
-        self._symbols: dict[str, dict[Word, int]] = {}
 
     # -- move alphabet -----------------------------------------------------
 
-    def alphabet(self, metric: str = RELATIVE) -> Alphabet:
+    @cached_property
+    def alphabet(self) -> Alphabet:
         """Distinct move elements with the names of all their labels.
 
         Labels come in a fixed order: the generators of X as declared,
-        primitive then adjoined, each + before −; then, for the relative
-        metric, one `H{slot}:{h}` per non-identity element h of each
-        parabolic factor, by slot and shortlex h.  Symbols, the positions
-        in this table, follow the least label of each element; they are
-        the canonical enumeration of the symmetrized alphabet used for
-        binary coding.  A table is built on first use and kept only once
-        built, so an infinite parabolic raises on every relative call and
-        the absolute table still builds.
+        primitive then adjoined, each + before −; then one `H{slot}:{h}`
+        per non-identity element h of each parabolic factor, by slot and
+        shortlex h.  Symbols, the positions in this table, follow the least
+        label of each element; they are the canonical enumeration of the
+        symmetrized alphabet used for binary coding.  Generator labels come
+        first, so the word metric's alphabet (the same group with no
+        parabolic) is a prefix of this one and a symbol names the same
+        element in both.  The table is built on first use and kept only
+        once built, so an infinite parabolic raises on every use.
         """
-        table = self._alphabets.get(metric)
-        if table is not None:
-            return table
-        if metric not in METRICS:
-            raise SpecError(f"unknown metric {metric!r}")
         labels = list(self._x_labels)
         g = self.group
-        if metric == RELATIVE and isinstance(g, FreeProductGroup):
+        if isinstance(g, FreeProductGroup):
             for slot in sorted(g.parabolic_slots):
                 labels += [(f"H{slot}:{g.format(h)}", h)
                            for h in g.parabolic_elements(slot)]
         names: dict[Word, list[str]] = {}
         for name, w in labels:
             names.setdefault(w, []).append(name)
-        table = self._alphabets[metric] = tuple(
-            (w, tuple(ns)) for w, ns in names.items())
-        return table
+        return tuple((w, tuple(ns)) for w, ns in names.items())
 
-    def step_words(self, metric: str = RELATIVE) -> tuple[Word, ...]:
-        """The element of each symbol.
+    @cached_property
+    def step_words(self) -> tuple[Word, ...]:
+        """The element of each symbol."""
+        return tuple(w for w, _ in self.alphabet)
 
-        Absolute labels come before parabolic ones, so the absolute
-        alphabet is a prefix of the relative one: a symbol names the same
-        element in both metrics.
-        """
-        steps = self._steps.get(metric)
-        if steps is None:
-            steps = self._steps[metric] = tuple(w for w, _ in self.alphabet(metric))
-        return steps
-
-    def symbols(self, metric: str = RELATIVE) -> dict[Word, int]:
+    @cached_property
+    def symbols(self) -> dict[Word, int]:
         """The symbol of each move element: `step_words` inverted."""
-        table = self._symbols.get(metric)
-        if table is None:
-            table = self._symbols[metric] = {
-                w: i for i, w in enumerate(self.step_words(metric))}
-        return table
+        return {w: i for i, w in enumerate(self.step_words)}
 
-    def format_symbol(self, symbol: int, metric: str = RELATIVE) -> str:
+    def format_symbol(self, symbol: int) -> str:
         """Every label of a symbol, joined by "|" in label order."""
-        return "|".join(self.alphabet(metric)[symbol][1])
+        return "|".join(self.alphabet[symbol][1])
 
     # -- adjacency -----------------------------------------------------------
 
-    def neighbors(self, v: Word, metric: str = RELATIVE) -> list[tuple[int, Word]]:
+    def neighbors(self, v: Word) -> list[tuple[int, Word]]:
         """(symbol, neighbor) pairs in symbol order, one per distinct
         neighbor: distinct elements move v to distinct vertices."""
         out = []
-        for symbol, w in enumerate(self.step_words(metric)):
+        for symbol, w in enumerate(self.step_words):
             u = self.group.multiply(v, w)
             if u != v:
                 out.append((symbol, u))
@@ -167,16 +150,19 @@ class RelativeGraph:
 
     def ball(self, center: Word, radius: int, metric: str = RELATIVE) -> BallTable:
         """Exact BFS ball; raises ResourceLimitError past the vertex cap."""
+        # `metric` can only be the graph's own; perfbench/run.py passes it
+        if metric != RELATIVE:
+            raise SpecError(f"a graph measures the relative metric, not {metric!r}")
         if radius < 0:
             raise SpecError("radius must be nonnegative")
-        start = BallTable(0, metric, {center: 0}, ((center,),))
+        start = BallTable(0, {center: 0}, ((center,),))
         return self.grow_ball(start, radius)
 
     def grow_ball(self, table: BallTable, radius: int) -> BallTable:
         """Extend a ball outward, reusing everything already computed."""
         if radius <= table.radius:
             return table
-        steps = self.step_words(table.metric)
+        steps = self.step_words
         entries = dict(table.entries)
         frontiers = list(table.frontiers)
         frontier = list(frontiers[table.radius]) if table.radius < len(frontiers) else []
@@ -197,14 +183,13 @@ class RelativeGraph:
                 break
         while len(frontiers) < radius + 1:
             frontiers.append(())
-        return BallTable(radius, table.metric, entries, tuple(frontiers))
+        return BallTable(radius, entries, tuple(frontiers))
 
-    def distance_bfs(self, u: Word, v: Word, metric: str = RELATIVE,
-                     max_radius: int = 64) -> int:
+    def distance_bfs(self, u: Word, v: Word, max_radius: int = 64) -> int:
         """Bidirectional BFS; exact once frontier radii certify the meet."""
         if u == v:
             return 0
-        steps = self.step_words(metric)
+        steps = self.step_words
         du, dv = {u: 0}, {v: 0}
         fu, fv = [u], [v]
         ru = rv = 0
@@ -240,20 +225,18 @@ class RelativeGraph:
 class DistanceOracle:
     """Exact distance queries, specialized per group family.
 
-    Free groups over their primitive generators use |u| + |v| minus twice
-    their common prefix; finite tables use the canonical length of u⁻¹v;
-    free products charge 1 per coned syllable of u⁻¹v and the factor
-    length otherwise, read off where the syllables of u and v part, without
-    building u⁻¹v.  One syllable walk serves both metrics: the relative one
-    cones the parabolic factors, the absolute one none, as word length adds
-    over syllables.  A free group with adjoined generators uses a parse DP
-    of u⁻¹v when the alphabet passes the junction check below; it has no
-    parabolic moves, so both metrics share the DP and its memo.  Anything
-    else uses one ball around e per metric:
-    d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and otherwise
-    a bidirectional search whose fixed side is the ball.  The ball is never
-    invalidated, only grown, and the sizes of its outer sphere and of the
-    search frontier decide how far.
+    An oracle measures its graph's one metric.  Free groups over their
+    primitive generators use |u| + |v| minus twice their common prefix;
+    finite tables use the canonical length of u⁻¹v; free products charge 1
+    per coned (parabolic) syllable of u⁻¹v and the factor length otherwise,
+    read off where the syllables of u and v part, without building u⁻¹v.
+    A free group with adjoined generators uses a parse DP of u⁻¹v when the
+    alphabet passes the junction check below.  Anything else uses one ball
+    around e: d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and
+    otherwise a bidirectional search whose fixed side is the ball.  The
+    ball is never invalidated, only grown, and the sizes of its outer
+    sphere and of the search frontier decide how far.  The parse DP and
+    the ball search share one memo keyed by u⁻¹v.
 
     `within(u, v, bound)` answers d(u, v) ≤ bound.  The closed forms and
     the parse DP read it off `distance`; the ball search stops once its two
@@ -264,33 +247,44 @@ class DistanceOracle:
     def __init__(self, graph: RelativeGraph):
         self.graph = graph
         self.group = graph.group
-        self._memo: dict[tuple[str, Word], int] = {}
-        self._balls: dict[str, BallTable] = {}
+        self._memo: dict[Word, int] = {}
+        self._ball = BallTable(0, {(): 0}, (((),),))
         g = self.group
         plain = not g.spec.redundant_generators
-        # One d(u, v) per metric, picked here so that a query pays no
-        # dispatch.  The functions are stored unbound: bound methods would
-        # tie the oracle, its memo and its balls into a reference cycle.
+        # d(u, v), picked here so that a query pays no dispatch.  The
+        # function is stored unbound: a bound method would tie the oracle,
+        # its memo and its ball into a reference cycle.
         cls = DistanceOracle
-        self._pair: dict[str, Callable[[DistanceOracle, Word, Word, str], int]]
+        self._pair: Callable[[DistanceOracle, Word, Word], int]
         if isinstance(g, FreeGroup) and plain:
-            self._pair = dict.fromkeys(METRICS, cls._free_distance)
+            self._pair = cls._free_distance
         elif isinstance(g, TableGroup) and plain:
-            self._pair = dict.fromkeys(METRICS, cls._word_distance)
+            self._pair = cls._word_distance
         elif isinstance(g, FreeProductGroup) and plain:
-            # the factors whose syllables count 1, per metric
-            self._coned = {RELATIVE: frozenset(g.parabolic_slots),
-                           ABSOLUTE: frozenset()}
-            self._pair = dict.fromkeys(METRICS, cls._syllable_distance)
+            # the factors whose syllables count 1
+            self._coned = frozenset(g.parabolic_slots)
+            self._pair = cls._syllable_distance
         elif isinstance(g, FreeGroup):
-            self._t_words = frozenset(graph.step_words(ABSOLUTE))
+            self._t_words = frozenset(graph.step_words)
             self._t_maxlen = max(map(len, self._t_words), default=0)
-            self._parses: dict[Word, int] = {}
-            pair = (cls._parsed_distance if self._junction_check()
-                    else cls._searched_distance)
-            self._pair = dict.fromkeys(METRICS, pair)
+            self._pair = (cls._parsed_distance if self._junction_check()
+                          else cls._searched_distance)
         else:
-            self._pair = dict.fromkeys(METRICS, cls._searched_distance)
+            self._pair = cls._searched_distance
+
+    @property
+    def absolute(self) -> DistanceOracle:
+        """The word metric's oracle: the same group with no parabolic.
+
+        That is this oracle where none is declared (not stored: a reference
+        cycle), and otherwise one built on first use and kept.
+        """
+        return self._word_oracle if self.group.spec.parabolics else self
+
+    @cached_property
+    def _word_oracle(self) -> DistanceOracle:
+        group = build_group(replace(self.group.spec, parabolics=()))
+        return DistanceOracle(RelativeGraph(group, self.graph.vertex_cap))
 
     def _junction_check(self) -> bool:
         """True when every cancelling junction of alphabet words shortcuts.
@@ -320,20 +314,19 @@ class DistanceOracle:
                     dist[j] = dist[i] + 1
         return dist[len(w)]
 
-    def distance(self, u: Word, v: Word, metric: str = RELATIVE) -> int:
+    def distance(self, u: Word, v: Word) -> int:
         if u == v:
             return 0
-        return self._pair[metric](self, u, v, metric)
+        return self._pair(self, u, v)
 
-    def within(self, u: Word, v: Word, bound: int,
-               metric: str = RELATIVE) -> bool:
+    def within(self, u: Word, v: Word, bound: int) -> bool:
         """Whether d(u, v) ≤ bound; a ball search stops once it can tell."""
-        if self._pair[metric] is not DistanceOracle._searched_distance:
-            return self.distance(u, v, metric) <= bound
-        d = self._searched_distance(u, v, metric, bound)
+        if self._pair is not DistanceOracle._searched_distance:
+            return self.distance(u, v) <= bound
+        d = self._searched_distance(u, v, bound)
         return d is not None and d <= bound
 
-    def _free_distance(self, u: Word, v: Word, metric: str) -> int:
+    def _free_distance(self, u: Word, v: Word) -> int:
         # the common prefix of reduced words is what cancels in u⁻¹v
         k = 0
         for a, b in zip(u, v):
@@ -342,36 +335,35 @@ class DistanceOracle:
             k += 1
         return len(u) + len(v) - 2 * k
 
-    def _word_distance(self, u: Word, v: Word, metric: str) -> int:
+    def _word_distance(self, u: Word, v: Word) -> int:
         return len(self.group.multiply(self.group.inverse(u), v))
 
-    def _syllable_distance(self, u: Word, v: Word, metric: str) -> int:
-        return self.group.syllable_distance(u, v, self._coned[metric])
+    def _syllable_distance(self, u: Word, v: Word) -> int:
+        return self.group.syllable_distance(u, v, self._coned)
 
-    def _parsed_distance(self, u: Word, v: Word, metric: str) -> int:
-        """Parse DP on u⁻¹v, memoized once for both metrics."""
+    def _parsed_distance(self, u: Word, v: Word) -> int:
+        """Parse DP on u⁻¹v, memoized."""
         w = self.group.multiply(self.group.inverse(u), v)
-        d = self._parses.get(w)
+        d = self._memo.get(w)
         if d is None:
-            d = self._parses[w] = self._parse_dp(w)
+            d = self._memo[w] = self._parse_dp(w)
         return d
 
-    def _searched_distance(self, u: Word, v: Word, metric: str,
+    def _searched_distance(self, u: Word, v: Word,
                            bound: int | None = None) -> int | None:
         """Ball search on u⁻¹v, memoized with its inverse; None when a
         search bounded by `bound` proves d(u, v) > bound."""
         w = self.group.multiply(self.group.inverse(u), v)
-        key = (metric, w)
-        hit = self._memo.get(key)
+        hit = self._memo.get(w)
         if hit is not None:
             return hit
-        d = self._ball_search(w, metric, bound)
+        d = self._ball_search(w, bound)
         if d is not None:
-            self._memo[key] = d
-            self._memo[(metric, self.group.inverse(w))] = d
+            self._memo[w] = d
+            self._memo[self.group.inverse(w)] = d
         return d
 
-    def _ball_search(self, w: Word, metric: str, bound: int | None = None,
+    def _ball_search(self, w: Word, bound: int | None = None,
                      max_radius: int = 64) -> int | None:
         """|w| by a lookup in the ball around e, or a search from w to it.
 
@@ -384,13 +376,11 @@ class DistanceOracle:
         it, |w| > bound and the search returns None.
         """
         graph = self.graph
-        ball = self._balls.get(metric)
-        if ball is None:
-            ball = self._balls[metric] = graph.ball((), 0, metric)
+        ball = self._ball
         hit = ball.entries.get(w)
         if hit is not None:
             return hit
-        steps = graph.step_words(metric)
+        steps = graph.step_words
         seen = {w: 0}
         frontier = [w]
         k = 0
@@ -405,7 +395,7 @@ class DistanceOracle:
             if k + ball.radius >= max_radius:
                 raise ResourceLimitError(f"distance search exceeded {max_radius}")
             if not frontier or 0 < len(sphere) <= len(frontier):
-                ball = self._balls[metric] = graph.grow_ball(ball, ball.radius + 1)
+                ball = self._ball = graph.grow_ball(ball, ball.radius + 1)
                 for y in ball.sphere(ball.radius):
                     d = seen.get(y)
                     if d is not None and (best is None or ball.radius + d < best):
@@ -440,9 +430,9 @@ def export_ball_dot(graph: RelativeGraph, table: BallTable) -> str:
     for v in order:
         lines.append(f'  n{ids[v]} [label="{fmt(v)}"];')
     for v in order:
-        for symbol, u in graph.neighbors(v, table.metric):
+        for symbol, u in graph.neighbors(v):
             if u in table.entries and shortlex_key(v) < shortlex_key(u):
-                text = graph.format_symbol(symbol, table.metric)
+                text = graph.format_symbol(symbol)
                 lines.append(f'  n{ids[v]} -- n{ids[u]} [label="{text}"];')
     lines.append("}")
     return "\n".join(lines) + "\n"

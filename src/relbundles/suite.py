@@ -33,7 +33,6 @@ from .groups import (
     spec_hash,
 )
 from .relgraph import (
-    RELATIVE,
     DistanceOracle,
     RelativeGraph,
     ResourceLimitError,
@@ -336,7 +335,7 @@ def _check_coding(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
                 violations += 1
             if not set(t_n) <= set(prev_t):
                 violations += 1
-        trend.append([n, oracle.distance((), g_n, RELATIVE), len(t_n)])
+        trend.append([n, oracle.distance((), g_n), len(t_n)])
         prev_s, prev_t = s_n, t_n
     return CheckResult(
         check_id, _status_from(violations, len(flags)),
@@ -382,7 +381,13 @@ def _check_lemma418_pair(check_id: str, eta: DirectionPipeline,
 
 def order_property_violations(samples: int, seed: int,
                               sizes: tuple[int, ...] = (2, 3)) -> int:
-    """Exhaustive n=1 plus sampled checks that <_n order survives growth."""
+    """Exhaustive n=1 plus sampled checks that <_n order survives growth.
+
+    The count is 0 for every draw: `order_key(label.restrict(m))` is a
+    prefix of `order_key(label)`, as both list the k×k corners for
+    k = 1..m first.  So the keys of u and v first differ where those of
+    their m-restrictions do, and compare alike.
+    """
     bad = 0
     two_by_two = [RestrictedLabel(2, (tuple(bits[:2]), tuple(bits[2:])))
                   for bits in itertools.product((0, 1), repeat=4)]
@@ -403,9 +408,10 @@ def order_property_violations(samples: int, seed: int,
 
 
 def _random_label(rng: random.Random, n: int) -> RestrictedLabel:
-    return RestrictedLabel(
-        n, tuple(tuple(rng.randint(0, 1) for _ in range(n))
-                 for _ in range(n)))
+    """An n-label whose n² bits come from one draw, row by row."""
+    bits = f"{rng.getrandbits(n * n):0{n * n}b}"
+    return RestrictedLabel(n, tuple(tuple(map(int, bits[i:i + n]))
+                                    for i in range(0, n * n, n)))
 
 
 def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:
@@ -419,7 +425,7 @@ def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:
 def brute_force_geodesics(oracle: DistanceOracle, u: Word,
                           v: Word) -> set[tuple[Word, ...]]:
     """Depth-first vertex paths u→v of geodesic length, no DAG involved."""
-    length = oracle.distance(u, v, RELATIVE)
+    length = oracle.distance(u, v)
     found: set[tuple[Word, ...]] = set()
 
     def walk(w: Word, path: tuple[Word, ...]):
@@ -428,9 +434,9 @@ def brute_force_geodesics(oracle: DistanceOracle, u: Word,
                 found.add(path)
             return
         remaining = length - (len(path) - 1)
-        for _, x in oracle.graph.neighbors(w, RELATIVE):
+        for _, x in oracle.graph.neighbors(w):
             # exact, not `within`: a referee sharing the DAG's test shares its faults
-            if oracle.distance(x, v, RELATIVE) == remaining - 1:
+            if oracle.distance(x, v) == remaining - 1:
                 walk(x, path + (x,))
 
     walk(u, (u,))
@@ -441,13 +447,13 @@ def oracle_equivalence_violations(oracle: DistanceOracle, samples: int,
                                   max_distance: int, seed: int) -> int:
     """DAG-based enumeration vs naive DFS on random nearby pairs."""
     rng = random.Random(seed)
-    pool = oracle.graph.ball((), max_distance, RELATIVE)
+    pool = oracle.graph.ball((), max_distance)
     vertices = sorted(pool.entries, key=shortlex_key)
     bad = 0
     for _ in range(samples):
         u, v = rng.choice(vertices), rng.choice(vertices)
         # exact, not `within`: the referee's sample stays off the DAG's test
-        if oracle.distance(u, v, RELATIVE) > max_distance:
+        if oracle.distance(u, v) > max_distance:
             continue
         dag = geodesic_dag(oracle, u, v)
         paths, truncated = enumerate_geodesics(dag, max_count=100_000)
@@ -536,7 +542,7 @@ def _check_equivariance(check_id: str,
     graph, group = plain.oracle.graph, plain.oracle.group
     want_e = plain.geo1((), cfg.depth).vertices
     rng = random.Random(cfg.seed)
-    pool = sorted(graph.ball((), 2, RELATIVE).entries, key=shortlex_key)
+    pool = sorted(graph.ball((), 2).entries, key=shortlex_key)
     bad = 0
     tried = []
     for _ in range(3):
@@ -608,7 +614,7 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         ray_vertex(oracle, direction, cfg.depth)
 
     slim, nu = _check_slimness(oracle, cfg)
-    b_cap = bound_B(graph, nu)
+    b_cap = bound_B(oracle, nu)
     k_cap = bound_K(nu, b_cap)
 
     # One pipeline per (direction, anchor), shared by every check.

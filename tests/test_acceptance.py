@@ -20,7 +20,7 @@ import pytest
 
 from relbundles.cli import load_config
 from relbundles.groups import build_group, load_spec, shortlex_key
-from relbundles.relgraph import ABSOLUTE, RELATIVE, DistanceOracle, RelativeGraph
+from relbundles.relgraph import DistanceOracle, RelativeGraph
 from relbundles.geodesics import direction_from_text, enumerate_geodesics, geodesic_dag
 from relbundles.bundles import DirectionPipeline, symdiff_scan
 from relbundles.coding import (
@@ -161,9 +161,9 @@ def test_criterion_2_layer_bounds_hold(bounds_runs):
         if slim.details["triangles_checked"] < 10_000:
             problems.append(f"{name}: only {slim.details['triangles_checked']}"
                             " triangles")
-        graph = _oracle(BOUNDS_SPECS[name]).graph
+        graph = _oracle(BOUNDS_SPECS[name]).absolute.graph
         nu = report.constants["nu"]
-        ball = graph.ball((), nu, ABSOLUTE)
+        ball = graph.ball((), nu)
         if report.constants["B"] != (6 * nu + 1) * len(ball.entries):
             problems.append(f"{name}: B != (6ν+1)|B_X^ν(e)|")
         layer_checks = _checks(report, "layer-bound[")
@@ -290,8 +290,8 @@ def _equivariance_mismatches(spec_name: str, samples: int, seed: int) -> tuple[i
     oracle = _oracle(spec_name)
     group, graph = oracle.group, oracle.graph
     rng = random.Random(seed)
-    pool = sorted(graph.ball((), 3, RELATIVE).entries, key=shortlex_key)
-    shifts = sorted(graph.ball((), 2, RELATIVE).entries, key=shortlex_key)
+    pool = sorted(graph.ball((), 3).entries, key=shortlex_key)
+    shifts = sorted(graph.ball((), 2).entries, key=shortlex_key)
     bad = done = 0
     while done < samples:
         u, v = rng.choice(pool), rng.choice(pool)
@@ -422,8 +422,8 @@ def test_criterion_9_bounds_hold_beyond_nu_zero():
     want = {"nu": 1, "nu_rel": 1, "nu_abs": 1, "B": 28, "K": 588}
     if report.constants != want:
         problems.append(f"constants {report.constants} != {want}")
-    graph = _oracle("z6z2_free.json").graph
-    if report.constants["B"] != 7 * len(graph.ball((), 1, ABSOLUTE).entries):
+    graph = _oracle("z6z2_free.json").absolute.graph
+    if report.constants["B"] != 7 * len(graph.ball((), 1).entries):
         problems.append("B != (6ν+1)|B_X^ν(e)|")
     if report.status() != "pass" or len(report.checks) != 42:
         problems.append(f"status {report.status()} over "

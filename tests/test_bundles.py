@@ -8,7 +8,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
-from relbundles.relgraph import RELATIVE, DistanceOracle, RelativeGraph
+from relbundles.relgraph import DistanceOracle, RelativeGraph
 from relbundles.geodesics import (
     DirectionError,
     direction_from_text,
@@ -84,7 +84,7 @@ def f2_words(max_len: int):
 
 
 def _flat_window(radius: int) -> tuple:
-    ball = GR_F2.ball((), radius, RELATIVE)
+    ball = GR_F2.ball((), radius)
     return tuple(w for layer in ball.frontiers for w in layer)
 
 
@@ -101,7 +101,7 @@ class TestHorofunctionTable:
         window = pipe.window(pipe.window_radius)
         assert len(sig) == len(window)
         for g, value in zip(window, sig):
-            assert value == OR_F2.distance((), g, RELATIVE)
+            assert value == OR_F2.distance((), g)
 
     def test_axis_values(self):
         flat = _flat_window(2)
@@ -121,7 +121,7 @@ class TestHorofunctionTable:
         flat = _flat_window(2)
         values = horofunction(OR_F2, z, flat)
         assert abs(values[flat.index(g)] - values[flat.index(h)]) <= (
-            OR_F2.distance(g, h, RELATIVE))
+            OR_F2.distance(g, h))
 
 
 # ---------------------------------------------------------------------------
@@ -149,7 +149,7 @@ class TestXiClasses:
         deco = pipe.classes_from((), 12)
         window = pipe.window(deco.window_radius)
         assert len(window) == len(deco.classes[0].signature)
-        dists = [OR_Z3Z2.distance((), w, RELATIVE) for w in window]
+        dists = [OR_Z3Z2.distance((), w) for w in window]
         assert dists == sorted(dists)
         assert window[0] == ()
 
@@ -179,7 +179,7 @@ class TestXiClasses:
     def test_no_stable_ray_is_an_error(self):
         class Scrambled(DirectionPipeline):
             def signature(self, z, radius=None):
-                return (OR_F2.distance((), z, RELATIVE),)
+                return (OR_F2.distance((), z),)
 
         pipe = Scrambled(OR_F2, DIR_A, nu=0)
         with pytest.raises(StabilizationError, match="larger depth"):
@@ -197,7 +197,7 @@ class TestSectors:
         sec = pipe.sector((), cls.signature, 8)
         assert sec.vertices == frozenset(
             tuple([1] * k) for k in range(9))
-        assert sorted(OR_F2.distance((), v, RELATIVE)
+        assert sorted(OR_F2.distance((), v)
                       for v in sec.vertices) == list(range(9))
 
     def test_sector_inside_bundle(self):
@@ -218,7 +218,7 @@ class TestSectors:
         d10 = pipe.classes_from((), 10)
         s8 = pipe.sector((), d8.classes[0].signature, 8)
         s10 = pipe.sector((), d10.classes[0].signature, 10)
-        assert max(OR_Z3Z2.distance((), v, RELATIVE)
+        assert max(OR_Z3Z2.distance((), v)
                    for v in s8.vertices) == 8
         assert s8.vertices <= s10.vertices
 
@@ -253,8 +253,8 @@ class TestReadsOffTheBundle:
         frontier = [v]
         for step in range(1, remaining + 1):
             frontier = [w for w in allowed
-                        if oracle.distance(v, w, RELATIVE) == step
-                        and any(oracle.distance(p, w, RELATIVE) == 1
+                        if oracle.distance(v, w) == step
+                        and any(oracle.distance(p, w) == 1
                                 for p in frontier)]
             if not frontier:
                 return False
@@ -355,7 +355,7 @@ class TestSpecialVertices:
 
         def upto(report, cut):
             return {(v, c) for v, c in report.special
-                    if OR_Z3Z2.distance((), v, RELATIVE) <= cut}
+                    if OR_Z3Z2.distance((), v) <= cut}
 
         assert upto(r8, 6) == upto(r10, 6)
 
@@ -384,7 +384,7 @@ class TestGeo1:
         for cid, ys in g1.chosen:
             cls = deco.classes[cid]
             for y in ys:
-                dist = OR_Z3Z2.distance(base, y, RELATIVE)
+                dist = OR_Z3Z2.distance(base, y)
                 sec = pipe.sector(y, cls.signature, 8 - dist)
                 expected |= sec.vertices
         assert g1.vertices == frozenset(expected)
@@ -526,8 +526,8 @@ class TestSymDiffScan:
         gy = pipe.geo1(y, 10).vertices
         horizon = 10 - pipe.margin
         vis = {v for v in gx ^ gy
-               if OR_Z3Z2.distance(x, v, RELATIVE) <= horizon
-               and OR_Z3Z2.distance(y, v, RELATIVE) <= horizon}
+               if OR_Z3Z2.distance(x, v) <= horizon
+               and OR_Z3Z2.distance(y, v) <= horizon}
         assert vis == {Z3Z2.parse("b")}
 
     def test_short_scan_never_reports_stabilized(self):
@@ -539,10 +539,10 @@ class TestSymDiffScan:
     @given(x=f2_words(2), y=f2_words(2))
     def test_tree_scan_matches_median_formula(self, x, y):
         far = tuple([1] * 20)
-        med_x = (OR_F2.distance(x, y, RELATIVE)
-                 + OR_F2.distance(x, far, RELATIVE)
-                 - OR_F2.distance(y, far, RELATIVE)) // 2
-        med_y = OR_F2.distance(x, y, RELATIVE) - med_x
+        med_x = (OR_F2.distance(x, y)
+                 + OR_F2.distance(x, far)
+                 - OR_F2.distance(y, far)) // 2
+        med_y = OR_F2.distance(x, y) - med_x
         scan = symdiff_scan(DirectionPipeline(OR_F2, DIR_A, nu=0),
                             x, y, [6, 7, 8])
         assert scan.verdict == "stabilized"

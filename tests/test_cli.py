@@ -14,12 +14,7 @@ from relbundles import cli, suite
 from relbundles.bundles import StabilizationError
 from relbundles.cli import _build_parser, main
 from relbundles.groups import DehnReductionError, build_group, spec_from_dict
-from relbundles.relgraph import (
-    RELATIVE,
-    DistanceOracle,
-    RelativeGraph,
-    ResourceLimitError,
-)
+from relbundles.relgraph import DistanceOracle, RelativeGraph, ResourceLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
 F2_Z_PARABOLIC = str(ROOT / "specs" / "f2_z_parabolic.json")
@@ -116,8 +111,8 @@ class TestValidateSpec:
             size = [line for line in capsys.readouterr().out.splitlines()
                     if line.startswith("relative alphabet size")]
             labels = [graph.format_symbol(i)
-                      for i in range(len(graph.step_words(RELATIVE)))]
-            seen.append((graph.alphabet(RELATIVE), labels, size))
+                      for i in range(len(graph.step_words))]
+            seen.append((graph.alphabet, labels, size))
         assert seen[0] == seen[1]
         assert seen[0][1][-2:] == ["H0:a a", "H1:b b"]
         assert seen[0][2] == ["relative alphabet size: 10"]

@@ -6,11 +6,7 @@ import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import SpecError, build_group, spec_from_dict
-from relbundles.relgraph import (
-    RELATIVE,
-    DistanceOracle,
-    RelativeGraph,
-)
+from relbundles.relgraph import DistanceOracle, RelativeGraph
 from relbundles.geodesics import (
     direction_from_text,
     enumerate_geodesics,
@@ -89,14 +85,14 @@ class TestSymbolCodes:
         assert [_bits(i) for i in range(4)] == [(), (0,), (1,), (0, 0)]
 
     def test_fifth_symbol_code(self):
-        assert len(GR_F2X.step_words()) == 6
-        assert F2X.format(GR_F2X.step_words()[4]) == "a b"
+        assert len(GR_F2X.step_words) == 6
+        assert F2X.format(GR_F2X.step_words[4]) == "a b"
         assert GR_F2X.format_symbol(4) == "ab"
         assert _bits(4) == (0, 1)
 
     def test_z3z2_parallel_labels_share_codes(self):
         # a reachable by the absolute generator and the Z₃ factor alike
-        assert [(Z3Z2.format(w), names) for w, names in GR_Z3Z2.alphabet()] == [
+        assert [(Z3Z2.format(w), names) for w, names in GR_Z3Z2.alphabet] == [
             ("a", ("a", "H0:a")), ("a'", ("a'", "H0:a'")),
             ("b", ("b", "b'", "H1:b"))]
         assert [_bits(i) for i in range(3)] == [(), (0,), (1,)]
@@ -141,6 +137,14 @@ class TestRestrictedLabel:
     def test_restriction_composes(self, lab, m, k):
         lo, hi = sorted((m, k))
         assert lab.restrict(hi).restrict(lo) == lab.restrict(lo)
+
+    @PROPERTY_SETTINGS
+    @given(lab=bit_matrices(6), m=st.integers(1, 6))
+    def test_restricted_key_is_a_prefix(self, lab, m):
+        """The order property rests on this: a label's key starts with the
+        key of each of its restrictions."""
+        key = lab.restrict(m).order_key()
+        assert lab.order_key()[:len(key)] == key
 
     def test_overlong_restriction_rejected(self):
         with pytest.raises(SpecError):
@@ -282,14 +286,14 @@ class TestTnGnHn:
     def test_minimum_element_distance(self):
         win = c_eta_window(PIPE_AB, 18, 2)
         t_n, g_n = t_n_and_g_n(OR_Z3Z2, win, s_n_eta(win, 9))
-        dmin = min(OR_Z3Z2.distance((), t, RELATIVE) for t in t_n)
-        assert OR_Z3Z2.distance((), g_n, RELATIVE) == dmin
+        dmin = min(OR_Z3Z2.distance((), t) for t in t_n)
+        assert OR_Z3Z2.distance((), g_n) == dmin
 
     def test_order_key_respects_distance(self):
         words = [(), Z3Z2.parse("a"), Z3Z2.parse("b a"), Z3Z2.parse("a b a")]
         keys = [element_order_key(OR_Z3Z2, (), w) for w in words]
         ranked = sorted(zip(keys, words))
-        dists = [OR_Z3Z2.distance((), w, RELATIVE) for _, w in ranked]
+        dists = [OR_Z3Z2.distance((), w) for _, w in ranked]
         assert dists == sorted(dists)
 
     def test_identity_always_in_h_n(self):

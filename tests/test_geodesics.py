@@ -91,10 +91,10 @@ def words_of(group, max_len=4):
         lambda ls: group.reduce(ls))
 
 
-def brute_geodesics(oracle, u, v, metric=RELATIVE):
+def brute_geodesics(oracle, u, v):
     """Oracle-guided DFS over raw adjacency, independent of the DAG."""
     # exact, not `within`: a referee sharing the DAG's test shares its faults
-    total = oracle.distance(u, v, metric)
+    total = oracle.distance(u, v)
     out = []
 
     def walk(w, path):
@@ -103,8 +103,8 @@ def brute_geodesics(oracle, u, v, metric=RELATIVE):
                 out.append(tuple(path))
             return
         remaining = total - (len(path) - 1)
-        for _, x in oracle.graph.neighbors(w, metric):
-            if oracle.distance(x, v, metric) == remaining - 1:
+        for _, x in oracle.graph.neighbors(w):
+            if oracle.distance(x, v) == remaining - 1:
                 path.append(x)
                 walk(x, path)
                 path.pop()
@@ -131,7 +131,7 @@ def test_free_product_syllable_chain():
     assert dag.layers == (((),), ((1,),), ((1, 2),), ((1, 2, 1),))
     paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
-    steps = GR_Z3Z2.step_words()
+    steps = GR_Z3Z2.step_words
     assert [steps[s] for s in paths[0].symbols] == [(1,), (2,), (1,)]
 
 
@@ -146,7 +146,7 @@ def test_adjoined_generator_double_step():
     dag = geodesic_dag(OR_F2X, (), F2X.parse("a b a b"))
     paths, _ = enumerate_geodesics(dag)
     assert len(paths) == 1
-    steps = GR_F2X.step_words()
+    steps = GR_F2X.step_words
     assert [steps[s] for s in paths[0].symbols] == [(1, 2), (1, 2)]
 
 
@@ -210,36 +210,35 @@ def test_dag_source_not_identity():
     assert dag.length == 2
 
 
-# (group, oracle, metric) of every free group and free product the
-# dispatch sees; F₂∗ℤ cones off ℤ, an infinite factor, so its relative
+# (group, oracle) of every free group and free product the dispatch sees,
+# in both metrics; F₂∗ℤ cones off ℤ, an infinite factor, so its relative
 # metric has no alphabet
 DISPATCH_CASES = [
-    pytest.param(F2, OR_F2, RELATIVE, id="f2"),
-    pytest.param(Z3Z2, OR_Z3Z2, RELATIVE, id="z3z2-rel"),
-    pytest.param(Z3Z2, OR_Z3Z2, ABSOLUTE, id="z3z2-abs"),
-    pytest.param(Z6Z2, OR_Z6Z2, RELATIVE, id="z6z2"),
-    pytest.param(Z6Z2_MIXED, OR_Z6Z2_MIXED, RELATIVE,
-                 id="z6z2-mixed-rel"),
-    pytest.param(F2Z, OR_F2Z, ABSOLUTE, id="f2z-abs"),
+    pytest.param(F2, OR_F2, id="f2"),
+    pytest.param(Z3Z2, OR_Z3Z2, id="z3z2-rel"),
+    pytest.param(Z3Z2, OR_Z3Z2.absolute, id="z3z2-abs"),
+    pytest.param(Z6Z2, OR_Z6Z2, id="z6z2"),
+    pytest.param(Z6Z2_MIXED, OR_Z6Z2_MIXED, id="z6z2-mixed-rel"),
+    pytest.param(F2Z, OR_F2Z.absolute, id="f2z-abs"),
 ]
 
 
-@pytest.mark.parametrize("group, oracle, metric", DISPATCH_CASES)
+@pytest.mark.parametrize("group, oracle", DISPATCH_CASES)
 @settings(max_examples=80, deadline=None,
           suppress_health_check=[HealthCheck.too_slow])
 @given(data=st.data())
-def test_chain_is_the_layered_dag(group, oracle, metric, data):
+def test_chain_is_the_layered_dag(group, oracle, data):
     """Where the normal form spells the one geodesic, its chain is the very
-    DAG the layered search grows: same layers in the same order, same
-    successor lists in symbol order, same predecessor lists in layer
-    order.  Elsewhere `geodesic_dag` is the layered build."""
+    DAG the layered search grows: same layers in the same order and same
+    successor lists in symbol order.  Elsewhere `geodesic_dag` is the
+    layered build."""
     u = data.draw(words_of(group, 5), label="u")
     v = data.draw(words_of(group, 7), label="v")
-    length = oracle.distance(u, v, metric)
+    length = oracle.distance(u, v)
     depth = data.draw(st.one_of(st.none(), st.integers(0, length + 3)),
                       label="depth")
-    dag = geodesic_dag(oracle, u, v, metric, depth)
-    assert dag == _layered_dag(oracle, u, v, metric, depth)
+    dag = geodesic_dag(oracle, u, v, depth)
+    assert dag == _layered_dag(oracle, u, v, depth)
     assert dag.length == (length if depth is None else min(depth, length))
 
 
@@ -258,7 +257,9 @@ def test_chain_only_where_the_normal_form_spells_it(graph, oracle, metric, u,
     """Plain free groups, and coned syllables in a free product's relative
     metric, are chains; any other syllable or family is grown in layers."""
     g = graph.group
-    assert (spelled_geodesic(oracle, g.parse(u), g.parse(v), metric)
+    if metric == ABSOLUTE:
+        oracle = oracle.absolute
+    assert (spelled_geodesic(oracle, g.parse(u), g.parse(v))
             is not None) == spelled
 
 
@@ -266,10 +267,10 @@ class _ShortcutOracle(DistanceOracle):
     """Claims d(e, a a) = 1 on F₂ with `a b` adjoined, a distance no single
     move realizes."""
 
-    def distance(self, u, v, metric=RELATIVE):
+    def distance(self, u, v):
         if (u, v) == ((), F2X.parse("a a")):
             return 1
-        return super().distance(u, v, metric)
+        return super().distance(u, v)
 
 
 def test_unreachable_layer_is_an_error():
@@ -446,7 +447,7 @@ def test_bundle_along_periodic_ray():
     bundle = cgr_bundle_trunc(OR_Z3Z2, (), d, depth=5, margin=1)
     assert layer_profile(bundle) == [1, 1, 1, 1, 1, 1]
     assert bundle.layers[3] == (Z3Z2.parse("a b a"),)
-    assert OR_Z3Z2.distance((), bundle.target, RELATIVE) >= 6
+    assert OR_Z3Z2.distance((), bundle.target) >= 6
 
 
 def test_bundle_from_offset_base_passes_identity():
@@ -497,7 +498,7 @@ def test_membership_search_stops_at_its_bound(text, radius):
     exact distances grow it to 3."""
     oracle = DistanceOracle(GR_GENUS2)
     geodesic_dag(oracle, (), GENUS2.parse(text))
-    assert oracle._balls[RELATIVE].radius == radius
+    assert oracle._ball.radius == radius
 
 
 def _full_dag_cut(oracle, x, target, depth):

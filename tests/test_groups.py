@@ -24,7 +24,7 @@ from relbundles.groups import (
     spec_hash,
     validate_presentation,
 )
-from relbundles.relgraph import RELATIVE, RelativeGraph
+from relbundles.relgraph import RelativeGraph
 
 PROPERTY_SETTINGS = settings(
     max_examples=150,
@@ -459,7 +459,7 @@ def test_no_relators_reduce_freely():
 
 
 def _sorted_ball(radius):
-    ball = RelativeGraph(GENUS2).ball((), radius, RELATIVE)
+    ball = RelativeGraph(GENUS2).ball((), radius)
     return sorted([list(w), d] for w, d in ball.entries.items())
 
 

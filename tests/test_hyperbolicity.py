@@ -9,7 +9,7 @@ import pytest
 
 from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import (
-    METRICS,
+    ABSOLUTE,
     RELATIVE,
     DistanceOracle,
     RelativeGraph,
@@ -102,14 +102,19 @@ def test_empty_side_rejected():
 # ---------------------------------------------------------------------------
 # adversarial defect vs explicit side choices
 
-def _referee_defect(oracle, a, b, c, metric):
+def _measures(oracle):
+    """Each metric of the sweep with the oracle that measures it."""
+    return ((RELATIVE, oracle), (ABSOLUTE, oracle.absolute))
+
+
+def _referee_defect(oracle, a, b, c, measure):
     """Max of triangle_defect over every choice of one geodesic per side."""
     choices = []
     for u, v in ((a, b), (b, c), (c, a)):
         paths, truncated = enumerate_geodesics(geodesic_dag(oracle, u, v))
         assert not truncated
         choices.append([p.vertices for p in paths])
-    return max(triangle_defect(oracle, p, q, r, metric=metric)
+    return max(triangle_defect(oracle, p, q, r, measure=measure)
                for p, q, r in itertools.product(*choices))
 
 
@@ -122,12 +127,12 @@ def _referee_defect(oracle, a, b, c, metric):
 ], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2"])
 def test_probe_matches_side_choice_referee(oracle, radius):
     probe = _TriangleProbe(oracle)
-    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
+    corners = sorted(oracle.graph.ball((), radius).entries)
     for a, b, c in itertools.product(corners, repeat=3):
         got = probe.defects(a, b, c)
-        for metric in METRICS:
+        for metric, measure in _measures(oracle):
             assert got[metric][0] == _referee_defect(
-                oracle, a, b, c, metric), (a, b, c, metric)
+                oracle, a, b, c, measure), (a, b, c, metric)
 
 
 # ---------------------------------------------------------------------------
@@ -147,7 +152,7 @@ def _edges(dag):
 def test_reversed_dag_is_the_dag_of_the_inverse(oracle, radius):
     """The DAG e→w is the DAG e→w⁻¹ moved by w and read backwards."""
     g = oracle.group
-    for w in oracle.graph.ball((), radius, RELATIVE).entries:
+    for w in oracle.graph.ball((), radius).entries:
         dag = geodesic_dag(oracle, (), w)
         back = geodesic_dag(oracle, (), g.inverse(w))
         assert dag.length == back.length
@@ -157,7 +162,7 @@ def test_reversed_dag_is_the_dag_of_the_inverse(oracle, radius):
                                for p, q in _edges(back)}, w
 
 
-def _attained(oracle, corners, probe, defect, metric):
+def _attained(oracle, corners, probe, defect, measure):
     """True when `probe` lies on a side of the triangle and some choice of
     geodesics for the other two sides keeps it `defect` away from both."""
     dags = [geodesic_dag(oracle, u, v)
@@ -169,7 +174,7 @@ def _attained(oracle, corners, probe, defect, metric):
         for other in (dags[(i + 1) % 3], dags[(i + 2) % 3]):
             paths, truncated = enumerate_geodesics(other)
             assert not truncated
-            far.append(max(min(oracle.distance(probe, x, metric) for x in p.vertices)
+            far.append(max(min(measure.distance(probe, x) for x in p.vertices)
                            for p in paths))
         if min(far) == defect:
             return True
@@ -186,43 +191,43 @@ def _attained(oracle, corners, probe, defect, metric):
 def test_defects_are_left_invariant(oracle, radius):
     g = oracle.group
     probe = _TriangleProbe(oracle)
-    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
-    shifts = sorted(oracle.graph.ball((), 2, RELATIVE).entries)
+    corners = sorted(oracle.graph.ball((), radius).entries)
+    shifts = sorted(oracle.graph.ball((), 2).entries)
     for a, b, c in itertools.combinations_with_replacement(corners, 3):
         want = probe.defects(a, b, c)
         for t in shifts:
             moved = tuple(g.multiply(t, x) for x in (a, b, c))
             got = probe.defects(*moved)
-            for metric in METRICS:
+            for metric, measure in _measures(oracle):
                 defect, at = got[metric]
                 assert defect == want[metric][0], (a, b, c, t, metric)
-                assert _attained(oracle, moved, at, defect, metric), \
+                assert _attained(oracle, moved, at, defect, measure), \
                     (a, b, c, t, metric)
 
 
 def _unpruned_defects(probe, a, b, c):
     """`defects` with no masks and no running bound: every probe vertex,
     every distance, in the same order."""
-    dist = probe.oracle.distance
+    dist = {m: o.distance for m, o in _measures(probe.oracle)}
     sides = [probe._side(u, v)[0] for u, v in ((a, b), (b, c), (a, c))]
     verts = [set(s) if isinstance(s, tuple) else s.vertices() for s in sides]
 
     def opposite(u, s, m):
         if isinstance(s, tuple):
-            return min(dist(u, y, m) for y in s)
+            return min(dist[m](u, y) for y in s)
         return hyperbolicity._bottleneck(
-            s, {x: dist(u, x, m) for x in s.vertices()})
+            s, {x: dist[m](u, x) for x in s.vertices()})
 
-    worst = {m: (0, a) for m in METRICS}
+    worst = {m: (0, a) for m in dist}
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         if isinstance(sides[j], tuple) and isinstance(sides[k], tuple):
             union = verts[j] | verts[k]
-            scores = ((u, m, min(dist(u, y, m) for y in union))
-                      for u in verts[i] - union for m in METRICS)
+            scores = ((u, m, min(dist[m](u, y) for y in union))
+                      for u in verts[i] - union for m in dist)
         else:
             scores = ((u, m, min(opposite(u, sides[j], m), opposite(u, sides[k], m)))
-                      for u in verts[i] for m in METRICS)
+                      for u in verts[i] for m in dist)
         for u, m, d in scores:
             if d > worst[m][0]:
                 worst[m] = (d, u)
@@ -241,7 +246,7 @@ def test_pruned_scan_keeps_each_witness(oracle, radius):
     defect, so every defect and its probe vertex, ties included, are the
     full scan's."""
     probe = _TriangleProbe(oracle)
-    corners = sorted(oracle.graph.ball((), radius, RELATIVE).entries)
+    corners = sorted(oracle.graph.ball((), radius).entries)
     for a, b, c in itertools.product(corners, repeat=3):
         assert probe.defects(a, b, c) == _unpruned_defects(probe, a, b, c), \
             (a, b, c)
@@ -279,7 +284,7 @@ def test_referee_reaches_chain_triangles_with_a_defect():
     three chains, such as e, t², t⁴, have a vertex off both other sides
     and a defect of 1."""
     probe = _TriangleProbe(OR_Z6)
-    corners = sorted(OR_Z6.graph.ball((), 3, RELATIVE).entries)
+    corners = sorted(OR_Z6.graph.ball((), 3).entries)
     assert any(
         all(isinstance(probe._side(u, v)[0], tuple)
             for u, v in ((a, b), (b, c), (a, c)))
@@ -312,7 +317,7 @@ def test_spelled_side_is_the_geodesic_chain(oracle):
     """A side placed from the normal form is the chain `geodesic_dag`
     builds, vertex for vertex from u to v."""
     probe = _TriangleProbe(oracle)
-    corners = sorted(oracle.graph.ball((), 3, RELATIVE).entries)
+    corners = sorted(oracle.graph.ball((), 3).entries)
     for u, v in itertools.product(corners, repeat=2):
         dag = geodesic_dag(oracle, u, v)
         assert probe._place(u, v) == tuple(x for (x,) in dag.layers), (u, v)
@@ -346,9 +351,9 @@ def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):
 def test_degenerate_triangles(oracle):
     """A point has defect 0 at itself; a bigon's probe lies on the bigon."""
     probe = _TriangleProbe(oracle)
-    corners = sorted(oracle.graph.ball((), 2, RELATIVE).entries)
+    corners = sorted(oracle.graph.ball((), 2).entries)
     for t in corners:
-        assert probe.defects(t, t, t) == {m: (0, t) for m in METRICS}, t
+        assert probe.defects(t, t, t) == {m: (0, t) for m in (RELATIVE, ABSOLUTE)}, t
     for a, b in itertools.product(corners, repeat=2):
         on = geodesic_dag(oracle, a, b).vertices()
         for metric, (_, at) in probe.defects(a, a, b).items():
@@ -472,10 +477,10 @@ def test_exhaustive_stage_never_exceeds_total():
 # derived constants
 
 def test_layer_bound_values():
-    assert bound_B(OR_F2.graph, 0) == 1
-    assert bound_B(OR_F2.graph, 1) == 7 * 5
-    assert bound_B(OR_F2.graph, 2) == 13 * 17
-    assert bound_B(OR_GENUS2.graph, 1) == 7 * 9
+    assert bound_B(OR_F2, 0) == 1
+    assert bound_B(OR_F2, 1) == 7 * 5
+    assert bound_B(OR_F2, 2) == 13 * 17
+    assert bound_B(OR_GENUS2, 1) == 7 * 9
 
 
 def test_class_bound_values():
@@ -486,7 +491,7 @@ def test_class_bound_values():
 
 def test_bounds_reject_negative_input():
     with pytest.raises(SpecError):
-        bound_B(OR_F2.graph, -1)
+        bound_B(OR_F2, -1)
     with pytest.raises(SpecError):
         bound_K(-1, 10)
     with pytest.raises(SpecError):

@@ -16,9 +16,6 @@ from relbundles.groups import (
     spec_from_dict,
 )
 from relbundles.relgraph import (
-    ABSOLUTE,
-    METRICS,
-    RELATIVE,
     BallTable,
     DistanceOracle,
     RelativeGraph,
@@ -87,6 +84,8 @@ OR_GENUS2 = DistanceOracle(GR_GENUS2)
 OR_ZxZ3 = DistanceOracle(GR_ZxZ3)
 
 GRAPHS = [GR_F2, GR_F2X, GR_Z3Z2, GR_GENUS2]
+# each graph, then the graph of its word metric where that is another one
+BOTH_METRICS = GRAPHS + [OR_Z3Z2.absolute.graph]
 
 
 def words_of(group, max_len=5):
@@ -116,25 +115,24 @@ def test_free_product_neighbor_edges():
 
 
 def test_alphabet_matches_identity_neighbors():
-    for graph in GRAPHS:
-        for metric in (RELATIVE, ABSOLUTE):
-            steps = graph.step_words(metric)
-            assert graph.neighbors((), metric) == list(enumerate(steps))
+    for graph in BOTH_METRICS:
+        assert graph.neighbors(()) == list(enumerate(graph.step_words))
 
 
 def test_absolute_alphabet_is_a_relative_prefix():
     """A symbol names the same element in both metrics."""
     for graph in GRAPHS:
-        absolute = graph.step_words(ABSOLUTE)
-        assert graph.step_words(RELATIVE)[:len(absolute)] == absolute
+        absolute = DistanceOracle(graph).absolute.graph.step_words
+        assert graph.step_words[:len(absolute)] == absolute
 
 
 def test_adjoined_generator_alphabet():
-    words = GR_F2X.step_words(ABSOLUTE)
+    graph = OR_F2X.absolute.graph
+    words = graph.step_words
     assert (1, 2) in words and (-2, -1) in words
     assert len(words) == 6
-    assert GR_F2X.format_symbol(words.index((1, 2)), ABSOLUTE) == "ab"
-    assert GR_F2X.format_symbol(words.index((-2, -1)), ABSOLUTE) == "ab'"
+    assert graph.format_symbol(words.index((1, 2))) == "ab"
+    assert graph.format_symbol(words.index((-2, -1))) == "ab'"
 
 
 def _label_rank(graph, name):
@@ -151,19 +149,18 @@ def _label_rank(graph, name):
 def test_alphabet_in_label_order():
     """Each symbol lists its labels in label order, and symbols come in
     the order of their least label."""
-    for graph in GRAPHS + [GR_ZxZ3]:
-        for metric in METRICS:
-            ranks = [[_label_rank(graph, n) for n in names]
-                     for _, names in graph.alphabet(metric)]
-            assert all(r == sorted(r) for r in ranks)
-            assert [r[0] for r in ranks] == sorted(r[0] for r in ranks)
+    for graph in BOTH_METRICS + [GR_ZxZ3, OR_ZxZ3.absolute.graph]:
+        ranks = [[_label_rank(graph, n) for n in names]
+                 for _, names in graph.alphabet]
+        assert all(r == sorted(r) for r in ranks)
+        assert [r[0] for r in ranks] == sorted(r[0] for r in ranks)
 
 
 def test_absolute_metric_has_no_parabolic_labels():
-    def names(metric):
-        return [n for _, ns in GR_Z3Z2.alphabet(metric) for n in ns]
-    assert not any(n.startswith("H") for n in names(ABSOLUTE))
-    assert any(n.startswith("H") for n in names(RELATIVE))
+    def names(graph):
+        return [n for _, ns in graph.alphabet for n in ns]
+    assert not any(n.startswith("H") for n in names(OR_Z3Z2.absolute.graph))
+    assert any(n.startswith("H") for n in names(GR_Z3Z2))
 
 
 # ---------------------------------------------------------------------------
@@ -216,13 +213,13 @@ def test_negative_radius_rejected():
 
 def test_mixed_word_distance_pin():
     w = Z3Z2.parse("a b a a b")
-    assert OR_Z3Z2.distance((), w, RELATIVE) == 4
-    assert OR_Z3Z2.distance((), w, ABSOLUTE) == 4
+    assert OR_Z3Z2.distance((), w) == 4
+    assert OR_Z3Z2.absolute.distance((), w) == 4
 
 
 def test_adjoined_generator_distances():
     assert OR_F2X.distance((), F2X.parse("a b")) == 1
-    assert OR_F2X.distance((), F2X.parse("a b a b"), ABSOLUTE) == 2
+    assert OR_F2X.absolute.distance((), F2X.parse("a b a b")) == 2
     assert OR_F2X.distance((), F2X.parse("b a")) == 2
 
 
@@ -233,7 +230,7 @@ def test_genus2_commutator_distance():
 def test_distance_bfs_max_radius():
     far = F2.parse("a b a b a b")
     with pytest.raises(ResourceLimitError):
-        GR_F2.distance_bfs((), far, RELATIVE, max_radius=2)
+        GR_F2.distance_bfs((), far, max_radius=2)
 
 
 @pytest.mark.parametrize("text", ["a b a' b'", "a b c d a", "a c' b d' a d c"])
@@ -245,10 +242,10 @@ def test_ball_search_max_radius(text):
     at an odd one; max_radius = |w| fails if either meet is missed.
     """
     w = GENUS2.parse(text)
-    d = GR_GENUS2.distance_bfs((), w, RELATIVE)
-    assert DistanceOracle(GR_GENUS2)._ball_search(w, RELATIVE, max_radius=d) == d
+    d = GR_GENUS2.distance_bfs((), w)
+    assert DistanceOracle(GR_GENUS2)._ball_search(w, max_radius=d) == d
     with pytest.raises(ResourceLimitError):
-        DistanceOracle(GR_GENUS2)._ball_search(w, RELATIVE, max_radius=d - 1)
+        DistanceOracle(GR_GENUS2)._ball_search(w, max_radius=d - 1)
 
 
 class TestOracleAgainstSearch:
@@ -262,28 +259,28 @@ class TestOracleAgainstSearch:
     @PROPERTY_SETTINGS
     @given(u=words_of(F2X, 4), v=words_of(F2X, 4))
     def test_free_adjoined(self, u, v):
-        for metric in (RELATIVE, ABSOLUTE):
-            assert OR_F2X.distance(u, v, metric) == GR_F2X.distance_bfs(u, v, metric)
+        for oracle in (OR_F2X, OR_F2X.absolute):
+            assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v)
 
     @PROPERTY_SETTINGS
     @given(u=words_of(Z3Z2), v=words_of(Z3Z2))
     def test_free_product(self, u, v):
-        for metric in (RELATIVE, ABSOLUTE):
-            assert OR_Z3Z2.distance(u, v, metric) == GR_Z3Z2.distance_bfs(u, v, metric)
+        for oracle in (OR_Z3Z2, OR_Z3Z2.absolute):
+            assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v)
 
     @PROPERTY_SETTINGS
     @given(u=words_of(ZxZ3, 6), v=words_of(ZxZ3, 6))
     def test_free_product_with_free_factor(self, u, v):
-        for metric in (RELATIVE, ABSOLUTE):
-            assert OR_ZxZ3.distance(u, v, metric) == GR_ZxZ3.distance_bfs(u, v, metric)
+        for oracle in (OR_ZxZ3, OR_ZxZ3.absolute):
+            assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v)
 
     @PROPERTY_SETTINGS
     @given(u=words_of(GENUS2, 4), v=words_of(GENUS2, 4))
     def test_small_cancellation(self, u, v):
         # OR_GENUS2 keeps its ball across examples, so this also checks
         # that answers do not depend on the order of the queries
-        for metric in (RELATIVE, ABSOLUTE):
-            assert OR_GENUS2.distance(u, v, metric) == GR_GENUS2.distance_bfs(u, v, metric)
+        for oracle in (OR_GENUS2, OR_GENUS2.absolute):
+            assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v)
 
 
 # ---------------------------------------------------------------------------
@@ -320,26 +317,28 @@ def test_within_matches_search(mode, seed):
     every oracle mode and both metrics."""
     group, pair = ORACLE_MODES[mode]
     graph = RelativeGraph(group)
-    for metric in METRICS:
-        assert DistanceOracle(graph)._pair[metric].__name__ == pair
+    graphs = [graph, DistanceOracle(graph).absolute.graph]
+    for graph in graphs:
+        assert DistanceOracle(graph)._pair.__name__ == pair
     for u, v in _seeded_pairs(group, seed):
-        for metric in METRICS:
-            d = graph.distance_bfs(u, v, metric)
+        for graph in graphs:
+            d = graph.distance_bfs(u, v)
             # fresh, so that each no comes from a search and not the memo
             oracle = DistanceOracle(graph)
             for bound in sorted({0, d - 1, d, d + 1}):
-                assert oracle.within(u, v, bound, metric) == (d <= bound)
+                assert oracle.within(u, v, bound) == (d <= bound)
 
 
 def test_parse_memo_stores_each_word_once():
-    """A free group has no parabolic moves, so both metrics share the parse
-    DP: d(u, v) asked in each leaves one memo entry, for u⁻¹v alone."""
+    """A free group has no parabolic moves, so the word metric is the
+    oracle itself and shares its parse DP: d(u, v) asked in each leaves
+    one memo entry, for u⁻¹v alone."""
     u, v = F2X.parse("a"), F2X.parse("b a b a")
-    d = GR_F2X.distance_bfs(u, v, RELATIVE)
+    d = GR_F2X.distance_bfs(u, v)
     oracle = DistanceOracle(GR_F2X)
-    for metric in METRICS:
-        assert oracle.distance(u, v, metric) == d
-    assert oracle._parses == {F2X.multiply(F2X.inverse(u), v): d}
+    for measure in (oracle, oracle.absolute):
+        assert measure.distance(u, v) == d
+    assert oracle._memo == {F2X.multiply(F2X.inverse(u), v): d}
 
 
 @pytest.mark.parametrize("forward_first", [True, False])
@@ -348,7 +347,7 @@ def test_bounded_no_leaves_no_memo(seed, forward_first):
     """A bounded search that answers no memoizes nothing, so the exact
     distances asked afterwards, in either order, are still right."""
     for u, v in _seeded_pairs(GENUS2, seed):
-        d = GR_GENUS2.distance_bfs(u, v, RELATIVE)
+        d = GR_GENUS2.distance_bfs(u, v)
         if d < 2:
             continue
         oracle = DistanceOracle(GR_GENUS2)
@@ -392,22 +391,22 @@ def test_syllable_distance_matches_difference_word(name, data):
     parabolic = set(group.parabolic_slots)
     want = sum(1 if f in parabolic else len(local)
                for f, local in group.syllables(w))
-    assert oracle.distance(u, v, RELATIVE) == want
-    assert oracle.distance(u, v, ABSOLUTE) == len(w)
+    assert oracle.distance(u, v) == want
+    assert oracle.absolute.distance(u, v) == len(w)
 
 
 class TestMetricProperties:
     @PROPERTY_SETTINGS
     @given(u=words_of(Z3Z2), v=words_of(Z3Z2))
     def test_relative_never_exceeds_absolute(self, u, v):
-        assert OR_Z3Z2.distance(u, v, RELATIVE) <= OR_Z3Z2.distance(u, v, ABSOLUTE)
+        assert OR_Z3Z2.distance(u, v) <= OR_Z3Z2.absolute.distance(u, v)
 
     @PROPERTY_SETTINGS
     @given(g=words_of(Z3Z2), u=words_of(Z3Z2), v=words_of(Z3Z2))
     def test_left_invariance(self, g, u, v):
         gu, gv = Z3Z2.multiply(g, u), Z3Z2.multiply(g, v)
-        for metric in (RELATIVE, ABSOLUTE):
-            assert OR_Z3Z2.distance(gu, gv, metric) == OR_Z3Z2.distance(u, v, metric)
+        for oracle in (OR_Z3Z2, OR_Z3Z2.absolute):
+            assert oracle.distance(gu, gv) == oracle.distance(u, v)
 
     @PROPERTY_SETTINGS
     @given(u=words_of(F2X, 4), v=words_of(F2X, 4), w=words_of(F2X, 4))
@@ -426,14 +425,14 @@ class TestMetricProperties:
 
 def test_infinite_parabolic_needs_truncation():
     """An infinite parabolic is rejected when the relative alphabet is
-    first built; the absolute alphabet does not cone it off and still
-    builds."""
+    first built, and again on every use; the word metric's alphabet does
+    not cone it off and still builds."""
     graph = RelativeGraph(ZxZ2)
     with pytest.raises(SpecError, match=r"parabolic factor 0 \(a\) is infinite"):
-        graph.alphabet(RELATIVE)
+        graph.alphabet
     with pytest.raises(SpecError, match="infinite parabolic"):
-        graph.step_words(RELATIVE)  # nothing half-built was kept
-    assert graph.alphabet(ABSOLUTE) == (
+        graph.step_words  # nothing half-built was kept
+    assert DistanceOracle(graph).absolute.graph.alphabet == (
         ((1,), ("a",)), ((-1,), ("a'",)), ((2,), ("b", "b'")))
 
 
