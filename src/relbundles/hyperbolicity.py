@@ -7,21 +7,25 @@ family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
 needed.  Both metrics, the word one by `oracle.absolute`, are scored in
-one pass over the same sides, where the triangle sits.  A side is placed
-once per unordered endpoint pair and cached for the sweep
-(`_TriangleProbe`).  Where the oracle's normal form
-spells the one geodesic (`spelled_geodesic`: a plain free group, or a
-plain free product whose syllables of u⁻¹v are all coned), the side is
-that chain's vertices, read off u and v with no DAG and, on a free group,
-no multiply.  Otherwise (the parse DP of adjoined generators, table
-groups, non-coned syllables, small cancellation) the side is the geodesic
-DAG from u to v itself, grown in layers; a side that is a single path is
-kept as its bare vertices.  Each side also keeps its vertex set as
-an `int` mask, one bit per placed vertex: where the other two sides of a
-triangle are chains, only the vertices off both can have a defect, so a
-tripod (every triangle on a tree) is scored from three masks alone.  A
-probe vertex counts only past the running worst defect, so its search
-stops at the first side, layer or vertex that is no farther.
+one pass over the same sides, where the triangle sits, and once where the
+two oracles are one.  A side is placed once per unordered endpoint pair
+and cached for the sweep (`_TriangleProbe`); the exhaustive stage reads
+its sides from a table indexed by corner, built row by row in the order
+its triangles first read them, so it forms no pair key per triangle.
+Where the oracle's normal form spells the one geodesic
+(`spelled_geodesic`: a plain free group, or a plain free product whose
+syllables of u⁻¹v are all coned), the side is that chain's vertices,
+read off u and v with no DAG and, on a free group, no multiply.
+Otherwise (the parse DP of adjoined generators, table groups, non-coned
+syllables, small cancellation) the side is the geodesic DAG from u to v
+itself, grown in layers; a side that is a single path is kept as its
+bare vertices.  Each side also keeps its vertex set as an `int` mask,
+one bit per placed vertex: where the other two sides of a triangle are
+chains, only the vertices off both can have a defect.  A triangle of
+three chains with no vertex on one side alone (every triangle on a tree)
+has defect 0 and is counted without being scored.  A probe vertex counts
+only past the running worst defect, so its search stops at the first
+side, layer or vertex that is no farther.
 
 `estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
 alone and sweep the graph it was built over, `oracle.graph`.
@@ -32,7 +36,6 @@ from __future__ import annotations
 import random
 from collections.abc import Callable, Iterable
 from dataclasses import dataclass
-from itertools import combinations_with_replacement
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import ABSOLUTE, RELATIVE, DistanceOracle
@@ -113,6 +116,9 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
     return val[dag.source]
 
 
+Side = tuple[tuple[Word, ...] | GeodesicDAG, int, bool]
+
+
 class _TriangleProbe:
     """Defects of corner triples in both metrics, one pass per triangle.
 
@@ -122,14 +128,16 @@ class _TriangleProbe:
     `spelled_geodesic` spells the one geodesic, the side is its vertices
     as they come; otherwise it is `geodesic_dag(oracle, u, v)`.  A chain
     (one vertex per layer) is kept as its bare tuple of vertices, any
-    other side as its DAG.  The vertices of chains go through one intern
-    dict, so sides share them.
+    other side as its DAG.
 
-    Each placed vertex gets one bit, and a side is kept with the `int`
-    mask of its vertices.  A vertex on a chain is 0 from it, so where both
-    other sides are chains, the probe vertices of a side are its mask less
-    theirs.  On a tree every triangle is a tripod: all three such masks
-    are 0, and the defects come with no set built and no distance asked.
+    Each placed vertex gets one entry in one dict, its interned word and
+    its bit, so chains share vertices, and a side is kept as (side, `int`
+    mask of its vertices, whether it is a chain).  A vertex on a chain is
+    0 from it, so where both other sides are chains, the probe vertices of
+    a side are its mask less theirs.  Where no bit lies on one side alone
+    (every triangle on a tree), all three rotations are decided from the
+    masks, the defect is 0 at a, and `estimate_nu` counts the triangle
+    without asking `defects`.
 
     A probe vertex counts only past the running worst defect, so a search
     stops at the first distance at or below it: over a chain, at a vertex;
@@ -137,51 +145,55 @@ class _TriangleProbe:
     pair of sides, at the first, which is a chain where one is.
 
     Each metric's defect is measured by its own oracle, the relative one
-    first, which decides the witness of a tie.
+    first, which decides the witness of a tie.  Where the word metric's
+    oracle is the relative one (no parabolic declared), the relative
+    defect is scored once and is the word metric's too.
     """
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
-        self._measures = ((RELATIVE, oracle.distance),
-                          (ABSOLUTE, oracle.absolute.distance))
-        self._sides: dict[tuple[Word, Word], tuple[tuple[Word, ...] | GeodesicDAG, int]] = {}
-        self._words: dict[Word, Word] = {}
-        self._bits: dict[Word, int] = {}
+        self._measures = ((RELATIVE, oracle.distance),)
+        if oracle.absolute is not oracle:
+            self._measures += ((ABSOLUTE, oracle.absolute.distance),)
+        self._sides: dict[tuple[Word, Word], Side] = {}
+        self._vertices: dict[Word, tuple[Word, int]] = {}
 
-    def _side(self, u: Word, v: Word) -> tuple[tuple[Word, ...] | GeodesicDAG, int]:
+    def _side(self, u: Word, v: Word) -> Side:
         key = (u, v) if u <= v else (v, u)
         entry = self._sides.get(key)
         if entry is None:
             side = self._place(u, v)
-            bits, mask = self._bits, 0
-            for x in side if isinstance(side, tuple) else side.vertices():
-                bit = bits.get(x)
-                if bit is None:
-                    bit = bits[x] = 1 << len(bits)
+            chain = isinstance(side, tuple)
+            known, mask, words = self._vertices, 0, []
+            for x in side if chain else side.vertices():
+                word, bit = known.get(x) or known.setdefault(x, (x, 1 << len(known)))
+                words.append(word)
                 mask |= bit
-            entry = self._sides[key] = (side, mask)
+            entry = self._sides[key] = (tuple(words) if chain else side, mask, chain)
         return entry
 
     def _place(self, u: Word, v: Word) -> tuple[Word, ...] | GeodesicDAG:
         spelled = spelled_geodesic(self.oracle, u, v)
         if spelled is not None:
-            path = spelled[1]
-        else:
-            dag = geodesic_dag(self.oracle, u, v)
-            if any(len(layer) > 1 for layer in dag.layers):
-                return dag
-            path = (x for (x,) in dag.layers)
-        intern = self._words.setdefault
-        return tuple(intern(x, x) for x in path)
+            return tuple(spelled[1])
+        dag = geodesic_dag(self.oracle, u, v)
+        if any(len(layer) > 1 for layer in dag.layers):
+            return dag
+        return tuple(x for (x,) in dag.layers)
 
-    def defects(self, a: Word, b: Word, c: Word) -> dict[str, tuple[int, Word]]:
+    def defects(self, a: Word, b: Word, c: Word,
+                sides: tuple[Side, Side, Side] | None = None,
+                ) -> dict[str, tuple[int, Word]]:
         """Per metric, the worst defect over rotations and side choices and
         a probe vertex attaining it (the corner a when the defect is 0).
 
-        Probe vertices are visited in the order of their vertex sets, and
-        of tied vertices the first keeps the defect.
+        `sides` are the entries of (a, b), (b, c) and (a, c) where the
+        caller has read them already.  Probe vertices are visited in the
+        order of their vertex sets, and of tied vertices the first keeps
+        the defect.
         """
-        sides = (self._side(a, b), self._side(b, c), self._side(a, c))
+        if sides is None:
+            sides = (self._side(a, b), self._side(b, c), self._side(a, c))
         measures = self._measures
 
         def nearest(u: Word, ys: Iterable[Word], dist: Distance, floor: int) -> int:
@@ -214,9 +226,10 @@ class _TriangleProbe:
 
         worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):
-            p, mask = sides[i]
-            (q, q_mask), (r, r_mask) = sides[(i + 1) % 3], sides[(i + 2) % 3]
-            if isinstance(q, tuple) and isinstance(r, tuple):
+            p, mask, _ = sides[i]
+            q, q_mask, q_chain = sides[(i + 1) % 3]
+            r, r_mask, r_chain = sides[(i + 2) % 3]
+            if q_chain and r_chain:
                 if not mask & ~(q_mask | r_mask):
                     continue
                 union = vertices(q) | vertices(r)
@@ -226,7 +239,7 @@ class _TriangleProbe:
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
-                if isinstance(r, tuple):
+                if r_chain:
                     q, r = r, q
                 for u in vertices(p):
                     for m, dist in measures:
@@ -236,6 +249,8 @@ class _TriangleProbe:
                             d = min(d, opposite(u, r, dist, floor))
                             if d > floor:
                                 worst[m] = (d, u)
+        if len(measures) == 1:
+            worst[ABSOLUTE] = worst[RELATIVE]
         return worst
 
 
@@ -250,44 +265,58 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
     triples from the ball of `ball_radius`.  Reported constants are the
     maxima over both stages and can only grow with a larger sample.  The
     last `keep_witnesses` triangles that raised a constant are kept.
+
+    The exhaustive stage reads its sides from a corner-index table: row i
+    holds small[i] → small[j] for j ≥ i, the order and orientation in
+    which its triangles first read them.
     """
     if keep_witnesses < 0:
         raise SpecError("keep_witnesses must be nonnegative")
     if triangle_budget < 0:
         raise SpecError("triangle_budget must be nonnegative")
     probe = _TriangleProbe(oracle)
-    ball_small = oracle.graph.ball((), exhaustive_radius)
-    small = sorted(ball_small.entries, key=shortlex_key)
+    side = probe._side
+    small = sorted(oracle.graph.ball((), exhaustive_radius).entries, key=shortlex_key)
+
+    def exhaustive_triangles():
+        rows = [[side(a, b) for b in small[i:]] for i, a in enumerate(small)]
+        for i, (a, row) in enumerate(zip(small, rows)):
+            for j in range(i, len(small)):
+                b, ab = small[j], row[j - i]
+                for c, bc, ac in zip(small[j:], rows[j], row[j - i:]):
+                    yield a, b, c, ab, bc, ac
+
+    def sampled_triangles():
+        if triangle_budget > 0:
+            rng = random.Random(seed)
+            big = sorted(oracle.graph.ball((), ball_radius).entries, key=shortlex_key)
+            for _ in range(triangle_budget):
+                a, b, c = (rng.choice(big) for _ in range(3))
+                yield a, b, c, side(a, b), side(b, c), side(a, c)
+
     worst: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
     exhaustive: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
     witnesses: list[TriangleWitness] = []
     count = 0
-
-    def consider(a: Word, b: Word, c: Word, stage: dict[str, int] | None) -> None:
-        nonlocal count
-        count += 1
-        found = probe.defects(a, b, c)
-        (d_rel, who_rel), (d_abs, who_abs) = found[RELATIVE], found[ABSOLUTE]
-        if stage is not None:
-            stage[RELATIVE] = max(stage[RELATIVE], d_rel)
-            stage[ABSOLUTE] = max(stage[ABSOLUTE], d_abs)
-        improved = d_rel > worst[RELATIVE] or d_abs > worst[ABSOLUTE]
-        worst[RELATIVE] = max(worst[RELATIVE], d_rel)
-        worst[ABSOLUTE] = max(worst[ABSOLUTE], d_abs)
-        if improved:
-            who = who_rel if d_rel >= d_abs else who_abs
-            witnesses.append(TriangleWitness((a, b, c), who, d_rel, d_abs))
-
-    for a, b, c in combinations_with_replacement(small, 3):
-        consider(a, b, c, exhaustive)
-
-    rng = random.Random(seed)
-    if triangle_budget > 0:
-        ball_big = oracle.graph.ball((), ball_radius)
-        big = sorted(ball_big.entries, key=shortlex_key)
-        for _ in range(triangle_budget):
-            a, b, c = (rng.choice(big) for _ in range(3))
-            consider(a, b, c, None)
+    for stage, triangles in ((exhaustive, exhaustive_triangles()),
+                             (None, sampled_triangles())):
+        for a, b, c, ab, bc, ac in triangles:
+            count += 1
+            (_, x, x_chain), (_, y, y_chain), (_, z, z_chain) = ab, bc, ac
+            if (x_chain and y_chain and z_chain
+                    and x | y | z == (x & y) | (y & z) | (x & z)):
+                continue  # a tripod: no vertex on one side alone, defect 0
+            found = probe.defects(a, b, c, (ab, bc, ac))
+            (d_rel, who_rel), (d_abs, who_abs) = found[RELATIVE], found[ABSOLUTE]
+            if stage is not None:
+                stage[RELATIVE] = max(stage[RELATIVE], d_rel)
+                stage[ABSOLUTE] = max(stage[ABSOLUTE], d_abs)
+            improved = d_rel > worst[RELATIVE] or d_abs > worst[ABSOLUTE]
+            worst[RELATIVE] = max(worst[RELATIVE], d_rel)
+            worst[ABSOLUTE] = max(worst[ABSOLUTE], d_abs)
+            if improved:
+                who = who_rel if d_rel >= d_abs else who_abs
+                witnesses.append(TriangleWitness((a, b, c), who, d_rel, d_abs))
 
     return SlimnessReport(
         exhaustive_radius=exhaustive_radius,

@@ -4,10 +4,17 @@ from __future__ import annotations
 
 import itertools
 import os
+import random
 
 import pytest
 
-from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
+from relbundles.groups import (
+    SpecError,
+    build_group,
+    load_spec,
+    shortlex_key,
+    spec_from_dict,
+)
 from relbundles.relgraph import (
     ABSOLUTE,
     RELATIVE,
@@ -323,24 +330,121 @@ def test_spelled_side_is_the_geodesic_chain(oracle):
         assert probe._place(u, v) == tuple(x for (x,) in dag.layers), (u, v)
 
 
-def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):
-    pairs, placed = set(), []
-    defects, place = _TriangleProbe.defects, _TriangleProbe._place
+def _swept_triangles(oracle, exhaustive_radius, ball_radius, triangle_budget,
+                     seed):
+    """The corner triples `estimate_nu` sweeps, in order, each with whether
+    it is in the exhaustive stage."""
+    small = sorted(oracle.graph.ball((), exhaustive_radius).entries,
+                   key=shortlex_key)
+    for triangle in itertools.combinations_with_replacement(small, 3):
+        yield True, triangle
+    rng = random.Random(seed)
+    big = sorted(oracle.graph.ball((), ball_radius).entries, key=shortlex_key)
+    for _ in range(triangle_budget):
+        yield False, tuple(rng.choice(big) for _ in range(3))
 
-    def recording_defects(self, a, b, c):
-        pairs.update(tuple(sorted(p)) for p in ((a, b), (b, c), (a, c)))
-        return defects(self, a, b, c)
+
+SWEEP = dict(exhaustive_radius=2, ball_radius=3, triangle_budget=400, seed=3)
+
+
+def test_sweep_places_one_side_per_endpoint_pair(monkeypatch):
+    """Both stages read their sides through `_side`, the exhaustive one to
+    fill its corner-index table: every corner pair of a swept triangle is
+    read, and each is placed once."""
+    pairs, placed = set(), []
+    side, place = _TriangleProbe._side, _TriangleProbe._place
+
+    def recording_side(self, u, v):
+        pairs.add(tuple(sorted((u, v))))
+        return side(self, u, v)
 
     def counting_place(self, u, v):
         placed.append(tuple(sorted((u, v))))
         return place(self, u, v)
 
-    monkeypatch.setattr(_TriangleProbe, "defects", recording_defects)
+    monkeypatch.setattr(_TriangleProbe, "_side", recording_side)
     monkeypatch.setattr(_TriangleProbe, "_place", counting_place)
-    estimate_nu(OR_F2, exhaustive_radius=2, ball_radius=3,
-                triangle_budget=400, seed=3)
+    estimate_nu(OR_F2, **SWEEP)
     assert len(placed) == len(pairs) > 0
     assert set(placed) == pairs
+    assert pairs == {tuple(sorted(pair))
+                     for _, (a, b, c) in _swept_triangles(OR_F2, **SWEEP)
+                     for pair in ((a, b), (b, c), (a, c))}
+
+
+def test_tree_sweep_scores_no_triangle(monkeypatch):
+    """Every triangle on a tree is a tripod of chains, counted from its
+    side masks without a call to `defects`."""
+    scored = []
+    defects = _TriangleProbe.defects
+
+    def recording_defects(self, a, b, c, sides=None):
+        scored.append((a, b, c))
+        return defects(self, a, b, c, sides)
+
+    monkeypatch.setattr(_TriangleProbe, "defects", recording_defects)
+    report = estimate_nu(OR_F2, **SWEEP)
+    assert report.triangles_checked == 969 + 400  # C(17 + 2, 3) plus sampled
+    assert scored == []
+
+
+def _referee_sweep(oracle, keep_witnesses=5, **kw):
+    """`estimate_nu` with no corner table and no tripod count: `defects` on
+    every triangle.  Returns the report and each triangle's defects."""
+    probe = _TriangleProbe(oracle)
+    worst = {RELATIVE: 0, ABSOLUTE: 0}
+    exhaustive = dict(worst)
+    witnesses, found = [], []
+    for in_small, (a, b, c) in _swept_triangles(oracle, **kw):
+        got = probe.defects(a, b, c)
+        found.append(((a, b, c), got))
+        d_rel, d_abs = got[RELATIVE][0], got[ABSOLUTE][0]
+        if in_small:
+            exhaustive = {RELATIVE: max(exhaustive[RELATIVE], d_rel),
+                          ABSOLUTE: max(exhaustive[ABSOLUTE], d_abs)}
+        if d_rel > worst[RELATIVE] or d_abs > worst[ABSOLUTE]:
+            who = got[RELATIVE if d_rel >= d_abs else ABSOLUTE][1]
+            witnesses.append(TriangleWitness((a, b, c), who, d_rel, d_abs))
+            worst = {RELATIVE: max(worst[RELATIVE], d_rel),
+                     ABSOLUTE: max(worst[ABSOLUTE], d_abs)}
+    report = SlimnessReport(
+        exhaustive_radius=kw["exhaustive_radius"], seed=kw["seed"],
+        nu_rel=worst[RELATIVE], nu_abs=worst[ABSOLUTE],
+        exhaustive_nu_rel=exhaustive[RELATIVE],
+        exhaustive_nu_abs=exhaustive[ABSOLUTE],
+        triangles_checked=len(found),
+        witnesses=tuple(witnesses[-keep_witnesses:]))
+    return report, found
+
+
+@pytest.mark.parametrize("oracle, kw", [
+    (OR_F2, SWEEP),
+    (OR_Z3Z2, SWEEP),
+    (OR_Z6, dict(exhaustive_radius=3, ball_radius=3, triangle_budget=50,
+                 seed=1)),
+    (OR_Z6Z2, dict(exhaustive_radius=2, ball_radius=3, triangle_budget=200,
+                   seed=0)),
+    (OR_F2X, dict(exhaustive_radius=1, ball_radius=2, triangle_budget=200,
+                  seed=3)),
+    (OR_GENUS2, dict(exhaustive_radius=1, ball_radius=3, triangle_budget=200,
+                     seed=2)),
+], ids=["F2", "Z3Z2", "z6_table", "Z6Z2", "F2X", "genus2"])
+def test_sweep_is_the_referee_sweep(monkeypatch, oracle, kw):
+    """The corner table and the tripod count change no report, witnesses
+    included, and every triangle left unscored has defect 0 at a."""
+    want, found = _referee_sweep(oracle, **kw)
+    scored = set()
+    defects = _TriangleProbe.defects
+
+    def recording_defects(self, a, b, c, sides=None):
+        scored.add((a, b, c))
+        return defects(self, a, b, c, sides)
+
+    monkeypatch.setattr(_TriangleProbe, "defects", recording_defects)
+    assert estimate_nu(oracle, **kw) == want
+    for (a, b, c), got in found:
+        if (a, b, c) not in scored:
+            assert got == {RELATIVE: (0, a), ABSOLUTE: (0, a)}, (a, b, c)
 
 
 @pytest.mark.parametrize("oracle", [
