@@ -21,7 +21,7 @@ from functools import wraps
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import DistanceOracle
-from .geodesics import DirectionSpec, GeodesicDAG, cgr_bundle_trunc
+from .geodesics import DirectionSpec, GeodesicDAG, cgr_bundle_trunc, ray_vertex
 
 
 class StabilizationError(RuntimeError):
@@ -156,9 +156,25 @@ class DirectionPipeline:
         return horofunction(self.oracle, z, self.window(radius), self.anchor)
 
     @_memo
+    def ray(self, k: int) -> Word:
+        """The k-th vertex of the direction's ray from the anchor.  The walk
+        resumes at the deepest vertex already kept and keeps each step it
+        takes, so every step is walked and checked once per pipeline."""
+        j, v = 0, self.anchor
+        for i in range(k - 1, 0, -1):
+            if ("ray", i) in self._memo:
+                j, v = i, self._memo["ray", i]
+                break
+        for i in range(j + 1, k + 1):
+            v = self._memo["ray", i] = ray_vertex(
+                self.oracle, self.direction, i, base=self.anchor,
+                walked=(i - 1, v))
+        return v
+
+    @_memo
     def bundle(self, base: Word, depth: int) -> GeodesicDAG:
         return cgr_bundle_trunc(self.oracle, base, self.direction, depth,
-                                self.margin, anchor=self.anchor)
+                                self.margin, anchor=self.anchor, ray=self.ray)
 
     # -- horofunction classes ----------------------------------------------
 

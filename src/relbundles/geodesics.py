@@ -8,11 +8,15 @@ between consecutive layers.  An edge is its alphabet symbol (see
 normal form u⁻¹v spells the one geodesic, the DAG is that chain: on a
 plain free group, and on a plain free product when every syllable of u⁻¹v
 is coned (one edge per syllable, as syllable boundaries are cut points).
-Otherwise it is grown layer by layer, asking the oracle about each
-candidate vertex; that build is also the chain's referee in the tests.  A bundle toward a direction is the DAG to a deep
-vertex on the direction's ray, grown only to the requested depth; a
-margin controls how much deeper the target sits than the cut.  The ray is
-walked once per bundle, by `ray_vertex`, which checks each step geodesic.
+Its vertices are prefixes of u and v, and where it turns is one rule,
+`spelled_split`, which the slimness sweep reads too.  Otherwise the DAG
+is grown layer by layer, asking the oracle about each candidate vertex;
+that build is also the chain's referee in the tests.  A bundle toward a
+direction is the DAG to a deep vertex on the direction's ray, grown only
+to the requested depth; a margin controls how much deeper the target
+sits than the cut.  The ray is walked by `ray_vertex`, which checks each
+step geodesic; a caller that keeps the walk (a direction pipeline)
+resumes it instead of starting over.
 
 A function here that measures takes the `DistanceOracle` alone, as in
 `geodesic_dag(oracle, u, v)`, and reads the graph and group the oracle was
@@ -22,9 +26,10 @@ metric: a DAG in the word metric is `geodesic_dag(oracle.absolute, u, v)`.
 
 from __future__ import annotations
 
-from collections.abc import Iterable
+from collections.abc import Callable, Iterable, Sequence
 from dataclasses import dataclass
 from itertools import accumulate, chain, islice
+from typing import NamedTuple
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import DistanceOracle, RelativeGraph, ResourceLimitError
@@ -87,32 +92,89 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
     return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors)
 
 
+class Spelling(NamedTuple):
+    """A word's parts where the oracle's normal form spells geodesics: its
+    letters on a plain free group, its syllables on a plain free product.
+
+    `heads[k]` is the factor of part k (on a free group the letter itself,
+    so two different letters never share one), `cuts[k]` the length of the
+    prefix of the first k parts, and `opened` the number of parts through
+    the last one in a factor the oracle does not cone (0 on a free group).
+    """
+
+    parts: Sequence
+    heads: Sequence
+    cuts: Sequence[int]
+    opened: int
+
+
+def spelling(oracle: DistanceOracle, x: Word) -> Spelling | None:
+    """x's parts where the oracle's normal form spells geodesics, else None."""
+    pair = oracle._pair
+    if pair is DistanceOracle._free_distance:
+        return Spelling(x, x, range(len(x) + 1), 0)
+    if pair is DistanceOracle._syllable_distance:
+        parts = oracle.group.syllables(x)
+        heads = [f for f, _ in parts]
+        coned = oracle._coned
+        opened = max((k for k, f in enumerate(heads, 1) if f not in coned),
+                     default=0)
+        cuts = list(accumulate((len(s) for _, s in parts), initial=0))
+        return Spelling(parts, heads, cuts, opened)
+    return None
+
+
+def spelled_split(su: Spelling, sv: Spelling) -> tuple[int, bool] | None:
+    """Where the spelled geodesic from u to v turns, or None where the
+    normal form spells none.
+
+    With P the longest common prefix of parts, c parts long, the geodesic
+    is the prefixes of u back to P, then the longer prefixes of v.  It
+    passes through P unless u and v both go on past P in one factor: that
+    junction is one coned edge.  The answer is (c, whether it passes
+    through P).  It is spelled unless a part past P lies in a factor that
+    is not coned.
+    """
+    c = 0
+    for x, y in zip(su.parts, sv.parts):
+        if x != y:
+            break
+        c += 1
+    if su.opened > c or sv.opened > c:
+        return None
+    hu, hv = su.heads, sv.heads
+    return c, not (c < len(hu) and c < len(hv) and hu[c] == hv[c])
+
+
 def spelled_geodesic(oracle: DistanceOracle, u: Word,
                      v: Word) -> tuple[list[Word], Iterable[Word]] | None:
     """The step elements and vertices of the one geodesic from u to v, where
     the oracle's normal form spells it; else None.
 
     On a plain free group the steps are the letters of the reduced word
-    u⁻¹v, and the vertices the prefixes of u back to the prefix u and v
-    share, then the longer prefixes of v.  On a plain free product, when
-    every syllable of u⁻¹v lies in a factor the oracle cones (a parabolic
-    one; the word metric's oracle cones none), each syllable is one edge
-    and syllable boundaries are cut points, so the steps are the syllables.
-    The vertices are yielded lazily, so a cut DAG forms only those it keeps.
+    u⁻¹v.  On a plain free product, when every syllable of u⁻¹v lies in a
+    factor the oracle cones (a parabolic one; the word metric's oracle
+    cones none), each syllable is one edge and syllable boundaries are cut
+    points, so the steps are the syllables.  The vertices are prefixes of
+    u and v (`spelled_split`), yielded lazily, so a cut DAG forms only
+    those it keeps.
     """
-    pair = oracle._pair
-    if pair is DistanceOracle._free_distance:
-        k = (len(u) + len(v) - oracle.distance(u, v)) // 2
-        steps = [(-a,) for a in reversed(u[k:])] + [(b,) for b in v[k:]]
-        return steps, chain((u[:i] for i in range(len(u), k - 1, -1)),
-                            (v[:j] for j in range(k + 1, len(v) + 1)))
-    if pair is DistanceOracle._syllable_distance:
-        g, coned = oracle.group, oracle._coned
-        syllables = g.syllables(g.multiply(g.inverse(u), v))
-        if all(f in coned for f, _ in syllables):
-            steps = [g.lift(f, x) for f, x in syllables]
-            return steps, accumulate(steps, g.multiply, initial=u)
-    return None
+    su, sv = spelling(oracle, u), spelling(oracle, v)
+    split = None if su is None else spelled_split(su, sv)
+    if split is None:
+        return None
+    c, through = split
+    cu, cv = su.cuts, sv.cuts
+    vertices = chain((u[:k] for k in reversed(cu[c + 1:])),
+                     (u[:cu[c]],) if through else (),
+                     (v[:k] for k in cv[c + 1:]))
+    if oracle._pair is DistanceOracle._free_distance:
+        steps = [(-a,) for a in reversed(u[c:])] + [(b,) for b in v[c:]]
+    else:
+        g = oracle.group
+        steps = [g.lift(f, x)
+                 for f, x in g.syllables(g.multiply(g.inverse(u), v))]
+    return steps, vertices
 
 
 def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,
@@ -255,12 +317,13 @@ def direction_from_text(graph: RelativeGraph, text: str, name: str = "") -> Dire
 
 
 def ray_vertex(oracle: DistanceOracle, direction: DirectionSpec, k: int,
-               base: Word = ()) -> Word:
+               base: Word = (), walked: tuple[int, Word] | None = None) -> Word:
     """Endpoint rₖ of the first k symbols from `base`, checking d(base, rᵢ)
     = i at each step; by left invariance a word fails at the same prefix
-    length from every base."""
-    v = base
-    for i in range(1, k + 1):
+    length from every base.  `walked` = (j, rⱼ) resumes a walk already
+    checked through step j."""
+    j, v = walked or (0, base)
+    for i in range(j + 1, k + 1):
         v = oracle.group.multiply(v, direction.symbol(i - 1))
         got = oracle.distance(base, v)
         if got != i:
@@ -272,7 +335,8 @@ def ray_vertex(oracle: DistanceOracle, direction: DirectionSpec, k: int,
 
 def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
                      direction: DirectionSpec, depth: int, margin: int,
-                     anchor: Word = ()) -> GeodesicDAG:
+                     anchor: Word = (),
+                     ray: Callable[[int], Word] | None = None) -> GeodesicDAG:
     """Bundle of all geodesics from x toward the direction, cut at `depth`.
 
     The direction's ray starts at `anchor`; the target sits at ray depth
@@ -281,11 +345,13 @@ def cgr_bundle_trunc(oracle: DistanceOracle, x: Word,
     could satisfy the distance bound from the wrong side when x lies on
     the ray itself.  The DAG to that target is grown through layer
     `depth` only, so every kept vertex extends to a geodesic reaching it.
+    `ray(k)` gives the k-th ray vertex where the caller keeps the walk;
+    by default the ray is walked here.
     """
     if depth < 0 or margin < 1:
         raise SpecError("bundle needs depth >= 0 and margin >= 1")
     k = depth + margin + oracle.distance(anchor, x)
-    t = ray_vertex(oracle, direction, k, base=anchor)
+    t = ray(k) if ray else ray_vertex(oracle, direction, k, base=anchor)
     return geodesic_dag(oracle, x, t, depth=depth)
 
 

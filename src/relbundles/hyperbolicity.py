@@ -12,20 +12,22 @@ two oracles are one.  A side is placed once per unordered endpoint pair
 and cached for the sweep (`_TriangleProbe`); the exhaustive stage reads
 its sides from a table indexed by corner, built row by row in the order
 its triangles first read them, so it forms no pair key per triangle.
-Where the oracle's normal form spells the one geodesic
-(`spelled_geodesic`: a plain free group, or a plain free product whose
-syllables of u⁻¹v are all coned), the side is that chain's vertices,
-read off u and v with no DAG and, on a free group, no multiply.
+Each side keeps its vertex set as an `int` mask, one bit per vertex:
+where the other two sides of a triangle are chains, only the vertices
+off both can have a defect.  Where the oracle's normal form spells the
+one geodesic (`spelled_geodesic`: a plain free group, or a plain free
+product whose syllables of u⁻¹v are all coned), the chain's mask is
+read off the root masks of u and v, the bits of their own prefixes, and
+the turn `spelled_split` finds, with no per-vertex work, and its
+vertices are formed only when a triangle with the side is scored.
 Otherwise (the parse DP of adjoined generators, table groups, non-coned
 syllables, small cancellation) the side is the geodesic DAG from u to v
 itself, grown in layers; a side that is a single path is kept as its
-bare vertices.  Each side also keeps its vertex set as an `int` mask,
-one bit per placed vertex: where the other two sides of a triangle are
-chains, only the vertices off both can have a defect.  A triangle of
-three chains with no vertex on one side alone (every triangle on a tree)
-has defect 0 and is counted without being scored.  A probe vertex counts
-only past the running worst defect, so its search stops at the first
-side, layer or vertex that is no farther.
+bare vertices.  A triangle of three chains with no vertex on one side
+alone (every triangle on a tree) has defect 0 and is counted without
+being scored.  A probe vertex counts only past the running worst defect,
+so its search stops at the first side, layer or vertex that is no
+farther.
 
 `estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
 alone and sweep the graph it was built over, `oracle.graph`.
@@ -39,7 +41,14 @@ from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
 from .relgraph import ABSOLUTE, RELATIVE, DistanceOracle
-from .geodesics import GeodesicDAG, geodesic_dag, spelled_geodesic
+from .geodesics import (
+    GeodesicDAG,
+    Spelling,
+    geodesic_dag,
+    spelled_geodesic,
+    spelled_split,
+    spelling,
+)
 
 Distance = Callable[[Word, Word], int]
 
@@ -116,7 +125,21 @@ def _bottleneck(dag: GeodesicDAG, cost: dict[Word, int]) -> int:
     return val[dag.source]
 
 
-Side = tuple[tuple[Word, ...] | GeodesicDAG, int, bool]
+class Side:
+    """One placed side of the sweep.
+
+    `mask` has one bit per vertex and `chain` says whether the side has one
+    vertex per layer.  `path` is a chain's vertices from its first endpoint
+    or the side's DAG; on a spelled chain it is None until
+    `_TriangleProbe.path` builds it from `ends`, the endpoints it was
+    placed from.
+    """
+
+    __slots__ = ("path", "mask", "chain", "ends")
+
+    def __init__(self, path: tuple[Word, ...] | GeodesicDAG | None, mask: int,
+                 chain: bool, ends: tuple[Word, Word] | None = None):
+        self.path, self.mask, self.chain, self.ends = path, mask, chain, ends
 
 
 class _TriangleProbe:
@@ -124,20 +147,22 @@ class _TriangleProbe:
 
     A defect reads only a side's vertex set and the bottleneck over its
     paths, and both are the same for u→v and v→u, so a side is placed once
-    per unordered endpoint pair and kept for the probe's life.  Where
-    `spelled_geodesic` spells the one geodesic, the side is its vertices
-    as they come; otherwise it is `geodesic_dag(oracle, u, v)`.  A chain
-    (one vertex per layer) is kept as its bare tuple of vertices, any
-    other side as its DAG.
+    per unordered endpoint pair and kept for the probe's life, as a `Side`
+    entry.  Each placed vertex gets one bit, through one dict that also
+    interns its word, so masks from every side compare.
 
-    Each placed vertex gets one entry in one dict, its interned word and
-    its bit, so chains share vertices, and a side is kept as (side, `int`
-    mask of its vertices, whether it is a chain).  A vertex on a chain is
-    0 from it, so where both other sides are chains, the probe vertices of
-    a side are its mask less theirs.  Where no bit lies on one side alone
-    (every triangle on a tree), all three rotations are decided from the
-    masks, the defect is 0 at a, and `estimate_nu` counts the triangle
-    without asking `defects`.
+    Where `spelled_geodesic` spells the one geodesic, the side's mask is
+    read off its endpoints' root masks with no per-vertex work (`_root`,
+    `_spelled_mask`), and its vertices are built only when a triangle
+    with the side is scored (`path`).  Otherwise the side is
+    `geodesic_dag(oracle, u, v)`, kept as its bare tuple of vertices when
+    it is a chain (one vertex per layer).
+
+    A vertex on a chain is 0 from it, so where both other sides are
+    chains, the probe vertices of a side are its mask less theirs.  Where
+    no bit lies on one side alone (every triangle on a tree), all three
+    rotations are decided from the masks, the defect is 0 at a, and
+    `estimate_nu` counts the triangle without asking `defects`.
 
     A probe vertex counts only past the running worst defect, so a search
     stops at the first distance at or below it: over a chain, at a vertex;
@@ -157,29 +182,74 @@ class _TriangleProbe:
             self._measures += ((ABSOLUTE, oracle.absolute.distance),)
         self._sides: dict[tuple[Word, Word], Side] = {}
         self._vertices: dict[Word, tuple[Word, int]] = {}
+        self._roots: dict[Word, tuple[int, tuple[int, ...], Spelling]] | None = (
+            None if spelling(oracle, ()) is None else {})
+
+    def _bit(self, x: Word) -> int:
+        known = self._vertices
+        return (known.get(x) or known.setdefault(x, (x, 1 << len(known))))[1]
+
+    def _root(self, x: Word) -> tuple[int, tuple[int, ...], Spelling]:
+        """x's root record: (R, bits, its `spelling`), where bits[k] is the
+        bit of the prefix of x's first k parts and R their OR, the mask of
+        x's own prefixes."""
+        got = self._roots.get(x)
+        if got is None:
+            s = spelling(self.oracle, x)
+            bits = tuple(self._bit(x[:k]) for k in s.cuts)
+            # distinct prefixes have distinct bits, so their sum is their OR
+            got = self._roots[x] = (sum(bits), bits, s)
+        return got
+
+    def _spelled_mask(self, u: Word, v: Word) -> int | None:
+        """The vertex mask of `spelled_geodesic`'s chain from u to v, or
+        None where it spells none.
+
+        The chain is the prefixes of u and of v longer than their common
+        prefix P, which the two root masks differ by, and P itself where
+        `spelled_split` says the chain passes through it.
+        """
+        if self._roots is None:
+            return None
+        ru, bits, su = self._root(u)
+        rv, _, sv = self._root(v)
+        split = spelled_split(su, sv)
+        if split is None:
+            return None
+        c, through = split
+        mask = ru ^ rv
+        return mask | bits[c] if through else mask
 
     def _side(self, u: Word, v: Word) -> Side:
+        """The side between u and v, placed as u → v on first read: from
+        the root masks where the side is spelled, else as its geodesic
+        DAG."""
         key = (u, v) if u <= v else (v, u)
         entry = self._sides.get(key)
         if entry is None:
-            side = self._place(u, v)
-            chain = isinstance(side, tuple)
-            known, mask, words = self._vertices, 0, []
-            for x in side if chain else side.vertices():
-                word, bit = known.get(x) or known.setdefault(x, (x, 1 << len(known)))
-                words.append(word)
-                mask |= bit
-            entry = self._sides[key] = (tuple(words) if chain else side, mask, chain)
+            entry = self._sides[key] = self._place(u, v)
         return entry
 
-    def _place(self, u: Word, v: Word) -> tuple[Word, ...] | GeodesicDAG:
-        spelled = spelled_geodesic(self.oracle, u, v)
-        if spelled is not None:
-            return tuple(spelled[1])
+    def _place(self, u: Word, v: Word) -> Side:
+        """A new side for u → v."""
+        mask = self._spelled_mask(u, v)
+        if mask is not None:
+            return Side(None, mask, True, (u, v))
         dag = geodesic_dag(self.oracle, u, v)
-        if any(len(layer) > 1 for layer in dag.layers):
-            return dag
-        return tuple(x for (x,) in dag.layers)
+        chain = all(len(layer) == 1 for layer in dag.layers)
+        known, mask, words = self._vertices, 0, []
+        for x in (x for (x,) in dag.layers) if chain else dag.vertices():
+            word, bit = known.get(x) or known.setdefault(x, (x, 1 << len(known)))
+            words.append(word)
+            mask |= bit
+        return Side(tuple(words) if chain else dag, mask, chain)
+
+    def path(self, side: Side) -> tuple[Word, ...] | GeodesicDAG:
+        """A side's chain of vertices from its first endpoint, or its DAG;
+        a spelled chain is built on first read and kept in the side."""
+        if side.path is None:
+            side.path = tuple(spelled_geodesic(self.oracle, *side.ends)[1])
+        return side.path
 
     def defects(self, a: Word, b: Word, c: Word,
                 sides: tuple[Side, Side, Side] | None = None,
@@ -194,6 +264,7 @@ class _TriangleProbe:
         """
         if sides is None:
             sides = (self._side(a, b), self._side(b, c), self._side(a, c))
+        paths = [self.path(s) for s in sides]
         measures = self._measures
 
         def nearest(u: Word, ys: Iterable[Word], dist: Distance, floor: int) -> int:
@@ -226,11 +297,10 @@ class _TriangleProbe:
 
         worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
         for i in range(3):
-            p, mask, _ = sides[i]
-            q, q_mask, q_chain = sides[(i + 1) % 3]
-            r, r_mask, r_chain = sides[(i + 2) % 3]
-            if q_chain and r_chain:
-                if not mask & ~(q_mask | r_mask):
+            j, k = (i + 1) % 3, (i + 2) % 3
+            p, q, r = paths[i], paths[j], paths[k]
+            if sides[j].chain and sides[k].chain:
+                if not sides[i].mask & ~(sides[j].mask | sides[k].mask):
                     continue
                 union = vertices(q) | vertices(r)
                 for u in vertices(p) - union:
@@ -239,7 +309,7 @@ class _TriangleProbe:
                         if d > worst[m][0]:
                             worst[m] = (d, u)
             else:
-                if r_chain:
+                if sides[k].chain:
                     q, r = r, q
                 for u in vertices(p):
                     for m, dist in measures:
@@ -302,8 +372,8 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
                              (None, sampled_triangles())):
         for a, b, c, ab, bc, ac in triangles:
             count += 1
-            (_, x, x_chain), (_, y, y_chain), (_, z, z_chain) = ab, bc, ac
-            if (x_chain and y_chain and z_chain
+            x, y, z = ab.mask, bc.mask, ac.mask
+            if (ab.chain and bc.chain and ac.chain
                     and x | y | z == (x & y) | (y & z) | (x & z)):
                 continue  # a tripod: no vertex on one side alone, defect 0
             found = probe.defects(a, b, c, (ab, bc, ac))

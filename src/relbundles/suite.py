@@ -18,6 +18,7 @@ import json
 import random
 from collections.abc import Callable
 from dataclasses import dataclass, field
+from functools import cache
 
 from . import __version__
 from .groups import (
@@ -407,11 +408,18 @@ def order_property_violations(samples: int, seed: int,
     return bad
 
 
+@cache
+def _label_rows(n: int) -> tuple[tuple[int, ...], ...]:
+    """Every row of n bits, indexed by the row read as a binary number."""
+    return tuple(itertools.product((0, 1), repeat=n))
+
+
 def _random_label(rng: random.Random, n: int) -> RestrictedLabel:
-    """An n-label whose n² bits come from one draw, row by row."""
-    bits = f"{rng.getrandbits(n * n):0{n * n}b}"
-    return RestrictedLabel(n, tuple(tuple(map(int, bits[i:i + n]))
-                                    for i in range(0, n * n, n)))
+    """An n-label whose n² bits come from one draw, row by row, the
+    draw's high bits first."""
+    bits, rows, mask = rng.getrandbits(n * n), _label_rows(n), (1 << n) - 1
+    return RestrictedLabel(n, tuple(rows[bits >> shift & mask]
+                                    for shift in range(n * n - n, -1, -n)))
 
 
 def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:

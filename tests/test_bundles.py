@@ -9,8 +9,10 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import DistanceOracle, RelativeGraph
+from relbundles import bundles
 from relbundles.geodesics import (
     DirectionError,
+    cgr_bundle_trunc,
     direction_from_text,
     enumerate_geodesics,
     geodesic_dag,
@@ -454,7 +456,31 @@ class TestMemo:
             with pytest.raises(DirectionError) as info:
                 bad.bundle((), 3)
             assert info.value.prefix_length == 2
-        assert pipe._memo == {} and bad._memo == {}
+        # the ray's steps checked before the failing one are kept
+        assert pipe._memo == {}
+        assert bad._memo == {("ray", 1): F2.parse("a")}
+
+    def test_pipeline_walks_its_ray_once(self, monkeypatch):
+        """Bundles from bases at several distances read one walk of the
+        ray, each step checked once, and equal bundles whose ray is walked
+        afresh."""
+        steps = []
+        walk = bundles.ray_vertex
+
+        def counting(oracle, direction, k, base=(), walked=None):
+            steps.extend(range((walked or (0,))[0] + 1, k + 1))
+            return walk(oracle, direction, k, base, walked)
+
+        monkeypatch.setattr(bundles, "ray_vertex", counting)
+        anchor = Z3Z2.parse("b")
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0, anchor=anchor)
+        for base in map(Z3Z2.parse, ("e", "b", "a b", "a' b a")):
+            for depth in (2, 4, 6):
+                assert pipe.bundle(base, depth) == cgr_bundle_trunc(
+                    OR_Z3Z2, base, DIR_AB, depth, pipe.margin, anchor=anchor)
+        assert steps == list(range(1, len(steps) + 1))
+        assert all(pipe.ray(k) == walk(OR_Z3Z2, DIR_AB, k, base=anchor)
+                   for k in range(len(steps) + 1))
 
 
 # ---------------------------------------------------------------------------

@@ -6,6 +6,7 @@ import argparse
 import hashlib
 import json
 import re
+import sys
 from pathlib import Path
 
 import pytest
@@ -195,6 +196,16 @@ class TestExplore:
         doc = json.loads((tmp_path / "dag.json").read_text())
         assert doc["length"] == 2100
         assert doc["geodesic_count"] == 1 and not doc["count_truncated"]
+
+    def test_bundle_deeper_than_the_recursion_limit(self, f2_spec_file,
+                                                    tmp_path):
+        """The pipeline walks its ray in a loop, so a target far past the
+        recursion limit is reached."""
+        depth = sys.getrecursionlimit() + 200
+        assert main(["explore", "bundle", "e", "a", str(depth), "--spec",
+                     f2_spec_file, "--out", str(tmp_path)]) == 0
+        doc = json.loads((tmp_path / "bundle.json").read_text())
+        assert doc["layer_profile"] == [1] * (depth + 1)
 
     @pytest.mark.parametrize("spec, args, name, label, digest", [
         ("z3z2_rel_factors", ["dag", "e", "a b a"], "dag.dot", "a|H0:a",

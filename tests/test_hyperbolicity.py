@@ -7,6 +7,7 @@ import os
 import random
 
 import pytest
+from hypothesis import HealthCheck, given, settings, strategies as st
 
 from relbundles.groups import (
     SpecError,
@@ -21,7 +22,11 @@ from relbundles.relgraph import (
     DistanceOracle,
     RelativeGraph,
 )
-from relbundles.geodesics import enumerate_geodesics, geodesic_dag
+from relbundles.geodesics import (
+    enumerate_geodesics,
+    geodesic_dag,
+    spelled_geodesic,
+)
 from relbundles import hyperbolicity
 from relbundles.hyperbolicity import (
     SlimnessReport,
@@ -216,7 +221,7 @@ def _unpruned_defects(probe, a, b, c):
     """`defects` with no masks and no running bound: every probe vertex,
     every distance, in the same order."""
     dist = {m: o.distance for m, o in _measures(probe.oracle)}
-    sides = [probe._side(u, v)[0] for u, v in ((a, b), (b, c), (a, c))]
+    sides = [probe.path(probe._side(u, v)) for u, v in ((a, b), (b, c), (a, c))]
     verts = [set(s) if isinstance(s, tuple) else s.vertices() for s in sides]
 
     def opposite(u, s, m):
@@ -260,11 +265,12 @@ def test_pruned_scan_keeps_each_witness(oracle, radius):
 
 
 def test_tripod_defects_ask_no_distance(monkeypatch):
-    """On a tree every triangle is a tripod, scored from its side masks:
-    the sweep asks a distance only to place a side."""
+    """On a tree every triangle is a tripod, counted from its side masks,
+    and every side's mask is read off its endpoints' root masks: the sweep
+    places sides but asks no distance at all."""
     oracle = DistanceOracle(RelativeGraph(F2))
     asked = {"placing": 0, "scoring": 0}
-    placing = []
+    placing, placed = [], []
     distance, place = oracle.distance, _TriangleProbe._place
 
     def counting_distance(*args):
@@ -273,6 +279,7 @@ def test_tripod_defects_ask_no_distance(monkeypatch):
 
     def flagged_place(self, u, v):
         placing.append(True)
+        placed.append((u, v))
         try:
             return place(self, u, v)
         finally:
@@ -282,8 +289,8 @@ def test_tripod_defects_ask_no_distance(monkeypatch):
     monkeypatch.setattr(_TriangleProbe, "_place", flagged_place)
     estimate_nu(oracle, exhaustive_radius=2, ball_radius=3,
                 triangle_budget=400, seed=3)
-    assert asked["placing"] > 0
-    assert asked["scoring"] == 0
+    assert placed
+    assert asked == {"placing": 0, "scoring": 0}
 
 
 def test_referee_reaches_chain_triangles_with_a_defect():
@@ -293,7 +300,7 @@ def test_referee_reaches_chain_triangles_with_a_defect():
     probe = _TriangleProbe(OR_Z6)
     corners = sorted(OR_Z6.graph.ball((), 3).entries)
     assert any(
-        all(isinstance(probe._side(u, v)[0], tuple)
+        all(isinstance(probe.path(probe._side(u, v)), tuple)
             for u, v in ((a, b), (b, c), (a, c)))
         and probe.defects(a, b, c)[RELATIVE][0] == 1
         for a, b, c in itertools.product(corners, repeat=3))
@@ -327,7 +334,55 @@ def test_spelled_side_is_the_geodesic_chain(oracle):
     corners = sorted(oracle.graph.ball((), 3).entries)
     for u, v in itertools.product(corners, repeat=2):
         dag = geodesic_dag(oracle, u, v)
-        assert probe._place(u, v) == tuple(x for (x,) in dag.layers), (u, v)
+        assert probe.path(probe._place(u, v)) == tuple(
+            x for (x,) in dag.layers), (u, v)
+
+
+def _coned_product(order: int, parabolics: list[int]) -> DistanceOracle:
+    """The oracle of ℤ_order ∗ ℤ₂ with the given factors coned."""
+    return DistanceOracle(RelativeGraph(build_group(spec_from_dict({
+        "family": "free-product",
+        "factors": [
+            {"family": "finite-table", "table": _cyclic_table(order, "a")},
+            {"family": "finite-table", "table": _cyclic_table(2, "b")}],
+        "parabolics": parabolics,
+    }))))
+
+
+SPELLED_CASES = [pytest.param(OR_F2, id="F2")] + [
+    pytest.param(_coned_product(order, parabolics),
+                 id=f"Z{order}Z2-{'-'.join(map(str, parabolics))}")
+    for order in (3, 6) for parabolics in ([0], [1], [0, 1])]
+
+
+@pytest.mark.parametrize("oracle", SPELLED_CASES)
+@settings(max_examples=60, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_root_mask_side_is_the_spelled_chain(oracle, data):
+    """A side mask read off two root masks is the OR of the bits of the
+    vertices `spelled_geodesic` spells, in both orientations, and is None
+    exactly where it spells none; the chain built on demand is those
+    vertices in order.  Beside a second corner of the radius-4 ball, a
+    corner within 2 of the first reaches the junctions of one factor more
+    often."""
+    ball = sorted(oracle.graph.ball((), 4).entries, key=shortlex_key)
+    near = sorted(oracle.graph.ball((), 2).entries, key=shortlex_key)
+    a, b = data.draw(st.sampled_from(ball)), data.draw(st.sampled_from(ball))
+    c = oracle.group.multiply(a, data.draw(st.sampled_from(near)))
+    probe = _TriangleProbe(oracle)
+    for u, v in ((a, b), (b, a), (a, c), (c, a)):
+        spelled = spelled_geodesic(oracle, u, v)
+        mask = probe._spelled_mask(u, v)
+        if spelled is None:
+            assert mask is None, (u, v)
+            continue
+        vertices = tuple(spelled[1])
+        want = 0
+        for x in vertices:
+            want |= probe._bit(x)
+        assert mask == want, (u, v)
+        assert probe.path(probe._place(u, v)) == vertices, (u, v)
 
 
 def _swept_triangles(oracle, exhaustive_radius, ball_radius, triangle_budget,

@@ -1,7 +1,7 @@
 """`DirectionPipeline` keeps its stage results in one memo table.
 
-Each memoized stage of the pipeline (`window`, `signature`, `bundle`,
-`classes_from`, `sector`, `geo1`) stores its results through the `_memo`
+Each memoized stage of the pipeline (`window`, `signature`, `ray`,
+`bundle`, `classes_from`, `sector`, `geo1`) stores its results through the `_memo`
 decorator in `self._memo`.  A second dict set up in `__init__` would be a
 hand-written cache beside it, with its own get/compute/store block, so
 this guard fails on any dict attribute `__init__` assigns other than the

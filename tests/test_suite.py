@@ -3,11 +3,13 @@
 from __future__ import annotations
 
 import json
+import random
 
 import pytest
 
 from relbundles import suite
 from relbundles.bundles import DirectionPipeline, StabilizationError
+from relbundles.coding import RestrictedLabel
 from relbundles.groups import (
     DehnReductionError,
     SpecError,
@@ -253,6 +255,18 @@ class TestRunSuite:
 class TestReferees:
     def test_order_property_holds(self):
         assert order_property_violations(300, seed=1) == 0
+
+    @pytest.mark.parametrize("seed", [0, 1, 7, 11, 2024])
+    def test_random_label_rows_are_the_draw_in_binary(self, seed):
+        """Each row of a drawn label is n bits of the one n²-bit draw,
+        high bits first: the label the draw's binary string spells."""
+        for n in (2, 3, 4):
+            spelled, tabled = random.Random(seed), random.Random(seed)
+            for _ in range(50):
+                bits = f"{spelled.getrandbits(n * n):0{n * n}b}"
+                want = RestrictedLabel(n, tuple(
+                    tuple(map(int, bits[i:i + n])) for i in range(0, n * n, n)))
+                assert suite._random_label(tabled, n) == want
 
     def test_arithmetic_free_group(self):
         assert arithmetic_violations(build_group(spec_from_dict(F2_SPEC)), 4) == 0
