@@ -180,7 +180,6 @@ class HnWindow:
     """
 
     n: int
-    g_n: Word
     elements: tuple[Word, ...]
     complete_radius: int
 
@@ -201,7 +200,7 @@ def h_n_window(oracle: DistanceOracle, window: CEtaWindow,
     # h with d(e,h) <= horizon - d(e,g_n) has d(e, g_n·h) <= horizon, so
     # its preimage was a window host and h cannot be missing.
     rho = window.horizon - oracle.distance((), g_n)
-    return HnWindow(window.n, g_n, translated, rho)
+    return HnWindow(window.n, translated, rho)
 
 
 # ---------------------------------------------------------------------------

@@ -1,22 +1,19 @@
-"""Layered geodesic DAGs, exhaustive geodesic enumeration, and truncated
-geodesic-ray bundles toward eventually periodic directions.
+"""DAG assembly: layered geodesic DAGs, exhaustive geodesic enumeration,
+and truncated geodesic-ray bundles toward eventually periodic directions.
 
 A DAG between u and v holds exactly the vertices w with
 d(u,w) + d(w,v) = d(u,v), arranged in layers by d(u,·), with edges only
-between consecutive layers.  An edge is its alphabet symbol (see
-`relgraph`), so paths are enumerated and spelled by symbols.  Where the
-normal form u⁻¹v spells the one geodesic, the DAG is that chain: on a
-plain free group, and on a plain free product when every syllable of u⁻¹v
-is coned (one edge per syllable, as syllable boundaries are cut points).
-Its vertices are prefixes of u and v, and where it turns is one rule,
-`spelled_split`, which the slimness sweep reads too.  Otherwise the DAG
-is grown layer by layer, asking the oracle about each candidate vertex;
-that build is also the chain's referee in the tests.  A bundle toward a
-direction is the DAG to a deep vertex on the direction's ray, grown only
-to the requested depth; a margin controls how much deeper the target
-sits than the cut.  The ray is walked by `ray_vertex`, which checks each
-step geodesic; a caller that keeps the walk (a direction pipeline)
-resumes it instead of starting over.
+between consecutive layers.  An edge is its alphabet symbol (see `relgraph`), so
+paths are enumerated and spelled by symbols.  Where the oracle's normal
+form spells the one geodesic (`relgraph.spelled_geodesic`, which owns
+the closed form), the DAG is that chain laid out one vertex per layer.
+Otherwise the DAG is grown layer by layer, asking the oracle about each
+candidate vertex; that build is also the chain's referee in the tests.
+A bundle toward a direction is the DAG to a deep vertex on the
+direction's ray, grown only to the requested depth; a margin controls
+how much deeper the target sits than the cut.  The ray is walked by
+`ray_vertex`, which checks each step geodesic; a caller that keeps the
+walk (a direction pipeline) resumes it instead of starting over.
 
 A function here that measures takes the `DistanceOracle` alone, as in
 `geodesic_dag(oracle, u, v)`, and reads the graph and group the oracle was
@@ -26,13 +23,13 @@ metric: a DAG in the word metric is `geodesic_dag(oracle.absolute, u, v)`.
 
 from __future__ import annotations
 
-from collections.abc import Callable, Iterable, Sequence
+from collections.abc import Callable
 from dataclasses import dataclass
-from itertools import accumulate, chain, islice
-from typing import NamedTuple
+from itertools import islice
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import DistanceOracle, RelativeGraph, ResourceLimitError
+from .relgraph import (DistanceOracle, RelativeGraph, ResourceLimitError,
+                       spelled_geodesic)
 
 
 class DirectionError(ValueError):
@@ -90,91 +87,6 @@ def geodesic_dag(oracle: DistanceOracle, u: Word, v: Word,
     successors = {x: [(symbol[s], y)] for x, s, y in zip(path, steps, path[1:])}
     successors[path[-1]] = []
     return GeodesicDAG(u, v, stop, tuple((x,) for x in path), successors)
-
-
-class Spelling(NamedTuple):
-    """A word's parts where the oracle's normal form spells geodesics: its
-    letters on a plain free group, its syllables on a plain free product.
-
-    `heads[k]` is the factor of part k (on a free group the letter itself,
-    so two different letters never share one), `cuts[k]` the length of the
-    prefix of the first k parts, and `opened` the number of parts through
-    the last one in a factor the oracle does not cone (0 on a free group).
-    """
-
-    parts: Sequence
-    heads: Sequence
-    cuts: Sequence[int]
-    opened: int
-
-
-def spelling(oracle: DistanceOracle, x: Word) -> Spelling | None:
-    """x's parts where the oracle's normal form spells geodesics, else None."""
-    pair = oracle._pair
-    if pair is DistanceOracle._free_distance:
-        return Spelling(x, x, range(len(x) + 1), 0)
-    if pair is DistanceOracle._syllable_distance:
-        parts = oracle.group.syllables(x)
-        heads = [f for f, _ in parts]
-        coned = oracle._coned
-        opened = max((k for k, f in enumerate(heads, 1) if f not in coned),
-                     default=0)
-        cuts = list(accumulate((len(s) for _, s in parts), initial=0))
-        return Spelling(parts, heads, cuts, opened)
-    return None
-
-
-def spelled_split(su: Spelling, sv: Spelling) -> tuple[int, bool] | None:
-    """Where the spelled geodesic from u to v turns, or None where the
-    normal form spells none.
-
-    With P the longest common prefix of parts, c parts long, the geodesic
-    is the prefixes of u back to P, then the longer prefixes of v.  It
-    passes through P unless u and v both go on past P in one factor: that
-    junction is one coned edge.  The answer is (c, whether it passes
-    through P).  It is spelled unless a part past P lies in a factor that
-    is not coned.
-    """
-    c = 0
-    for x, y in zip(su.parts, sv.parts):
-        if x != y:
-            break
-        c += 1
-    if su.opened > c or sv.opened > c:
-        return None
-    hu, hv = su.heads, sv.heads
-    return c, not (c < len(hu) and c < len(hv) and hu[c] == hv[c])
-
-
-def spelled_geodesic(oracle: DistanceOracle, u: Word,
-                     v: Word) -> tuple[list[Word], Iterable[Word]] | None:
-    """The step elements and vertices of the one geodesic from u to v, where
-    the oracle's normal form spells it; else None.
-
-    On a plain free group the steps are the letters of the reduced word
-    u⁻¹v.  On a plain free product, when every syllable of u⁻¹v lies in a
-    factor the oracle cones (a parabolic one; the word metric's oracle
-    cones none), each syllable is one edge and syllable boundaries are cut
-    points, so the steps are the syllables.  The vertices are prefixes of
-    u and v (`spelled_split`), yielded lazily, so a cut DAG forms only
-    those it keeps.
-    """
-    su, sv = spelling(oracle, u), spelling(oracle, v)
-    split = None if su is None else spelled_split(su, sv)
-    if split is None:
-        return None
-    c, through = split
-    cu, cv = su.cuts, sv.cuts
-    vertices = chain((u[:k] for k in reversed(cu[c + 1:])),
-                     (u[:cu[c]],) if through else (),
-                     (v[:k] for k in cv[c + 1:]))
-    if oracle._pair is DistanceOracle._free_distance:
-        steps = [(-a,) for a in reversed(u[c:])] + [(b,) for b in v[c:]]
-    else:
-        g = oracle.group
-        steps = [g.lift(f, x)
-                 for f, x in g.syllables(g.multiply(g.inverse(u), v))]
-    return steps, vertices
 
 
 def _layered_dag(oracle: DistanceOracle, u: Word, v: Word,

@@ -772,17 +772,17 @@ def enumerate_pieces(relators: Sequence[Word]) -> list[tuple[Word, Fraction]]:
     return sorted(found.items(), key=lambda kv: (shortlex_key(kv[0])))
 
 
-def validate_presentation(spec: GroupSpec, bound: Fraction = Fraction(1, 6)) -> PieceReport:
+def validate_presentation(spec: GroupSpec) -> PieceReport:
     """Piece report for a small-cancellation presentation.
 
-    Passes iff every piece p of every relator r has |p|/|r| < bound.
+    Passes iff every piece p of every relator r has |p|/|r| < 1/6: C'(1/6).
     """
     if spec.family != "small-cancellation":
         raise SpecError("piece validation applies to the small-cancellation family")
-    return _piece_report(SmallCancellationGroup(spec).relators, bound)
+    return _piece_report(SmallCancellationGroup(spec).relators)
 
 
-def _piece_report(relators: Sequence[Word], bound: Fraction = Fraction(1, 6)) -> PieceReport:
+def _piece_report(relators: Sequence[Word]) -> PieceReport:
     """Piece report for cyclically reduced relators, as in validate_presentation."""
     pieces = enumerate_pieces(relators)
     if not pieces:
@@ -792,5 +792,5 @@ def _piece_report(relators: Sequence[Word], bound: Fraction = Fraction(1, 6)) ->
         pieces=tuple(p for p, _ in pieces),
         max_piece=max_piece,
         max_ratio=max_ratio,
-        passed=max_ratio < bound,
+        passed=max_ratio < Fraction(1, 6),
     )

@@ -15,19 +15,19 @@ its triangles first read them, so it forms no pair key per triangle.
 Each side keeps its vertex set as an `int` mask, one bit per vertex:
 where the other two sides of a triangle are chains, only the vertices
 off both can have a defect.  Where the oracle's normal form spells the
-one geodesic (`spelled_geodesic`: a plain free group, or a plain free
-product whose syllables of u⁻¹v are all coned), the chain's mask is
-read off the root masks of u and v, the bits of their own prefixes, and
-the turn `spelled_split` finds, with no per-vertex work, and its
-vertices are formed only when a triangle with the side is scored.
-Otherwise (the parse DP of adjoined generators, table groups, non-coned
-syllables, small cancellation) the side is the geodesic DAG from u to v
-itself, grown in layers; a side that is a single path is kept as its
-bare vertices.  A triangle of three chains with no vertex on one side
-alone (every triangle on a tree) has defect 0 and is counted without
-being scored.  A probe vertex counts only past the running worst defect,
-so its search stops at the first side, layer or vertex that is no
-farther.
+one geodesic (`relgraph.spelled_geodesic`: a plain free group, or a
+plain free product whose syllables of u⁻¹v are all coned), the chain's
+mask is read off the root masks of u and v, the bits of the prefixes of
+their parts in `oracle.spelling`, and the turn `relgraph.spelled_split`
+finds, with no per-vertex work, and its vertices are formed only when a
+triangle with the side is scored.  Otherwise (the parse DP of adjoined
+generators, table groups, non-coned syllables, small cancellation) the
+side is the geodesic DAG from u to v itself, grown in layers; a side
+that is a single path is kept as its bare vertices.  A triangle of three
+chains with no vertex on one side alone (every triangle on a tree) has
+defect 0 and is counted without being scored.  A probe vertex counts
+only past the running worst defect, so its search stops at the first
+side, layer or vertex that is no farther.
 
 `estimate_nu(oracle, …)` and `_TriangleProbe(oracle)` take the oracle
 alone and sweep the graph it was built over, `oracle.graph`.
@@ -40,15 +40,15 @@ from collections.abc import Callable, Iterable
 from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import ABSOLUTE, RELATIVE, DistanceOracle
-from .geodesics import (
-    GeodesicDAG,
+from .relgraph import (
+    ABSOLUTE,
+    RELATIVE,
+    DistanceOracle,
     Spelling,
-    geodesic_dag,
     spelled_geodesic,
     spelled_split,
-    spelling,
 )
+from .geodesics import GeodesicDAG, geodesic_dag
 
 Distance = Callable[[Word, Word], int]
 
@@ -151,12 +151,13 @@ class _TriangleProbe:
     entry.  Each placed vertex gets one bit, through one dict that also
     interns its word, so masks from every side compare.
 
-    Where `spelled_geodesic` spells the one geodesic, the side's mask is
-    read off its endpoints' root masks with no per-vertex work (`_root`,
-    `_spelled_mask`), and its vertices are built only when a triangle
-    with the side is scored (`path`).  Otherwise the side is
-    `geodesic_dag(oracle, u, v)`, kept as its bare tuple of vertices when
-    it is a chain (one vertex per layer).
+    Where the oracle spells geodesics (`oracle.spelling` is not None,
+    which holds for every word or for none) and `spelled_split` finds the
+    one from u to v, the side's mask is read off its endpoints' root masks
+    with no per-vertex work (`_root`, `_spelled_mask`), and its vertices
+    are built only when a triangle with the side is scored (`path`).
+    Otherwise the side is `geodesic_dag(oracle, u, v)`, kept as its bare
+    tuple of vertices when it is a chain (one vertex per layer).
 
     A vertex on a chain is 0 from it, so where both other sides are
     chains, the probe vertices of a side are its mask less theirs.  Where
@@ -183,19 +184,19 @@ class _TriangleProbe:
         self._sides: dict[tuple[Word, Word], Side] = {}
         self._vertices: dict[Word, tuple[Word, int]] = {}
         self._roots: dict[Word, tuple[int, tuple[int, ...], Spelling]] | None = (
-            None if spelling(oracle, ()) is None else {})
+            None if oracle.spelling(()) is None else {})
 
     def _bit(self, x: Word) -> int:
         known = self._vertices
         return (known.get(x) or known.setdefault(x, (x, 1 << len(known))))[1]
 
     def _root(self, x: Word) -> tuple[int, tuple[int, ...], Spelling]:
-        """x's root record: (R, bits, its `spelling`), where bits[k] is the
-        bit of the prefix of x's first k parts and R their OR, the mask of
-        x's own prefixes."""
+        """x's root record: (R, bits, `oracle.spelling(x)`), where bits[k]
+        is the bit of the prefix of x's first k parts and R their OR, the
+        mask of x's own prefixes."""
         got = self._roots.get(x)
         if got is None:
-            s = spelling(self.oracle, x)
+            s = self.oracle.spelling(x)
             bits = tuple(self._bit(x[:k]) for k in s.cuts)
             # distinct prefixes have distinct bits, so their sum is their OR
             got = self._roots[x] = (sum(bits), bits, s)
@@ -326,7 +327,7 @@ class _TriangleProbe:
 
 def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
                 ball_radius: int = 4, triangle_budget: int = 10_000,
-                seed: int = 0, keep_witnesses: int = 5) -> SlimnessReport:
+                seed: int = 0) -> SlimnessReport:
     """Slimness constants from an exhaustive small sweep plus sampling.
 
     The exhaustive stage tries every corner triple (repeats allowed, so
@@ -334,14 +335,12 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
     `exhaustive_radius`; the sampled stage draws `triangle_budget` seeded
     triples from the ball of `ball_radius`.  Reported constants are the
     maxima over both stages and can only grow with a larger sample.  The
-    last `keep_witnesses` triangles that raised a constant are kept.
+    last five triangles that raised a constant are kept.
 
     The exhaustive stage reads its sides from a corner-index table: row i
     holds small[i] → small[j] for j ≥ i, the order and orientation in
     which its triangles first read them.
     """
-    if keep_witnesses < 0:
-        raise SpecError("keep_witnesses must be nonnegative")
     if triangle_budget < 0:
         raise SpecError("triangle_budget must be nonnegative")
     probe = _TriangleProbe(oracle)
@@ -358,10 +357,10 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
 
     def sampled_triangles():
         if triangle_budget > 0:
-            rng = random.Random(seed)
+            choice = random.Random(seed).choice
             big = sorted(oracle.graph.ball((), ball_radius).entries, key=shortlex_key)
             for _ in range(triangle_budget):
-                a, b, c = (rng.choice(big) for _ in range(3))
+                a, b, c = choice(big), choice(big), choice(big)
                 yield a, b, c, side(a, b), side(b, c), side(a, c)
 
     worst: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
@@ -396,7 +395,7 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
         exhaustive_nu_rel=exhaustive[RELATIVE],
         exhaustive_nu_abs=exhaustive[ABSOLUTE],
         triangles_checked=count,
-        witnesses=tuple(witnesses[-keep_witnesses:]) if keep_witnesses else (),
+        witnesses=tuple(witnesses[-5:]),
     )
 
 

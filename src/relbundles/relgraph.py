@@ -15,7 +15,9 @@ ordered by least label.  A label is only a name: `alphabet` keeps each
 symbol's element with the names of its labels, which the DOT files print
 and `validate-spec` counts.
 
-Distance queries dispatch to closed forms where the family admits one.
+Distance queries dispatch to closed forms where the family admits one;
+where the normal form also spells the one geodesic, the oracle owns that
+too (`DistanceOracle.spelling`, `spelled_split`, `spelled_geodesic`).
 Otherwise the oracle keeps one ball around e, valid for every query
 because the metric is left-invariant: a query inside it is a lookup,
 and one outside meets it in a bidirectional search with a meet certificate,
@@ -26,9 +28,11 @@ Every oracle mode is cross-checked against the plain bidirectional BFS
 
 from __future__ import annotations
 
+from collections.abc import Iterable, Sequence
 from dataclasses import dataclass, replace
 from functools import cached_property
-from typing import Callable
+from itertools import accumulate, chain
+from typing import Callable, NamedTuple
 
 from .groups import (
     FreeGroup,
@@ -222,6 +226,22 @@ class RelativeGraph:
                 fv, rv = nxt, r
 
 
+class Spelling(NamedTuple):
+    """A word's parts where the oracle's normal form spells geodesics: its
+    letters on a plain free group, its syllables on a plain free product.
+
+    `heads[k]` is the factor of part k (on a free group the letter itself,
+    so two different letters never share one), `cuts[k]` the length of the
+    prefix of the first k parts, and `opened` the number of parts through
+    the last one in a factor the oracle does not cone (0 on a free group).
+    """
+
+    parts: Sequence
+    heads: Sequence
+    cuts: Sequence[int]
+    opened: int
+
+
 class DistanceOracle:
     """Exact distance queries, specialized per group family.
 
@@ -341,6 +361,21 @@ class DistanceOracle:
     def _syllable_distance(self, u: Word, v: Word) -> int:
         return self.group.syllable_distance(u, v, self._coned)
 
+    def spelling(self, x: Word) -> Spelling | None:
+        """x's parts where the normal form spells geodesics, else None."""
+        pair = self._pair
+        if pair is DistanceOracle._free_distance:
+            return Spelling(x, x, range(len(x) + 1), 0)
+        if pair is DistanceOracle._syllable_distance:
+            parts = self.group.syllables(x)
+            heads = [f for f, _ in parts]
+            coned = self._coned
+            opened = max((k for k, f in enumerate(heads, 1) if f not in coned),
+                         default=0)
+            cuts = list(accumulate((len(s) for _, s in parts), initial=0))
+            return Spelling(parts, heads, cuts, opened)
+        return None
+
     def _parsed_distance(self, u: Word, v: Word) -> int:
         """Parse DP on u⁻¹v, memoized."""
         w = self.group.multiply(self.group.inverse(u), v)
@@ -416,6 +451,59 @@ class DistanceOracle:
             if len(seen) + len(ball.entries) > graph.vertex_cap:
                 raise ResourceLimitError("distance search exceeds vertex cap")
         return best
+
+
+def spelled_split(su: Spelling, sv: Spelling) -> tuple[int, bool] | None:
+    """Where the spelled geodesic from u to v turns, or None where the
+    normal form spells none.
+
+    With P the longest common prefix of parts, c parts long, the geodesic
+    is the prefixes of u back to P, then the longer prefixes of v.  It
+    passes through P unless u and v both go on past P in one factor: that
+    junction is one coned edge.  The answer is (c, whether it passes
+    through P).  It is spelled unless a part past P lies in a factor that
+    is not coned.
+    """
+    c = 0
+    for x, y in zip(su.parts, sv.parts):
+        if x != y:
+            break
+        c += 1
+    if su.opened > c or sv.opened > c:
+        return None
+    hu, hv = su.heads, sv.heads
+    return c, not (c < len(hu) and c < len(hv) and hu[c] == hv[c])
+
+
+def spelled_geodesic(oracle: DistanceOracle, u: Word,
+                     v: Word) -> tuple[list[Word], Iterable[Word]] | None:
+    """The step elements and vertices of the one geodesic from u to v, where
+    the oracle's normal form spells it; else None.
+
+    On a plain free group the steps are the letters of the reduced word
+    u⁻¹v.  On a plain free product, when every syllable of u⁻¹v lies in a
+    factor the oracle cones (a parabolic one; the word metric's oracle
+    cones none), each syllable is one edge and syllable boundaries are cut
+    points, so the steps are the syllables.  The vertices are prefixes of
+    u and v (`spelled_split`), yielded lazily, so a cut DAG forms only
+    those it keeps.
+    """
+    su, sv = oracle.spelling(u), oracle.spelling(v)
+    split = None if su is None else spelled_split(su, sv)
+    if split is None:
+        return None
+    c, through = split
+    cu, cv = su.cuts, sv.cuts
+    vertices = chain((u[:k] for k in reversed(cu[c + 1:])),
+                     (u[:cu[c]],) if through else (),
+                     (v[:k] for k in cv[c + 1:]))
+    if oracle._pair is DistanceOracle._free_distance:
+        steps = [(-a,) for a in reversed(u[c:])] + [(b,) for b in v[c:]]
+    else:
+        g = oracle.group
+        steps = [g.lift(f, x)
+                 for f, x in g.syllables(g.multiply(g.inverse(u), v))]
+    return steps, vertices
 
 
 # ---------------------------------------------------------------------------

@@ -361,8 +361,10 @@ class TestLemma418:
         d_ba = direction_from_text(GR_Z3Z2, "b a")
         pipe = DirectionPipeline(OR_Z3Z2, d_ba, nu=0)
         ha = self._window(PIPE_AB, 18, 2, 9)
-        hb = self._window(pipe, 18, 2, 9)
-        assert hb.g_n == Z3Z2.parse("b")
+        win = c_eta_window(pipe, 18, 2)
+        t_n, g_n = t_n_and_g_n(pipe.oracle, win, s_n_eta(win, 9))
+        assert g_n == Z3Z2.parse("b")
+        hb = h_n_window(pipe.oracle, win, t_n)
         report = check_lemma418(OR_Z3Z2, ha, hb, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()

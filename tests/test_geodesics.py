@@ -15,6 +15,7 @@ from relbundles.relgraph import (
     DistanceOracle,
     RelativeGraph,
     ResourceLimitError,
+    spelled_geodesic,
 )
 from relbundles.geodesics import (
     _layered_dag,
@@ -27,7 +28,6 @@ from relbundles.geodesics import (
     geodesic_dag,
     layer_profile,
     ray_vertex,
-    spelled_geodesic,
 )
 
 SPECS = pathlib.Path(__file__).resolve().parent.parent / "specs"

@@ -21,12 +21,9 @@ from relbundles.relgraph import (
     RELATIVE,
     DistanceOracle,
     RelativeGraph,
-)
-from relbundles.geodesics import (
-    enumerate_geodesics,
-    geodesic_dag,
     spelled_geodesic,
 )
+from relbundles.geodesics import enumerate_geodesics, geodesic_dag
 from relbundles import hyperbolicity
 from relbundles.hyperbolicity import (
     SlimnessReport,
@@ -74,6 +71,15 @@ Z6 = build_group(load_spec(os.path.join(SPECS, "z6_table.json")))
 OR_Z6 = DistanceOracle(RelativeGraph(Z6))
 Z6Z2 = build_group(load_spec(os.path.join(SPECS, "z6z2_free.json")))
 OR_Z6Z2 = DistanceOracle(RelativeGraph(Z6Z2))
+# ℤ₆∗ℤ₆ with the first factor coned: the second factor's 6-cycles give
+# triangles with a nonzero defect in both metrics
+Z6Z6 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [{"family": "finite-table", "table": _cyclic_table(6, "a")},
+                {"family": "finite-table", "table": _cyclic_table(6, "b")}],
+    "parabolics": [0],
+}))
+OR_Z6Z6 = DistanceOracle(RelativeGraph(Z6Z6))
 
 
 # ---------------------------------------------------------------------------
@@ -130,17 +136,24 @@ def _referee_defect(oracle, a, b, c, measure):
                for p, q, r in itertools.product(*choices))
 
 
-@pytest.mark.parametrize("oracle, radius", [
-    (OR_Z6, 3),    # 6-cycle bigons: the non-chain bottleneck branch
-    (OR_F2X, 1),   # adjoined generator: one edge spans two letters
-    (OR_Z3Z2, 2),  # parabolic edges
-    (OR_F2, 2),    # sides placed straight from the normal form
-    (OR_Z6Z2, 2),  # branching sides beside chains: the running bound prunes
-], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2"])
-def test_probe_matches_side_choice_referee(oracle, radius):
+@pytest.mark.parametrize("oracle, radius, anchored", [
+    (OR_Z6, 3, False),    # 6-cycle bigons: the non-chain bottleneck branch
+    (OR_F2X, 1, False),   # adjoined generator: one edge spans two letters
+    (OR_Z3Z2, 2, False),  # parabolic edges
+    (OR_F2, 2, False),    # sides placed straight from the normal form
+    (OR_Z6Z2, 2, False),  # branching sides beside chains: the running bound prunes
+    # a coned family with non-tripod triangles: the two measures score
+    # nonzero defects (26 of these 900 triples); the radius-1 ball has none
+    (OR_Z6Z6, 2, True),
+], ids=["z6_table", "F2X", "Z3Z2", "F2", "Z6Z2", "Z6Z6"])
+def test_probe_matches_side_choice_referee(oracle, radius, anchored):
+    """Every corner triple of the ball, or, where `anchored`, every one
+    with its first corner at e: defects are left-invariant, so these are
+    the triangles with the other corners within `radius` of the first."""
     probe = _TriangleProbe(oracle)
     corners = sorted(oracle.graph.ball((), radius).entries)
-    for a, b, c in itertools.product(corners, repeat=3):
+    firsts = [()] if anchored else corners
+    for a, b, c in itertools.product(firsts, corners, corners):
         got = probe.defects(a, b, c)
         for metric, measure in _measures(oracle):
             assert got[metric][0] == _referee_defect(
@@ -443,7 +456,7 @@ def test_tree_sweep_scores_no_triangle(monkeypatch):
     assert scored == []
 
 
-def _referee_sweep(oracle, keep_witnesses=5, **kw):
+def _referee_sweep(oracle, **kw):
     """`estimate_nu` with no corner table and no tripod count: `defects` on
     every triangle.  Returns the report and each triangle's defects."""
     probe = _TriangleProbe(oracle)
@@ -468,7 +481,7 @@ def _referee_sweep(oracle, keep_witnesses=5, **kw):
         exhaustive_nu_rel=exhaustive[RELATIVE],
         exhaustive_nu_abs=exhaustive[ABSOLUTE],
         triangles_checked=len(found),
-        witnesses=tuple(witnesses[-keep_witnesses:]))
+        witnesses=tuple(witnesses[-5:]))
     return report, found
 
 
@@ -570,15 +583,6 @@ def test_negative_triangle_budget_rejected():
     with pytest.raises(SpecError, match="triangle_budget"):
         estimate_nu(OR_F2, exhaustive_radius=1, ball_radius=1,
                     triangle_budget=-5)
-
-
-def test_keep_witnesses_keeps_the_last_ones():
-    kw = dict(exhaustive_radius=3, ball_radius=3, triangle_budget=50, seed=1)
-    assert estimate_nu(OR_Z6, keep_witnesses=0, **kw).witnesses == ()
-    kept = estimate_nu(OR_Z6, keep_witnesses=1, **kw).witnesses
-    assert [w.corners for w in kept] == [((), (), (1, 1, 1))]
-    with pytest.raises(SpecError, match="keep_witnesses"):
-        estimate_nu(OR_Z6, keep_witnesses=-1, **kw)
 
 
 # ---------------------------------------------------------------------------
