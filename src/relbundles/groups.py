@@ -393,7 +393,8 @@ class SmallCancellationGroup(Group):
     shortlex-least word among Dehn-reduced words reachable by
     non-length-increasing half-relator rewrites within ``search_depth`` steps
     (twice the longest relator), which canonicalizes every element met at
-    desk scale; ``equal`` never relies on it.
+    desk scale; ``equal`` never relies on it.  ``pieces`` keeps the C'(1/6)
+    piece report of the relators.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -429,8 +430,7 @@ class SmallCancellationGroup(Group):
             if L % 2 == 0:
                 k = L // 2
                 self._half_swaps.append((rot[:k], invert_free(rot[k:])))
-        # longest candidates first; the first pair per prefix wins a tie
-        self._majority.sort(key=lambda pr: (-len(pr[0]), shortlex_key(pr[0])))
+        # the first pair per prefix wins a tie
         self._majority_index: dict[Word, Word] = {}
         for prefix, repl in self._majority:
             self._majority_index.setdefault(prefix, repl)
@@ -445,6 +445,7 @@ class SmallCancellationGroup(Group):
         self._swap_prefixes = frozenset(prefix for prefix, _ in self._half_swaps)
         # normal forms of the words whose canonical search ran
         self._nf_cache: dict[Word, Word] = {}
+        self.pieces = _piece_report(self.relators)
 
     # -- Dehn reduction ----------------------------------------------------
 
@@ -639,7 +640,12 @@ class FreeProductGroup(Group):
 
         The syllables u and v share cancel; the first ones that differ merge
         when they lie in one factor; the rest of u (inverted) and of v
-        counts run by run.  Neither u⁻¹ nor u⁻¹v is built.
+        counts run by run.  Neither u⁻¹ nor u⁻¹v is built.  Another syllable
+        counts the length of its normal form.  In a small-cancellation
+        factor that is its word length where the ladder lemma of
+        `DistanceOracle` (relgraph) holds: even relators, pieces of one
+        letter, and at most L_max letters (50 on genus 2); elsewhere it is
+        an upper bound.
         """
         owner = self._owner
         m = min(len(u), len(v))
@@ -720,7 +726,7 @@ def build_group(spec: GroupSpec) -> Group:
     if spec.family == "small-cancellation":
         group = SmallCancellationGroup(spec)
         # Dehn's algorithm decides the word problem only under C'(1/6)
-        report = _piece_report(group.relators)
+        report = group.pieces
         if not report.passed:
             raise SpecError(
                 "presentation fails the C'(1/6) metric condition: piece "
@@ -742,19 +748,20 @@ class PieceReport:
     passed: bool
 
 
-def enumerate_pieces(relators: Sequence[Word]) -> list[tuple[Word, Fraction]]:
-    """All pieces with their worst length ratio.
+def enumerate_pieces(relators: Sequence[Word]) -> list[tuple[Word, int]]:
+    """All pieces, each with the length of the shortest relator it lies in.
 
     A piece is a common prefix of two *distinct occurrences*: cyclic rotations
     of the symmetrized relators tagged by (relator, orientation, rotation).
     Equal words under different tags count, so proper powers are rejected.
+    A piece p with shortest relator length l has worst ratio |p|/l.
     """
     tagged: list[tuple[Word, int]] = []
     for r in relators:
         for w in (r, invert_free(r)):
             for s in range(len(w)):
                 tagged.append((w[s:] + w[:s], len(r)))
-    found: dict[Word, Fraction] = {}
+    found: dict[Word, int] = {}
     for i in range(len(tagged)):
         wi, li = tagged[i]
         for j in range(i + 1, len(tagged)):
@@ -766,9 +773,7 @@ def enumerate_pieces(relators: Sequence[Word]) -> list[tuple[Word, Fraction]]:
             if k == 0:
                 continue
             p = wi[:k]
-            ratio = max(Fraction(k, li), Fraction(k, lj))
-            if p not in found or ratio > found[p]:
-                found[p] = ratio
+            found[p] = min(li, lj, found.get(p, li))
     return sorted(found.items(), key=lambda kv: (shortlex_key(kv[0])))
 
 
@@ -779,7 +784,7 @@ def validate_presentation(spec: GroupSpec) -> PieceReport:
     """
     if spec.family != "small-cancellation":
         raise SpecError("piece validation applies to the small-cancellation family")
-    return _piece_report(SmallCancellationGroup(spec).relators)
+    return SmallCancellationGroup(spec).pieces
 
 
 def _piece_report(relators: Sequence[Word]) -> PieceReport:
@@ -787,10 +792,16 @@ def _piece_report(relators: Sequence[Word]) -> PieceReport:
     pieces = enumerate_pieces(relators)
     if not pieces:
         return PieceReport((), (), Fraction(0), True)
-    max_piece, max_ratio = max(pieces, key=lambda kv: (kv[1], len(kv[0])))
+    # the first piece of greatest ratio |p|/l, then greatest length; ratios
+    # compare as integer cross-products
+    top, top_len = pieces[0]
+    for p, l in pieces[1:]:
+        c = len(p) * top_len - len(top) * l
+        if c > 0 or (c == 0 and len(p) > len(top)):
+            top, top_len = p, l
     return PieceReport(
         pieces=tuple(p for p, _ in pieces),
-        max_piece=max_piece,
-        max_ratio=max_ratio,
-        passed=max_ratio < Fraction(1, 6),
+        max_piece=top,
+        max_ratio=Fraction(len(top), top_len),
+        passed=6 * len(top) < top_len,
     )

@@ -15,7 +15,8 @@ ordered by least label.  A label is only a name: `alphabet` keeps each
 symbol's element with the names of its labels, which the DOT files print
 and `validate-spec` counts.
 
-Distance queries dispatch to closed forms where the family admits one;
+Distance queries dispatch to closed forms where the family admits one,
+on small-cancellation groups the length of a normal form proven geodesic;
 where the normal form also spells the one geodesic, the oracle owns that
 too (`DistanceOracle.spelling`, `spelled_split`, `spelled_geodesic`).
 Otherwise the oracle keeps one ball around e, valid for every query
@@ -38,11 +39,13 @@ from .groups import (
     FreeGroup,
     FreeProductGroup,
     Group,
+    SmallCancellationGroup,
     SpecError,
     TableGroup,
     Word,
     build_group,
     free_reduce,
+    invert_free,
     shortlex_key,
 )
 
@@ -251,17 +254,22 @@ class DistanceOracle:
     per coned (parabolic) syllable of u⁻¹v and the factor length otherwise,
     read off where the syllables of u and v part, without building u⁻¹v.
     A free group with adjoined generators uses a parse DP of u⁻¹v when the
-    alphabet passes the junction check below.  Anything else uses one ball
-    around e: d(u, v) = |u⁻¹v| is a lookup when u⁻¹v lies in the ball, and
-    otherwise a bidirectional search whose fixed side is the ball.  The
-    ball is never invalidated, only grown, and the sizes of its outer
-    sphere and of the search frontier decide how far.  The parse DP and
-    the ball search share one memo keyed by u⁻¹v.
+    alphabet passes the junction check below.  A small-cancellation group
+    whose relators all have even length and whose pieces are at most one
+    letter long uses |nf(u⁻¹v)|, the length of the normal form, while that
+    is at most L_max = search_depth·(m−1) + 2, 2m the shortest relator
+    (50 on genus 2; proof at `_geodesic_reach`).  Anything else, and a
+    longer normal form, uses one ball around e: d(u, v) = |u⁻¹v| is a
+    lookup when u⁻¹v lies in the ball, and otherwise a bidirectional
+    search whose fixed side is the ball.  The ball is never invalidated,
+    only grown, and the sizes of its outer sphere and of the search
+    frontier decide how far.  The parse DP and the ball search share one
+    memo keyed by u⁻¹v.
 
-    `within(u, v, bound)` answers d(u, v) ≤ bound.  The closed forms and
-    the parse DP read it off `distance`; the ball search stops once its two
-    radii sum to the bound with no meet at or below it, and memoizes only
-    exact distances.
+    `within(u, v, bound)` answers d(u, v) ≤ bound.  The closed forms, the
+    normal form and the parse DP read it off `distance`; the ball search
+    stops once its two radii sum to the bound with no meet at or below
+    it, and memoizes only exact distances.
     """
 
     def __init__(self, graph: RelativeGraph):
@@ -288,6 +296,10 @@ class DistanceOracle:
             self._t_words = frozenset(graph.step_words)
             self._t_maxlen = max(map(len, self._t_words), default=0)
             self._pair = (cls._parsed_distance if self._junction_check()
+                          else cls._searched_distance)
+        elif isinstance(g, SmallCancellationGroup) and plain:
+            self._reach = self._geodesic_reach()
+            self._pair = (cls._normal_distance if self._reach
                           else cls._searched_distance)
         else:
             self._pair = cls._searched_distance
@@ -324,6 +336,40 @@ class DistanceOracle:
                         return False
         return True
 
+    def _geodesic_reach(self) -> int:
+        """L_max: a normal form at most this long is a geodesic; 0 (no
+        closed form) unless there are relators, all of even length, and
+        every piece has one letter.
+
+        Let w be Dehn-reduced (no subword is more than half a relator) and
+        not geodesic, g a geodesic with the same ends.  Some simple disc
+        component of a reduced diagram for the bigon w, g has a longer w
+        side.  By Strebel's classification of C'(1/6) bigons (appendix to
+        Ghys–de la Harpe 1990) it is a ladder of n cells, each glued to the
+        next along one piece; his proof asks of each side only that it hold
+        at most half of any cell's boundary, which w and g do.  So n ≥ 2,
+        and for a cell of relator length 2m with one-letter pieces an end
+        cell adds ±1 to |w| − |g| and a middle cell −2, 0 or +2; a positive
+        cell holds m letters of w, a zero cell m − 1.  Even relators make
+        the graph bipartite, so the sum is even and ≥ 2, and two positive
+        cells are joined by a run of zero cells.  Swapping w's half along
+        the first positive cell, then along each zero cell, keeps the
+        length; the swap at the second positive cell cancels the piece it
+        enters by.  So k swaps reach a shorter word, k the cells of the
+        run, which cover at least k(m−1) + 2 letters of w, m now half the
+        shortest relator.  If |w| ≤ L_max = search_depth·(m−1) + 2, then
+        k ≤ search_depth and the normal-form search finds that word.  A
+        normal form is as long as a Dehn-reduced word whose search found
+        nothing shorter, or that holds no half relator and so no positive
+        cell: if it has at most L_max letters, it is a geodesic.
+        """
+        g = self.group
+        if (not g.relators or any(len(r) % 2 for r in g.relators)
+                or any(len(p) > 1 for p in g.pieces.pieces)):
+            return 0
+        m = min(map(len, g.relators)) // 2
+        return g.search_depth * (m - 1) + 2
+
     def _parse_dp(self, w: Word) -> int:
         big = len(w) + 1
         dist = [0] + [big] * len(w)
@@ -341,9 +387,11 @@ class DistanceOracle:
 
     def within(self, u: Word, v: Word, bound: int) -> bool:
         """Whether d(u, v) ≤ bound; a ball search stops once it can tell."""
-        if self._pair is not DistanceOracle._searched_distance:
+        pair = self._pair
+        if pair not in (DistanceOracle._searched_distance,
+                        DistanceOracle._normal_distance):
             return self.distance(u, v) <= bound
-        d = self._searched_distance(u, v, bound)
+        d = pair(self, u, v, bound)
         return d is not None and d <= bound
 
     def _free_distance(self, u: Word, v: Word) -> int:
@@ -357,6 +405,14 @@ class DistanceOracle:
 
     def _word_distance(self, u: Word, v: Word) -> int:
         return len(self.group.multiply(self.group.inverse(u), v))
+
+    def _normal_distance(self, u: Word, v: Word,
+                         bound: int | None = None) -> int | None:
+        """|nf(u⁻¹v)| up to L_max, else the ball search."""
+        d = len(self.group.reduce(invert_free(u) + v))
+        if d <= self._reach:
+            return d
+        return self._searched_distance(u, v, bound)
 
     def _syllable_distance(self, u: Word, v: Word) -> int:
         return self.group.syllable_distance(u, v, self._coned)

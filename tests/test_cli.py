@@ -34,10 +34,11 @@ Z3Z2_SPEC = {
     ],
     "parabolics": [0, 1],
 }
-GENUS2_SPEC = {
+# one relator of odd length has no half swaps, so its oracle searches a ball
+ODD_SPEC = {
     "family": "small-cancellation",
     "generators": ["a", "b", "c", "d"],
-    "relators": ["a b a' b' c d c' d'"],
+    "relators": ["a b c d a' b' c' d' a"],
 }
 TINY_CONFIG = {
     "suite": "tiny",
@@ -285,7 +286,7 @@ class TestExplore:
         def search(*args, **kwargs):
             raise error("search gave up")
         monkeypatch.setattr(DistanceOracle, "_ball_search", search)
-        spec = _write(tmp_path / "genus2.json", GENUS2_SPEC)
+        spec = _write(tmp_path / "odd.json", ODD_SPEC)
         assert main(["explore", "dag", "e", "a b a' b'", "--spec", spec,
                      "--out", str(tmp_path / "art")]) == 1
         assert capsys.readouterr().err == "error: search gave up\n"

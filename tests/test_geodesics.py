@@ -62,6 +62,12 @@ GENUS2 = build_group(spec_from_dict({
     "generators": ["a", "b", "c", "d"],
     "relators": ["a b a' b' c d c' d'"],
 }))
+# one relator of odd length has no half swaps, so its oracle searches a ball
+ODD = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d"],
+    "relators": ["a b c d a' b' c' d' a"],
+}))
 
 Z6Z2 = build_group(load_spec(str(SPECS / "z6z2_free.json")))
 F2Z = build_group(load_spec(str(SPECS / "f2_z_parabolic.json")))
@@ -77,6 +83,7 @@ GR_Z3Z2 = RelativeGraph(Z3Z2)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 GR_GENUS2 = RelativeGraph(GENUS2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
+GR_ODD = RelativeGraph(ODD)
 GR_Z6Z2 = RelativeGraph(Z6Z2)
 OR_Z6Z2 = DistanceOracle(GR_Z6Z2)
 OR_F2Z = DistanceOracle(RelativeGraph(F2Z))
@@ -396,7 +403,7 @@ def test_validate_direction_rejects_torsion_loop():
 
 
 # (oracle, a geodesic direction, a word whose prefix of length `failing`
-# reaches distance `reached`, two anchors); genus 2 measures by ball search.
+# reaches distance `reached`, two anchors); genus 2 measures by normal form.
 RAY_CASES = [
     pytest.param(OR_F2, "a b", "a b b' a", 3, 1, ("b", "a' b a"), id="F2"),
     pytest.param(OR_Z3Z2, "a b", "a b b", 3, 1, ("b a", "a' b a'"),
@@ -496,8 +503,9 @@ def test_membership_search_stops_at_its_bound(text, radius):
     search for a rejected w stops once it could have met within L−k: from
     e to the radius-4 target the ball around e stops at radius 2, where
     exact distances grow it to 3."""
-    oracle = DistanceOracle(GR_GENUS2)
-    geodesic_dag(oracle, (), GENUS2.parse(text))
+    oracle = DistanceOracle(GR_ODD)
+    assert oracle._pair.__name__ == "_searched_distance"
+    geodesic_dag(oracle, (), ODD.parse(text))
     assert oracle._ball.radius == radius
 
 
@@ -542,3 +550,22 @@ def test_truncated_bundle_is_the_cut_of_the_full_dag(oracle, text, bases,
                                     depth=full.length + extra) == full
             width = max(width, *(len(layer) for layer in bundle.layers))
     assert width == widest
+
+
+def test_far_base_bundle_grows_no_ball(monkeypatch):
+    """The genus-2 bundle from c d c' d' toward a at depth 2, margin 3,
+    reads every distance off the normal form, so the oracle's ball stays
+    at radius 0; a ball search grew it to radius 7 (1,085,905 vertices).
+    On the depth-1, margin-1 instance a ball-search oracle is the referee."""
+    x = GENUS2.parse("c d c' d'")
+    direction = direction_from_text(GR_GENUS2, "a")
+    oracle = DistanceOracle(GR_GENUS2)
+    bundle = cgr_bundle_trunc(oracle, x, direction, depth=2, margin=3)
+    assert layer_profile(bundle) == [1, 2, 2]
+    assert oracle._ball.radius == 0
+    cheap = cgr_bundle_trunc(oracle, x, direction, depth=1, margin=1)
+    monkeypatch.setattr(DistanceOracle, "_geodesic_reach", lambda self: 0)
+    searched = DistanceOracle(GR_GENUS2)
+    assert searched._pair.__name__ == "_searched_distance"
+    assert cgr_bundle_trunc(searched, x, direction, depth=1, margin=1) == cheap
+    assert searched._ball.radius > 0

@@ -11,6 +11,7 @@ from hypothesis import HealthCheck, given, settings, strategies as st
 from relbundles.groups import (
     SpecError,
     build_group,
+    invert_free,
     load_spec,
     shortlex_key,
     spec_from_dict,
@@ -61,6 +62,18 @@ GENUS2_SPEC = {
     "relators": ["a b a' b' c d c' d'"],
 }
 GENUS2 = build_group(spec_from_dict(GENUS2_SPEC))
+# one relator of odd length has no half swaps, so its oracle searches a ball
+ODD = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d"],
+    "relators": ["a b c d a' b' c' d' a"],
+}))
+# two relators of different lengths, pieces of one letter
+TWO_RELATOR = build_group(spec_from_dict({
+    "family": "small-cancellation",
+    "generators": ["a", "b", "c", "d", "f", "g", "h", "i", "j", "k"],
+    "relators": ["a b a' b' c d c' d'", "f g h i j k f' g' h' i' j' k'"],
+}))
 # Z * Z3 with the Z3 slot parabolic: the non-parabolic factor is free
 ZxZ3 = build_group(spec_from_dict({
     "family": "free-product",
@@ -75,12 +88,14 @@ GR_F2 = RelativeGraph(F2)
 GR_F2X = RelativeGraph(F2X)
 GR_Z3Z2 = RelativeGraph(Z3Z2)
 GR_GENUS2 = RelativeGraph(GENUS2)
+GR_ODD = RelativeGraph(ODD)
 GR_ZxZ3 = RelativeGraph(ZxZ3)
 
 OR_F2 = DistanceOracle(GR_F2)
 OR_F2X = DistanceOracle(GR_F2X)
 OR_Z3Z2 = DistanceOracle(GR_Z3Z2)
 OR_GENUS2 = DistanceOracle(GR_GENUS2)
+OR_ODD = DistanceOracle(GR_ODD)
 OR_ZxZ3 = DistanceOracle(GR_ZxZ3)
 
 GRAPHS = [GR_F2, GR_F2X, GR_Z3Z2, GR_GENUS2]
@@ -277,10 +292,103 @@ class TestOracleAgainstSearch:
     @PROPERTY_SETTINGS
     @given(u=words_of(GENUS2, 4), v=words_of(GENUS2, 4))
     def test_small_cancellation(self, u, v):
-        # OR_GENUS2 keeps its ball across examples, so this also checks
-        # that answers do not depend on the order of the queries
         for oracle in (OR_GENUS2, OR_GENUS2.absolute):
             assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v)
+
+    @PROPERTY_SETTINGS
+    @given(u=words_of(ODD, 4), v=words_of(ODD, 4))
+    def test_ball_search(self, u, v):
+        # OR_ODD keeps its ball across examples, so this also checks
+        # that answers do not depend on the order of the queries
+        assert OR_ODD.distance(u, v) == GR_ODD.distance_bfs(u, v)
+
+
+NORMAL_FORM_ORACLES = {"genus2": OR_GENUS2,
+                       "two-relator": DistanceOracle(RelativeGraph(TWO_RELATOR))}
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_ORACLES))
+@PROPERTY_SETTINGS
+@given(data=st.data())
+def test_normal_form_distance_matches_search(name, data):
+    """d(u, v) = |nf(u⁻¹v)| and within(u, v, b) agree with plain BFS.  v
+    is u times up to 7 cyclic letters of a relator, so that u⁻¹v often
+    holds half or more of one."""
+    oracle = NORMAL_FORM_ORACLES[name]
+    group = oracle.group
+    assert oracle._pair.__name__ == "_normal_distance"
+    u = data.draw(words_of(group, 3))
+    r = data.draw(st.sampled_from(group.relators))
+    r = data.draw(st.sampled_from([r, invert_free(r)]))
+    i = data.draw(st.integers(0, len(r) - 1))
+    x = (r + r)[i:i + data.draw(st.integers(0, 7))]
+    v = group.reduce(u + x)
+    d = oracle.graph.distance_bfs(u, v)
+    assert oracle.distance(u, v) == d
+    for bound in (d - 1, d):
+        assert oracle.within(u, v, bound) == (d <= bound)
+
+
+def test_genus2_normal_forms_are_geodesics():
+    """Every normal form in the radius-5 ball is as long as its BFS
+    distance from e, so the oracle reads that distance off it."""
+    ball = GR_GENUS2.ball((), 5)
+    assert len(ball.entries) == 22289
+    oracle = DistanceOracle(GR_GENUS2)
+    for w, d in ball.entries.items():
+        assert len(w) == d
+        assert oracle.distance((), w) == d
+
+
+@pytest.mark.parametrize("name", sorted(NORMAL_FORM_ORACLES))
+def test_normal_form_shortens_a_dehn_reduced_word(name):
+    """u⁻¹v Dehn-reduces to b a b' a' c' b a b', two half relators whose
+    cells share one edge, a ladder of two cells: the normal-form search
+    swaps both halves and finds the geodesic of 6 letters."""
+    oracle = NORMAL_FORM_ORACLES[name]
+    group = oracle.group
+    u, v = group.parse("a b a' b'"), group.parse("c' b a b'")
+    assert len(group.dehn_reduce(invert_free(u) + v)) == 8
+    assert oracle.distance(u, v) == oracle.graph.distance_bfs(u, v) == 6
+
+
+def test_normal_form_falls_back_past_its_reach(monkeypatch):
+    """On genus 2, L_max = search_depth·(m−1) + 2 = 16·3 + 2 = 50: a
+    normal form of 50 letters gives the distance, one of 52 goes to the
+    ball search, bounded in `within`."""
+    searched = []
+
+    def search(oracle, w, bound=None):
+        searched.append((len(w), bound))
+        return len(w)
+    monkeypatch.setattr(DistanceOracle, "_ball_search", search)
+    oracle = DistanceOracle(GR_GENUS2)
+    assert oracle._reach == 50
+    at, past = (GENUS2.parse(" ".join(["a c"] * n)) for n in (25, 26))
+    assert len(at) == 50 and len(past) == 52
+    assert oracle.distance((), at) == 50
+    assert oracle.within((), at, 49) is False
+    assert searched == []
+    assert oracle.distance((), past) == 52
+    assert DistanceOracle(GR_GENUS2).within((), past, 51) is False
+    assert searched == [(52, None), (52, 51)]
+
+
+@pytest.mark.parametrize("relators", [
+    ["a b c d f g h"],  # odd length: no half swaps
+    ["a b c d a b f g h i j k l m"],  # C'(1/6) with the piece a b
+], ids=["odd-relator", "two-letter-piece"])
+def test_normal_form_needs_its_hypotheses(relators):
+    """Outside the hypotheses of `_geodesic_reach` the oracle searches."""
+    group = build_group(spec_from_dict({
+        "family": "small-cancellation",
+        "generators": sorted({x for r in relators for x in r.split()}),
+        "relators": relators,
+    }))
+    assert group.pieces.passed
+    oracle = DistanceOracle(RelativeGraph(group))
+    assert oracle._reach == 0
+    assert oracle._pair.__name__ == "_searched_distance"
 
 
 # ---------------------------------------------------------------------------
@@ -294,7 +402,8 @@ ORACLE_MODES = {
     "parse": (F2X, "_parsed_distance"),
     "table": (Z6, "_word_distance"),
     "syllable": (Z3Z2, "_syllable_distance"),
-    "ball": (GENUS2, "_searched_distance"),
+    "normal": (GENUS2, "_normal_distance"),
+    "ball": (ODD, "_searched_distance"),
 }
 
 
@@ -346,11 +455,11 @@ def test_parse_memo_stores_each_word_once():
 def test_bounded_no_leaves_no_memo(seed, forward_first):
     """A bounded search that answers no memoizes nothing, so the exact
     distances asked afterwards, in either order, are still right."""
-    for u, v in _seeded_pairs(GENUS2, seed):
-        d = GR_GENUS2.distance_bfs(u, v)
+    for u, v in _seeded_pairs(ODD, seed):
+        d = GR_ODD.distance_bfs(u, v)
         if d < 2:
             continue
-        oracle = DistanceOracle(GR_GENUS2)
+        oracle = DistanceOracle(GR_ODD)
         assert not oracle.within(u, v, d - 1)
         assert not oracle._memo
         pairs = [(u, v), (v, u)] if forward_first else [(v, u), (u, v)]
@@ -393,6 +502,15 @@ def test_syllable_distance_matches_difference_word(name, data):
                for f, local in group.syllables(w))
     assert oracle.distance(u, v) == want
     assert oracle.absolute.distance(u, v) == len(w)
+    if name == "genus2_z2":
+        # a genus-2 syllable counts its normal-form length, which the
+        # ladder lemma makes its word length; b is a times a relator stretch
+        r = group.lift(0, group.factors[0].relators[0])
+        i = data.draw(st.integers(0, len(r) - 1))
+        a = data.draw(words_of(group, 3))
+        b = group.reduce(a + (r + r)[i:i + data.draw(st.integers(0, 7))])
+        for measure in (oracle, oracle.absolute):
+            assert measure.distance(a, b) == measure.graph.distance_bfs(a, b)
 
 
 class TestMetricProperties:
