@@ -4,6 +4,11 @@ Exit codes follow the verification contract: 0 all pass, 1 hard failure
 (including usage and spec errors), 2 flagged-or-approximate findings only.
 Every artifact is written deterministically — same spec, config and seed
 give byte-identical files.
+
+`main` builds its argument parser once per process, on its first call,
+and reuses it: the parser is never changed after it is built, and each
+`parse_args` returns a fresh namespace.  Only in-process callers that run
+`main` many times gain; a `relbundles` process calls it once.
 """
 
 from __future__ import annotations
@@ -11,6 +16,7 @@ from __future__ import annotations
 import argparse
 import csv
 import errno
+import functools
 import json
 import os
 import statistics
@@ -63,6 +69,7 @@ class _Parser(argparse.ArgumentParser):
         self.exit(1, f"{self.prog}: error: {message}\n")
 
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = _Parser(
         prog="relbundles",

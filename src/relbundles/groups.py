@@ -357,9 +357,6 @@ class TableGroup(Group):
             elt = self._mul[elt][g]
         return elt
 
-    def canonical_word(self, index: int) -> Word:
-        return self._canon[index]
-
     def reduce(self, word: Iterable[int]) -> Word:
         return self._canon[self.element_index(word)]
 
@@ -393,8 +390,8 @@ class SmallCancellationGroup(Group):
     shortlex-least word among Dehn-reduced words reachable by
     non-length-increasing half-relator rewrites within ``search_depth`` steps
     (twice the longest relator), which canonicalizes every element met at
-    desk scale; ``equal`` never relies on it.  ``pieces`` keeps the C'(1/6)
-    piece report of the relators.
+    desk scale; Dehn's algorithm (``dehn_reduce`` reaching e) never relies
+    on it.  ``pieces`` keeps the C'(1/6) piece report of the relators.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -474,12 +471,6 @@ class SmallCancellationGroup(Group):
             i, prefix, repl = hit
             w = free_reduce(w[:i] + repl + w[i + len(prefix):])
         raise DehnReductionError("Dehn reduction did not terminate")
-
-    def is_identity(self, word: Word) -> bool:
-        return self.dehn_reduce(word) == ()
-
-    def equal(self, u: Word, v: Word) -> bool:
-        return self.is_identity(free_reduce(u + invert_free(v)))
 
     def reduce(self, word: Iterable[int]) -> Word:
         w = self.dehn_reduce(word)
@@ -643,9 +634,10 @@ class FreeProductGroup(Group):
         counts run by run.  Neither u⁻¹ nor u⁻¹v is built.  Another syllable
         counts the length of its normal form.  In a small-cancellation
         factor that is its word length where the ladder lemma of
-        `DistanceOracle` (relgraph) holds: even relators, pieces of one
+        relgraph's `_geodesic_reach` holds: even relators, pieces of one
         letter, and at most L_max letters (50 on genus 2); elsewhere it is
-        an upper bound.
+        an upper bound, so the oracle uses this count only on products
+        whose non-coned small-cancellation factors meet the first two.
         """
         owner = self._owner
         m = min(len(u), len(v))

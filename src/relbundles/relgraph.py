@@ -245,6 +245,41 @@ class Spelling(NamedTuple):
     opened: int
 
 
+def _geodesic_reach(group: SmallCancellationGroup) -> int:
+    """L_max: a normal form of `group` at most this long is a geodesic;
+    0 (no closed form) unless there are relators, all of even length,
+    and every piece has one letter.
+
+    Let w be Dehn-reduced (no subword is more than half a relator) and
+    not geodesic, g a geodesic with the same ends.  Some simple disc
+    component of a reduced diagram for the bigon w, g has a longer w
+    side.  By Strebel's classification of C'(1/6) bigons (appendix to
+    Ghys–de la Harpe 1990) it is a ladder of n cells, each glued to the
+    next along one piece; his proof asks of each side only that it hold
+    at most half of any cell's boundary, which w and g do.  So n ≥ 2,
+    and for a cell of relator length 2m with one-letter pieces an end
+    cell adds ±1 to |w| − |g| and a middle cell −2, 0 or +2; a positive
+    cell holds m letters of w, a zero cell m − 1.  Even relators make
+    the graph bipartite, so the sum is even and ≥ 2, and two positive
+    cells are joined by a run of zero cells.  Swapping w's half along
+    the first positive cell, then along each zero cell, keeps the
+    length; the swap at the second positive cell cancels the piece it
+    enters by.  So k swaps reach a shorter word, k the cells of the
+    run, which cover at least k(m−1) + 2 letters of w, m now half the
+    shortest relator.  If |w| ≤ L_max = search_depth·(m−1) + 2, then
+    k ≤ search_depth and the normal-form search finds that word.  A
+    normal form is as long as a Dehn-reduced word whose search found
+    nothing shorter, or that holds no half relator and so no positive
+    cell: if it has at most L_max letters, it is a geodesic.
+    """
+    relators = group.relators
+    if (not relators or any(len(r) % 2 for r in relators)
+            or any(len(p) > 1 for p in group.pieces.pieces)):
+        return 0
+    m = min(map(len, relators)) // 2
+    return group.search_depth * (m - 1) + 2
+
+
 class DistanceOracle:
     """Exact distance queries, specialized per group family.
 
@@ -252,8 +287,10 @@ class DistanceOracle:
     primitive generators use |u| + |v| minus twice their common prefix;
     finite tables use the canonical length of u⁻¹v; free products charge 1
     per coned (parabolic) syllable of u⁻¹v and the factor length otherwise,
-    read off where the syllables of u and v part, without building u⁻¹v.
-    A free group with adjoined generators uses a parse DP of u⁻¹v when the
+    read off where the syllables of u and v part, without building u⁻¹v,
+    if every non-coned small-cancellation factor meets the hypotheses of
+    `_geodesic_reach` (elsewhere a factor's normal form only bounds its
+    length, and the product searches).  A free group with adjoined generators uses a parse DP of u⁻¹v when the
     alphabet passes the junction check below.  A small-cancellation group
     whose relators all have even length and whose pieces are at most one
     letter long uses |nf(u⁻¹v)|, the length of the normal form, while that
@@ -291,14 +328,18 @@ class DistanceOracle:
         elif isinstance(g, FreeProductGroup) and plain:
             # the factors whose syllables count 1
             self._coned = frozenset(g.parabolic_slots)
-            self._pair = cls._syllable_distance
+            exact = all(_geodesic_reach(h) for f, h in enumerate(g.factors)
+                        if f not in self._coned
+                        and isinstance(h, SmallCancellationGroup))
+            self._pair = (cls._syllable_distance if exact
+                          else cls._searched_distance)
         elif isinstance(g, FreeGroup):
             self._t_words = frozenset(graph.step_words)
             self._t_maxlen = max(map(len, self._t_words), default=0)
             self._pair = (cls._parsed_distance if self._junction_check()
                           else cls._searched_distance)
         elif isinstance(g, SmallCancellationGroup) and plain:
-            self._reach = self._geodesic_reach()
+            self._reach = _geodesic_reach(g)
             self._pair = (cls._normal_distance if self._reach
                           else cls._searched_distance)
         else:
@@ -335,40 +376,6 @@ class DistanceOracle:
                     if st != () and st not in words:
                         return False
         return True
-
-    def _geodesic_reach(self) -> int:
-        """L_max: a normal form at most this long is a geodesic; 0 (no
-        closed form) unless there are relators, all of even length, and
-        every piece has one letter.
-
-        Let w be Dehn-reduced (no subword is more than half a relator) and
-        not geodesic, g a geodesic with the same ends.  Some simple disc
-        component of a reduced diagram for the bigon w, g has a longer w
-        side.  By Strebel's classification of C'(1/6) bigons (appendix to
-        Ghys–de la Harpe 1990) it is a ladder of n cells, each glued to the
-        next along one piece; his proof asks of each side only that it hold
-        at most half of any cell's boundary, which w and g do.  So n ≥ 2,
-        and for a cell of relator length 2m with one-letter pieces an end
-        cell adds ±1 to |w| − |g| and a middle cell −2, 0 or +2; a positive
-        cell holds m letters of w, a zero cell m − 1.  Even relators make
-        the graph bipartite, so the sum is even and ≥ 2, and two positive
-        cells are joined by a run of zero cells.  Swapping w's half along
-        the first positive cell, then along each zero cell, keeps the
-        length; the swap at the second positive cell cancels the piece it
-        enters by.  So k swaps reach a shorter word, k the cells of the
-        run, which cover at least k(m−1) + 2 letters of w, m now half the
-        shortest relator.  If |w| ≤ L_max = search_depth·(m−1) + 2, then
-        k ≤ search_depth and the normal-form search finds that word.  A
-        normal form is as long as a Dehn-reduced word whose search found
-        nothing shorter, or that holds no half relator and so no positive
-        cell: if it has at most L_max letters, it is a geodesic.
-        """
-        g = self.group
-        if (not g.relators or any(len(r) % 2 for r in g.relators)
-                or any(len(p) > 1 for p in g.pieces.pieces)):
-            return 0
-        m = min(map(len, g.relators)) // 2
-        return g.search_depth * (m - 1) + 2
 
     def _parse_dp(self, w: Word) -> int:
         big = len(w) + 1

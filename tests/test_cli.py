@@ -5,7 +5,10 @@ from __future__ import annotations
 import argparse
 import hashlib
 import json
+import os
 import re
+import shutil
+import subprocess
 import sys
 from pathlib import Path
 
@@ -14,7 +17,12 @@ import pytest
 from relbundles import cli, suite
 from relbundles.bundles import StabilizationError
 from relbundles.cli import _build_parser, main
-from relbundles.groups import DehnReductionError, build_group, spec_from_dict
+from relbundles.groups import (
+    DehnReductionError,
+    SpecError,
+    build_group,
+    spec_from_dict,
+)
 from relbundles.relgraph import DistanceOracle, RelativeGraph, ResourceLimitError
 
 ROOT = Path(__file__).resolve().parent.parent
@@ -665,6 +673,72 @@ class TestUsage:
         assert self._exit_code(["--help"]) == 0
         assert self._exit_code(["verify", "--help"]) == 0
         assert "--config" in capsys.readouterr().out
+
+
+class TestParserReuse:
+    """`main` builds its parser once per process and reuses it: a call
+    answers as it would in a process of its own."""
+
+    def test_parser_is_built_once(self):
+        assert _build_parser() is _build_parser()
+
+    def _outcome(self, argv, out, capsys):
+        """Exit code, stdout, stderr and the bytes written under `out`."""
+        shutil.rmtree(out, ignore_errors=True)
+        try:
+            code = main(argv)
+        except SystemExit as stop:
+            code = stop.code
+        captured = capsys.readouterr()
+        written = {str(path.relative_to(out)): path.read_bytes()
+                   for path in sorted(out.rglob("*")) if path.is_file()}
+        return code, captured.out, captured.err, written
+
+    def test_calls_in_one_process_match_calls_alone(self, z3z2_spec_file,
+                                                    tmp_path, capsys):
+        out = tmp_path / "out"
+        calls = [
+            ["explore", "dag", "e", "a b", "--out", str(out)],  # no --spec
+            ["--help"],
+            ["explore", "dag", "e", "a b a", "--spec", z3z2_spec_file,
+             "--out", str(out)],
+            ["validate-spec", "--spec", z3z2_spec_file],
+        ]
+        alone = []
+        for argv in calls:
+            _build_parser.cache_clear()
+            alone.append(self._outcome(argv, out, capsys))
+        assert [code for code, *_ in alone] == [1, 0, 0, 0]
+        assert "--spec" in alone[0][2] and "usage:" in alone[1][1]
+        assert set(alone[2][3]) == {"dag.json", "dag.dot"}
+        _build_parser.cache_clear()
+        assert [self._outcome(argv, out, capsys) for argv in calls] == alone
+
+    def test_seed_override_is_not_carried_over(self, tmp_path, monkeypatch):
+        seeds = []
+
+        def run_suite(cfg):
+            seeds.append(cfg.seed)
+            raise SpecError("stop before the suite")
+        monkeypatch.setattr(cli, "run_suite", run_suite)
+        cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG, spec=F2_SPEC))
+        argv = ["verify", "--config", cfg, "--out", str(tmp_path / "r")]
+        assert main(argv + ["--seed", "99"]) == 1
+        assert main(argv) == 1
+        assert seeds == [99, TINY_CONFIG["seed"]]
+
+
+def test_import_builds_no_parser():
+    """Importing the front end leaves the parser unbuilt, so its cost is
+    paid by the first `main` call and not by every import."""
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(
+        filter(None, [str(ROOT / "src"), env.get("PYTHONPATH")]))
+    code = ("import relbundles.cli as cli; "
+            "print(cli._build_parser.cache_info().currsize)")
+    done = subprocess.run([sys.executable, "-c", code], env=env,
+                          capture_output=True, text=True, check=True)
+    assert done.stdout == "0\n"
 
 
 def _parser_options() -> set[str]:

@@ -8,6 +8,7 @@ import pathlib
 import pytest
 from hypothesis import HealthCheck, given, settings, strategies as st
 
+from relbundles import relgraph
 from relbundles.groups import SpecError, build_group, load_spec, spec_from_dict
 from relbundles.relgraph import (
     ABSOLUTE,
@@ -564,7 +565,7 @@ def test_far_base_bundle_grows_no_ball(monkeypatch):
     assert layer_profile(bundle) == [1, 2, 2]
     assert oracle._ball.radius == 0
     cheap = cgr_bundle_trunc(oracle, x, direction, depth=1, margin=1)
-    monkeypatch.setattr(DistanceOracle, "_geodesic_reach", lambda self: 0)
+    monkeypatch.setattr(relgraph, "_geodesic_reach", lambda group: 0)
     searched = DistanceOracle(GR_GENUS2)
     assert searched._pair.__name__ == "_searched_distance"
     assert cgr_bundle_trunc(searched, x, direction, depth=1, margin=1) == cheap

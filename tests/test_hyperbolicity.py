@@ -32,8 +32,8 @@ from relbundles.hyperbolicity import (
     bound_B,
     bound_K,
     estimate_nu,
-    triangle_defect,
 )
+from referees import triangle_defect
 
 SPECS = os.path.join(os.path.dirname(__file__), "..", "specs")
 

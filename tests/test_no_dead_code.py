@@ -17,16 +17,10 @@ SRC = pathlib.Path(__file__).resolve().parent.parent / "src" / "relbundles"
 
 # Kept with no caller in src/, each for the reason given.
 ALLOWED = {
-    "triangle_defect": "referee for the slimness sweep's per-triangle "
-                       "defect in tests/test_hyperbolicity.py",
-    "TableGroup.canonical_word": "referee for finite-table normal forms in "
-                                 "tests/test_groups.py",
-    "SmallCancellationGroup.equal": "exact equality by Dehn's algorithm, the "
-                                    "referee for genus-2 normal forms in "
-                                    "tests/test_groups.py",
     "RelativeGraph.distance_bfs": "plain bidirectional BFS, the referee for "
                                   "every DistanceOracle mode in "
-                                  "tests/test_relgraph.py",
+                                  "tests/test_relgraph.py, and a span the "
+                                  "benchmark's tracer hooks",
     "_Parser.error": "argparse calls it on a usage error",
 }
 

@@ -23,6 +23,7 @@ from relbundles.relgraph import (
     ResourceLimitError,
     export_ball_dot,
 )
+from referees import is_identity
 
 PROPERTY_SETTINGS = settings(
     max_examples=120,
@@ -63,11 +64,12 @@ GENUS2_SPEC = {
 }
 GENUS2 = build_group(spec_from_dict(GENUS2_SPEC))
 # one relator of odd length has no half swaps, so its oracle searches a ball
-ODD = build_group(spec_from_dict({
+ODD_SPEC = {
     "family": "small-cancellation",
     "generators": ["a", "b", "c", "d"],
     "relators": ["a b c d a' b' c' d' a"],
-}))
+}
+ODD = build_group(spec_from_dict(ODD_SPEC))
 # two relators of different lengths, pieces of one letter
 TWO_RELATOR = build_group(spec_from_dict({
     "family": "small-cancellation",
@@ -511,6 +513,43 @@ def test_syllable_distance_matches_difference_word(name, data):
         b = group.reduce(a + (r + r)[i:i + data.draw(st.integers(0, 7))])
         for measure in (oracle, oracle.absolute):
             assert measure.distance(a, b) == measure.graph.distance_bfs(a, b)
+
+
+# the odd-relator group * Z2, the Z2 slot parabolic: a non-parabolic
+# small-cancellation factor outside the hypotheses of `_geodesic_reach`
+ODD_Z2 = build_group(spec_from_dict({
+    "family": "free-product",
+    "factors": [ODD_SPEC,
+                {"family": "finite-table", "table": _cyclic_table(2, "t")}],
+    "parabolics": [1],
+}))
+
+
+def test_product_closed_form_needs_its_factors_hypotheses():
+    """A product counts a non-parabolic small-cancellation syllable by its
+    normal form only where `_geodesic_reach` proves that a geodesic.  In
+    the odd-relator factor a ladder of three cells makes a Dehn-reduced
+    word of 12 letters equal to one of 11, so ODD * Z2 searches, and its
+    distances agree with the BFS on a ball; genus 2 * Z2 keeps the count."""
+    assert SYLLABLE_ORACLES["genus2_z2"]._pair.__name__ == "_syllable_distance"
+    long = ODD.parse("d' c' b' a' d' c' b' a' d' c' b' a'")
+    short = ODD.parse("a' b' c' d' b' c' d' b' c' d' a")
+    assert ODD.reduce(long) == long
+    assert is_identity(ODD, long + invert_free(short))
+    word = ODD_Z2.lift(0, long)
+    assert ODD_Z2.syllable_distance((), word, frozenset({1})) == 12
+    graph = RelativeGraph(ODD_Z2)
+    oracle = DistanceOracle(graph)
+    measures = (oracle, oracle.absolute)
+    for measure in measures:
+        assert measure._pair.__name__ == "_searched_distance"
+    ball = sorted(graph.ball((), 2).entries, key=shortlex_key)
+    inner = [w for w in ball if len(w) <= 1]
+    for u in inner:
+        for v in ball:
+            for measure in measures:
+                assert measure.distance(u, v) == \
+                    measure.graph.distance_bfs(u, v)
 
 
 class TestMetricProperties:
