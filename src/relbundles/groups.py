@@ -389,9 +389,12 @@ class SmallCancellationGroup(Group):
     Equality testing is exact (Greendlinger).  The stored normal form is the
     shortlex-least word among Dehn-reduced words reachable by
     non-length-increasing half-relator rewrites within ``search_depth`` steps
-    (twice the longest relator), which canonicalizes every element met at
-    desk scale; Dehn's algorithm (``dehn_reduce`` reaching e) never relies
-    on it.  ``pieces`` keeps the C'(1/6) piece report of the relators.
+    (twice the longest relator).  Where every relator has even length this
+    canonicalizes every element met at desk scale; half-relator swaps need
+    an even relator, so on an odd one (``a b c d a' b' c' d' a``) two
+    spellings of one element can stay apart.  Dehn's algorithm
+    (``dehn_reduce`` reaching e) never relies on it.  ``pieces`` keeps the
+    C'(1/6) piece report of the relators.
     """
 
     def __init__(self, spec: GroupSpec):
@@ -575,6 +578,11 @@ class FreeProductGroup(Group):
                 raise SpecError(f"parabolic factor index {p} out of range")
         if len(set(spec.parabolics)) != len(spec.parabolics):
             raise SpecError("duplicate parabolic factor index")
+        if spec.parabolics and spec.redundant_generators:
+            # the slimness sweep scores the relative metric alone, exact only
+            # where the graphs are tree-graded over the factor cosets
+            raise SpecError("a free product with parabolics must not adjoin "
+                            "redundant generators")
 
     # -- syllable plumbing --------------------------------------------------
 

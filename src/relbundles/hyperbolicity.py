@@ -6,9 +6,9 @@ sides, and the reported constant is the worst defect over a triangle
 family.  Side choices are adversarial: for each probe vertex we take the
 maximum over all geodesic representatives of the opposing sides, computed
 by a bottleneck DP over the geodesic DAGs, so no enumeration cap is
-needed.  Both metrics, the word one by `oracle.absolute`, are scored in
-one pass over the same sides, where the triangle sits, and once where the
-two oracles are one.  A side is placed once per unordered endpoint pair
+needed.  One metric is scored, the relative one: where a parabolic is
+declared, the word metric gives every probe the same defect (proof in
+`_TriangleProbe`).  A side is placed once per unordered endpoint pair
 and cached for the sweep (`_TriangleProbe`); the exhaustive stage reads
 its sides from a table indexed by corner, built row by row in the order
 its triangles first read them, so it forms no pair key per triangle.
@@ -36,39 +36,27 @@ alone and sweep the graph it was built over, `oracle.graph`.
 from __future__ import annotations
 
 import random
-from collections.abc import Callable, Iterable
+from collections.abc import Iterable
 from dataclasses import dataclass
 
 from .groups import SpecError, Word, shortlex_key
-from .relgraph import (
-    ABSOLUTE,
-    RELATIVE,
-    DistanceOracle,
-    Spelling,
-    spelled_geodesic,
-    spelled_split,
-)
+from .relgraph import DistanceOracle, Spelling, spelled_geodesic, spelled_split
 from .geodesics import GeodesicDAG, geodesic_dag
-
-Distance = Callable[[Word, Word], int]
 
 
 @dataclass(frozen=True)
 class TriangleWitness:
     corners: tuple[Word, Word, Word]
-    probe: Word  # a vertex attaining the larger of the two defects
-    defect_rel: int
-    defect_abs: int
+    probe: Word  # a vertex attaining the defect
+    defect: int
 
 
 @dataclass
 class SlimnessReport:
     exhaustive_radius: int
     seed: int
-    nu_rel: int
-    nu_abs: int
-    exhaustive_nu_rel: int
-    exhaustive_nu_abs: int
+    nu: int
+    exhaustive_nu: int
     triangles_checked: int
     witnesses: tuple[TriangleWitness, ...]
 
@@ -106,7 +94,7 @@ class Side:
 
 
 class _TriangleProbe:
-    """Defects of corner triples in both metrics, one pass per triangle.
+    """Defects of corner triples in the relative metric.
 
     A defect reads only a side's vertex set and the bottleneck over its
     paths, and both are the same for u→v and v→u, so a side is placed once
@@ -133,17 +121,21 @@ class _TriangleProbe:
     over a DAG, at a layer, as every path crosses every layer; and over a
     pair of sides, at the first, which is a chain where one is.
 
-    Each metric's defect is measured by its own oracle, the relative one
-    first, which decides the witness of a tie.  Where the word metric's
-    oracle is the relative one (no parabolic declared), the relative
-    defect is scored once and is the word metric's too.
+    The word metric gives the same defect.  Only a free product declares
+    a parabolic, and `FreeProductGroup` rejects adjoined words beside one,
+    so both graphs are tree-graded over the factor cosets.  A corner lies
+    on two sides.  Take any other probe u, on side p, and P the coset of
+    a factor holding u and an edge of p at u.  If P is coned, p crosses
+    it in one edge, so u is a cut vertex between p's ends and lies on q
+    or r.  Otherwise each x outside P is reached through one cut vertex
+    c = proj_P(x), so d(u, x) = d_P(u, c) + d(c, x), d_P the factor's own
+    metric in both graphs: a side meeting P is as far from u in both.  If
+    one of q and r misses P, the other passes that side's cut vertex and
+    is the nearer.  So min(d(u, q), d(u, r)) does not depend on the metric.
     """
 
     def __init__(self, oracle: DistanceOracle):
         self.oracle = oracle
-        self._measures = ((RELATIVE, oracle.distance),)
-        if oracle.absolute is not oracle:
-            self._measures += ((ABSOLUTE, oracle.absolute.distance),)
         self._sides: dict[tuple[Word, Word], Side] = {}
         self._vertices: dict[Word, tuple[Word, int]] = {}
         self._roots: dict[Word, tuple[int, tuple[int, ...], Spelling]] | None = (
@@ -217,9 +209,9 @@ class _TriangleProbe:
 
     def defects(self, a: Word, b: Word, c: Word,
                 sides: tuple[Side, Side, Side] | None = None,
-                ) -> dict[str, tuple[int, Word]]:
-        """Per metric, the worst defect over rotations and side choices and
-        a probe vertex attaining it (the corner a when the defect is 0).
+                ) -> tuple[int, Word]:
+        """The worst defect over rotations and side choices and a probe
+        vertex attaining it (the corner a when the defect is 0).
 
         `sides` are the entries of (a, b), (b, c) and (a, c) where the
         caller has read them already.  Probe vertices are visited in the
@@ -229,9 +221,9 @@ class _TriangleProbe:
         if sides is None:
             sides = (self._side(a, b), self._side(b, c), self._side(a, c))
         paths = [self.path(s) for s in sides]
-        measures = self._measures
+        dist = self.oracle.distance
 
-        def nearest(u: Word, ys: Iterable[Word], dist: Distance, floor: int) -> int:
+        def nearest(u: Word, ys: Iterable[Word], floor: int) -> int:
             """min over ys of d(u, y), or the first value at or below floor."""
             best = None
             for y in ys:
@@ -242,9 +234,9 @@ class _TriangleProbe:
                     best = d
             return best
 
-        def opposite(u: Word, s: tuple[Word, ...] | GeodesicDAG, dist: Distance, floor: int) -> int:
+        def opposite(u: Word, s: tuple[Word, ...] | GeodesicDAG, floor: int) -> int:
             if isinstance(s, tuple):
-                return nearest(u, s, dist, floor)
+                return nearest(u, s, floor)
             cost: dict[Word, int] = {}
             for layer in s.layers:
                 top = 0
@@ -259,7 +251,7 @@ class _TriangleProbe:
         def vertices(s: tuple[Word, ...] | GeodesicDAG) -> set[Word]:
             return set(s) if isinstance(s, tuple) else s.vertices()
 
-        worst: dict[str, tuple[int, Word]] = {RELATIVE: (0, a), ABSOLUTE: (0, a)}
+        worst, at = 0, a
         for i in range(3):
             j, k = (i + 1) % 3, (i + 2) % 3
             p, q, r = paths[i], paths[j], paths[k]
@@ -268,24 +260,19 @@ class _TriangleProbe:
                     continue
                 union = vertices(q) | vertices(r)
                 for u in vertices(p) - union:
-                    for m, dist in measures:
-                        d = nearest(u, union, dist, worst[m][0])
-                        if d > worst[m][0]:
-                            worst[m] = (d, u)
+                    d = nearest(u, union, worst)
+                    if d > worst:
+                        worst, at = d, u
             else:
                 if sides[k].chain:
                     q, r = r, q
                 for u in vertices(p):
-                    for m, dist in measures:
-                        floor = worst[m][0]
-                        d = opposite(u, q, dist, floor)
-                        if d > floor:
-                            d = min(d, opposite(u, r, dist, floor))
-                            if d > floor:
-                                worst[m] = (d, u)
-        if len(measures) == 1:
-            worst[ABSOLUTE] = worst[RELATIVE]
-        return worst
+                    d = opposite(u, q, worst)
+                    if d > worst:
+                        d = min(d, opposite(u, r, worst))
+                        if d > worst:
+                            worst, at = d, u
+        return worst, at
 
 
 def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
@@ -326,37 +313,26 @@ def estimate_nu(oracle: DistanceOracle, exhaustive_radius: int = 3,
                 a, b, c = choice(big), choice(big), choice(big)
                 yield a, b, c, side(a, b), side(b, c), side(a, c)
 
-    worst: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
-    exhaustive: dict[str, int] = {RELATIVE: 0, ABSOLUTE: 0}
+    nu = count = 0
     witnesses: list[TriangleWitness] = []
-    count = 0
-    for stage, triangles in ((exhaustive, exhaustive_triangles()),
-                             (None, sampled_triangles())):
+    for triangles in (exhaustive_triangles(), sampled_triangles()):
+        exhaustive_nu = nu  # at the sampled stage: the exhaustive stage's worst
         for a, b, c, ab, bc, ac in triangles:
             count += 1
             x, y, z = ab.mask, bc.mask, ac.mask
             if (ab.chain and bc.chain and ac.chain
                     and x | y | z == (x & y) | (y & z) | (x & z)):
                 continue  # a tripod: no vertex on one side alone, defect 0
-            found = probe.defects(a, b, c, (ab, bc, ac))
-            (d_rel, who_rel), (d_abs, who_abs) = found[RELATIVE], found[ABSOLUTE]
-            if stage is not None:
-                stage[RELATIVE] = max(stage[RELATIVE], d_rel)
-                stage[ABSOLUTE] = max(stage[ABSOLUTE], d_abs)
-            improved = d_rel > worst[RELATIVE] or d_abs > worst[ABSOLUTE]
-            worst[RELATIVE] = max(worst[RELATIVE], d_rel)
-            worst[ABSOLUTE] = max(worst[ABSOLUTE], d_abs)
-            if improved:
-                who = who_rel if d_rel >= d_abs else who_abs
-                witnesses.append(TriangleWitness((a, b, c), who, d_rel, d_abs))
+            d, at = probe.defects(a, b, c, (ab, bc, ac))
+            if d > nu:
+                nu = d
+                witnesses.append(TriangleWitness((a, b, c), at, d))
 
     return SlimnessReport(
         exhaustive_radius=exhaustive_radius,
         seed=seed,
-        nu_rel=worst[RELATIVE],
-        nu_abs=worst[ABSOLUTE],
-        exhaustive_nu_rel=exhaustive[RELATIVE],
-        exhaustive_nu_abs=exhaustive[ABSOLUTE],
+        nu=nu,
+        exhaustive_nu=exhaustive_nu,
         triangles_checked=count,
         witnesses=tuple(witnesses[-5:]),
     )

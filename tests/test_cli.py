@@ -327,6 +327,34 @@ class TestInfiniteParabolic:
         assert not (tmp_path / "run").exists()
 
 
+# ℤ₃∗ℤ₂ with both factors coned and the word a b adjoined
+CONED_ADJOINED_SPEC = dict(Z3Z2_SPEC, redundant_generators=["a b"])
+CONED_ADJOINED_ERROR = ("error: a free product with parabolics must not "
+                        "adjoin redundant generators\n")
+
+
+class TestParabolicBesideAdjoinedWords:
+    """A coned free product with an adjoined word is rejected before any
+    work, with one error line and exit code 1."""
+
+    def test_validate_spec_rejected(self, tmp_path, capsys):
+        spec = _write(tmp_path / "coned.json", CONED_ADJOINED_SPEC)
+        assert main(["validate-spec", "--spec", spec]) == 1
+        assert capsys.readouterr().err == CONED_ADJOINED_ERROR
+
+    def test_verify_rejects_before_the_sweep(self, tmp_path, capsys,
+                                             monkeypatch):
+        def sweep(*args, **kwargs):
+            raise AssertionError("slimness sweep reached")
+        monkeypatch.setattr(suite, "estimate_nu", sweep)
+        spec = _write(tmp_path / "coned.json", CONED_ADJOINED_SPEC)
+        cfg = _write(tmp_path / "config.json", dict(TINY_CONFIG))
+        assert main(["verify", "--config", cfg, "--spec", spec,
+                     "--out", str(tmp_path / "run")]) == 1
+        assert capsys.readouterr().err == CONED_ADJOINED_ERROR
+        assert not (tmp_path / "run").exists()
+
+
 KLEIN_BOTTLE_SPEC = {
     "family": "small-cancellation",
     "generators": ["a", "b"],

@@ -577,6 +577,21 @@ def test_factor_redundant_generators_rejected():
             "factors": [factor, {"family": "free", "generators": ["t"]}]}))
 
 
+def test_parabolic_beside_adjoined_words_rejected():
+    """An adjoined word can cross the factor cosets, so a coned product
+    with one is not tree-graded over them, which the one-metric slimness
+    sweep needs."""
+    spec = spec_from_dict({
+        "family": "free-product",
+        "factors": [{"family": "finite-table", "table": _cyclic_table(3)},
+                    {"family": "free", "generators": ["t"]}],
+        "parabolics": [0],
+        "redundant_generators": ["a t"],
+    })
+    with pytest.raises(SpecError, match="with parabolics must not adjoin"):
+        build_group(spec)
+
+
 # ---------------------------------------------------------------------------
 # oracle agreement
 

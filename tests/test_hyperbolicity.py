@@ -16,13 +16,7 @@ from relbundles.groups import (
     shortlex_key,
     spec_from_dict,
 )
-from relbundles.relgraph import (
-    ABSOLUTE,
-    RELATIVE,
-    DistanceOracle,
-    RelativeGraph,
-    spelled_geodesic,
-)
+from relbundles.relgraph import DistanceOracle, RelativeGraph, spelled_geodesic
 from relbundles.geodesics import enumerate_geodesics, geodesic_dag
 from relbundles import hyperbolicity
 from relbundles.hyperbolicity import (
@@ -121,8 +115,8 @@ def test_empty_side_rejected():
 # adversarial defect vs explicit side choices
 
 def _measures(oracle):
-    """Each metric of the sweep with the oracle that measures it."""
-    return ((RELATIVE, oracle), (ABSOLUTE, oracle.absolute))
+    """The relative and the word metric, each as the oracle that measures it."""
+    return (oracle, oracle.absolute)
 
 
 def _referee_defect(oracle, a, b, c, measure):
@@ -149,15 +143,49 @@ def _referee_defect(oracle, a, b, c, measure):
 def test_probe_matches_side_choice_referee(oracle, radius, anchored):
     """Every corner triple of the ball, or, where `anchored`, every one
     with its first corner at e: defects are left-invariant, so these are
-    the triangles with the other corners within `radius` of the first."""
+    the triangles with the other corners within `radius` of the first.
+    The probe's one defect is the referee's in both metrics."""
     probe = _TriangleProbe(oracle)
     corners = sorted(oracle.graph.ball((), radius).entries)
     firsts = [()] if anchored else corners
     for a, b, c in itertools.product(firsts, corners, corners):
-        got = probe.defects(a, b, c)
-        for metric, measure in _measures(oracle):
-            assert got[metric][0] == _referee_defect(
-                oracle, a, b, c, measure), (a, b, c, metric)
+        got = probe.defects(a, b, c)[0]
+        for measure in _measures(oracle):
+            assert got == _referee_defect(oracle, a, b, c, measure), \
+                (a, b, c, measure is oracle)
+
+
+@settings(max_examples=50, deadline=None,
+          suppress_health_check=[HealthCheck.too_slow])
+@given(data=st.data())
+def test_coned_products_score_one_defect_in_both_metrics(data):
+    """On a coned free product both graphs are tree-graded over the factor
+    cosets, so the word metric gives each triangle the relative defect
+    (`_TriangleProbe`): on two cyclic factors, or a cyclic and a free one,
+    with a nonempty set of the finite ones coned, the side-choice referee
+    agrees in both metrics, and with the probe, on corner triples
+    anchored at e in the radius-2 ball."""
+    orders = data.draw(st.tuples(st.integers(2, 8),
+                                 st.none() | st.integers(2, 8)))
+    factors = data.draw(st.permutations([
+        {"family": "free", "generators": ["t"]} if n is None else
+        {"family": "finite-table", "table": _cyclic_table(n, gen)}
+        for n, gen in zip(orders, "ab")]))
+    finite = [i for i, f in enumerate(factors) if f["family"] == "finite-table"]
+    coned = data.draw(st.lists(st.sampled_from(finite), min_size=1, unique=True))
+    oracle = DistanceOracle(RelativeGraph(build_group(spec_from_dict({
+        "family": "free-product", "factors": factors,
+        "parabolics": sorted(coned)}))))
+    assert oracle.absolute is not oracle
+    probe = _TriangleProbe(oracle)
+    ball = sorted(oracle.graph.ball((), 2).entries)
+    # uniform corners: Hypothesis leans to the first entries of a list
+    rng = data.draw(st.randoms(use_true_random=False))
+    for _ in range(12):
+        b, c = rng.choice(ball), rng.choice(ball)
+        relative, word = (_referee_defect(oracle, (), b, c, measure)
+                          for measure in _measures(oracle))
+        assert relative == word == probe.defects((), b, c)[0], (b, c)
 
 
 # ---------------------------------------------------------------------------
@@ -222,40 +250,39 @@ def test_defects_are_left_invariant(oracle, radius):
         want = probe.defects(a, b, c)
         for t in shifts:
             moved = tuple(g.multiply(t, x) for x in (a, b, c))
-            got = probe.defects(*moved)
-            for metric, measure in _measures(oracle):
-                defect, at = got[metric]
-                assert defect == want[metric][0], (a, b, c, t, metric)
+            defect, at = probe.defects(*moved)
+            assert defect == want[0], (a, b, c, t)
+            for measure in _measures(oracle):
                 assert _attained(oracle, moved, at, defect, measure), \
-                    (a, b, c, t, metric)
+                    (a, b, c, t, measure is oracle)
 
 
 def _unpruned_defects(probe, a, b, c):
     """`defects` with no masks and no running bound: every probe vertex,
     every distance, in the same order."""
-    dist = {m: o.distance for m, o in _measures(probe.oracle)}
+    dist = probe.oracle.distance
     sides = [probe.path(probe._side(u, v)) for u, v in ((a, b), (b, c), (a, c))]
     verts = [set(s) if isinstance(s, tuple) else s.vertices() for s in sides]
 
-    def opposite(u, s, m):
+    def opposite(u, s):
         if isinstance(s, tuple):
-            return min(dist[m](u, y) for y in s)
+            return min(dist(u, y) for y in s)
         return hyperbolicity._bottleneck(
-            s, {x: dist[m](u, x) for x in s.vertices()})
+            s, {x: dist(u, x) for x in s.vertices()})
 
-    worst = {m: (0, a) for m in dist}
+    worst = (0, a)
     for i in range(3):
         j, k = (i + 1) % 3, (i + 2) % 3
         if isinstance(sides[j], tuple) and isinstance(sides[k], tuple):
             union = verts[j] | verts[k]
-            scores = ((u, m, min(dist[m](u, y) for y in union))
-                      for u in verts[i] - union for m in dist)
+            scores = ((u, min(dist(u, y) for y in union))
+                      for u in verts[i] - union)
         else:
-            scores = ((u, m, min(opposite(u, sides[j], m), opposite(u, sides[k], m)))
-                      for u in verts[i] for m in dist)
-        for u, m, d in scores:
-            if d > worst[m][0]:
-                worst[m] = (d, u)
+            scores = ((u, min(opposite(u, sides[j]), opposite(u, sides[k])))
+                      for u in verts[i])
+        for u, d in scores:
+            if d > worst[0]:
+                worst = (d, u)
     return worst
 
 
@@ -315,7 +342,7 @@ def test_referee_reaches_chain_triangles_with_a_defect():
     assert any(
         all(isinstance(probe.path(probe._side(u, v)), tuple)
             for u, v in ((a, b), (b, c), (a, c)))
-        and probe.defects(a, b, c)[RELATIVE][0] == 1
+        and probe.defects(a, b, c)[0] == 1
         for a, b, c in itertools.product(corners, repeat=3))
 
 
@@ -460,26 +487,20 @@ def _referee_sweep(oracle, **kw):
     """`estimate_nu` with no corner table and no tripod count: `defects` on
     every triangle.  Returns the report and each triangle's defects."""
     probe = _TriangleProbe(oracle)
-    worst = {RELATIVE: 0, ABSOLUTE: 0}
-    exhaustive = dict(worst)
+    worst = exhaustive = 0
     witnesses, found = [], []
     for in_small, (a, b, c) in _swept_triangles(oracle, **kw):
         got = probe.defects(a, b, c)
         found.append(((a, b, c), got))
-        d_rel, d_abs = got[RELATIVE][0], got[ABSOLUTE][0]
+        d, who = got
         if in_small:
-            exhaustive = {RELATIVE: max(exhaustive[RELATIVE], d_rel),
-                          ABSOLUTE: max(exhaustive[ABSOLUTE], d_abs)}
-        if d_rel > worst[RELATIVE] or d_abs > worst[ABSOLUTE]:
-            who = got[RELATIVE if d_rel >= d_abs else ABSOLUTE][1]
-            witnesses.append(TriangleWitness((a, b, c), who, d_rel, d_abs))
-            worst = {RELATIVE: max(worst[RELATIVE], d_rel),
-                     ABSOLUTE: max(worst[ABSOLUTE], d_abs)}
+            exhaustive = max(exhaustive, d)
+        if d > worst:
+            witnesses.append(TriangleWitness((a, b, c), who, d))
+            worst = d
     report = SlimnessReport(
         exhaustive_radius=kw["exhaustive_radius"], seed=kw["seed"],
-        nu_rel=worst[RELATIVE], nu_abs=worst[ABSOLUTE],
-        exhaustive_nu_rel=exhaustive[RELATIVE],
-        exhaustive_nu_abs=exhaustive[ABSOLUTE],
+        nu=worst, exhaustive_nu=exhaustive,
         triangles_checked=len(found),
         witnesses=tuple(witnesses[-5:]))
     return report, found
@@ -512,7 +533,7 @@ def test_sweep_is_the_referee_sweep(monkeypatch, oracle, kw):
     assert estimate_nu(oracle, **kw) == want
     for (a, b, c), got in found:
         if (a, b, c) not in scored:
-            assert got == {RELATIVE: (0, a), ABSOLUTE: (0, a)}, (a, b, c)
+            assert got == (0, a), (a, b, c)
 
 
 @pytest.mark.parametrize("oracle", [
@@ -525,22 +546,21 @@ def test_degenerate_triangles(oracle):
     probe = _TriangleProbe(oracle)
     corners = sorted(oracle.graph.ball((), 2).entries)
     for t in corners:
-        assert probe.defects(t, t, t) == {m: (0, t) for m in (RELATIVE, ABSOLUTE)}, t
+        assert probe.defects(t, t, t) == (0, t), t
     for a, b in itertools.product(corners, repeat=2):
         on = geodesic_dag(oracle, a, b).vertices()
-        for metric, (_, at) in probe.defects(a, a, b).items():
-            assert at in on, (a, b, metric)
+        assert probe.defects(a, a, b)[1] in on, (a, b)
 
 
 def test_cyclic_group_sweep_is_pinned():
     report = estimate_nu(OR_Z6, exhaustive_radius=3, ball_radius=3,
                          triangle_budget=50, seed=1)
-    assert (report.nu_rel, report.nu_abs) == (1, 1)
+    assert report.nu == 1
     assert report.triangles_checked == 106  # C(6+2, 3) = 56 plus 50 sampled
     assert len(report.witnesses) == 1
     witness = report.witnesses[0]
     assert witness.corners == ((), (), (1, 1, 1))
-    assert (witness.defect_rel, witness.defect_abs) == (1, 1)
+    assert witness.defect == 1
     assert witness.probe == (-1, -1)
 
 
@@ -552,9 +572,9 @@ def test_z6z2_sweep_is_pinned():
                          triangle_budget=200, seed=0)
     t, t2, t_2 = Z6Z2.parse("t"), Z6Z2.parse("t t"), Z6Z2.parse("t' t'")
     assert report == SlimnessReport(
-        exhaustive_radius=2, seed=0, nu_rel=1, nu_abs=1,
-        exhaustive_nu_rel=1, exhaustive_nu_abs=1, triangles_checked=420,
-        witnesses=(TriangleWitness(((), t, t_2), t2, 1, 1),))
+        exhaustive_radius=2, seed=0, nu=1, exhaustive_nu=1,
+        triangles_checked=420,
+        witnesses=(TriangleWitness(((), t, t_2), t2, 1),))
 
 
 @pytest.mark.parametrize("oracle, kw, nu, count, witness", [
@@ -572,11 +592,10 @@ def test_dag_side_sweeps_are_pinned(oracle, kw, nu, count, witness):
     report = estimate_nu(oracle, **kw)
     parse = oracle.group.parse
     witnesses = () if witness is None else (TriangleWitness(
-        tuple(map(parse, witness[0])), parse(witness[1]), nu, nu),)
+        tuple(map(parse, witness[0])), parse(witness[1]), nu),)
     assert report == SlimnessReport(
         exhaustive_radius=kw["exhaustive_radius"], seed=kw["seed"],
-        nu_rel=nu, nu_abs=nu, exhaustive_nu_rel=0, exhaustive_nu_abs=0,
-        triangles_checked=count, witnesses=witnesses)
+        nu=nu, exhaustive_nu=0, triangles_checked=count, witnesses=witnesses)
 
 
 def test_negative_triangle_budget_rejected():
@@ -592,21 +611,20 @@ def test_tree_like_families_are_zero_slim():
     for oracle in (OR_F2, OR_Z3Z2):
         report = estimate_nu(oracle, exhaustive_radius=2,
                              ball_radius=3, triangle_budget=400, seed=3)
-        assert report.nu_rel == 0
-        assert report.nu_abs == 0
+        assert report.nu == 0
 
 
 def test_adjoined_generator_family_is_zero_slim():
     report = estimate_nu(OR_F2X, exhaustive_radius=2,
                          ball_radius=3, triangle_budget=400, seed=3)
-    assert report.nu_rel == 0 and report.nu_abs == 0
+    assert report.nu == 0
 
 
 def test_surface_group_shallow_sweep():
     # radius-1 corners cannot reach the commutator bigons yet
     report = estimate_nu(OR_GENUS2, exhaustive_radius=1,
                          ball_radius=1, triangle_budget=0)
-    assert report.nu_rel == 0
+    assert report.nu == 0
     assert report.triangles_checked == 165  # C(9+2, 3) triples from |B(1)| = 9
 
 
@@ -614,8 +632,7 @@ def test_report_is_deterministic():
     kw = dict(exhaustive_radius=1, ball_radius=2, triangle_budget=150, seed=11)
     a = estimate_nu(OR_Z3Z2, **kw)
     b = estimate_nu(OR_Z3Z2, **kw)
-    assert (a.nu_rel, a.nu_abs, a.triangles_checked) == \
-        (b.nu_rel, b.nu_abs, b.triangles_checked)
+    assert (a.nu, a.triangles_checked) == (b.nu, b.triangles_checked)
     assert [w.corners for w in a.witnesses] == [w.corners for w in b.witnesses]
 
 
@@ -624,16 +641,14 @@ def test_sampling_only_grows_the_estimate():
                        ball_radius=2, triangle_budget=0)
     rich = estimate_nu(OR_Z3Z2, exhaustive_radius=1,
                        ball_radius=2, triangle_budget=200, seed=5)
-    assert rich.nu_rel >= lean.nu_rel
-    assert rich.nu_abs >= lean.nu_abs
-    assert lean.exhaustive_nu_rel == lean.nu_rel  # no sampling stage at all
+    assert rich.nu >= lean.nu
+    assert lean.exhaustive_nu == lean.nu  # no sampling stage at all
 
 
 def test_exhaustive_stage_never_exceeds_total():
     report = estimate_nu(OR_GENUS2, exhaustive_radius=1,
                          ball_radius=2, triangle_budget=60, seed=2)
-    assert report.exhaustive_nu_rel <= report.nu_rel
-    assert report.exhaustive_nu_abs <= report.nu_abs
+    assert report.exhaustive_nu <= report.nu
 
 
 # ---------------------------------------------------------------------------
