@@ -77,6 +77,15 @@ class SpecialVertexReport:
 
 @dataclass(frozen=True)
 class Geo1Trunc:
+    """The union of the sectors from each class's nearest special vertices.
+
+    `flags` gather what the classes, the sectors and the special-vertex
+    scan raised up to the layer where that scan ended (see
+    `DirectionPipeline.special_vertices`); vertices deeper than every
+    class's nearest special vertex are not classified, so flags they
+    alone would raise do not appear.
+    """
+
     vertices: frozenset[Word]
     chosen: tuple[tuple[int, tuple[Word, ...]], ...]  # (class id, Y set)
     skipped_classes: tuple[int, ...]
@@ -273,7 +282,20 @@ class DirectionPipeline:
     # -- special vertices ------------------------------------------------------
 
     def special_vertices(self, base: Word, depth: int) -> SpecialVertexReport:
-        """Bundle vertices whose class sectors single out one class.
+        """Bundle vertices whose class sectors single out one class, from
+        the layers that Geo₁ reads.
+
+        The layers are classified shallowest first, and the scan ends with
+        the first layer by which every class has a special vertex.  No
+        deeper vertex can change Geo₁: a vertex v of layer k has
+        d(base, v) = k, since the bundle is a geodesic DAG from the base,
+        and Geo₁ keeps only the special vertices of least distance in each
+        class.  Once every class has one at a layer ≤ k, every special
+        vertex of a layer > k is farther than its class's nearest.  A
+        class that never gets a special vertex keeps the scan going to
+        layer depth − 2.  The special and ambiguous vertices and the flags
+        therefore cover the layers up to where the scan ended, not the
+        whole bundle.
 
         Not memoized: `geo1`, its only caller, is memoized on the same key.
         """
@@ -282,7 +304,10 @@ class DirectionPipeline:
         ambiguous: list[Word] = []
         flags = list(deco.flags)
         dag = self.bundle(base, depth)
+        unmet = {c.id for c in deco.classes}
         for k in range(0, depth - 1):
+            if not unmet:
+                break
             remaining = depth - k
             for v in dag.layers[k]:
                 try:
@@ -299,6 +324,7 @@ class DirectionPipeline:
                     ambiguous.append(v)
                 else:
                     special.append((v, verdict))
+                    unmet.discard(verdict)
         special.sort(key=lambda item: (shortlex_key(item[0]), item[1]))
         return SpecialVertexReport(tuple(special),
                                    tuple(sorted(ambiguous, key=shortlex_key)),
@@ -347,10 +373,12 @@ class DirectionPipeline:
             flags.append(
                 f"{len(report.ambiguous)} bundle vertices had ambiguous "
                 f"class assignment and were excluded")
+        # d(base, v) is the index of v's bundle layer.
+        layers = self.bundle(base, depth).layers
+        layer_of = {v: k for k, layer in enumerate(layers) for v in layer}
         by_class: dict[int, list[tuple[int, Word]]] = {}
         for v, cid in report.special:
-            by_class.setdefault(cid, []).append(
-                (self.oracle.distance(base, v), v))
+            by_class.setdefault(cid, []).append((layer_of[v], v))
         vertices: set[Word] = set()
         chosen: list[tuple[int, tuple[Word, ...]]] = []
         skipped: list[int] = []

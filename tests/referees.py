@@ -9,6 +9,12 @@ from __future__ import annotations
 
 from itertools import product
 
+from relbundles.bundles import (
+    DirectionPipeline,
+    Geo1Trunc,
+    SpecialVertexReport,
+    StabilizationError,
+)
 from relbundles.groups import (
     SmallCancellationGroup,
     SpecError,
@@ -16,6 +22,7 @@ from relbundles.groups import (
     Word,
     free_reduce,
     invert_free,
+    shortlex_key,
 )
 from relbundles.relgraph import DistanceOracle
 
@@ -75,3 +82,74 @@ def triangle_defect(oracle: DistanceOracle, p: tuple[Word, ...],
             d = min(dist(u, v) for v in others)
             worst = max(worst, d)
     return worst
+
+
+def all_special_vertices(pipe: DirectionPipeline, base: Word,
+                         depth: int) -> SpecialVertexReport:
+    """Classify every vertex of bundle layers 0..depth−2 from `base`, with
+    the flags every classification raised; the pipeline's own scan stops
+    at the layer past which Geo₁ reads nothing."""
+    deco = pipe.classes_from(base, depth)
+    special: list[tuple[Word, int]] = []
+    ambiguous: list[Word] = []
+    flags = list(deco.flags)
+    dag = pipe.bundle(base, depth)
+    for k in range(0, depth - 1):
+        remaining = depth - k
+        for v in dag.layers[k]:
+            try:
+                sectors = [pipe.sector(v, c.signature, remaining)
+                           for c in deco.classes]
+            except StabilizationError:
+                ambiguous.append(v)
+                continue
+            flags.extend(f for sec in sectors for f in sec.flags)
+            verdict = pipe._classify_vertex(deco, v, remaining, sectors)
+            if verdict is None:
+                continue
+            if verdict < 0:
+                ambiguous.append(v)
+            else:
+                special.append((v, verdict))
+    special.sort(key=lambda item: (shortlex_key(item[0]), item[1]))
+    return SpecialVertexReport(tuple(special),
+                               tuple(sorted(ambiguous, key=shortlex_key)),
+                               tuple(dict.fromkeys(flags)))
+
+
+def full_geo1(pipe: DirectionPipeline, base: Word, depth: int) -> Geo1Trunc:
+    """Geo₁ from every special vertex of `all_special_vertices`: for each
+    class, the union of the sectors from its special vertices nearest
+    `base`, with distances asked of the oracle."""
+    report = all_special_vertices(pipe, base, depth)
+    deco = pipe.classes_from(base, depth)
+    flags = list(report.flags)
+    if report.ambiguous:
+        flags.append(
+            f"{len(report.ambiguous)} bundle vertices had ambiguous "
+            f"class assignment and were excluded")
+    by_class: dict[int, list[tuple[int, Word]]] = {}
+    for v, cid in report.special:
+        by_class.setdefault(cid, []).append(
+            (pipe.oracle.distance(base, v), v))
+    vertices: set[Word] = set()
+    chosen: list[tuple[int, tuple[Word, ...]]] = []
+    skipped: list[int] = []
+    for cls in deco.classes:
+        entries = by_class.get(cls.id)
+        if not entries:
+            skipped.append(cls.id)
+            flags.append(
+                f"class {cls.id} has no special representative at "
+                f"depth {depth}; skipped")
+            continue
+        least = min(d for d, _ in entries)
+        y_set = tuple(sorted((v for d, v in entries if d == least),
+                             key=shortlex_key))
+        chosen.append((cls.id, y_set))
+        for y in y_set:
+            sec = pipe.sector(y, cls.signature, depth - least)
+            flags.extend(sec.flags)
+            vertices.update(sec.vertices)
+    return Geo1Trunc(frozenset(vertices), tuple(chosen),
+                     tuple(skipped), tuple(dict.fromkeys(flags)))

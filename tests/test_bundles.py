@@ -23,6 +23,7 @@ from relbundles.bundles import (
     horofunction,
     symdiff_scan,
 )
+from referees import all_special_vertices, full_geo1
 
 PROPERTY_SETTINGS = settings(
     max_examples=30,
@@ -332,8 +333,8 @@ class TestReadsOffTheBundle:
 
 class TestSpecialVertices:
     def test_tree_everything_classifiable_is_special(self):
-        report = DirectionPipeline(OR_F2, DIR_A,
-                                   nu=0).special_vertices((), 6)
+        report = all_special_vertices(DirectionPipeline(OR_F2, DIR_A, nu=0),
+                                      (), 6)
         assert report.ambiguous == ()
         assert {v for v, _ in report.special} == {
             tuple([1] * k) for k in range(5)}
@@ -348,8 +349,8 @@ class TestSpecialVertices:
 
     def test_z3z2_specials_pinned_and_stable(self):
         pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
-        r8 = pipe.special_vertices((), 8)
-        r10 = pipe.special_vertices((), 10)
+        r8 = all_special_vertices(pipe, (), 8)
+        r10 = all_special_vertices(pipe, (), 10)
         ray = [Z3Z2.parse(" ".join(["a b"] * (k // 2)) + (" a" if k % 2 else ""))
                for k in range(7)]
         assert [v for v, _ in r8.special] == sorted(
@@ -364,6 +365,90 @@ class TestSpecialVertices:
 
 # ---------------------------------------------------------------------------
 # the modified bundle Geo₁
+
+
+def _assert_geo1_is_full_geo1(pipe, full, base, depth) -> bool:
+    """`geo1` classifies the layers up to its classes' nearest special
+    vertices, `full_geo1` every layer: the two agree but for flags only the
+    deeper layers raised.  False when both raise StabilizationError."""
+    try:
+        want = full_geo1(full, base, depth)
+    except StabilizationError:
+        with pytest.raises(StabilizationError):
+            pipe.geo1(base, depth)
+        return False
+    got = pipe.geo1(base, depth)
+    assert got.vertices == want.vertices
+    assert got.chosen == want.chosen
+    assert got.skipped_classes == want.skipped_classes
+    assert set(got.flags) <= set(want.flags)
+    return True
+
+
+class TestGeo1ReadsNoDeeperLayer:
+    @pytest.mark.parametrize("oracle, text, base_text", [
+        (OR_F2, "a", "e"), (OR_Z3Z2, "a b", "e"), (OR_Z3Z2, "a b", "b")])
+    def test_free_and_coned_product(self, oracle, text, base_text):
+        direction = direction_from_text(oracle.graph, text)
+        pipe = DirectionPipeline(oracle, direction, nu=0)
+        full = DirectionPipeline(oracle, direction, nu=0)
+        base = oracle.group.parse(base_text)
+        assert all(_assert_geo1_is_full_geo1(pipe, full, base, depth)
+                   for depth in (6, 8))
+
+    @pytest.mark.parametrize("nu", [0, 1])
+    @pytest.mark.parametrize("text", ["t b", "t t t b", "t' b t b"])
+    def test_z6z2(self, text, nu):
+        direction = direction_from_text(GR_Z6Z2, text)
+        pipe = DirectionPipeline(OR_Z6Z2, direction, nu=nu)
+        full = DirectionPipeline(OR_Z6Z2, direction, nu=nu)
+        raised = {(base_text, depth)
+                  for base_text in ("e", "b", "t") for depth in (8, 10, 12)
+                  if not _assert_geo1_is_full_geo1(
+                      pipe, full, Z6Z2.parse(base_text), depth)}
+        # as in test_z6z2_sectors_and_reach_match_referees
+        assert raised == ({("e", 8), ("b", 8)}
+                          if (text, nu) == ("t t t b", 1) else set())
+
+    @pytest.mark.parametrize("window_radius", [0, 1])
+    def test_torus_two_classes(self, window_radius):
+        # At depth 4 there are two classes and neither gets a special
+        # vertex, so both scans run to layer depth − 2.
+        direction = direction_from_text(GR_Z10Z10, "x")
+        pipe = DirectionPipeline(OR_Z10Z10, direction, nu=0,
+                                 window_radius=window_radius)
+        full = DirectionPipeline(OR_Z10Z10, direction, nu=0,
+                                 window_radius=window_radius)
+        assert all(_assert_geo1_is_full_geo1(pipe, full, (), depth)
+                   for depth in (2, 3, 4))
+        assert pipe.geo1((), 4).skipped_classes == (0, 1)
+
+    def test_classes_met_at_different_layers(self):
+        # In no group above do two classes both get special vertices, so a
+        # classifier stands in: class 0 is special at layer 0 and class 1
+        # at layer 2.  The scan must pass class 0's layer and stop at 2.
+        depth = 7
+
+        class Staggered(DirectionPipeline):
+            def _classify_vertex(self, deco, v, remaining, sectors):
+                return {depth: 0, depth - 2: 1}.get(remaining)
+
+        direction = direction_from_text(GR_Z10Z10, "x y'")
+        pipe = Staggered(OR_Z10Z10, direction, nu=0, window_radius=1)
+        full = Staggered(OR_Z10Z10, direction, nu=0, window_radius=1)
+        base = Z10Z10.parse("x")
+        assert _assert_geo1_is_full_geo1(pipe, full, base, depth)
+        assert [len(ys) for _, ys in pipe.geo1(base, depth).chosen] == [1, 3]
+        assert {depth - key[2] for key in pipe._memo
+                if key[0] == "classes_from"} == {0, 1, 2}
+
+    def test_base_special_classifies_the_base_alone(self):
+        # One class, and the base is special at layer 0: no other vertex
+        # gets a class decomposition or a sector.
+        pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
+        pipe.geo1((), 8)
+        assert {key[1] for key in pipe._memo
+                if key[0] in ("classes_from", "sector")} == {()}
 
 
 class TestGeo1:
