@@ -69,21 +69,14 @@ class SectorTrunc:
 
 
 @dataclass(frozen=True)
-class SpecialVertexReport:
-    special: tuple[tuple[Word, int], ...]  # (vertex, class id)
-    ambiguous: tuple[Word, ...]
-    flags: tuple[str, ...]
-
-
-@dataclass(frozen=True)
 class Geo1Trunc:
     """The union of the sectors from each class's nearest special vertices.
 
     `flags` gather what the classes, the sectors and the special-vertex
     scan raised up to the layer where that scan ended (see
-    `DirectionPipeline.special_vertices`); vertices deeper than every
-    class's nearest special vertex are not classified, so flags they
-    alone would raise do not appear.
+    `DirectionPipeline.geo1`); vertices deeper than every class's nearest
+    special vertex are not classified, so flags they alone would raise do
+    not appear.
     """
 
     vertices: frozenset[Word]
@@ -281,55 +274,6 @@ class DirectionPipeline:
 
     # -- special vertices ------------------------------------------------------
 
-    def special_vertices(self, base: Word, depth: int) -> SpecialVertexReport:
-        """Bundle vertices whose class sectors single out one class, from
-        the layers that Geo₁ reads.
-
-        The layers are classified shallowest first, and the scan ends with
-        the first layer by which every class has a special vertex.  No
-        deeper vertex can change Geo₁: a vertex v of layer k has
-        d(base, v) = k, since the bundle is a geodesic DAG from the base,
-        and Geo₁ keeps only the special vertices of least distance in each
-        class.  Once every class has one at a layer ≤ k, every special
-        vertex of a layer > k is farther than its class's nearest.  A
-        class that never gets a special vertex keeps the scan going to
-        layer depth − 2.  The special and ambiguous vertices and the flags
-        therefore cover the layers up to where the scan ended, not the
-        whole bundle.
-
-        Not memoized: `geo1`, its only caller, is memoized on the same key.
-        """
-        deco = self.classes_from(base, depth)
-        special: list[tuple[Word, int]] = []
-        ambiguous: list[Word] = []
-        flags = list(deco.flags)
-        dag = self.bundle(base, depth)
-        unmet = {c.id for c in deco.classes}
-        for k in range(0, depth - 1):
-            if not unmet:
-                break
-            remaining = depth - k
-            for v in dag.layers[k]:
-                try:
-                    sectors = [self.sector(v, c.signature, remaining)
-                               for c in deco.classes]
-                except StabilizationError:
-                    ambiguous.append(v)
-                    continue
-                flags.extend(f for sec in sectors for f in sec.flags)
-                verdict = self._classify_vertex(deco, v, remaining, sectors)
-                if verdict is None:
-                    continue
-                if verdict < 0:
-                    ambiguous.append(v)
-                else:
-                    special.append((v, verdict))
-                    unmet.discard(verdict)
-        special.sort(key=lambda item: (shortlex_key(item[0]), item[1]))
-        return SpecialVertexReport(tuple(special),
-                                   tuple(sorted(ambiguous, key=shortlex_key)),
-                                   _unique(flags))
-
     def _classify_vertex(self, deco: XiDecomposition, v: Word, remaining: int,
                          sectors: list[SectorTrunc]) -> int | None:
         """None: not special.  ≥0: special with that class id.  −1: tie."""
@@ -366,33 +310,62 @@ class DirectionPipeline:
 
     @_memo
     def geo1(self, base: Word, depth: int) -> Geo1Trunc:
-        report = self.special_vertices(base, depth)
+        """The union of the sectors from each class's special vertices
+        nearest the base.
+
+        Bundle layers are classified shallowest first, and the scan ends
+        with the first layer by which every class has a special vertex.
+        No deeper vertex can change Geo₁: a vertex v of layer k has
+        d(base, v) = k, since the bundle is a geodesic DAG from the base,
+        and Geo₁ keeps only the special vertices of least distance in each
+        class.  Once every class has one at a layer ≤ k, every special
+        vertex of a layer > k is farther than its class's nearest.  A
+        class that never gets a special vertex keeps the scan going to
+        layer depth − 2 and is skipped.  The ambiguous count and the flags
+        therefore cover the layers up to where the scan ended, not the
+        whole bundle.
+        """
         deco = self.classes_from(base, depth)
-        flags = list(report.flags)
-        if report.ambiguous:
-            flags.append(
-                f"{len(report.ambiguous)} bundle vertices had ambiguous "
-                f"class assignment and were excluded")
-        # d(base, v) is the index of v's bundle layer.
-        layers = self.bundle(base, depth).layers
-        layer_of = {v: k for k, layer in enumerate(layers) for v in layer}
-        by_class: dict[int, list[tuple[int, Word]]] = {}
-        for v, cid in report.special:
-            by_class.setdefault(cid, []).append((layer_of[v], v))
+        dag = self.bundle(base, depth)
+        flags = list(deco.flags)
+        nearest: dict[int, tuple[int, list[Word]]] = {}  # id: (layer, Y set)
+        ambiguous = 0
+        for k in range(depth - 1):
+            if all(c.id in nearest for c in deco.classes):
+                break
+            remaining = depth - k
+            for v in dag.layers[k]:
+                try:
+                    sectors = [self.sector(v, c.signature, remaining)
+                               for c in deco.classes]
+                except StabilizationError:
+                    ambiguous += 1
+                    continue
+                flags.extend(f for sec in sectors for f in sec.flags)
+                verdict = self._classify_vertex(deco, v, remaining, sectors)
+                if verdict is None:
+                    continue
+                if verdict < 0:
+                    ambiguous += 1
+                    continue
+                layer, ys = nearest.setdefault(verdict, (k, []))
+                if layer == k:  # the first layer to meet the class
+                    ys.append(v)
+        if ambiguous:
+            flags.append(f"{ambiguous} bundle vertices had ambiguous "
+                         f"class assignment and were excluded")
         vertices: set[Word] = set()
         chosen: list[tuple[int, tuple[Word, ...]]] = []
         skipped: list[int] = []
         for cls in deco.classes:
-            entries = by_class.get(cls.id)
-            if not entries:
+            if cls.id not in nearest:
                 skipped.append(cls.id)
                 flags.append(
                     f"class {cls.id} has no special representative at "
                     f"depth {depth}; skipped")
                 continue
-            least = min(d for d, _ in entries)
-            y_set = tuple(sorted((v for d, v in entries if d == least),
-                                 key=shortlex_key))
+            least, ys = nearest[cls.id]
+            y_set = tuple(sorted(ys, key=shortlex_key))
             chosen.append((cls.id, y_set))
             for y in y_set:
                 sec = self.sector(y, cls.signature, depth - least)

@@ -17,6 +17,7 @@ import argparse
 import csv
 import errno
 import functools
+import io
 import json
 import os
 import statistics
@@ -190,21 +191,24 @@ def _write_scans_csv(path: str,
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
+    """Build the object, then write its files: a rejected query leaves no
+    output directory behind."""
     spec = load_spec(args.spec)
     oracle = DistanceOracle(RelativeGraph(build_group(spec)))
-    os.makedirs(args.out, exist_ok=True)
     handlers = {"ball": _explore_ball, "dag": _explore_dag,
                 "bundle": _explore_bundle, "geo1": _explore_geo1}
-    written = handlers[args.object](args, oracle)
-    for path in written:
+    files = handlers[args.object](args, oracle)
+    os.makedirs(args.out, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(args.out, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
         print(path)
     return 0
 
 
-def _out_json(path: str, payload: dict) -> str:
-    with open(path, "w", encoding="utf-8") as fh:
-        fh.write(json.dumps(payload, sort_keys=True, indent=2) + "\n")
-    return path
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _int_arg(name: str, text: str) -> int:
@@ -215,7 +219,7 @@ def _int_arg(name: str, text: str) -> int:
 
 
 def _explore_ball(args: argparse.Namespace,
-                  oracle: DistanceOracle) -> list[str]:
+                  oracle: DistanceOracle) -> dict[str, str]:
     if len(args.args) != 2:
         raise SpecError("explore ball needs CENTER and RADIUS")
     graph = oracle.graph
@@ -223,46 +227,44 @@ def _explore_ball(args: argparse.Namespace,
     radius = _int_arg("RADIUS", args.args[1])
     table = graph.ball(center, radius)
     fmt = graph.group.format
-    stem = os.path.join(args.out, f"ball_r{radius}")
-    written = [_out_json(stem + ".json", {
-        "center": fmt(center),
-        "radius": radius,
-        "metric": RELATIVE,
-        "vertex_count": len(table.entries),
-        "vertices": sorted([fmt(v), d] for v, d in table.entries.items()),
-    })]
-    with open(stem + ".dot", "w", encoding="utf-8") as fh:
-        fh.write(export_ball_dot(graph, table))
-    written.append(stem + ".dot")
-    with open(stem + ".csv", "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["vertex", "distance"])
-        writer.writerows(sorted([fmt(v), d] for v, d in table.entries.items()))
-    written.append(stem + ".csv")
-    return written
+    rows = sorted([fmt(v), d] for v, d in table.entries.items())
+    listing = io.StringIO()
+    writer = csv.writer(listing)
+    writer.writerow(["vertex", "distance"])
+    writer.writerows(rows)
+    stem = f"ball_r{radius}"
+    return {
+        stem + ".json": _json_text({
+            "center": fmt(center),
+            "radius": radius,
+            "metric": RELATIVE,
+            "vertex_count": len(table.entries),
+            "vertices": rows,
+        }),
+        stem + ".dot": export_ball_dot(graph, table),
+        stem + ".csv": listing.getvalue(),
+    }
 
 
 def _explore_dag(args: argparse.Namespace,
-                 oracle: DistanceOracle) -> list[str]:
+                 oracle: DistanceOracle) -> dict[str, str]:
     if len(args.args) != 2:
         raise SpecError("explore dag needs two vertices U and V")
     group = oracle.group
     u, v = group.parse(args.args[0]), group.parse(args.args[1])
     dag = geodesic_dag(oracle, u, v)
     paths, truncated = enumerate_geodesics(dag, max_count=10_000)
-    stem = os.path.join(args.out, "dag")
-    written = [_out_json(stem + ".json", {
-        "source": group.format(u),
-        "target": group.format(v),
-        "length": dag.length,
-        "layer_sizes": [len(layer) for layer in dag.layers],
-        "geodesic_count": len(paths),
-        "count_truncated": truncated,
-    })]
-    with open(stem + ".dot", "w", encoding="utf-8") as fh:
-        fh.write(_dag_dot(oracle.graph, dag))
-    written.append(stem + ".dot")
-    return written
+    return {
+        "dag.json": _json_text({
+            "source": group.format(u),
+            "target": group.format(v),
+            "length": dag.length,
+            "layer_sizes": [len(layer) for layer in dag.layers],
+            "geodesic_count": len(paths),
+            "count_truncated": truncated,
+        }),
+        "dag.dot": _dag_dot(oracle.graph, dag),
+    }
 
 
 def _dag_dot(graph: RelativeGraph, dag) -> str:
@@ -296,7 +298,7 @@ def _direction_args(args: argparse.Namespace, graph: RelativeGraph):
 
 
 def _explore_bundle(args: argparse.Namespace,
-                    oracle: DistanceOracle) -> list[str]:
+                    oracle: DistanceOracle) -> dict[str, str]:
     base, direction, depth = _direction_args(args, oracle.graph)
     bundle = DirectionPipeline(oracle, direction).bundle(base, depth)
     fmt = oracle.group.format
@@ -307,11 +309,11 @@ def _explore_bundle(args: argparse.Namespace,
         "layer_profile": layer_profile(bundle),
         "layers": [[fmt(v) for v in layer] for layer in bundle.layers],
     }
-    return [_out_json(os.path.join(args.out, "bundle.json"), payload)]
+    return {"bundle.json": _json_text(payload)}
 
 
 def _explore_geo1(args: argparse.Namespace,
-                  oracle: DistanceOracle) -> list[str]:
+                  oracle: DistanceOracle) -> dict[str, str]:
     base, direction, depth = _direction_args(args, oracle.graph)
     pipe = DirectionPipeline(oracle, direction, window_radius=args.window)
     geo1 = pipe.geo1(base, depth)
@@ -328,7 +330,7 @@ def _explore_geo1(args: argparse.Namespace,
         "flags": sorted(geo1.flags),
         "notes": sorted(pipe.notes),
     }
-    return [_out_json(os.path.join(args.out, "geo1.json"), payload)]
+    return {"geo1.json": _json_text(payload)}
 
 
 # ---------------------------------------------------------------------------

@@ -7,14 +7,10 @@ Nothing under src/ calls them.
 
 from __future__ import annotations
 
+from dataclasses import dataclass
 from itertools import product
 
-from relbundles.bundles import (
-    DirectionPipeline,
-    Geo1Trunc,
-    SpecialVertexReport,
-    StabilizationError,
-)
+from relbundles.bundles import DirectionPipeline, Geo1Trunc, StabilizationError
 from relbundles.groups import (
     SmallCancellationGroup,
     SpecError,
@@ -84,11 +80,18 @@ def triangle_defect(oracle: DistanceOracle, p: tuple[Word, ...],
     return worst
 
 
+@dataclass(frozen=True)
+class SpecialVertexReport:
+    special: tuple[tuple[Word, int], ...]  # (vertex, class id)
+    ambiguous: tuple[Word, ...]
+    flags: tuple[str, ...]
+
+
 def all_special_vertices(pipe: DirectionPipeline, base: Word,
                          depth: int) -> SpecialVertexReport:
     """Classify every vertex of bundle layers 0..depth−2 from `base`, with
-    the flags every classification raised; the pipeline's own scan stops
-    at the layer past which Geo₁ reads nothing."""
+    the flags every classification raised; the scan in `geo1` stops at
+    the layer past which Geo₁ reads nothing."""
     deco = pipe.classes_from(base, depth)
     special: list[tuple[Word, int]] = []
     ambiguous: list[Word] = []

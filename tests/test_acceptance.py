@@ -4,12 +4,13 @@ Each test exercises one headline criterion on the shipped configs at full
 size and prints its own PASS/FAIL line (run with ``pytest -v`` for the
 per-criterion report, add ``-s`` to see the lines as they happen).  The
 expensive suite runs are shared across criteria through session fixtures,
-so the module costs a few minutes, not a few minutes per test.
+not repeated per test; the module takes about 10 s on a 2-core Xeon.
 """
 
 from __future__ import annotations
 
 import functools
+import hashlib
 import math
 import pathlib
 import random
@@ -18,6 +19,7 @@ from dataclasses import replace
 
 import pytest
 
+from relbundles import cli
 from relbundles.cli import load_config
 from relbundles.groups import build_group, load_spec, shortlex_key
 from relbundles.relgraph import DistanceOracle, RelativeGraph
@@ -407,6 +409,32 @@ def test_criterion_8_reports_deterministic(bounds_runs):
              "; ".join(problems) or
              f"bases reversed: {same} checks identical, {twins} scans "
              f"match their swapped twins")
+
+
+# `verify --config configs/<name>` at the config seed (11), sha256[:16].
+BOUNDS_DIGESTS = {
+    "z3z2_bounds.json": {"report.json": "49fdcef7210b2bb8",
+                         "scans.csv": "61964f90a1cdb8b7"},
+    "f2_redundant_bounds.json": {"report.json": "5e9321d56c44852a",
+                                 "scans.csv": "d505373429fdb275"},
+}
+
+
+def test_criterion_8_bounds_report_bytes_pinned(bounds_runs, tmp_path):
+    """The files `verify` writes for the bounds configs keep their bytes."""
+    problems = []
+    for name, (_, report, _) in bounds_runs.items():
+        run = tmp_path / name
+        run.mkdir()
+        (run / "report.json").write_text(report.to_json(), encoding="utf-8")
+        cli._write_scans_csv(str(run / "scans.csv"), report.scan_rows())
+        for file, want in BOUNDS_DIGESTS[name].items():
+            got = hashlib.sha256((run / file).read_bytes()).hexdigest()[:16]
+            if got != want:
+                problems.append(f"{name} {file} is {got}, pinned {want}")
+    _verdict("criterion 8 (pinned report bytes)", not problems,
+             "; ".join(problems) or
+             f"report.json and scans.csv match on {len(bounds_runs)} configs")
 
 
 # ---------------------------------------------------------------------------

@@ -264,7 +264,7 @@ class TestReadsOffTheBundle:
         return True
 
     def _check_vertex_reads(self, pipe, base, depth) -> tuple[int, int]:
-        """Compare every sector and reach `special_vertices` reads from
+        """Compare every sector and reach `geo1`'s scan reads from
         (base, depth), plus reach inside each sector less one vertex;
         returns how many reach queries came out true and false."""
         deco = pipe.classes_from(base, depth)
@@ -342,10 +342,12 @@ class TestSpecialVertices:
 
     def test_special_set_inside_bundle(self):
         pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
-        report = pipe.special_vertices((), 8)
-        bundle = pipe.bundle((), 8).vertices()
-        for v, _ in report.special:
-            assert v in bundle
+        for base in map(Z3Z2.parse, ("e", "b", "a b")):
+            chosen = pipe.geo1(base, 8).chosen
+            bundle = pipe.bundle(base, 8).vertices()
+            assert chosen
+            for _, y_set in chosen:
+                assert y_set and set(y_set) <= bundle
 
     def test_z3z2_specials_pinned_and_stable(self):
         pipe = DirectionPipeline(OR_Z3Z2, DIR_AB, nu=0)
@@ -370,7 +372,9 @@ class TestSpecialVertices:
 def _assert_geo1_is_full_geo1(pipe, full, base, depth) -> bool:
     """`geo1` classifies the layers up to its classes' nearest special
     vertices, `full_geo1` every layer: the two agree but for flags only the
-    deeper layers raised.  False when both raise StabilizationError."""
+    deeper layers raised.  Where a class is skipped, `geo1`'s scan covered
+    every layer too, so the flags agree exactly.  False when both raise
+    StabilizationError."""
     try:
         want = full_geo1(full, base, depth)
     except StabilizationError:
@@ -381,7 +385,10 @@ def _assert_geo1_is_full_geo1(pipe, full, base, depth) -> bool:
     assert got.vertices == want.vertices
     assert got.chosen == want.chosen
     assert got.skipped_classes == want.skipped_classes
-    assert set(got.flags) <= set(want.flags)
+    if got.skipped_classes:
+        assert got.flags == want.flags
+    else:
+        assert set(got.flags) <= set(want.flags)
     return True
 
 
@@ -438,7 +445,11 @@ class TestGeo1ReadsNoDeeperLayer:
         full = Staggered(OR_Z10Z10, direction, nu=0, window_radius=1)
         base = Z10Z10.parse("x")
         assert _assert_geo1_is_full_geo1(pipe, full, base, depth)
-        assert [len(ys) for _, ys in pipe.geo1(base, depth).chosen] == [1, 3]
+        chosen = pipe.geo1(base, depth).chosen
+        assert [len(ys) for _, ys in chosen] == [1, 3]
+        layers = pipe.bundle(base, depth).layers
+        assert set(chosen[0][1]) == set(layers[0])
+        assert set(chosen[1][1]) == set(layers[2])
         assert {depth - key[2] for key in pipe._memo
                 if key[0] == "classes_from"} == {0, 1, 2}
 

@@ -288,6 +288,19 @@ class TestExplore:
         assert err.startswith(f"error: {name} must be an integer")
         assert "Traceback" not in err
 
+    @pytest.mark.parametrize("args", [
+        ["dag", "e"],                # one vertex
+        ["ball", "e", "-1"],         # negative radius
+        ["bundle", "e", "zz", "4"],  # unknown generator
+    ], ids=["dag", "ball", "bundle"])
+    def test_rejected_query_leaves_no_out_dir(self, f2_spec_file, tmp_path,
+                                              capsys, args):
+        out = tmp_path / "art"
+        assert main(["explore", *args, "--spec", f2_spec_file,
+                     "--out", str(out)]) == 1
+        assert capsys.readouterr().err.startswith("error: ")
+        assert not out.exists()
+
     @pytest.mark.parametrize("error", [ResourceLimitError, DehnReductionError])
     def test_search_errors_exit_one(self, tmp_path, capsys, monkeypatch,
                                     error):
