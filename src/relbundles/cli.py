@@ -14,6 +14,7 @@ and reuses it: the parser is never changed after it is built, and each
 from __future__ import annotations
 
 import argparse
+import contextlib
 import csv
 import errno
 import functools
@@ -24,7 +25,6 @@ import statistics
 import sys
 
 from .groups import (
-    DehnReductionError,
     SpecError,
     build_group,
     load_json,
@@ -33,31 +33,24 @@ from .groups import (
     spec_hash,
     validate_presentation,
 )
-from .relgraph import (
-    RELATIVE,
-    DistanceOracle,
-    RelativeGraph,
-    ResourceLimitError,
-    export_ball_dot,
-)
+from .relgraph import RELATIVE, DistanceOracle, RelativeGraph, export_ball_dot
 from .geodesics import (
-    DirectionError,
     direction_from_text,
     enumerate_geodesics,
     geodesic_dag,
     layer_profile,
 )
 from .bundles import DirectionPipeline
-from .suite import RunConfig, run_suite
+from .suite import CHECK_ERRORS, RunConfig, SuiteReport, run_suite
 
 
 def main(argv: list[str] | None = None) -> int:
+    # an error that flags a check in `verify` is one line here
     parser = _build_parser()
     args = parser.parse_args(argv)
     try:
         return args.handler(args)
-    except (SpecError, DirectionError, ResourceLimitError,
-            DehnReductionError, OSError) as err:
+    except (*CHECK_ERRORS, SpecError, OSError) as err:
         print(f"error: {err}", file=sys.stderr)
         return 1
 
@@ -143,17 +136,11 @@ def load_config(config_path: str, spec_path: str | None = None,
 
 
 def _cmd_verify(args: argparse.Namespace) -> int:
-    cfg = load_config(args.config, args.spec, seed=args.seed,
-                      depth=args.radius, window_radius=args.window)
-    _check_out_dir(args.out)
-    report = run_suite(cfg)
-
-    os.makedirs(args.out, exist_ok=True)
-    with open(os.path.join(args.out, "report.json"), "w",
-              encoding="utf-8") as fh:
-        fh.write(report.to_json())
-    _write_scans_csv(os.path.join(args.out, "scans.csv"), report.scan_rows())
-
+    with _output(args.out) as files:
+        cfg = load_config(args.config, args.spec, seed=args.seed,
+                          depth=args.radius, window_radius=args.window)
+        report = run_suite(cfg)
+        files.update(verify_files(report))
     for check in report.checks:
         print(f"{check.status:12s} {check.id}: {check.summary}")
     print(f"suite status: {report.status()} "
@@ -161,11 +148,41 @@ def _cmd_verify(args: argparse.Namespace) -> int:
     return report.exit_code()
 
 
-def _check_out_dir(path: str) -> None:
-    """Raise an OSError now if `path` cannot become an output directory.
+def verify_files(report: SuiteReport) -> dict[str, str]:
+    """The texts `verify` writes, by file name."""
+    return {
+        "report.json": report.to_json(),
+        "scans.csv": _csv_text(["direction", "x", "y", "depth", "delta"],
+                               sorted(report.scan_rows())),
+    }
 
-    Nothing is created, so a run rejected before its report is written
-    leaves no directory behind."""
+
+@contextlib.contextmanager
+def _output(out: str, *, list_paths: bool = False):
+    """Collect a command's files as {name: text}, then write them to `out`.
+
+    `out` is checked before the body runs and created only after the body
+    has built every text, so a command that fails leaves no directory
+    behind.  With `list_paths`, each written path is printed."""
+    _check_out_dir(out)
+    files: dict[str, str] = {}
+    yield files
+    os.makedirs(out, exist_ok=True)
+    for name, text in files.items():
+        path = os.path.join(out, name)
+        with open(path, "w", encoding="utf-8", newline="") as fh:
+            fh.write(text)
+        if list_paths:
+            print(path)
+
+
+def _check_out_dir(path: str) -> None:
+    """Raise an OSError if `path` cannot become an output directory.
+
+    Nothing is created.  An empty path names no directory, although its
+    absolute path would be the working directory."""
+    if not path:
+        raise OSError(errno.ENOENT, os.strerror(errno.ENOENT), path)
     probe = os.path.abspath(path)
     while not os.path.exists(probe):
         probe = os.path.dirname(probe)
@@ -178,12 +195,16 @@ def _check_out_dir(path: str) -> None:
     raise OSError(code, os.strerror(code), probe)
 
 
-def _write_scans_csv(path: str,
-                     rows: list[tuple[str, str, str, int, int]]) -> None:
-    with open(path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["direction", "x", "y", "depth", "delta"])
-        writer.writerows(sorted(rows))
+def _csv_text(header: list[str], rows) -> str:
+    text = io.StringIO()
+    writer = csv.writer(text)
+    writer.writerow(header)
+    writer.writerows(rows)
+    return text.getvalue()
+
+
+def _json_text(payload: dict) -> str:
+    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 # ---------------------------------------------------------------------------
@@ -191,24 +212,15 @@ def _write_scans_csv(path: str,
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    """Build the object, then write its files: a rejected query leaves no
-    output directory behind."""
-    spec = load_spec(args.spec)
-    oracle = DistanceOracle(RelativeGraph(build_group(spec)))
     handlers = {"ball": _explore_ball, "dag": _explore_dag,
                 "bundle": _explore_bundle, "geo1": _explore_geo1}
-    files = handlers[args.object](args, oracle)
-    os.makedirs(args.out, exist_ok=True)
-    for name, text in files.items():
-        path = os.path.join(args.out, name)
-        with open(path, "w", encoding="utf-8", newline="") as fh:
-            fh.write(text)
-        print(path)
+    with _output(args.out, list_paths=True) as files:
+        if args.window is not None and args.window < 0:
+            raise SpecError("window radius must be nonnegative")
+        spec = load_spec(args.spec)
+        oracle = DistanceOracle(RelativeGraph(build_group(spec)))
+        files.update(handlers[args.object](args, oracle))
     return 0
-
-
-def _json_text(payload: dict) -> str:
-    return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
 
 def _int_arg(name: str, text: str) -> int:
@@ -228,10 +240,6 @@ def _explore_ball(args: argparse.Namespace,
     table = graph.ball(center, radius)
     fmt = graph.group.format
     rows = sorted([fmt(v), d] for v, d in table.entries.items())
-    listing = io.StringIO()
-    writer = csv.writer(listing)
-    writer.writerow(["vertex", "distance"])
-    writer.writerows(rows)
     stem = f"ball_r{radius}"
     return {
         stem + ".json": _json_text({
@@ -242,7 +250,7 @@ def _explore_ball(args: argparse.Namespace,
             "vertices": rows,
         }),
         stem + ".dot": export_ball_dot(graph, table),
-        stem + ".csv": listing.getvalue(),
+        stem + ".csv": _csv_text(["vertex", "distance"], rows),
     }
 
 
@@ -339,33 +347,22 @@ def _explore_geo1(args: argparse.Namespace,
 
 def _cmd_report(args: argparse.Namespace) -> int:
     report_path = os.path.join(args.run_dir, "report.json")
-    if not os.path.exists(report_path):
-        print(f"error: missing report file {report_path}", file=sys.stderr)
-        return 1
-    doc = load_json(report_path)
-    # both outputs are read off the document before either is written
-    try:
-        summary = _summary_markdown(doc)
-        deltas = _delta_rows(doc)
-    except KeyError as err:
-        raise SpecError(f"{report_path} is not a verify report: "
-                        f"no key {err}") from None
-    except (TypeError, ValueError, AttributeError) as err:
-        raise SpecError(f"{report_path} is not a verify report: {err}") from None
-    out_dir = args.out or args.run_dir
-    os.makedirs(out_dir, exist_ok=True)
-
-    md_path = os.path.join(out_dir, "summary.md")
-    with open(md_path, "w", encoding="utf-8") as fh:
-        fh.write(summary)
-    csv_path = os.path.join(out_dir, "delta_vs_depth.csv")
-    with open(csv_path, "w", encoding="utf-8", newline="") as fh:
-        writer = csv.writer(fh)
-        writer.writerow(["depth", "pairs", "min_delta", "median_delta",
-                         "max_delta"])
-        writer.writerows(deltas)
-    print(md_path)
-    print(csv_path)
+    out = args.run_dir if args.out is None else args.out
+    with _output(out, list_paths=True) as files:
+        if not os.path.exists(report_path):
+            raise SpecError(f"missing report file {report_path}")
+        doc = load_json(report_path)
+        try:
+            files["summary.md"] = _summary_markdown(doc)
+            files["delta_vs_depth.csv"] = _csv_text(
+                ["depth", "pairs", "min_delta", "median_delta", "max_delta"],
+                _delta_rows(doc))
+        except KeyError as err:
+            raise SpecError(f"{report_path} is not a verify report: "
+                            f"no key {err}") from None
+        except (TypeError, ValueError, AttributeError) as err:
+            raise SpecError(
+                f"{report_path} is not a verify report: {err}") from None
     return 0
 
 

@@ -11,7 +11,7 @@ window matching closes the loop: two directions are compared by searching
 for a translation aligning their windows.  Every step takes the oracle as
 its one handle on the group: `t_n_and_g_n(oracle, window, s_n)`,
 `h_n_window(oracle, window, t_n)` (gₙ is Tₙ's least element, t_n[0]) and
-`check_lemma418(oracle, window_a, window_b, nu)`.
+`check_lemma418(oracle, window_a, window_b, nu, count_bound)`.
 """
 
 from __future__ import annotations
@@ -22,7 +22,6 @@ from .groups import SpecError, Word, shortlex_key
 from .relgraph import DistanceOracle
 from .geodesics import enumerate_geodesics, geodesic_dag
 from .bundles import DirectionPipeline, StabilizationError
-from .hyperbolicity import bound_B, bound_K
 
 
 def _bits(k: int) -> tuple[int, ...]:
@@ -183,10 +182,6 @@ class HnWindow:
     elements: tuple[Word, ...]
     complete_radius: int
 
-    def within(self, r: int, oracle: DistanceOracle) -> frozenset[Word]:
-        return frozenset(h for h in self.elements
-                         if oracle.within((), h, r))
-
 
 def h_n_window(oracle: DistanceOracle, window: CEtaWindow,
                t_n: tuple[Word, ...]) -> HnWindow:
@@ -227,7 +222,8 @@ class Lemma418Report:
 
 
 def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
-                   window_b: HnWindow, nu: int) -> Lemma418Report:
+                   window_b: HnWindow, nu: int,
+                   count_bound: int) -> Lemma418Report:
     """Find every g with window_a = g·window_b, as far as the windows prove.
 
     The hypothesis being surrogated is equality of *infinite* sets, so a
@@ -236,6 +232,8 @@ def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
     come from beyond a complete radius, which is impossible.  Candidates
     that do not fit inside their own evidence ball are skipped — matching
     them would only ever certify that a window can be slid onto itself.
+    `count_bound` is the caller's K = bound_K(nu, bound_B(oracle, nu)),
+    carried into the report.
     """
     if window_a.n != window_b.n:
         raise SpecError(
@@ -246,19 +244,21 @@ def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
     d_star = min(rho_a, rho_b)
     candidates = {group.multiply(x, group.inverse(y))
                   for x in window_a.elements for y in window_b.elements}
+
+    def near(elements, r: int) -> frozenset[Word]:
+        return frozenset(h for h in elements if dist((), h) <= r)
+
     matches = []
     for g in sorted(candidates, key=shortlex_key):
         dg = dist((), g)
         r = min(rho_a, rho_b - dg)
         if dg > r:
             continue
-        moved = {group.multiply(g, h) for h in window_b.elements}
-        if frozenset(h for h in moved
-                     if dist((), h) <= r) == window_a.within(r, oracle):
+        moved = (group.multiply(g, h) for h in window_b.elements)
+        if near(moved, r) == near(window_a.elements, r):
             matches.append(g)
     bound = 8 * nu
     violations = tuple(g for g in matches
                        if dist((), g) > bound)
     return Lemma418Report(window_a.n, d_star, min(rho_a, rho_b // 2),
-                          tuple(matches), bound, violations,
-                          bound_K(nu, bound_B(oracle, nu)))
+                          tuple(matches), bound, violations, count_bound)

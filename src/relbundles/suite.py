@@ -221,7 +221,11 @@ class SuiteReport:
 # individual checks
 
 
-def _status_from(violations: int, flags: int) -> str:
+# A check returns (status, summary, details); `_run_check` names it.
+Verdict = tuple[str, str, dict]
+
+
+def _status_from(violations: int, flags: int = 0) -> str:
     if violations:
         return FAIL
     if flags:
@@ -229,16 +233,14 @@ def _status_from(violations: int, flags: int) -> str:
     return PASS
 
 
-def _check_slimness(oracle: DistanceOracle,
-                    cfg: RunConfig) -> tuple[CheckResult, int]:
+def _check_slimness(oracle: DistanceOracle, cfg: RunConfig) -> Verdict:
     report = estimate_nu(oracle, exhaustive_radius=cfg.exhaustive_radius,
                          ball_radius=cfg.ball_radius,
                          triangle_budget=cfg.triangle_budget, seed=cfg.seed)
     # the word metric's defect is the relative one (`hyperbolicity`), kept
     # under both keys
     nu, exhaustive = report.nu, report.exhaustive_nu
-    result = CheckResult(
-        "slimness",
+    return (
         PASS,
         f"nu_rel={nu} nu_abs={nu} over {report.triangles_checked} triangles",
         {
@@ -250,47 +252,43 @@ def _check_slimness(oracle: DistanceOracle,
             "exhaustive_radius": report.exhaustive_radius,
             "seed": report.seed,
         })
-    return result, nu
 
 
-def _check_layer_bound(check_id: str, pipe: DirectionPipeline,
-                       cfg: RunConfig, base_text: str, dir_text: str,
-                       cap: int) -> CheckResult:
+def _check_layer_bound(pipe: DirectionPipeline, cfg: RunConfig,
+                       base_text: str, dir_text: str, cap: int) -> Verdict:
     bundle = pipe.bundle(pipe.oracle.group.parse(base_text), cfg.depth)
     profile = layer_profile(bundle)
     worst = max(profile)
-    return CheckResult(
-        check_id, PASS if worst <= cap else FAIL,
-        f"max layer {worst} vs bound {cap}",
+    return (
+        _status_from(worst > cap), f"max layer {worst} vs bound {cap}",
         {"direction": dir_text, "base": base_text, "profile": profile,
          "bound": cap})
 
 
-def _check_classes(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
-                   base_text: str, dir_text: str, cap: int) -> CheckResult:
+def _check_classes(pipe: DirectionPipeline, cfg: RunConfig,
+                   base_text: str, dir_text: str, cap: int) -> Verdict:
     deco = pipe.classes_from(pipe.oracle.group.parse(base_text), cfg.depth)
     count = len(deco.classes)
     flags = list(deco.flags)
     if deco.unstabilized:
         flags.append(f"{len(deco.unstabilized)} unstabilized rays")
-    return CheckResult(
-        check_id, _status_from(int(count > cap), len(flags)),
+    return (
+        _status_from(count > cap, len(flags)),
         f"{count} classes vs bound {cap}",
         {"direction": dir_text, "base": base_text, "classes": count,
          "bound": cap, "unstabilized": len(deco.unstabilized),
          "flags": sorted(flags)})
 
 
-def _check_scan(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
-                x_text: str, y_text: str, dir_text: str) -> CheckResult:
+def _check_scan(pipe: DirectionPipeline, cfg: RunConfig, x_text: str,
+                y_text: str, dir_text: str) -> Verdict:
     group = pipe.oracle.group
     scan = symdiff_scan(pipe, group.parse(x_text), group.parse(y_text),
                         list(cfg.scan_depths))
     flags = sorted(scan.flags)
     status = PASS if scan.verdict == "stabilized" and not flags else FLAGGED
-    return CheckResult(
-        check_id, status,
-        f"{scan.verdict}; deltas {[n for _, n in scan.rows]}",
+    return (
+        status, f"{scan.verdict}; deltas {[n for _, n in scan.rows]}",
         {"direction": dir_text, "x": x_text, "y": y_text,
          "rows": [list(r) for r in scan.rows], "verdict": scan.verdict,
          "flags": flags})
@@ -302,8 +300,8 @@ def coding_depth(direction: DirectionSpec, n: int, margin: int) -> int:
     return 3 * (n + margin + len(direction.period) + 1)
 
 
-def _check_coding(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
-                  dir_text: str) -> CheckResult:
+def _check_coding(pipe: DirectionPipeline, cfg: RunConfig,
+                  dir_text: str) -> Verdict:
     oracle = pipe.oracle
     # One depth for the whole ladder: nesting only makes sense with all
     # windows cut at the same horizon, and the depth chosen for n_max
@@ -339,8 +337,8 @@ def _check_coding(check_id: str, pipe: DirectionPipeline, cfg: RunConfig,
                 violations += 1
         trend.append([n, oracle.distance((), g_n), len(t_n)])
         prev_s, prev_t = s_n, t_n
-    return CheckResult(
-        check_id, _status_from(violations, len(flags)),
+    return (
+        _status_from(violations, len(flags)),
         f"{violations} coherence violations through n={cfg.n_max} "
         f"at depth {depth}",
         {"direction": dir_text, "depth": depth, "k_n_trend": trend,
@@ -355,20 +353,19 @@ def _h_window(pipe: DirectionPipeline, cfg: RunConfig, n: int) -> HnWindow:
     return h_n_window(pipe.oracle, win, t_n)
 
 
-def _check_lemma418_pair(check_id: str, eta: DirectionPipeline,
-                         theta: DirectionPipeline, cfg: RunConfig,
-                         eta_text: str, theta_text: str, n: int,
-                         nu: int) -> CheckResult:
+def _check_lemma418_pair(eta: DirectionPipeline, theta: DirectionPipeline,
+                         cfg: RunConfig, eta_text: str, theta_text: str,
+                         n: int, nu: int, k_cap: int) -> Verdict:
     oracle = eta.oracle
     wa, wb = _h_window(eta, cfg, n), _h_window(theta, cfg, n)
-    report = check_lemma418(oracle, wa, wb, nu)
+    report = check_lemma418(oracle, wa, wb, nu, k_cap)
     bad = len(report.distance_violations)
     over = int(len(report.matches) > report.count_bound)
     shallow = report.search_radius < report.distance_bound
     flags = ([f"search radius {report.search_radius} cannot certify the "
               f"distance bound {report.distance_bound}"] if shallow else [])
-    return CheckResult(
-        check_id, _status_from(bad + over, len(flags)),
+    return (
+        _status_from(bad + over, len(flags)),
         f"{len(report.matches)} matches, bound {report.count_bound}, "
         f"{bad} distance violations",
         {"eta": eta_text, "theta": theta_text, "n": n,
@@ -422,12 +419,12 @@ def _random_label(rng: random.Random, n: int) -> RestrictedLabel:
                                     for shift in range(n * n - n, -1, -n)))
 
 
-def _check_order_property(check_id: str, cfg: RunConfig) -> CheckResult:
+def _check_order_property(cfg: RunConfig) -> Verdict:
     bad = order_property_violations(cfg.order_samples, cfg.seed)
-    return CheckResult(check_id, PASS if bad == 0 else FAIL,
-                       f"{bad} violations over exhaustive n=1 plus "
-                       f"{cfg.order_samples} samples",
-                       {"violations": bad, "samples": cfg.order_samples})
+    return (_status_from(bad),
+            f"{bad} violations over exhaustive n=1 plus "
+            f"{cfg.order_samples} samples",
+            {"violations": bad, "samples": cfg.order_samples})
 
 
 def brute_force_geodesics(oracle: DistanceOracle, u: Word,
@@ -473,13 +470,12 @@ def oracle_equivalence_violations(oracle: DistanceOracle, samples: int,
     return bad
 
 
-def _check_oracle_equivalence(check_id: str, oracle: DistanceOracle,
-                              cfg: RunConfig) -> CheckResult:
+def _check_oracle_equivalence(oracle: DistanceOracle,
+                              cfg: RunConfig) -> Verdict:
     bad = oracle_equivalence_violations(oracle, cfg.oracle_samples,
                                         cfg.oracle_max_distance, cfg.seed)
-    return CheckResult(
-        check_id, PASS if bad == 0 else FAIL,
-        f"{bad} mismatches over {cfg.oracle_samples} sampled pairs",
+    return (
+        _status_from(bad), f"{bad} mismatches over {cfg.oracle_samples} sampled pairs",
         {"samples": cfg.oracle_samples, "mismatches": bad,
          "max_distance": cfg.oracle_max_distance})
 
@@ -529,19 +525,15 @@ def arithmetic_violations(group: Group, max_len: int) -> int:
     return bad
 
 
-def _check_arithmetic(check_id: str, group: Group,
-                      cfg: RunConfig) -> CheckResult:
+def _check_arithmetic(group: Group, cfg: RunConfig) -> Verdict:
     bad = arithmetic_violations(group, cfg.arithmetic_length)
-    return CheckResult(
-        check_id, PASS if bad == 0 else FAIL,
-        f"{bad} mismatches on words up to length {cfg.arithmetic_length}",
+    return (
+        _status_from(bad), f"{bad} mismatches on words up to length {cfg.arithmetic_length}",
         {"max_length": cfg.arithmetic_length, "mismatches": bad})
 
 
-def _check_equivariance(check_id: str,
-                        pipeline: Callable[..., DirectionPipeline],
-                        cfg: RunConfig,
-                        dir_text: str) -> CheckResult:
+def _check_equivariance(pipeline: Callable[..., DirectionPipeline],
+                        cfg: RunConfig, dir_text: str) -> Verdict:
     """Geo₁ from a moved anchor is the translate of Geo₁ from e.
 
     `pipeline(dir_text, anchor)` is the run's shared pipeline lookup.
@@ -559,9 +551,8 @@ def _check_equivariance(check_id: str,
         want = frozenset(group.multiply(g, v) for v in want_e)
         if pipeline(dir_text, g).geo1(g, cfg.depth).vertices != want:
             bad += 1
-    return CheckResult(
-        check_id, PASS if bad == 0 else FAIL,
-        f"{bad} translation mismatches",
+    return (
+        _status_from(bad), f"{bad} translation mismatches",
         {"direction": dir_text, "translations": tried, "mismatches": bad})
 
 
@@ -574,9 +565,12 @@ CHECK_ERRORS = (StabilizationError, ResourceLimitError, DehnReductionError,
                 DirectionError)
 
 
-def _run_check(check_id: str, check, *args) -> CheckResult:
+def _run_check(check_id: str, check: Callable[..., Verdict],
+               *args) -> CheckResult:
+    """The verdict of `check(*args)` under `check_id`; a check error
+    flags it."""
     try:
-        return check(check_id, *args)
+        return CheckResult(check_id, *check(*args))
     except CHECK_ERRORS as err:
         return CheckResult(check_id, FLAGGED, str(err),
                            {"error": type(err).__name__})
@@ -621,7 +615,9 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     for direction in directions.values():
         ray_vertex(oracle, direction, cfg.depth)
 
-    slim, nu = _check_slimness(oracle, cfg)
+    # The sweep's errors end the run: every other check needs its ν̂.
+    slim = CheckResult("slimness", *_check_slimness(oracle, cfg))
+    nu = slim.details["nu_rel"]
     b_cap = bound_B(oracle, nu)
     k_cap = bound_K(nu, b_cap)
 
@@ -660,7 +656,8 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
         for n in range(1, cfg.n_max + 1):
             results.append(_run_check(
                 f"lemma418[{eta}|{theta}|n={n}]", _check_lemma418_pair,
-                pipeline(eta), pipeline(theta), cfg, eta, theta, n, nu))
+                pipeline(eta), pipeline(theta), cfg, eta, theta, n, nu,
+                k_cap))
     results.append(_run_check("order-property", _check_order_property, cfg))
     results.append(_run_check("oracle-equivalence", _check_oracle_equivalence,
                               oracle, cfg))
@@ -671,8 +668,8 @@ def run_suite(cfg: RunConfig) -> SuiteReport:
     checks = tuple(sorted(results, key=lambda c: c.id))
     constants = {
         "nu": nu,
-        "nu_rel": slim.details["nu_rel"],
-        "nu_abs": slim.details["nu_abs"],
+        "nu_rel": nu,
+        "nu_abs": nu,
         "B": b_cap,
         "K": k_cap,
     }

@@ -24,6 +24,7 @@ from relbundles.cli import load_config
 from relbundles.groups import build_group, load_spec, shortlex_key
 from relbundles.relgraph import DistanceOracle, RelativeGraph
 from relbundles.geodesics import direction_from_text, enumerate_geodesics, geodesic_dag
+from relbundles.hyperbolicity import bound_B, bound_K
 from relbundles.bundles import DirectionPipeline, symdiff_scan
 from relbundles.coding import (
     RestrictedLabel,
@@ -245,13 +246,14 @@ def test_criterion_4_window_translators_bounded(bounds_runs):
                 problems.append(f"{name}: {check.id} failed")
     # a few deeper pairings than the suites schedule
     oracle = _oracle("z3z2_rel_factors.json")
+    k0 = bound_K(0, bound_B(oracle, 0))
     for eta, theta in (("a b", "b a"), ("a' b", "b a'")):
         for n in (3, 4):
             paired += 1
             result = check_lemma418(oracle,
                                     _h_window("z3z2_rel_factors.json", eta, n),
                                     _h_window("z3z2_rel_factors.json", theta, n),
-                                    nu=0)
+                                    nu=0, count_bound=k0)
             if result.distance_violations:
                 problems.append(f"deep pair {eta}|{theta} n={n} violated")
             if len(result.matches) > result.count_bound:
@@ -411,30 +413,40 @@ def test_criterion_8_reports_deterministic(bounds_runs):
              f"match their swapped twins")
 
 
-# `verify --config configs/<name>` at the config seed (11), sha256[:16].
+# `verify --config configs/<name>` at the config seed (11), then `report`
+# of that run, sha256[:16].
 BOUNDS_DIGESTS = {
     "z3z2_bounds.json": {"report.json": "49fdcef7210b2bb8",
-                         "scans.csv": "61964f90a1cdb8b7"},
+                         "scans.csv": "61964f90a1cdb8b7",
+                         "summary.md": "19fa1ba1035e5d2c",
+                         "delta_vs_depth.csv": "e619b7dedda22191"},
     "f2_redundant_bounds.json": {"report.json": "5e9321d56c44852a",
-                                 "scans.csv": "d505373429fdb275"},
+                                 "scans.csv": "d505373429fdb275",
+                                 "summary.md": "ad3e02fbb4bd0007",
+                                 "delta_vs_depth.csv": "f8d68328cd02cf33"},
 }
 
 
 def test_criterion_8_bounds_report_bytes_pinned(bounds_runs, tmp_path):
-    """The files `verify` writes for the bounds configs keep their bytes."""
+    """The files `verify` and then `report` write for the bounds configs
+    keep their bytes.  The run's files come from `cli.verify_files`, so no
+    suite runs again."""
     problems = []
     for name, (_, report, _) in bounds_runs.items():
         run = tmp_path / name
         run.mkdir()
-        (run / "report.json").write_text(report.to_json(), encoding="utf-8")
-        cli._write_scans_csv(str(run / "scans.csv"), report.scan_rows())
+        for file, text in cli.verify_files(report).items():
+            (run / file).write_text(text, encoding="utf-8", newline="")
+        if cli.main(["report", str(run)]) != 0:
+            problems.append(f"{name}: report exited nonzero")
         for file, want in BOUNDS_DIGESTS[name].items():
             got = hashlib.sha256((run / file).read_bytes()).hexdigest()[:16]
             if got != want:
                 problems.append(f"{name} {file} is {got}, pinned {want}")
     _verdict("criterion 8 (pinned report bytes)", not problems,
              "; ".join(problems) or
-             f"report.json and scans.csv match on {len(bounds_runs)} configs")
+             f"report.json, scans.csv, summary.md and delta_vs_depth.csv "
+             f"match on {len(bounds_runs)} configs")
 
 
 # ---------------------------------------------------------------------------

@@ -312,6 +312,33 @@ class TestExplore:
                      "--out", str(tmp_path / "art")]) == 1
         assert capsys.readouterr().err == "error: search gave up\n"
 
+    def test_unstable_ray_is_one_error_line(self, tmp_path, capsys):
+        """A StabilizationError, which flags a check in `verify`, is one
+        `error:` line here, and no `--out` directory is made."""
+        out = tmp_path / "art"
+        assert main(["explore", "geo1", "e", "t t t b", "4", "--spec",
+                     str(ROOT / "specs" / "z6z2_free.json"),
+                     "--out", str(out)]) == 1
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err == (
+            "error: no geodesic ray from e has a stable signature at "
+            "depth 4; rerun with a larger depth\n")
+        assert not out.exists()
+
+    def test_negative_window_fails_before_the_group(self, f2_spec_file,
+                                                    tmp_path, capsys,
+                                                    monkeypatch):
+        def build(spec):
+            raise AssertionError("group built")
+        monkeypatch.setattr(cli, "build_group", build)
+        out = tmp_path / "art"
+        assert main(["explore", "geo1", "e", "a", "8", "--window", "-1",
+                     "--spec", f2_spec_file, "--out", str(out)]) == 1
+        assert capsys.readouterr().err == (
+            "error: window radius must be nonnegative\n")
+        assert not out.exists()
+
 
 class TestInfiniteParabolic:
     """Every entry point rejects an infinite parabolic with one error line,
@@ -682,6 +709,30 @@ class TestReport:
             assert len(lines) == 1 and lines[0].startswith("error: "), name
             assert "is not a verify report" in lines[0] and reason in lines[0]
             assert not out.exists(), name
+
+
+@pytest.mark.parametrize("argv", [
+    ["verify", "--config", "config.json"],
+    ["explore", "dag", "e", "a", "--spec", "spec.json"],
+    ["report", "run"],
+], ids=["verify", "explore", "report"])
+def test_empty_out_fails_before_any_work(tmp_path, capsys, monkeypatch,
+                                         argv):
+    """`--out ""` names no directory; it is rejected before a config,
+    spec or report is read, and `report` does not fall back to its run
+    directory."""
+    def work(*args, **kwargs):
+        raise AssertionError("work started")
+    for name in ("load_json", "load_spec", "run_suite", "build_group"):
+        monkeypatch.setattr(cli, name, work)
+    monkeypatch.chdir(tmp_path)
+    (tmp_path / "run").mkdir()
+    assert main([*argv, "--out", ""]) == 1
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    assert captured.err == "error: [Errno 2] No such file or directory: ''\n"
+    assert [p.name for p in tmp_path.iterdir()] == ["run"]
+    assert not any((tmp_path / "run").iterdir())
 
 
 class TestUsage:

@@ -55,3 +55,32 @@ def test_z6z2_report_bytes_are_pinned(tmp_path, monkeypatch):
     got = {name: hashlib.sha256((run / name).read_bytes()).hexdigest()[:16]
            for name in Z6Z2_SEED0}
     assert got == Z6Z2_SEED0
+
+
+# The files of the README's `explore` examples, sha256[:16].
+EXPLORE_EXAMPLES = [
+    (["ball", "e", "3", "--spec", "specs/f2_standard.json"],
+     {"ball_r3.json": "de71c145cfc0a7a8", "ball_r3.dot": "393067a4bdc2528d",
+      "ball_r3.csv": "8870a2578c2006dc"}),
+    (["dag", "e", "a b a", "--spec", "specs/z3z2_rel_factors.json"],
+     {"dag.json": "90f2b5c2356ef154", "dag.dot": "b0def84c53cf80c3"}),
+    (["bundle", "e", "a b", "8", "--spec", "specs/z3z2_rel_factors.json"],
+     {"bundle.json": "21b16acfbe3f6348"}),
+    (["geo1", "e", "a", "8", "--spec", "specs/f2_standard.json"],
+     {"geo1.json": "d2b627c9c5ed812a"}),
+]
+
+
+@pytest.mark.parametrize("args, want", EXPLORE_EXAMPLES,
+                         ids=["ball", "dag", "bundle", "geo1"])
+def test_explore_example_bytes_are_pinned(args, want, tmp_path, monkeypatch,
+                                          capsys):
+    monkeypatch.chdir(ROOT)
+    out = tmp_path / "art"
+    assert main(["explore", *args, "--out", str(out)]) == 0
+    assert sorted(p.name for p in out.iterdir()) == sorted(want)
+    got = {name: hashlib.sha256((out / name).read_bytes()).hexdigest()[:16]
+           for name in want}
+    assert got == want
+    assert capsys.readouterr().out.splitlines() == [str(out / name)
+                                                    for name in want]
