@@ -33,7 +33,7 @@ from .groups import (
     spec_hash,
     validate_presentation,
 )
-from .relgraph import RELATIVE, DistanceOracle, RelativeGraph, export_ball_dot
+from .relgraph import RELATIVE, BallTable, DistanceOracle, RelativeGraph
 from .geodesics import (
     direction_from_text,
     enumerate_geodesics,
@@ -41,7 +41,7 @@ from .geodesics import (
     layer_profile,
 )
 from .bundles import DirectionPipeline
-from .suite import CHECK_ERRORS, RunConfig, SuiteReport, run_suite
+from .suite import CHECK_ERRORS, RunConfig, SuiteReport, run_suite, scan_rows
 
 
 def main(argv: list[str] | None = None) -> int:
@@ -84,16 +84,32 @@ def _build_parser() -> argparse.ArgumentParser:
     p_verify.set_defaults(handler=_cmd_verify)
 
     p_explore = sub.add_parser("explore", help="emit one object as files")
-    p_explore.add_argument("object", choices=("ball", "dag", "bundle", "geo1"))
-    p_explore.add_argument("args", nargs="*",
-                           help="ball CENTER RADIUS | dag U V | "
-                                "bundle BASE DIRECTION DEPTH | "
-                                "geo1 BASE DIRECTION DEPTH")
-    p_explore.add_argument("--spec", required=True, help="group spec JSON")
-    p_explore.add_argument("--window", type=int,
-                           help="horofunction window radius for geo1")
-    p_explore.add_argument("--out", default=".", help="output directory")
     p_explore.set_defaults(handler=_cmd_explore)
+    objects = p_explore.add_subparsers(dest="object", required=True)
+    shared = argparse.ArgumentParser(add_help=False)
+    shared.add_argument("--spec", required=True, help="group spec JSON")
+    shared.add_argument("--out", default=".", help="output directory")
+    p_ball = objects.add_parser("ball", parents=[shared],
+                                help="ball of RADIUS around CENTER")
+    p_ball.add_argument("center", metavar="CENTER")
+    p_ball.add_argument("radius", metavar="RADIUS", type=int)
+    p_ball.set_defaults(build=_explore_ball)
+    p_dag = objects.add_parser("dag", parents=[shared],
+                               help="geodesic DAG from U to V")
+    p_dag.add_argument("u", metavar="U")
+    p_dag.add_argument("v", metavar="V")
+    p_dag.set_defaults(build=_explore_dag)
+    p_bundle = objects.add_parser("bundle", parents=[shared],
+                                  help="ray bundle of DIRECTION from BASE")
+    p_geo1 = objects.add_parser("geo1", parents=[shared],
+                                help="Geo₁ of DIRECTION from BASE")
+    for p_ray, build in ((p_bundle, _explore_bundle), (p_geo1, _explore_geo1)):
+        p_ray.add_argument("base", metavar="BASE")
+        p_ray.add_argument("direction", metavar="DIRECTION")
+        p_ray.add_argument("depth", metavar="DEPTH", type=int)
+        p_ray.set_defaults(build=build)
+    p_geo1.add_argument("--window", type=int,
+                        help="horofunction window radius")
 
     p_report = sub.add_parser("report", help="summarize a verify run")
     p_report.add_argument("run_dir", help="directory holding report.json")
@@ -153,7 +169,8 @@ def verify_files(report: SuiteReport) -> dict[str, str]:
     return {
         "report.json": report.to_json(),
         "scans.csv": _csv_text(["direction", "x", "y", "depth", "delta"],
-                               sorted(report.scan_rows())),
+                               sorted(scan_rows((c.id, c.details)
+                                                for c in report.checks))),
     }
 
 
@@ -212,54 +229,58 @@ def _json_text(payload: dict) -> str:
 
 
 def _cmd_explore(args: argparse.Namespace) -> int:
-    handlers = {"ball": _explore_ball, "dag": _explore_dag,
-                "bundle": _explore_bundle, "geo1": _explore_geo1}
     with _output(args.out, list_paths=True) as files:
-        if args.window is not None and args.window < 0:
+        window = getattr(args, "window", None)  # only geo1 takes --window
+        if window is not None and window < 0:
             raise SpecError("window radius must be nonnegative")
         spec = load_spec(args.spec)
         oracle = DistanceOracle(RelativeGraph(build_group(spec)))
-        files.update(handlers[args.object](args, oracle))
+        files.update(args.build(args, oracle))
     return 0
-
-
-def _int_arg(name: str, text: str) -> int:
-    try:
-        return int(text)
-    except ValueError:
-        raise SpecError(f"{name} must be an integer, got {text!r}") from None
 
 
 def _explore_ball(args: argparse.Namespace,
                   oracle: DistanceOracle) -> dict[str, str]:
-    if len(args.args) != 2:
-        raise SpecError("explore ball needs CENTER and RADIUS")
     graph = oracle.graph
-    center = graph.group.parse(args.args[0])
-    radius = _int_arg("RADIUS", args.args[1])
-    table = graph.ball(center, radius)
+    center = graph.group.parse(args.center)
+    table = graph.ball(center, args.radius)
     fmt = graph.group.format
     rows = sorted([fmt(v), d] for v, d in table.entries.items())
-    stem = f"ball_r{radius}"
+    stem = f"ball_r{args.radius}"
     return {
         stem + ".json": _json_text({
             "center": fmt(center),
-            "radius": radius,
+            "radius": args.radius,
             "metric": RELATIVE,
             "vertex_count": len(table.entries),
             "vertices": rows,
         }),
-        stem + ".dot": export_ball_dot(graph, table),
+        stem + ".dot": _ball_dot(graph, table),
         stem + ".csv": _csv_text(["vertex", "distance"], rows),
     }
 
 
+def _ball_dot(graph: RelativeGraph, table: BallTable) -> str:
+    """Undirected DOT drawing of a ball, vertices labeled by normal form."""
+    fmt = graph.group.format
+    lines = ["graph ball {", "  node [shape=ellipse];"]
+    order = sorted(table.entries, key=shortlex_key)
+    ids = {v: i for i, v in enumerate(order)}
+    for v in order:
+        lines.append(f'  n{ids[v]} [label="{fmt(v)}"];')
+    for v in order:
+        for symbol, u in graph.neighbors(v):
+            if u in table.entries and shortlex_key(v) < shortlex_key(u):
+                text = graph.format_symbol(symbol)
+                lines.append(f'  n{ids[v]} -- n{ids[u]} [label="{text}"];')
+    lines.append("}")
+    return "\n".join(lines) + "\n"
+
+
 def _explore_dag(args: argparse.Namespace,
                  oracle: DistanceOracle) -> dict[str, str]:
-    if len(args.args) != 2:
-        raise SpecError("explore dag needs two vertices U and V")
     group = oracle.group
-    u, v = group.parse(args.args[0]), group.parse(args.args[1])
+    u, v = group.parse(args.u), group.parse(args.v)
     dag = geodesic_dag(oracle, u, v)
     paths, truncated = enumerate_geodesics(dag, max_count=10_000)
     return {
@@ -267,7 +288,7 @@ def _explore_dag(args: argparse.Namespace,
             "source": group.format(u),
             "target": group.format(v),
             "length": dag.length,
-            "layer_sizes": [len(layer) for layer in dag.layers],
+            "layer_sizes": layer_profile(dag),
             "geodesic_count": len(paths),
             "count_truncated": truncated,
         }),
@@ -296,24 +317,16 @@ def _dag_dot(graph: RelativeGraph, dag) -> str:
     return "\n".join(lines) + "\n"
 
 
-def _direction_args(args: argparse.Namespace, graph: RelativeGraph):
-    if len(args.args) != 3:
-        raise SpecError(f"explore {args.object} needs BASE DIRECTION DEPTH")
-    base = graph.group.parse(args.args[0])
-    direction = direction_from_text(graph, args.args[1])
-    depth = _int_arg("DEPTH", args.args[2])
-    return base, direction, depth
-
-
 def _explore_bundle(args: argparse.Namespace,
                     oracle: DistanceOracle) -> dict[str, str]:
-    base, direction, depth = _direction_args(args, oracle.graph)
-    bundle = DirectionPipeline(oracle, direction).bundle(base, depth)
+    base = oracle.group.parse(args.base)
+    direction = direction_from_text(oracle.graph, args.direction)
+    bundle = DirectionPipeline(oracle, direction).bundle(base, args.depth)
     fmt = oracle.group.format
     payload = {
         "base": fmt(base),
         "direction": direction.display(),
-        "depth": depth,
+        "depth": args.depth,
         "layer_profile": layer_profile(bundle),
         "layers": [[fmt(v) for v in layer] for layer in bundle.layers],
     }
@@ -322,14 +335,15 @@ def _explore_bundle(args: argparse.Namespace,
 
 def _explore_geo1(args: argparse.Namespace,
                   oracle: DistanceOracle) -> dict[str, str]:
-    base, direction, depth = _direction_args(args, oracle.graph)
+    base = oracle.group.parse(args.base)
+    direction = direction_from_text(oracle.graph, args.direction)
     pipe = DirectionPipeline(oracle, direction, window_radius=args.window)
-    geo1 = pipe.geo1(base, depth)
+    geo1 = pipe.geo1(base, args.depth)
     fmt = oracle.group.format
     payload = {
         "base": fmt(base),
         "direction": direction.display(),
-        "depth": depth,
+        "depth": args.depth,
         "vertex_count": len(geo1.vertices),
         "vertices": [fmt(v) for v in sorted(geo1.vertices, key=shortlex_key)],
         "chosen_classes": [{"class": i, "nearest": [fmt(v) for v in ys]}
@@ -401,11 +415,9 @@ def _summary_markdown(doc: dict) -> str:
 def _delta_rows(doc: dict) -> list[list]:
     """Per scanned depth: pairs, and the min, median and max delta."""
     per_depth: dict[int, list[int]] = {}
-    for c in doc["checks"]:
-        if not c["id"].startswith("scan[") or "rows" not in c["details"]:
-            continue
-        for depth, delta in c["details"]["rows"]:
-            per_depth.setdefault(depth, []).append(delta)
+    for *_, depth, delta in scan_rows((c["id"], c["details"])
+                                      for c in doc["checks"]):
+        per_depth.setdefault(depth, []).append(delta)
     return [[depth, len(deltas), min(deltas), statistics.median(deltas),
              max(deltas)]
             for depth, deltas in sorted(per_depth.items())]

@@ -11,7 +11,7 @@ window matching closes the loop: two directions are compared by searching
 for a translation aligning their windows.  Every step takes the oracle as
 its one handle on the group: `t_n_and_g_n(oracle, window, s_n)`,
 `h_n_window(oracle, window, t_n)` (gₙ is Tₙ's least element, t_n[0]) and
-`check_lemma418(oracle, window_a, window_b, nu, count_bound)`.
+`check_lemma418(oracle, window_a, window_b, nu)`.
 """
 
 from __future__ import annotations
@@ -218,12 +218,10 @@ class Lemma418Report:
     matches: tuple[Word, ...]
     distance_bound: int
     distance_violations: tuple[Word, ...]
-    count_bound: int
 
 
 def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
-                   window_b: HnWindow, nu: int,
-                   count_bound: int) -> Lemma418Report:
+                   window_b: HnWindow, nu: int) -> Lemma418Report:
     """Find every g with window_a = g·window_b, as far as the windows prove.
 
     The hypothesis being surrogated is equality of *infinite* sets, so a
@@ -232,8 +230,6 @@ def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
     come from beyond a complete radius, which is impossible.  Candidates
     that do not fit inside their own evidence ball are skipped — matching
     them would only ever certify that a window can be slid onto itself.
-    `count_bound` is the caller's K = bound_K(nu, bound_B(oracle, nu)),
-    carried into the report.
     """
     if window_a.n != window_b.n:
         raise SpecError(
@@ -261,4 +257,4 @@ def check_lemma418(oracle: DistanceOracle, window_a: HnWindow,
     violations = tuple(g for g in matches
                        if dist((), g) > bound)
     return Lemma418Report(window_a.n, d_star, min(rho_a, rho_b // 2),
-                          tuple(matches), bound, violations, count_bound)
+                          tuple(matches), bound, violations)

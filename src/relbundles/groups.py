@@ -361,19 +361,10 @@ class TableGroup(Group):
         return self._canon[self.element_index(word)]
 
     def multiply(self, u: Word, v: Word) -> Word:
-        i = self._index.get(u)
-        j = self._index.get(v)
-        if i is None:
-            i = self.element_index(u)
-        if j is None:
-            j = self.element_index(v)
-        return self._canon[self._mul[i][j]]
+        return self._canon[self._mul[self._index[u]][self._index[v]]]
 
     def inverse(self, u: Word) -> Word:
-        i = self._index.get(u)
-        if i is None:
-            i = self.element_index(u)
-        return self._canon[self._inv[i]]
+        return self._canon[self._inv[self._index[u]]]
 
     def all_elements(self) -> list[Word]:
         return sorted(self._canon, key=shortlex_key)

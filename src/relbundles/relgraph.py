@@ -567,23 +567,3 @@ def spelled_geodesic(oracle: DistanceOracle, u: Word,
         steps = [g.lift(f, x)
                  for f, x in g.syllables(g.multiply(g.inverse(u), v))]
     return steps, vertices
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-def export_ball_dot(graph: RelativeGraph, table: BallTable) -> str:
-    """Undirected DOT drawing of a ball, vertices labeled by normal form."""
-    fmt = graph.group.format
-    lines = ["graph ball {", "  node [shape=ellipse];"]
-    order = sorted(table.entries, key=shortlex_key)
-    ids = {v: i for i, v in enumerate(order)}
-    for v in order:
-        lines.append(f'  n{ids[v]} [label="{fmt(v)}"];')
-    for v in order:
-        for symbol, u in graph.neighbors(v):
-            if u in table.entries and shortlex_key(v) < shortlex_key(u):
-                text = graph.format_symbol(symbol)
-                lines.append(f'  n{ids[v]} -- n{ids[u]} [label="{text}"];')
-    lines.append("}")
-    return "\n".join(lines) + "\n"

@@ -16,7 +16,7 @@ import hashlib
 import itertools
 import json
 import random
-from collections.abc import Callable
+from collections.abc import Callable, Iterable
 from dataclasses import dataclass, field
 from functools import cache
 
@@ -206,15 +206,15 @@ class SuiteReport:
         }
         return json.dumps(payload, sort_keys=True, indent=2) + "\n"
 
-    def scan_rows(self) -> list[tuple[str, str, str, int, int]]:
-        """(direction, x, y, depth, delta) rows of every scan that ran."""
-        rows = []
-        for c in self.checks:
-            if c.id.startswith("scan[") and "rows" in c.details:
-                for depth, delta in c.details["rows"]:
-                    rows.append((c.details["direction"], c.details["x"],
-                                 c.details["y"], depth, delta))
-        return rows
+
+def scan_rows(checks: Iterable[tuple[str, dict]]
+              ) -> list[tuple[str, str, str, int, int]]:
+    """(direction, x, y, depth, delta) rows of every scan that ran, read
+    from (id, details) pairs of a report's checks."""
+    return [(details["direction"], details["x"], details["y"], depth, delta)
+            for check_id, details in checks
+            if check_id.startswith("scan[") and "rows" in details
+            for depth, delta in details["rows"]]
 
 
 # ---------------------------------------------------------------------------
@@ -358,20 +358,20 @@ def _check_lemma418_pair(eta: DirectionPipeline, theta: DirectionPipeline,
                          n: int, nu: int, k_cap: int) -> Verdict:
     oracle = eta.oracle
     wa, wb = _h_window(eta, cfg, n), _h_window(theta, cfg, n)
-    report = check_lemma418(oracle, wa, wb, nu, k_cap)
+    report = check_lemma418(oracle, wa, wb, nu)
     bad = len(report.distance_violations)
-    over = int(len(report.matches) > report.count_bound)
+    over = int(len(report.matches) > k_cap)
     shallow = report.search_radius < report.distance_bound
     flags = ([f"search radius {report.search_radius} cannot certify the "
               f"distance bound {report.distance_bound}"] if shallow else [])
     return (
         _status_from(bad + over, len(flags)),
-        f"{len(report.matches)} matches, bound {report.count_bound}, "
+        f"{len(report.matches)} matches, bound {k_cap}, "
         f"{bad} distance violations",
         {"eta": eta_text, "theta": theta_text, "n": n,
          "matches": [oracle.group.format(g) for g in report.matches],
          "d_star": report.d_star, "search_radius": report.search_radius,
-         "count_bound": report.count_bound,
+         "count_bound": k_cap,
          "distance_bound": report.distance_bound,
          "distance_violations": [oracle.group.format(g)
                                  for g in report.distance_violations],

@@ -253,10 +253,10 @@ def test_criterion_4_window_translators_bounded(bounds_runs):
             result = check_lemma418(oracle,
                                     _h_window("z3z2_rel_factors.json", eta, n),
                                     _h_window("z3z2_rel_factors.json", theta, n),
-                                    nu=0, count_bound=k0)
+                                    nu=0)
             if result.distance_violations:
                 problems.append(f"deep pair {eta}|{theta} n={n} violated")
-            if len(result.matches) > result.count_bound:
+            if len(result.matches) > k0:
                 problems.append(f"deep pair {eta}|{theta} n={n} overfull")
     if paired < 20:
         problems.append(f"only {paired} paired comparisons")

@@ -7,6 +7,7 @@ import hashlib
 import json
 import os
 import re
+import shlex
 import shutil
 import subprocess
 import sys
@@ -16,7 +17,7 @@ import pytest
 
 from relbundles import cli, suite
 from relbundles.bundles import StabilizationError
-from relbundles.cli import _build_parser, main
+from relbundles.cli import _ball_dot, _build_parser, main
 from relbundles.groups import (
     DehnReductionError,
     SpecError,
@@ -270,10 +271,26 @@ class TestExplore:
         assert code == 1
         assert "prefix of length 3" in capsys.readouterr().err
 
-    def test_bad_argument_count(self, f2_spec_file, tmp_path, capsys):
-        assert main(["explore", "ball", "e", "--spec", f2_spec_file,
-                     "--out", str(tmp_path)]) == 1
-        assert "CENTER and RADIUS" in capsys.readouterr().err
+    def _usage_error(self, argv, spec, out, capsys, monkeypatch) -> str:
+        """The `error:` line of an argparse usage error, which exits 1
+        after a usage message, before the spec is read or `out` is made."""
+        def load(path):
+            raise AssertionError("spec read")
+        monkeypatch.setattr(cli, "load_spec", load)
+        with pytest.raises(SystemExit) as stop:
+            main(["explore", *argv, "--spec", spec, "--out", str(out)])
+        assert stop.value.code == 1
+        assert not out.exists()
+        lines = capsys.readouterr().err.splitlines()
+        assert lines[0].startswith("usage: relbundles ")
+        assert re.match(r"relbundles( explore \w+)?: error: ", lines[-1])
+        return lines[-1]
+
+    def test_bad_argument_count(self, f2_spec_file, tmp_path, capsys,
+                                monkeypatch):
+        error = self._usage_error(["ball", "e"], f2_spec_file,
+                                  tmp_path / "art", capsys, monkeypatch)
+        assert error.endswith("the following arguments are required: RADIUS")
 
     @pytest.mark.parametrize("args, name", [
         (["ball", "e", "x"], "RADIUS"),
@@ -281,15 +298,23 @@ class TestExplore:
         (["geo1", "e", "a", "2.5"], "DEPTH"),
     ])
     def test_non_integer_size_is_an_error(self, f2_spec_file, tmp_path,
-                                          capsys, args, name):
-        assert main(["explore", *args, "--spec", f2_spec_file,
-                     "--out", str(tmp_path)]) == 1
-        err = capsys.readouterr().err
-        assert err.startswith(f"error: {name} must be an integer")
-        assert "Traceback" not in err
+                                          capsys, monkeypatch, args, name):
+        error = self._usage_error(args, f2_spec_file, tmp_path / "art",
+                                  capsys, monkeypatch)
+        assert error.endswith(f"argument {name}: invalid int value: "
+                              f"{args[-1]!r}")
 
     @pytest.mark.parametrize("args", [
-        ["dag", "e"],                # one vertex
+        ["ball", "e", "3"], ["dag", "e", "a"], ["bundle", "e", "a", "4"],
+    ], ids=["ball", "dag", "bundle"])
+    def test_window_is_only_a_geo1_option(self, f2_spec_file, tmp_path,
+                                          capsys, monkeypatch, args):
+        error = self._usage_error(args + ["--window", "3"], f2_spec_file,
+                                  tmp_path / "art", capsys, monkeypatch)
+        assert error.endswith("unrecognized arguments: --window 3")
+
+    @pytest.mark.parametrize("args", [
+        ["dag", "e", "zz"],          # unknown generator
         ["ball", "e", "-1"],         # negative radius
         ["bundle", "e", "zz", "4"],  # unknown generator
     ], ids=["dag", "ball", "bundle"])
@@ -338,6 +363,26 @@ class TestExplore:
         assert capsys.readouterr().err == (
             "error: window radius must be nonnegative\n")
         assert not out.exists()
+
+
+def test_ball_dot_shape():
+    graph = RelativeGraph(build_group(spec_from_dict(Z3Z2_SPEC)))
+    lines = _ball_dot(graph, graph.ball((), 1)).strip().splitlines()
+    assert lines[0] == "graph ball {"
+    assert lines[-1] == "}"
+    assert '  n0 [label="e"];' in lines
+    edge_lines = [l for l in lines if "--" in l]
+    # triangle on {e, a, a'} plus the b edge
+    assert len(edge_lines) == 4
+    assert any('"b|b\'|H1:b"' in l for l in edge_lines)
+
+
+def test_ball_dot_mentions_every_vertex():
+    graph = RelativeGraph(build_group(spec_from_dict(F2_SPEC)))
+    table = graph.ball((), 2)
+    text = _ball_dot(graph, table)
+    for v in table.entries:
+        assert f'[label="{graph.group.format(v)}"]' in text
 
 
 class TestInfiniteParabolic:
@@ -845,13 +890,18 @@ def _parser_options() -> set[str]:
     return options
 
 
+def _readme_commands(text: str) -> list[str]:
+    """The `relbundles …` lines of README's code blocks."""
+    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
+    return [line for block in blocks for line in block.splitlines()
+            if line.startswith("relbundles ")]
+
+
 def test_readme_options_exist():
     """Every --option in a README code span or relbundles command line
     is an option of the parser or of one of its subcommands."""
     text = (ROOT / "README.md").read_text(encoding="utf-8")
-    blocks = re.findall(r"^```[^\n]*\n(.*?)^```", text, re.S | re.M)
-    commands = [line for block in blocks for line in block.splitlines()
-                if line.startswith("relbundles ")]
+    commands = _readme_commands(text)
     spans = re.findall(r"`([^`\n]+)`", re.sub(r"^```.*?^```", "", text,
                                               flags=re.S | re.M))
     shown = set()
@@ -859,3 +909,13 @@ def test_readme_options_exist():
         shown.update(re.findall(r"(?<![\w-])--[a-z][a-z-]*", snippet))
     assert shown, "no options found in README.md"
     assert shown <= _parser_options(), sorted(shown - _parser_options())
+
+
+def test_readme_commands_parse():
+    """Every `relbundles …` line in README is a command the parser
+    accepts; it is parsed, not run."""
+    text = (ROOT / "README.md").read_text(encoding="utf-8")
+    commands = [shlex.split(line)[1:] for line in _readme_commands(text)]
+    assert len(commands) >= 7, commands
+    for argv in commands:
+        assert callable(_build_parser().parse_args(argv).handler), argv

@@ -357,10 +357,10 @@ class TestLemma418:
 
     def test_identical_windows_match_at_identity(self):
         h = self._window(PIPE_AB, 18, 2, 9)
-        report = check_lemma418(OR_Z3Z2, h, h, 0, K0)
+        report = check_lemma418(OR_Z3Z2, h, h, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()
-        assert len(report.matches) <= report.count_bound
+        assert len(report.matches) <= K0
 
     def test_rotated_direction_matches_after_translation(self):
         d_ba = direction_from_text(GR_Z3Z2, "b a")
@@ -370,17 +370,17 @@ class TestLemma418:
         t_n, g_n = t_n_and_g_n(pipe.oracle, win, s_n_eta(win, 9))
         assert g_n == Z3Z2.parse("b")
         hb = h_n_window(pipe.oracle, win, t_n)
-        report = check_lemma418(OR_Z3Z2, ha, hb, 0, K0)
+        report = check_lemma418(OR_Z3Z2, ha, hb, 0)
         assert report.matches == ((),)
         assert report.distance_violations == ()
-        assert report.count_bound == 1
+        assert K0 == 1
 
     def test_transverse_tree_directions_share_nothing(self):
         d_b = direction_from_text(GR_F2, "b")
         pipe_b = DirectionPipeline(OR_F2, d_b, nu=0)
         ha = self._window(PIPE_TREE, 21, 2, 10)
         hb = self._window(pipe_b, 21, 2, 10)
-        report = check_lemma418(OR_F2, ha, hb, 0, K0)
+        report = check_lemma418(OR_F2, ha, hb, 0)
         assert report.matches == ()
         assert report.distance_violations == ()
 
@@ -388,12 +388,12 @@ class TestLemma418:
         ha = self._window(PIPE_AB, 18, 2, 9)
         hb = self._window(PIPE_AB, 18, 3, 9)
         with pytest.raises(SpecError, match="sizes"):
-            check_lemma418(OR_Z3Z2, ha, hb, 0, K0)
+            check_lemma418(OR_Z3Z2, ha, hb, 0)
 
     def test_common_ball_uses_smaller_window(self):
         ha = self._window(PIPE_AB, 18, 2, 9)
         hb = self._window(PIPE_AB, 12, 2, 6)
-        report = check_lemma418(OR_Z3Z2, ha, hb, 0, K0)
+        report = check_lemma418(OR_Z3Z2, ha, hb, 0)
         assert report.d_star == min(ha.complete_radius, hb.complete_radius)
         assert report.matches == ((),)
 
@@ -406,7 +406,7 @@ class TestLemma418:
         pipe_back = DirectionPipeline(OR_F2, d_back, nu=0)
         ha = self._window(PIPE_TREE, 21, 2, 10)
         hb = self._window(pipe_back, 21, 2, 10)
-        report = check_lemma418(OR_F2, ha, hb, 0, K0)
+        report = check_lemma418(OR_F2, ha, hb, 0)
         assert report.matches == ()
         assert report.distance_violations == ()
         assert report.search_radius == 9

@@ -17,11 +17,9 @@ from relbundles.groups import (
     spec_from_dict,
 )
 from relbundles.relgraph import (
-    BallTable,
     DistanceOracle,
     RelativeGraph,
     ResourceLimitError,
-    export_ball_dot,
 )
 from referees import is_identity
 
@@ -591,25 +589,3 @@ def test_infinite_parabolic_needs_truncation():
         graph.step_words  # nothing half-built was kept
     assert DistanceOracle(graph).absolute.graph.alphabet == (
         ((1,), ("a",)), ((-1,), ("a'",)), ((2,), ("b", "b'")))
-
-
-# ---------------------------------------------------------------------------
-# DOT export
-
-def test_dot_export_shape():
-    text = export_ball_dot(GR_Z3Z2, GR_Z3Z2.ball((), 1))
-    lines = text.strip().splitlines()
-    assert lines[0] == "graph ball {"
-    assert lines[-1] == "}"
-    assert '  n0 [label="e"];' in lines
-    edge_lines = [l for l in lines if "--" in l]
-    # triangle on {e, a, a'} plus the b edge
-    assert len(edge_lines) == 4
-    assert any('"b|b\'|H1:b"' in l for l in edge_lines)
-
-
-def test_dot_export_mentions_every_vertex():
-    table = GR_F2.ball((), 2)
-    text = export_ball_dot(GR_F2, table)
-    for v in table.entries:
-        assert f'[label="{F2.format(v)}"]' in text

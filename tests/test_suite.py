@@ -37,6 +37,7 @@ from relbundles.suite import (
     oracle_equivalence_violations,
     order_property_violations,
     run_suite,
+    scan_rows,
 )
 
 
@@ -235,7 +236,7 @@ class TestRunSuite:
 
     def test_scan_rows_cover_each_depth_and_pair(self):
         report = run_suite(RunConfig(**TINY))
-        rows = report.scan_rows()
+        rows = scan_rows((c.id, c.details) for c in report.checks)
         # 2 directions x 1 base pair x 3 scan depths
         assert len(rows) == 6
         assert {depth for _, _, _, depth, _ in rows} == {4, 5, 6}
